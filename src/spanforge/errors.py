@@ -26,11 +26,7 @@ class ConditionFails(SpanforgeError):
 
 
 class MalformedTables(SpanforgeError):
-    """Raw tables do not have the shape the structure requires."""
-
-
-class MalformedTable(SpanforgeError):
-    """A single function table is the wrong length or out of range."""
+    """Raw tables do not have the shape the structure requires, or hold out-of-range entries."""
 
 
 class UnderlyingCategoryInvalid(SpanforgeError):

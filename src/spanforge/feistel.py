@@ -27,13 +27,11 @@ from typing import Iterable, Sequence
 from .catalog import MonoidTable
 from .errors import (
     BaseMismatch,
-    ConditionFails,
     KeyScheduleMismatch,
-    MalformedTable,
+    MalformedTables,
     SizeLimitExceeded,
 )
 from .finset import FinMap, all_maps, compose, identity
-from .finset import _pair_index
 from .internal import InternalCategory, InternalGroupoid, enumeration_cap, eta_cell, mu_cell
 from .report import Report, ReportBuilder
 from .span import (
@@ -47,7 +45,6 @@ from .span import (
     reassociate,
     tensor,
     tensor_cells,
-    tensor_pullback,
 )
 
 
@@ -190,38 +187,12 @@ def coreflect(endo: KleisliEndo) -> tuple[KleisliEndo, FinMap]:
     return obj, endo.prime
 
 
-@dataclass(frozen=True)
-class EndMorphism:
-    """A morphism of free-module endomorphisms: a pair of slice cells.
-
-    The pair (sigma, tau) must satisfy (tau . id) after src.cell equals
-    dst.cell after sigma.
-    """
-
-    src: KleisliEndo
-    dst: KleisliEndo
-    sigma: TwoCell
-    tau: TwoCell
-
-    def __post_init__(self) -> None:
-        if self.src.target != self.dst.target:
-            raise BaseMismatch("endomorphism morphisms require a common internal category")
-        lhs = compose_cells(
-            tensor_cells(self.tau, identity_cell(self.src.target.mor_span)), self.src.cell
-        )
-        rhs = compose_cells(self.dst.cell, self.sigma)
-        if lhs.map != rhs.map:
-            raise ConditionFails("endomorphism square does not commute")
-
-
 def end_square_holds(
     src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap
 ) -> bool:
     """Cheap elementwise test of the endomorphism-morphism square."""
-    src_pb = tensor_pullback(src.base.span, src.target.mor_span)
-    dst_pb = tensor_pullback(dst.base.span, dst.target.mor_span)
-    dst_index = _pair_index(dst_pb)
-    src_elems = src_pb.elems
+    src_elems = free_module(src.base, src.target).pb.elems
+    dst_index = free_module(dst.base, dst.target).pb.index
     src_table, dst_table = src.cell.map.table, dst.cell.map.table
     sig, ta = sigma.table, tau.table
     for a in range(len(src_table)):
@@ -273,7 +244,7 @@ def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory, limit: int) -> tup
 
 def _endo_choice_lists(fa: SliceObject, ic: InternalCategory, limit: int) -> list[list[int]]:
     """Per-generator valid targets in the module carrier for a cell out of fa."""
-    pb = tensor_pullback(fa.span, ic.mor_span)
+    pb = free_module(fa, ic).pb
     choices = []
     for a in range(fa.a.size):
         o = fa.f.table[a]
@@ -309,21 +280,19 @@ def module_endomorphism(endo: KleisliEndo) -> FinMap:
     Sends a generator pair (a, m) to (carrier(a), arrow(a) then m); the
     assignment turns Kleisli composition into plain composition of maps.
     """
-    pb = tensor_pullback(endo.base.span, endo.target.mor_span)
-    index = _pair_index(pb)
+    pb = free_module(endo.base, endo.target).pb
     ic = endo.target
     bar, prime = endo.bar.table, endo.prime.table
     table = []
     for a, m in pb.elems:
-        table.append(index[(prime[a], ic.then(bar[a], m))])
-    apex = free_module(endo.base, endo.target).span.apex
-    return FinMap(apex, apex, tuple(table))
+        table.append(pb.index[(prime[a], ic.then(bar[a], m))])
+    return FinMap(pb.apex, pb.apex, tuple(table))
 
 
 def _fast_kleisli_tables(fa: SliceObject, ic: InternalCategory):
     """Precomputed lookups for elementwise Kleisli composition on raw tables."""
-    pb = tensor_pullback(fa.span, ic.mor_span)
-    return pb.elems, _pair_index(pb), _pair_index(ic.composable), ic.mu.table
+    pb = free_module(fa, ic).pb
+    return pb.elems, pb.index, ic.composable.index, ic.mu.table
 
 
 def _fast_compose(elems, index, comp_index, mu_table, beta: tuple, alpha: tuple) -> tuple:
@@ -387,19 +356,19 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
     most significant bit first.
     """
     if m_bits < 0 or n_bits < 0:
-        raise MalformedTable("bit widths must be non-negative")
+        raise MalformedTables("bit widths must be non-negative")
     if len(table) != 1 << m_bits:
-        raise MalformedTable(f"truth table must have {1 << m_bits} rows")
+        raise MalformedTables(f"truth table must have {1 << m_bits} rows")
     mask = (1 << n_bits) - 1
     for v in table:
         if not isinstance(v, int) or not 0 <= v <= mask:
-            raise MalformedTable(f"truth table entry {v!r} does not fit in {n_bits} bits")
+            raise MalformedTables(f"truth table entry {v!r} does not fit in {n_bits} bits")
     perm = []
     for state in range(1 << (m_bits + n_bits)):
         x, y = state >> n_bits, state & mask
         perm.append((x << n_bits) | (table[x] ^ y))
     if len(set(perm)) != len(perm):
-        raise MalformedTable("extension failed to be a bijection")
+        raise MalformedTables("extension failed to be a bijection")
     return tuple(perm)
 
 
@@ -421,7 +390,7 @@ def feistel_network(
     n = group.size
     for fn in round_fns:
         if len(fn) != n or any(not 0 <= v < n for v in fn):
-            raise MalformedTable("round function must map the group to itself")
+            raise MalformedTables("round function must map the group to itself")
     states = n * n
     perm = list(range(states))
     for fn in round_fns:

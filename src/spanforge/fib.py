@@ -50,27 +50,15 @@ class SubSlice:
         object.__setattr__(self, "arrows", tuple(self.arrows))
         if len(set(self.objects)) != len(self.objects):
             raise MalformedTables("sub-slice objects must be distinct")
-        spans = {obj.span: i for i, obj in enumerate(self.objects)}
         for obj in self.objects:
             if obj.o != self.ic.o:
                 raise MalformedTables("sub-slice object over the wrong base")
         if len(set(self.arrows)) != len(self.arrows):
             raise MalformedTables("sub-slice arrows must be distinct")
         for cell in self.arrows:
-            if cell.src not in spans or cell.dst not in spans:
+            if cell.src not in self.span_index or cell.dst not in self.span_index:
                 raise MalformedTables("sub-slice arrow endpoints must be listed objects")
-        arrow_set = set(self.arrows)
-        for obj in self.objects:
-            ident = TwoCell(obj.span, obj.span, identity(obj.a))
-            if ident not in arrow_set:
-                raise MalformedTables(f"identity missing for object with |A|={obj.a.size}")
-        for t1 in self.arrows:
-            for t2 in self.arrows:
-                if t1.dst != t2.src:
-                    continue
-                comp = TwoCell(t1.src, t2.dst, compose(t2.map, t1.map))
-                if comp not in arrow_set:
-                    raise MalformedTables("sub-slice not closed under composition")
+        self.base_category  # checks the identities and closure under composition
 
     @cached_property
     def span_index(self) -> dict:
@@ -89,13 +77,17 @@ class SubSlice:
         cell_index = {cell: k for k, cell in enumerate(self.arrows)}
         ident = {}
         for i, obj in enumerate(self.objects):
-            ident[i] = cell_index[TwoCell(obj.span, obj.span, identity(obj.a))]
+            ident[i] = cell_index.get(TwoCell(obj.span, obj.span, identity(obj.a)))
+            if ident[i] is None:
+                raise MalformedTables(f"identity missing for object with |A|={obj.a.size}")
         comp = {}
         for k1, t1 in enumerate(self.arrows):
             for k2, t2 in enumerate(self.arrows):
                 if t1.dst != t2.src:
                     continue
-                comp[(k1, k2)] = cell_index[TwoCell(t1.src, t2.dst, compose(t2.map, t1.map))]
+                comp[(k1, k2)] = cell_index.get(TwoCell(t1.src, t2.dst, compose(t2.map, t1.map)))
+                if comp[(k1, k2)] is None:
+                    raise MalformedTables("sub-slice not closed under composition")
         return FiniteCategory(objects, arrows, src, dst, ident, comp)
 
 
@@ -137,15 +129,16 @@ class FunctorData:
 
 def check_functor(fd: FunctorData) -> Report:
     rb = ReportBuilder()
+    target_objects, target_arrows = set(fd.target.objects), set(fd.target.arrows)
     for x in fd.source.objects:
         if not rb.require(x in fd.object_map, "object-map-total", x):
             continue
-        rb.require(fd.object_map[x] in set(fd.target.objects), "object-map-lands", x)
+        rb.require(fd.object_map[x] in target_objects, "object-map-lands", x)
     for a in fd.source.arrows:
         if not rb.require(a in fd.arrow_map, "arrow-map-total", a):
             continue
         fa = fd.arrow_map[a]
-        if not rb.require(fa in set(fd.target.arrows), "arrow-map-lands", a):
+        if not rb.require(fa in target_arrows, "arrow-map-lands", a):
             continue
         rb.require(
             fd.target.src[fa] == fd.object_map[fd.source.src[a]]
@@ -213,44 +206,20 @@ def _endo_key(endo: KleisliEndo) -> tuple:
     return endo.cell.map.table
 
 
-def build_conv_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInstance:
-    """Category of convolution elements over the sub-slice, with its projection.
+def _fibration(ss: SubSlice, keys: list, lifts) -> FibrationInstance:
+    """The total category over the sub-slice, with its projection.
 
-    Objects are pairs (slice object, element); an arrow over a base cell
-    phi runs from the pullback of an element along phi to that element.
+    Objects are (i, key) for each key of fibre i.  ``lifts(k, i, j)`` yields
+    the (source key, target key) pairs over base arrow k from object i to
+    object j; each gives the arrow (k, source key, target key).  A composite
+    composes the base arrows and keeps the outer keys.
     """
     base = ss.base_category
-    fibres = [conv_fibre(obj, ss.ic, cap) for obj in ss.objects]
-    fibre_keys = [{_conv_key(e) for e in fibre} for fibre in fibres]
-    objects = tuple((i, _conv_key(e)) for i, fibre in enumerate(fibres) for e in fibre)
-    arrows = []
-    src, dst = {}, {}
-    for k, cell in enumerate(ss.arrows):
-        i, j = ss.arrow_endpoints(k)
-        phi = cell.map.table
-        for beta in fibres[j]:
-            beta_key = _conv_key(beta)
-            pulled = tuple(beta.map.table[v] for v in phi)
-            if pulled not in fibre_keys[i]:
-                continue
-            key = (k, pulled, beta_key)
-            arrows.append(key)
-            src[key] = (i, pulled)
-            dst[key] = (j, beta_key)
-    arrows = tuple(arrows)
-    ident = {}
-    for i, fibre in enumerate(fibres):
-        id_k = base.ident[i]
-        for e in fibre:
-            ident[(i, _conv_key(e))] = (id_k, _conv_key(e), _conv_key(e))
-    comp = _composition_over_base(base, arrows, src, dst)
-    total = FiniteCategory(objects, arrows, src, dst, ident, comp)
-    proj = FunctorData(total, base, {t: t[0] for t in objects}, {a: a[0] for a in arrows})
-    return FibrationInstance(total, base, proj)
-
-
-def _composition_over_base(base: FiniteCategory, arrows, src, dst) -> dict:
-    """Composites of lifted arrows: compose the base arrows, keep the ends."""
+    objects = tuple((i, t) for i, fibre in enumerate(keys) for t in fibre)
+    arrows = tuple((k, s, t) for k in base.arrows for s, t in lifts(k, base.src[k], base.dst[k]))
+    src = {a: (base.src[a[0]], a[1]) for a in arrows}
+    dst = {a: (base.dst[a[0]], a[2]) for a in arrows}
+    ident = {(i, t): (base.ident[i], t, t) for i, t in objects}
     by_src: dict = {}
     for a in arrows:
         by_src.setdefault(src[a], []).append(a)
@@ -258,7 +227,28 @@ def _composition_over_base(base: FiniteCategory, arrows, src, dst) -> dict:
     for a1 in arrows:
         for a2 in by_src.get(dst[a1], ()):
             comp[(a1, a2)] = (base.comp[(a1[0], a2[0])], a1[1], a2[2])
-    return comp
+    total = FiniteCategory(objects, arrows, src, dst, ident, comp)
+    proj = FunctorData(total, base, {t: t[0] for t in objects}, {a: a[0] for a in arrows})
+    return FibrationInstance(total, base, proj)
+
+
+def build_conv_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInstance:
+    """Category of convolution elements over the sub-slice, with its projection.
+
+    Objects are pairs (slice object, element); an arrow over a base cell
+    phi runs from the pullback of an element along phi to that element.
+    """
+    keys = [[_conv_key(e) for e in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects]
+    key_sets = [set(fibre) for fibre in keys]
+
+    def lifts(k: int, i: int, j: int):
+        phi = ss.arrows[k].map.table
+        for beta in keys[j]:
+            pulled = tuple(beta[v] for v in phi)
+            if pulled in key_sets[i]:
+                yield pulled, beta
+
+    return _fibration(ss, keys, lifts)
 
 
 def build_endo_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInstance:
@@ -268,50 +258,93 @@ def build_endo_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInsta
     square (sigma tensored with the arrow span) commutes; the equal
     components of such a morphism make a single cell suffice.
     """
-    from .finset import _pair_index
-    from .span import tensor_pullback
-
-    base = ss.base_category
-    sp_fibres = [
-        [extend(alpha) for alpha in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects
+    keys = [
+        [_endo_key(extend(alpha)) for alpha in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects
     ]
-    pbs = [tensor_pullback(obj.span, ss.ic.mor_span) for obj in ss.objects]
-    objects = tuple((i, _endo_key(u)) for i, fibre in enumerate(sp_fibres) for u in fibre)
-    arrows = []
-    src, dst = {}, {}
-    for k, cell in enumerate(ss.arrows):
-        i, j = ss.arrow_endpoints(k)
-        sig = cell.map.table
-        src_elems = pbs[i].elems
-        dst_index = _pair_index(pbs[j])
-        src_tables = [(u, u.cell.map.table) for u in sp_fibres[i]]
-        dst_tables = [(v, v.cell.map.table) for v in sp_fibres[j]]
-        for u, u_table in src_tables:
-            for v, v_table in dst_tables:
+    pbs = [free_module(obj, ss.ic).pb for obj in ss.objects]
+
+    def lifts(k: int, i: int, j: int):
+        sig = ss.arrows[k].map.table
+        src_elems, dst_index = pbs[i].elems, pbs[j].index
+        for u_table in keys[i]:
+            for v_table in keys[j]:
                 # the endomorphism square for (sigma, sigma), elementwise
-                ok = True
                 for a, slot in enumerate(u_table):
                     x, m = src_elems[slot]
                     moved = dst_index.get((sig[x], m))
                     if moved is None or moved != v_table[sig[a]]:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                key = (k, u_table, v_table)
-                arrows.append(key)
-                src[key] = (i, u_table)
-                dst[key] = (j, v_table)
-    arrows = tuple(arrows)
-    ident = {}
-    for i, fibre in enumerate(sp_fibres):
-        id_k = base.ident[i]
-        for u in fibre:
-            ident[(i, _endo_key(u))] = (id_k, _endo_key(u), _endo_key(u))
-    comp = _composition_over_base(base, arrows, src, dst)
-    total = FiniteCategory(objects, arrows, src, dst, ident, comp)
-    proj = FunctorData(total, base, {t: t[0] for t in objects}, {a: a[0] for a in arrows})
-    return FibrationInstance(total, base, proj)
+                else:
+                    yield u_table, v_table
+
+    return _fibration(ss, keys, lifts)
+
+
+def _as_endo(ss: SubSlice, i: int, table: tuple) -> KleisliEndo:
+    """The endomorphism over object i whose key is the given table."""
+    fa = ss.objects[i]
+    return kleisli_endo(fa, ss.ic, FinMap(fa.a, free_module(fa, ss.ic).span.apex, table))
+
+
+class _Extensions(dict):
+    """(i, element key) -> (i, key of the element's extension), built on first lookup."""
+
+    def __init__(self, ss: SubSlice) -> None:
+        super().__init__()
+        self.ss = ss
+
+    def __missing__(self, key: tuple) -> tuple:
+        i, table = key
+        fa = self.ss.objects[i]
+        elem = conv_element(fa, self.ss.ic, FinMap(fa.a, self.ss.ic.m, table))
+        self[key] = image = (i, _endo_key(extend(elem)))
+        return image
+
+
+def _image_arrow(obj_map, total: FiniteCategory, arrow: tuple) -> tuple:
+    """The arrow over the same base arrow between the images of the arrow's ends."""
+    return (arrow[0], obj_map[total.src[arrow]][1], obj_map[total.dst[arrow]][1])
+
+
+def _functor_over_base(
+    rb: ReportBuilder,
+    source: FibrationInstance,
+    target: FibrationInstance,
+    move,
+    prefix: str,
+    over_base: tuple[str, str],
+) -> FunctorData:
+    """Tabulate the functor (i, t) -> (i, move(i, t)) between total categories and check it.
+
+    Arrows go to the arrow over the same base arrow between the images of
+    their ends.  Checks, in order: every image exists (``<prefix>welldefined``),
+    check_functor's laws (prefixed), and that the functor lies over the base,
+    on objects and on arrows (the two ``over_base`` laws).
+    """
+    target_objects = set(target.total.objects)
+    obj_map = {}
+    for key in source.total.objects:
+        image = (key[0], move(*key))
+        rb.require(image in target_objects, f"{prefix}welldefined", key)
+        obj_map[key] = image
+    target_arrows = set(target.total.arrows)
+    arr_map = {}
+    for key in source.total.arrows:
+        image = _image_arrow(obj_map, source.total, key)
+        rb.require(image in target_arrows, f"{prefix}welldefined", key)
+        arr_map[key] = image
+    fd = FunctorData(source.total, target.total, obj_map, arr_map)
+    rb.merge(check_functor(fd), prefix)
+    objects_law, arrows_law = over_base
+    for key in source.total.objects:
+        rb.require(
+            target.proj.object_map[obj_map[key]] == source.proj.object_map[key], objects_law, key
+        )
+    for key in source.total.arrows:
+        rb.require(
+            target.proj.arrow_map[arr_map[key]] == source.proj.arrow_map[key], arrows_law, key
+        )
+    return fd
 
 
 @dataclass
@@ -332,83 +365,22 @@ def cartesian_iso(ss: SubSlice, cap: int | None = None) -> CartesianIso:
     conv = build_conv_fibration(ss, cap)
     endo = build_endo_fibration(ss, cap)
     rb = ReportBuilder()
+    extensions = _Extensions(ss)
 
-    def as_conv(key) -> ConvElement:
-        i, table = key
-        return conv_element(ss.objects[i], ss.ic, FinMap(ss.objects[i].a, ss.ic.m, table))
+    def extended(i: int, table: tuple) -> tuple:
+        return extensions[(i, table)][1]
 
-    def as_endo(key) -> KleisliEndo:
-        i, table = key
-        fa = ss.objects[i]
-        apex = free_module(fa, ss.ic).span.apex
-        return kleisli_endo(fa, ss.ic, FinMap(fa.a, apex, table))
+    def retrieved(i: int, table: tuple) -> tuple:
+        return _conv_key(retrieve(_as_endo(ss, i, table)))
 
-    endo_objects = set(endo.total.objects)
-    conv_objects = set(conv.total.objects)
-    fwd_obj = {}
-    for key in conv.total.objects:
-        image = (key[0], _endo_key(extend(as_conv(key))))
-        rb.require(image in endo_objects, "forward-welldefined", key)
-        fwd_obj[key] = image
-    bwd_obj = {}
-    for key in endo.total.objects:
-        image = (key[0], _conv_key(retrieve(as_endo(key))))
-        rb.require(image in conv_objects, "backward-welldefined", key)
-        bwd_obj[key] = image
-    endo_arrows = set(endo.total.arrows)
-    conv_arrows = set(conv.total.arrows)
-    fwd_arr = {}
-    for (k, at, bt) in conv.total.arrows:
-        i, j = ss.arrow_endpoints(k)
-        image = (
-            k,
-            fwd_obj[(i, at)][1],
-            fwd_obj[(j, bt)][1],
-        )
-        rb.require(image in endo_arrows, "forward-welldefined", (k, at, bt))
-        fwd_arr[(k, at, bt)] = image
-    bwd_arr = {}
-    for (k, ut, vt) in endo.total.arrows:
-        i, j = ss.arrow_endpoints(k)
-        image = (k, bwd_obj[(i, ut)][1], bwd_obj[(j, vt)][1])
-        rb.require(image in conv_arrows, "backward-welldefined", (k, ut, vt))
-        bwd_arr[(k, ut, vt)] = image
-    forward = FunctorData(conv.total, endo.total, fwd_obj, fwd_arr)
-    backward = FunctorData(endo.total, conv.total, bwd_obj, bwd_arr)
-    rb.merge(check_functor(forward), "forward-")
-    rb.merge(check_functor(backward), "backward-")
-    for key in conv.total.objects:
-        rb.require(bwd_obj[fwd_obj[key]] == key, "mutual-inverse-objects", key)
-    for key in endo.total.objects:
-        rb.require(fwd_obj[bwd_obj[key]] == key, "mutual-inverse-objects", key)
-    for key in conv.total.arrows:
-        rb.require(bwd_arr[fwd_arr[key]] == key, "mutual-inverse-arrows", key)
-    for key in endo.total.arrows:
-        rb.require(fwd_arr[bwd_arr[key]] == key, "mutual-inverse-arrows", key)
-    for key in conv.total.objects:
-        rb.require(
-            endo.proj.object_map[fwd_obj[key]] == conv.proj.object_map[key],
-            "projection-triangle",
-            key,
-        )
-    for key in conv.total.arrows:
-        rb.require(
-            endo.proj.arrow_map[fwd_arr[key]] == conv.proj.arrow_map[key],
-            "projection-triangle",
-            key,
-        )
-    for key in endo.total.objects:
-        rb.require(
-            conv.proj.object_map[bwd_obj[key]] == endo.proj.object_map[key],
-            "projection-triangle",
-            key,
-        )
-    for key in endo.total.arrows:
-        rb.require(
-            conv.proj.arrow_map[bwd_arr[key]] == endo.proj.arrow_map[key],
-            "projection-triangle",
-            key,
-        )
+    triangle = ("projection-triangle", "projection-triangle")
+    forward = _functor_over_base(rb, conv, endo, extended, "forward-", triangle)
+    backward = _functor_over_base(rb, endo, conv, retrieved, "backward-", triangle)
+    for there, back in ((forward, backward), (backward, forward)):
+        for key in there.source.objects:
+            rb.require(back.object_map[there.object_map[key]] == key, "mutual-inverse-objects", key)
+        for key in there.source.arrows:
+            rb.require(back.arrow_map[there.arrow_map[key]] == key, "mutual-inverse-arrows", key)
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
         for beta in conv_fibre(ss.objects[j], ss.ic, cap):
@@ -476,101 +448,28 @@ def transport_conv(
     endo1 = build_endo_fibration(ss, cap)
     endo2 = build_endo_fibration(ss2, cap)
     rb = ReportBuilder()
+    ext1, ext2 = _Extensions(ss), _Extensions(ss2)
 
-    def move_conv_table(i: int, table: tuple) -> tuple:
+    def move_conv(i: int, table: tuple) -> tuple:
         alpha = FinMap(ss.objects[i].a, ss.ic.m, table)
         return compose(functor.fm, k.arr(alpha)).table
 
-    conv_objects2 = set(conv2.total.objects)
-    conv_obj_map = {}
-    for (i, table) in conv1.total.objects:
-        image = (i, move_conv_table(i, table))
-        rb.require(image in conv_objects2, "conv-transport-welldefined", (i, table))
-        conv_obj_map[(i, table)] = image
-    conv_arrows2 = set(conv2.total.arrows)
-    conv_arr_map = {}
-    for (arrow_k, at, bt) in conv1.total.arrows:
-        i, j = ss.arrow_endpoints(arrow_k)
-        image = (arrow_k, move_conv_table(i, at), move_conv_table(j, bt))
-        rb.require(image in conv_arrows2, "conv-transport-welldefined", (arrow_k, at, bt))
-        conv_arr_map[(arrow_k, at, bt)] = image
-    conv_map = FunctorData(conv1.total, conv2.total, conv_obj_map, conv_arr_map)
-    rb.merge(check_functor(conv_map), "conv-transport-")
+    def move_endo(i: int, table: tuple) -> tuple:
+        moved_bar = compose(functor.fm, k.arr(_as_endo(ss, i, table).bar))
+        return ext2[(i, moved_bar.table)][1]
+
+    conv_map = _functor_over_base(
+        rb, conv1, conv2, move_conv, "conv-transport-", ("p-square-objects", "p-square-arrows")
+    )
+    endo_map = _functor_over_base(
+        rb, endo1, endo2, move_endo, "endo-transport-", ("q-square-objects", "q-square-arrows")
+    )
     for key in conv1.total.objects:
-        rb.require(
-            conv2.proj.object_map[conv_obj_map[key]] == conv1.proj.object_map[key],
-            "p-square-objects",
-            key,
-        )
+        lhs = endo_map.object_map[ext1[key]]
+        rb.require(lhs == ext2[conv_map.object_map[key]], "intertwine-objects", key)
     for key in conv1.total.arrows:
-        rb.require(
-            conv2.proj.arrow_map[conv_arr_map[key]] == conv1.proj.arrow_map[key],
-            "p-square-arrows",
-            key,
-        )
-
-    def move_endo_key(i: int, table: tuple) -> tuple:
-        fa = ss.objects[i]
-        apex = free_module(fa, ss.ic).span.apex
-        u = kleisli_endo(fa, ss.ic, FinMap(fa.a, apex, table))
-        moved_bar = compose(functor.fm, k.arr(u.bar))
-        return _endo_key(extend(conv_element(ss2.objects[i], ss2.ic, moved_bar)))
-
-    endo_objects2 = set(endo2.total.objects)
-    endo_obj_map = {}
-    for (i, table) in endo1.total.objects:
-        image = (i, move_endo_key(i, table))
-        rb.require(image in endo_objects2, "endo-transport-welldefined", (i, table))
-        endo_obj_map[(i, table)] = image
-    endo_arrows2 = set(endo2.total.arrows)
-    endo_arr_map = {}
-    for (arrow_k, ut, vt) in endo1.total.arrows:
-        i, j = ss.arrow_endpoints(arrow_k)
-        image = (arrow_k, move_endo_key(i, ut), move_endo_key(j, vt))
-        rb.require(image in endo_arrows2, "endo-transport-welldefined", (arrow_k, ut, vt))
-        endo_arr_map[(arrow_k, ut, vt)] = image
-    endo_map = FunctorData(endo1.total, endo2.total, endo_obj_map, endo_arr_map)
-    rb.merge(check_functor(endo_map), "endo-transport-")
-    for key in endo1.total.objects:
-        rb.require(
-            endo2.proj.object_map[endo_obj_map[key]] == endo1.proj.object_map[key],
-            "q-square-objects",
-            key,
-        )
-    for key in endo1.total.arrows:
-        rb.require(
-            endo2.proj.arrow_map[endo_arr_map[key]] == endo1.proj.arrow_map[key],
-            "q-square-arrows",
-            key,
-        )
-    for (i, table) in conv1.total.objects:
-        elem = conv_element(ss.objects[i], ss.ic, FinMap(ss.objects[i].a, ss.ic.m, table))
-        extended_key = (i, _endo_key(extend(elem)))
-        lhs = endo_obj_map[extended_key]
-        moved = conv_obj_map[(i, table)]
-        rhs = (
-            i,
-            _endo_key(
-                extend(conv_element(ss2.objects[i], ss2.ic, FinMap(ss2.objects[i].a, ss2.ic.m, moved[1])))
-            ),
-        )
-        rb.require(lhs == rhs, "intertwine-objects", (i, table))
-    for key in conv1.total.arrows:
-        arrow_k, at, bt = key
-        i, j = ss.arrow_endpoints(arrow_k)
-        lhs = endo_arr_map[
-            (
-                arrow_k,
-                _endo_key(extend(conv_element(ss.objects[i], ss.ic, FinMap(ss.objects[i].a, ss.ic.m, at)))),
-                _endo_key(extend(conv_element(ss.objects[j], ss.ic, FinMap(ss.objects[j].a, ss.ic.m, bt)))),
-            )
-        ]
-        moved = conv_arr_map[key]
-        rhs = (
-            arrow_k,
-            _endo_key(extend(conv_element(ss2.objects[i], ss2.ic, FinMap(ss2.objects[i].a, ss2.ic.m, moved[1])))),
-            _endo_key(extend(conv_element(ss2.objects[j], ss2.ic, FinMap(ss2.objects[j].a, ss2.ic.m, moved[2])))),
-        )
+        lhs = endo_map.arrow_map[_image_arrow(ext1, conv1.total, key)]
+        rhs = _image_arrow(ext2, conv2.total, conv_map.arrow_map[key])
         rb.require(lhs == rhs, "intertwine-arrows", key)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)
 

@@ -3,14 +3,15 @@
 Elements of a set of size n are the indices 0..n-1; labels are cosmetic.
 Every value is an immutable table, so equality anywhere downstream is
 exact table equality, and every pullback is materialized once as the
-lexicographically ordered list of matching pairs.
+lexicographically ordered list of matching pairs.  ``PullbackResult.index``
+is the one pair -> position lookup; every other module reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import (
@@ -120,10 +121,10 @@ class PullbackResult:
     proj_left: FinMap
     proj_right: FinMap
 
-
-@lru_cache(maxsize=None)
-def _pair_index(pb: PullbackResult) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(pb.elems)}
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        """Position of each pair in the apex, built on first use; shared, so read only."""
+        return {pair: i for i, pair in enumerate(self.elems)}
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +147,7 @@ def mediating(pb: PullbackResult, u: FinMap, v: FinMap) -> FinMap:
         raise DomainMismatch("cone legs must share a domain")
     if u.cod != pb.proj_left.cod or v.cod != pb.proj_right.cod:
         raise CodomainMismatch("cone legs must target the pullback feet")
-    index = _pair_index(pb)
+    index = pb.index
     table = []
     for x in range(u.dom.size):
         pair = (u.table[x], v.table[x])
@@ -158,7 +159,7 @@ def mediating(pb: PullbackResult, u: FinMap, v: FinMap) -> FinMap:
 
 def pair_position(pb: PullbackResult, a: int, b: int) -> int:
     """Index of the pair (a, b) in the apex; KeyError if the legs disagree."""
-    return _pair_index(pb)[(a, b)]
+    return pb.index[(a, b)]
 
 
 def product(a: FinSet, b: FinSet) -> PullbackResult:

@@ -135,7 +135,7 @@ def check_internal_category(ic: InternalCategory) -> Report:
             "composition-target",
             f"pair ({ic.m.label(a)}, {ic.m.label(b)})",
         )
-    index = {pair: i for i, pair in enumerate(pairs)}
+    index = ic.composable.index
     for m in range(ic.m.size):
         left = index.get((eta[d[m]], m))
         if not rb.require(left is not None, "left-unit", f"arrow {ic.m.label(m)} not composable"):
@@ -173,7 +173,7 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
         lab = f"arrow {ic.m.label(m)}"
         rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
         rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
-    index = {pair: i for i, pair in enumerate(ic.composable.elems)}
+    index = ic.composable.index
     for m in range(ic.m.size):
         lab = f"arrow {ic.m.label(m)}"
         right = index.get((m, iota[m]))
@@ -273,7 +273,7 @@ def external_category(ic: InternalCategory, c_obj: FinSet, cap: int | None = Non
     src = {a: tuple(ic.d.table[v] for v in a) for a in arrows}
     dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
     ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
-    index = {pair: i for i, pair in enumerate(ic.composable.elems)}
+    index = ic.composable.index
     comp = {}
     for a in arrows:
         for b in arrows:
@@ -413,6 +413,33 @@ def _map_lex_index(table: tuple[int, ...], base: int) -> int:
     return idx
 
 
+def _close_fragment(
+    sets: Iterable[FinSet],
+    maps: Iterable[FinMap],
+    squares: Iterable[tuple[FinMap, FinMap]],
+) -> tuple[list[FinSet], list[FinMap], tuple[PullbackWitness, ...]]:
+    """Add each square's canonical pullback and every map's ends to the fragment.
+
+    Returns the closed sets, the closed maps and one pullback witness per square.
+    """
+    sets = list(dict.fromkeys(sets))
+    maps = list(dict.fromkeys(maps))
+    witnesses = []
+    for left, right in squares:
+        pb = pullback(left, right)
+        witnesses.append(PullbackWitness(left, right, pb.apex, pb.proj_left, pb.proj_right))
+        if pb.apex not in sets:
+            sets.append(pb.apex)
+        for extra_map in (pb.proj_left, pb.proj_right):
+            if extra_map not in maps:
+                maps.append(extra_map)
+    for f in maps:
+        for side in (f.dom, f.cod):
+            if side not in sets:
+                sets.append(side)
+    return sets, maps, tuple(witnesses)
+
+
 def hom_functor_data(
     s: FinSet,
     sets: Iterable[FinSet],
@@ -425,21 +452,7 @@ def hom_functor_data(
     postcomposition with f.  Pullback witnesses are generated for the
     requested (left, right) squares using the canonical pullback data.
     """
-    sets = list(dict.fromkeys(sets))
-    maps = list(dict.fromkeys(maps))
-    squares = list(squares)
-    for left, right in squares:
-        pb = pullback(left, right)
-        for extra_set in (pb.apex,):
-            if extra_set not in sets:
-                sets.append(extra_set)
-        for extra_map in (pb.proj_left, pb.proj_right):
-            if extra_map not in maps:
-                maps.append(extra_map)
-    for f in maps:
-        for side in (f.dom, f.cod):
-            if side not in sets:
-                sets.append(side)
+    sets, maps, witnesses = _close_fragment(sets, maps, squares)
     objects = {a: FinSet(a.size**s.size) for a in sets}
     arrows = {}
     for f in maps:
@@ -452,12 +465,8 @@ def hom_functor_data(
         ia = identity(a)
         if ia not in arrows:
             arrows[ia] = identity(objects[a])
-    witnesses = []
-    for left, right in squares:
-        pb = pullback(left, right)
-        witnesses.append(PullbackWitness(left, right, pb.apex, pb.proj_left, pb.proj_right))
     terminal = next((a for a in sets if a.size == 1), None)
-    return LexFunctorData(objects, arrows, tuple(witnesses), terminal)
+    return LexFunctorData(objects, arrows, witnesses, terminal)
 
 
 def identity_functor_data(
@@ -466,25 +475,10 @@ def identity_functor_data(
     squares: Iterable[tuple[FinMap, FinMap]] = (),
 ) -> LexFunctorData:
     """The identity functor tabulated on the given fragment."""
-    sets = list(dict.fromkeys(sets))
-    maps = list(dict.fromkeys(maps))
-    witnesses = []
-    for left, right in squares:
-        pb = pullback(left, right)
-        witnesses.append(PullbackWitness(left, right, pb.apex, pb.proj_left, pb.proj_right))
-        for extra_set in (pb.apex,):
-            if extra_set not in sets:
-                sets.append(extra_set)
-        for extra_map in (pb.proj_left, pb.proj_right):
-            if extra_map not in maps:
-                maps.append(extra_map)
-    for f in maps:
-        for side in (f.dom, f.cod):
-            if side not in sets:
-                sets.append(side)
+    sets, maps, witnesses = _close_fragment(sets, maps, squares)
     objects = {a: a for a in sets}
     arrows = {f: f for f in maps}
     for a in sets:
         arrows.setdefault(identity(a), identity(a))
     terminal = next((a for a in sets if a.size == 1), None)
-    return LexFunctorData(objects, arrows, tuple(witnesses), terminal)
+    return LexFunctorData(objects, arrows, witnesses, terminal)

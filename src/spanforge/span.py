@@ -10,6 +10,8 @@ Conventions, fixed once and relied on everywhere:
   ``tensor_cells(t, s)`` sends ``(a, b)`` to ``(t(a), s(b))``.
 * Multi-fold tensors are always bracketed explicitly; ``reassociate``
   supplies the canonical bijection when a law needs rebracketing.
+* ``tensor(x, m).pb`` is the pullback a tensor was glued along; cells into
+  a tensor find their pair positions through its ``index``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BaseMismatch, ConditionFails, DomainMismatch, MalformedTables
-from .finset import FinMap, FinSet, compose, identity, pair_position, pullback
+from .finset import FinMap, FinSet, PullbackResult, compose, identity, pair_position, pullback
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,18 @@ def compose_cells(t2: TwoCell, t1: TwoCell) -> TwoCell:
 
 @dataclass(frozen=True)
 class TensorResult:
-    """A tensor span together with its two pullback projections."""
+    """A tensor span together with the pullback it was glued along."""
 
     span: Span
-    proj_left: FinMap
-    proj_right: FinMap
+    pb: PullbackResult
+
+    @property
+    def proj_left(self) -> FinMap:
+        return self.pb.proj_left
+
+    @property
+    def proj_right(self) -> FinMap:
+        return self.pb.proj_right
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +121,7 @@ def tensor(x: Span, m: Span) -> TensorResult:
         raise BaseMismatch("tensor factors must share the base object")
     pb = pullback(x.right, m.left)
     span = Span(x.o, pb.apex, compose(x.left, pb.proj_left), compose(m.right, pb.proj_right))
-    return TensorResult(span, pb.proj_left, pb.proj_right)
-
-
-def tensor_pullback(x: Span, m: Span):
-    return pullback(x.right, m.left)
+    return TensorResult(span, pb)
 
 
 def tensor_cells(t: TwoCell, s: TwoCell) -> TwoCell:
@@ -125,10 +130,8 @@ def tensor_cells(t: TwoCell, s: TwoCell) -> TwoCell:
         raise BaseMismatch("cell tensor factors must share the base object")
     src = tensor(t.src, s.src)
     dst = tensor(t.dst, s.dst)
-    dst_pb = tensor_pullback(t.dst, s.dst)
-    src_pb = tensor_pullback(t.src, s.src)
     table = tuple(
-        pair_position(dst_pb, t.map.table[a], s.map.table[b]) for a, b in src_pb.elems
+        pair_position(dst.pb, t.map.table[a], s.map.table[b]) for a, b in src.pb.elems
     )
     return TwoCell(src.span, dst.span, FinMap(src.span.apex, dst.span.apex, table))
 
@@ -137,8 +140,7 @@ def diagonal(fa: SliceObject) -> TwoCell:
     """The diagonal a -> (a, a) into the self-tensor of a symmetric span."""
     sp = fa.span
     tr = tensor(sp, sp)
-    pb = tensor_pullback(sp, sp)
-    table = tuple(pair_position(pb, a, a) for a in range(fa.a.size))
+    table = tuple(pair_position(tr.pb, a, a) for a in range(fa.a.size))
     return TwoCell(sp, tr.span, FinMap(fa.a, tr.span.apex, table))
 
 
@@ -155,9 +157,8 @@ def pair_cells(xi: TwoCell, alpha: TwoCell) -> TwoCell:
     if compose(alpha.dst.left, alpha.map) != compose(xi.dst.right, xi.map):
         raise ConditionFails("gluing condition fails: legs disagree on the middle object")
     tr = tensor(xi.dst, alpha.dst)
-    pb = tensor_pullback(xi.dst, alpha.dst)
     table = tuple(
-        pair_position(pb, xi.map.table[a], alpha.map.table[a]) for a in range(xi.src.apex.size)
+        pair_position(tr.pb, xi.map.table[a], alpha.map.table[a]) for a in range(xi.src.apex.size)
     )
     return TwoCell(xi.src, tr.span, FinMap(xi.src.apex, tr.span.apex, table))
 
@@ -171,15 +172,11 @@ def reassociate(x: Span, y: Span, z: Span) -> TwoCell:
     left_nested = tensor(xy.span, z)
     yz = tensor(y, z)
     right_nested = tensor(x, yz.span)
-    xy_pb = tensor_pullback(x, y)
-    left_pb = tensor_pullback(xy.span, z)
-    yz_pb = tensor_pullback(y, z)
-    right_pb = tensor_pullback(x, yz.span)
     table = []
-    for p, c in left_pb.elems:
-        a, b = xy_pb.elems[p]
-        q = pair_position(yz_pb, b, c)
-        table.append(pair_position(right_pb, a, q))
+    for p, c in left_nested.pb.elems:
+        a, b = xy.pb.elems[p]
+        q = pair_position(yz.pb, b, c)
+        table.append(pair_position(right_nested.pb, a, q))
     return TwoCell(
         left_nested.span,
         right_nested.span,

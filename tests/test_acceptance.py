@@ -30,6 +30,7 @@ from spanforge import (
     kleisli_endo,
     kleisli_inverse,
     retrieve,
+    tensor,
     toffoli_extend,
     transport_conv,
 )
@@ -45,7 +46,6 @@ from spanforge.catalog import (
 from spanforge.cli import main as cli_main
 from spanforge.feistel import conv_base_change, endo_base_change, free_module
 from spanforge.internal import apply_lex_functor
-from spanforge.span import tensor_pullback
 
 from suites import (
     conv_external_agreement,
@@ -92,7 +92,7 @@ def test_criterion_2_inversion_suite():
         assert retrieved == 284 and roundtrips == 5_635
         # explicit non-fixed witness at |A| = |M| = 2
         fa = point_base(Z2, 2)
-        pb = tensor_pullback(fa.span, Z2.mor_span)
+        pb = tensor(fa.span, Z2.mor_span).pb
         index = {pair: i for i, pair in enumerate(pb.elems)}
         apex = free_module(fa, Z2).span.apex
         witness = kleisli_endo(fa, Z2, FinMap(fa.a, apex, (index[(1, 0)], index[(0, 0)])))

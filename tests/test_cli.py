@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +72,12 @@ class TestCheck:
         assert code == 1 and "inverse" in out
         as_monoid = write_doc(tmp_path, "and2m.json", {"kind": "monoid", "size": 2, "table": [0, 0, 0, 1]})
         assert run_cli(capsys, "check", as_monoid)[0] == 0
+
+    def test_boolean_size_is_exit_two(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "bool.json", {"kind": "monoid", "size": True, "table": [0]})
+        code, _, err = run_cli(capsys, "check", path)
+        assert code == 2
+        assert "'size'" in err
 
     def test_subslice_kind(self, capsys, tmp_path):
         with open(FIXTURES / "subslice_pair2.json") as fh:
@@ -274,6 +282,24 @@ class TestFibCheck:
         )
         assert code == 0
         assert out.count("pass") == 3
+
+    @pytest.mark.parametrize("src", [5, -1])
+    def test_arrow_endpoint_out_of_range_is_exit_two(self, capsys, tmp_path, src):
+        doc = {
+            "kind": "sub-slice",
+            "objects": [{"size": 1, "map": [0]}],
+            "arrows": [{"src": src, "dst": 0, "map": [0]}],
+        }
+        path = write_doc(tmp_path, "endpoint.json", doc)
+        code, out, err = run_cli(
+            capsys,
+            "fib-check",
+            "--internal", str(FIXTURES / "pair_groupoid.json"),
+            "--subslice", path,
+        )
+        assert code == 2
+        assert out == ""
+        assert "'src'" in err
 
 
 class TestEntryPoint:

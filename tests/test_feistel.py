@@ -7,7 +7,7 @@ from spanforge import (
     FinMap,
     FinSet,
     KeyScheduleMismatch,
-    MalformedTable,
+    MalformedTables,
     NotAGroup,
     SizeLimitExceeded,
     SliceObject,
@@ -30,6 +30,7 @@ from spanforge import (
     kleisli_unit,
     module_endomorphism,
     retrieve,
+    tensor,
     toffoli_extend,
     verify_adjunction,
 )
@@ -42,7 +43,6 @@ from spanforge.catalog import (
     xor_group,
 )
 from spanforge.feistel import _fast_compose, _fast_kleisli_tables, free_module
-from spanforge.span import tensor_pullback
 
 from suites import (
     conv_external_agreement,
@@ -192,7 +192,7 @@ class TestExtendRetrieve:
         fa = point_base(Z2, 2)
         image = extend(conv_from_table(fa, Z2, (0, 1)))
         perm = module_endomorphism(image)
-        pb = tensor_pullback(fa.span, Z2.mor_span)
+        pb = tensor(fa.span, Z2.mor_span).pb
         # oracle: (x, y) -> (x, x xor y) evaluated through the formula
         for i, (x, y) in enumerate(pb.elems):
             assert pb.elems[perm(i)] == (x, (0, 1)[x] ^ y)
@@ -233,7 +233,7 @@ class TestExtendRetrieve:
     def test_non_fixed_witness_at_two_by_two(self):
         fa = point_base(Z2, 2)
         apex = free_module(fa, Z2).span.apex
-        pb = tensor_pullback(fa.span, Z2.mor_span)
+        pb = tensor(fa.span, Z2.mor_span).pb
         swap_idx = {pair: i for i, pair in enumerate(pb.elems)}
         # carrier-swapping endomorphism: a -> (1 - a, 0)
         table = (swap_idx[(1, 0)], swap_idx[(0, 0)])
@@ -332,16 +332,16 @@ class TestToffoli:
             table = [rng.randrange(1 << bits_n) for _ in range(1 << bits_m)]
             direct = toffoli_extend(bits_m, bits_n, table)
             perm = module_endomorphism(extend(conv_from_table(fa, ic, table)))
-            pb = tensor_pullback(fa.span, ic.mor_span)
+            pb = tensor(fa.span, ic.mor_span).pb
             encoded = {}
             for i, (x, y) in enumerate(pb.elems):
                 encoded[i] = (x << bits_n) | y
             assert all(encoded[perm(i)] == direct[encoded[i]] for i in range(len(pb.elems)))
 
     def test_malformed_tables_rejected(self):
-        with pytest.raises(MalformedTable):
+        with pytest.raises(MalformedTables):
             toffoli_extend(2, 1, (0, 0, 0))
-        with pytest.raises(MalformedTable):
+        with pytest.raises(MalformedTables):
             toffoli_extend(1, 1, (0, 2))
 
 
@@ -402,7 +402,7 @@ class TestFeistelNetwork:
             feistel_network(xor_group(1), 2, [[0, 1]])
 
     def test_malformed_round_function(self):
-        with pytest.raises(MalformedTable):
+        with pytest.raises(MalformedTables):
             feistel_network(xor_group(1), 1, [[0, 2]])
 
 

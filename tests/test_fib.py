@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+
+import spanforge.fib as fib
 
 from spanforge import (
     CATALOG,
@@ -16,9 +20,11 @@ from spanforge import (
     cartesian_iso,
     check_discrete_fibration,
     check_functor,
+    compose,
     compose_intcat_morphisms,
     conv_element,
     conv_fibre,
+    conv_unit,
     default_subslice,
     extend,
     full_subslice,
@@ -30,9 +36,16 @@ from spanforge import (
     kleisli_unit,
     transport_conv,
 )
-from spanforge.catalog import MONOIDS, discrete_category, one_object_category, pair_groupoid
+from spanforge.catalog import (
+    MONOIDS,
+    discrete_category,
+    one_object_category,
+    one_object_groupoid,
+    pair_groupoid,
+)
 from spanforge.feistel import conv_base_change, endo_base_change
 from spanforge.internal import FiniteCategory, apply_lex_functor
+from spanforge.report import ReportBuilder
 
 from suites import point_base
 
@@ -356,3 +369,128 @@ class TestTransport:
             assert second.conv_map.object_map[mid] == combined.conv_map.object_map[key]
         for key, mid in first.conv_map.arrow_map.items():
             assert second.conv_map.arrow_map[mid] == combined.conv_map.arrow_map[key]
+
+
+def transport_instances():
+    """(k, functor, ss) for the passing transports above: identity, hom functor, pair groupoid."""
+    ss = default_subslice(Z2)
+    pt = SliceObject(FinSet(1), FinMap(FinSet(1), pair_groupoid(2).cat.o, (0,)))
+    pair_ss = full_subslice(pair_groupoid(2).cat, (pt,))
+    fragments = [
+        (identity_fragment_for(ss), ss),
+        (hom_fragment_for(ss), ss),
+        (hom_fragment_for(pair_ss), pair_ss),
+    ]
+    return [(k, identity_internal_functor(apply_lex_functor(k, sub.ic)), sub) for k, sub in fragments]
+
+
+def count_laws(monkeypatch):
+    """Count every ReportBuilder.require call by law name from now on."""
+    counts = Counter()
+    require = ReportBuilder.require
+
+    def counting(self, condition, law, witness=None):
+        counts[law] += 1
+        return require(self, condition, law, witness)
+
+    monkeypatch.setattr(ReportBuilder, "require", counting)
+    return counts
+
+
+Z3 = one_object_groupoid(MONOIDS["z3"])
+REAL_EXTEND, REAL_KLEISLI_ENDO = fib.extend, fib.kleisli_endo
+
+
+def inverting_extend(alpha):
+    """extend after pointwise inversion: a bijection on each fibre, but not extend."""
+    return REAL_EXTEND(conv_element(alpha.base, alpha.target, compose(Z3.iota, alpha.map)))
+
+
+def inverting_kleisli_endo(fa, ic, apex_map):
+    """Decodes an endomorphism key to the extension of its inverted arrow component."""
+    bar = REAL_KLEISLI_ENDO(fa, ic, apex_map).bar
+    return REAL_EXTEND(conv_element(fa, ic, compose(Z3.iota, bar)))
+
+
+def failed_laws(report):
+    return sorted({f.law for f in report.failures}), len(report.failures)
+
+
+class TestCheckerGuards:
+    """Pins what the functor-over-base checks run, and shows that they can fail."""
+
+    def test_cartesian_iso_law_counts(self, monkeypatch):
+        subslices = [default_subslice(entry.category) for entry in CATALOG.values()]
+        counts = count_laws(monkeypatch)
+        for ss in subslices:
+            assert cartesian_iso(ss).report.passed
+        assert dict(counts) == {
+            "arrow-map-lands": 888,
+            "arrow-map-total": 888,
+            "backward-welldefined": 269,
+            "composition-preserved": 3916,
+            "endpoints-preserved": 888,
+            "fibrewise-naturality": 222,
+            "forward-welldefined": 269,
+            "identities-preserved": 188,
+            "mutual-inverse-arrows": 444,
+            "mutual-inverse-objects": 94,
+            "object-map-lands": 188,
+            "object-map-total": 188,
+            "projection-triangle": 538,
+        }
+
+    def test_transport_law_counts(self, monkeypatch):
+        instances = transport_instances()
+        counts = count_laws(monkeypatch)
+        for k, functor, ss in instances:
+            assert transport_conv(k, functor, ss).report.passed
+        assert dict(counts) == {
+            "arrow-map-lands": 3966,
+            "arrow-map-total": 3966,
+            "associativity": 656,
+            "composition-preserved": 19646,
+            "composition-source": 84,
+            "composition-target": 84,
+            "conv-transport-welldefined": 86,
+            "endo-transport-welldefined": 86,
+            "endpoints-preserved": 3966,
+            "identities-preserved": 598,
+            "identity-source": 6,
+            "identity-target": 6,
+            "intertwine-arrows": 71,
+            "intertwine-objects": 15,
+            "left-unit": 44,
+            "object-map-lands": 598,
+            "object-map-total": 598,
+            "p-square-arrows": 71,
+            "p-square-objects": 15,
+            "q-square-arrows": 71,
+            "q-square-objects": 15,
+            "right-unit": 44,
+        }
+
+    @pytest.mark.parametrize(
+        "name, corrupted",
+        [
+            ("retrieve", lambda endo: conv_unit(endo.base, endo.target)),
+            ("extend", inverting_extend),
+        ],
+    )
+    def test_cartesian_iso_reports_a_corrupted_direction(self, monkeypatch, name, corrupted):
+        monkeypatch.setattr(fib, name, corrupted)
+        report = cartesian_iso(default_subslice(Z3.cat)).report
+        assert failed_laws(report) == (["mutual-inverse-arrows", "mutual-inverse-objects"], 144)
+
+    @pytest.mark.parametrize(
+        "name, corrupted",
+        [("extend", inverting_extend), ("kleisli_endo", inverting_kleisli_endo)],
+    )
+    def test_transport_reports_a_corrupted_move(self, monkeypatch, name, corrupted):
+        ss = default_subslice(Z3.cat)
+        k = identity_fragment_for(ss)
+        functor = identity_internal_functor(apply_lex_functor(k, Z3.cat))
+        assert transport_conv(k, functor, ss).report.passed
+        monkeypatch.setattr(fib, name, corrupted)
+        report = transport_conv(k, functor, ss).report
+        assert failed_laws(report) == (["intertwine-arrows", "intertwine-objects"], 72)

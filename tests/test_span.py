@@ -24,7 +24,6 @@ from spanforge import (
     tensor_cells,
 )
 from spanforge.catalog import pair_groupoid
-from spanforge.span import tensor_pullback
 
 from util import all_cells, all_spans, point_slice, slice_object
 
@@ -78,8 +77,8 @@ class TestTensorCells:
         for t in cells:
             for s in cells:
                 ts = tensor_cells(t, s)
-                src_pb = tensor_pullback(t.src, s.src)
-                dst_pb = tensor_pullback(t.dst, s.dst)
+                src_pb = tensor(t.src, s.src).pb
+                dst_pb = tensor(t.dst, s.dst).pb
                 for i, (a, b) in enumerate(src_pb.elems):
                     assert dst_pb.elems[ts.map.table[i]] == (t(a), s(b))
 
@@ -127,7 +126,7 @@ class TestDiagonal:
     def test_diagonal_table(self):
         fa = slice_object(2, TWO, (0, 1))
         delta = diagonal(fa)
-        pb = tensor_pullback(fa.span, fa.span)
+        pb = tensor(fa.span, fa.span).pb
         for a in range(2):
             assert pb.elems[delta(a)] == (a, a)
 
@@ -191,7 +190,7 @@ class TestPairCells:
         fa = point_slice(ic.o, 0)
         for alpha in all_cells(fa.span, ic.mor_span):
             paired = pair_cells(identity_cell(fa.span), alpha)
-            pb = tensor_pullback(fa.span, ic.mor_span)
+            pb = tensor(fa.span, ic.mor_span).pb
             for a in range(fa.a.size):
                 assert pb.elems[paired(a)] == (a, alpha(a))
 
