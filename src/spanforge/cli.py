@@ -63,16 +63,21 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are booleans, not 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(doc: dict, field: str, path: str) -> list[int]:
     value = doc.get(field)
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ParseError(f"{path}: field {field!r} must be an integer array")
     return value
 
 
 def _int_field(doc: dict, field: str, path: str) -> int:
     value = doc.get(field)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParseError(f"{path}: field {field!r} must be an integer")
     return value
 
@@ -164,7 +169,7 @@ def round_config_from_document(doc: dict, path: str) -> tuple[int, list[list[int
     rounds = _int_field(doc, "rounds", path)
     fns = doc.get("round_functions")
     if not isinstance(fns, list) or not all(
-        isinstance(fn, list) and all(isinstance(v, int) for v in fn) for fn in fns
+        isinstance(fn, list) and all(_is_int(v) for v in fn) for fn in fns
     ):
         raise ParseError(f"{path}: field 'round_functions' must be an array of integer arrays")
     return rounds, fns
@@ -382,6 +387,9 @@ def main(argv=None) -> int:
     except SpanforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not a verdict: one line and exit 2, no traceback
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -25,40 +25,76 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
-from .errors import (
-    BaseMismatch,
-    KeyScheduleMismatch,
-    MalformedTables,
-    SizeLimitExceeded,
-)
-from .finset import FinMap, all_maps, compose, identity
-from .internal import InternalCategory, InternalGroupoid, enumeration_cap, eta_cell, mu_cell
+from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables, SizeLimitExceeded
+from .finset import CACHE_SIZE, FinMap, all_maps, compose, identity
+from .internal import InternalCategory, InternalGroupoid, enumeration_cap, eta_cell
 from .report import Report, ReportBuilder
-from .span import (
-    SliceObject,
-    TensorResult,
-    TwoCell,
-    compose_cells,
-    diagonal,
-    identity_cell,
-    pair_cells,
-    reassociate,
-    tensor,
-    tensor_cells,
-)
+from .span import SliceObject, TensorResult, TwoCell, compose_cells, tensor
+
+
+@dataclass(frozen=True, eq=False)
+class ModulePlan:
+    """The free module f_A . M of one slice object, as flat lookup tables.
+
+    ``elems``/``index`` number the generator pairs (a, m) of the module
+    carrier, and ``comp_index``/``mu`` compose arrows.  The product kernels
+    below compute raw tables from these alone; the cell calculus (diagonal,
+    tensor_cells, pair_cells, reassociate, mu_cell) is their specification,
+    and the tests compare the two exactly.
+    """
+
+    fm: TensorResult
+    elems: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
+    comp_index: dict[tuple[int, int], int]
+    mu: tuple[int, ...]
+
+    def conv(self, s: tuple, t: tuple) -> tuple:
+        """Convolution product: s(a) then t(a) at every generator a."""
+        comp, mu = self.comp_index, self.mu
+        return tuple([mu[comp[pair]] for pair in zip(s, t)])
+
+    def extend(self, alpha: tuple) -> tuple:
+        """The simply presented endomorphism a -> (a, alpha(a))."""
+        index = self.index
+        return tuple([index[pair] for pair in enumerate(alpha)])
+
+    def compose(self, beta: tuple, alpha: tuple) -> tuple:
+        """Kleisli composite: alpha, then beta on the carrier, then compose arrows."""
+        elems, index, comp, mu = self.elems, self.index, self.comp_index, self.mu
+        out = []
+        for slot in alpha:
+            x1, m1 = elems[slot]
+            x2, m2 = elems[beta[x1]]
+            out.append(index[(x2, mu[comp[(m2, m1)]])])
+        return tuple(out)
+
+    def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
+        """The square of an endomorphism morphism (sigma, tau): u here -> v over dst.
+
+        Holds when v(sigma(a)) = (tau(x), m) for every generator a with u(a) = (x, m).
+        """
+        elems, index = self.elems, dst.index
+        for a, slot in enumerate(u):
+            x, m = elems[slot]
+            moved = index.get((tau[x], m))
+            if moved is None or moved != v[sigma[a]]:
+                return False
+        return True
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
+    """The plan of the free module on base, built once per (base, ic)."""
+    if base.o != ic.o:
+        raise BaseMismatch("slice object and internal category live over different bases")
+    fm = tensor(base.span, ic.mor_span)
+    return ModulePlan(fm, fm.pb.elems, fm.pb.index, ic.composable.index, ic.mu.table)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
     """The tensor f_A . M carrying the free right module on the slice object."""
-    if base.o != ic.o:
-        raise BaseMismatch("slice object and internal category live over different bases")
-    return tensor(base.span, ic.mor_span)
-
-
-def arrow_projection_cell(base: SliceObject, ic: InternalCategory) -> TwoCell:
-    """The right pullback projection f_A . M => M; always a valid cell."""
-    fm = free_module(base, ic)
-    return TwoCell(fm.span, ic.mor_span, fm.proj_right)
+    return module_plan(base, ic).fm
 
 
 @dataclass(frozen=True)
@@ -95,7 +131,7 @@ class KleisliEndo:
     def __post_init__(self) -> None:
         if self.base.o != self.target.o:
             raise BaseMismatch("slice object and internal category live over different bases")
-        fm = free_module(self.base, self.target)
+        fm = module_plan(self.base, self.target).fm
         if self.cell.src != self.base.span or self.cell.dst != fm.span:
             raise BaseMismatch("cell endpoints must be the slice span and its free module")
 
@@ -114,6 +150,11 @@ def kleisli_endo(base: SliceObject, ic: InternalCategory, apex_map: FinMap) -> K
     return KleisliEndo(base, ic, TwoCell(base.span, free_module(base, ic).span, apex_map))
 
 
+def _wrap_endo(plan: ModulePlan, base: SliceObject, ic: InternalCategory, table: tuple) -> KleisliEndo:
+    span = plan.fm.span
+    return KleisliEndo(base, ic, TwoCell(base.span, span, FinMap(base.a, span.apex, table)))
+
+
 def conv_unit(fa: SliceObject, ic: InternalCategory) -> ConvElement:
     """The unit of the convolution monoid: the identity family eta after f."""
     if fa.o != ic.o:
@@ -126,49 +167,38 @@ def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     """Convolution product: diagonal, tensor of the cells, then composition."""
     if alpha.base != beta.base or alpha.target != beta.target:
         raise BaseMismatch("convolution factors must share base and target")
-    delta = diagonal(alpha.base)
-    tensored = tensor_cells(alpha.cell, beta.cell)
-    cell = compose_cells(mu_cell(alpha.target), compose_cells(tensored, delta))
-    return ConvElement(alpha.base, alpha.target, cell)
+    fa, ic = alpha.base, alpha.target
+    table = module_plan(fa, ic).conv(alpha.map.table, beta.map.table)
+    return conv_element(fa, ic, FinMap(fa.a, ic.m, table))
 
 
 def extend(alpha: ConvElement) -> KleisliEndo:
     """The simply presented endomorphism <id, alpha>: a -> (a, alpha(a))."""
-    cell = pair_cells(identity_cell(alpha.base.span), alpha.cell)
-    return KleisliEndo(alpha.base, alpha.target, cell)
+    fa, ic = alpha.base, alpha.target
+    plan = module_plan(fa, ic)
+    return _wrap_endo(plan, fa, ic, plan.extend(alpha.map.table))
 
 
 def retrieve(endo: KleisliEndo) -> ConvElement:
     """Project an endomorphism to its arrow component; inverts extend."""
-    cell = compose_cells(arrow_projection_cell(endo.base, endo.target), endo.cell)
-    return ConvElement(endo.base, endo.target, cell)
+    return conv_element(endo.base, endo.target, endo.bar)
 
 
 def kleisli_unit(fa: SliceObject, ic: InternalCategory) -> KleisliEndo:
     return extend(conv_unit(fa, ic))
 
 
-@lru_cache(maxsize=None)
-def _composition_action_cell(base_span, ic: InternalCategory) -> TwoCell:
-    """The cell f_A . (M . M) => f_A . M finishing a Kleisli composite."""
-    return tensor_cells(identity_cell(base_span), mu_cell(ic))
-
-
 def kleisli_compose(beta: KleisliEndo, alpha: KleisliEndo) -> KleisliEndo:
     """Kleisli composite "alpha, then beta on the carrier, then compose arrows".
 
-    Built exactly as the module calculus dictates: apply alpha, tensor beta
-    with the arrow span, rebracket, and finish with the composition cell.
+    The module calculus specifies it: apply alpha, tensor beta with the
+    arrow span, rebracket, and finish with the composition cell.
     """
     if alpha.base != beta.base or alpha.target != beta.target:
         raise BaseMismatch("Kleisli factors must share base and target")
-    ic = alpha.target
-    mspan = ic.mor_span
-    step1 = tensor_cells(beta.cell, identity_cell(mspan))
-    rebracket = reassociate(alpha.base.span, mspan, mspan)
-    step3 = _composition_action_cell(alpha.base.span, ic)
-    cell = compose_cells(step3, compose_cells(rebracket, compose_cells(step1, alpha.cell)))
-    return KleisliEndo(alpha.base, ic, cell)
+    fa, ic = alpha.base, alpha.target
+    plan = module_plan(fa, ic)
+    return _wrap_endo(plan, fa, ic, plan.compose(beta.cell.map.table, alpha.cell.map.table))
 
 
 def is_simply_presented(endo: KleisliEndo) -> bool:
@@ -190,17 +220,14 @@ def coreflect(endo: KleisliEndo) -> tuple[KleisliEndo, FinMap]:
 def end_square_holds(
     src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap
 ) -> bool:
-    """Cheap elementwise test of the endomorphism-morphism square."""
-    src_elems = free_module(src.base, src.target).pb.elems
-    dst_index = free_module(dst.base, dst.target).pb.index
-    src_table, dst_table = src.cell.map.table, dst.cell.map.table
-    sig, ta = sigma.table, tau.table
-    for a in range(len(src_table)):
-        x, m = src_elems[src_table[a]]
-        moved = dst_index.get((ta[x], m))
-        if moved is None or moved != dst_table[sig[a]]:
-            return False
-    return True
+    """Elementwise test of the endomorphism-morphism square."""
+    return module_plan(src.base, src.target).square_holds(
+        module_plan(dst.base, dst.target),
+        src.cell.map.table,
+        dst.cell.map.table,
+        sigma.table,
+        tau.table,
+    )
 
 
 def conv_base_change(src: SliceObject, sigma: FinMap, elem: ConvElement) -> ConvElement:
@@ -223,86 +250,51 @@ def conv_fibre(fa: SliceObject, ic: InternalCategory, cap: int | None = None) ->
     return list(_conv_fibre_cached(fa, ic, limit))
 
 
-@lru_cache(maxsize=None)
-def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory, limit: int) -> tuple[ConvElement, ...]:
-    choices = []
-    for a in range(fa.a.size):
-        o = fa.f.table[a]
-        choices.append(
-            [m for m in range(ic.m.size) if ic.d.table[m] == o and ic.c.table[m] == o]
-        )
+def _bounded_product(choices: list[list[int]], limit: int, what: str):
+    """All tables choosing one entry per position, once their count is within the cap."""
     count = 1
     for ch in choices:
         count *= len(ch)
         if count > limit:
-            raise SizeLimitExceeded(f"fibre enumeration exceeds cap {limit}")
+            raise SizeLimitExceeded(f"{what} enumeration exceeds cap {limit}")
+    return itertools.product(*choices)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory, limit: int) -> tuple[ConvElement, ...]:
+    d, c = ic.d.table, ic.c.table
+    choices = [[m for m in range(ic.m.size) if d[m] == o == c[m]] for o in fa.f.table]
     return tuple(
         conv_element(fa, ic, FinMap(fa.a, ic.m, table))
-        for table in itertools.product(*choices)
+        for table in _bounded_product(choices, limit, "fibre")
     )
 
 
-def _endo_choice_lists(fa: SliceObject, ic: InternalCategory, limit: int) -> list[list[int]]:
-    """Per-generator valid targets in the module carrier for a cell out of fa."""
-    pb = free_module(fa, ic).pb
-    choices = []
-    for a in range(fa.a.size):
-        o = fa.f.table[a]
-        choices.append(
-            [
-                i
-                for i, (x, m) in enumerate(pb.elems)
-                if fa.f.table[x] == o and ic.c.table[m] == o
-            ]
-        )
-    count = 1
-    for ch in choices:
-        count *= len(ch)
-        if count > limit:
-            raise SizeLimitExceeded(f"endomorphism enumeration exceeds cap {limit}")
-    return choices
+def _endo_tables(fa: SliceObject, ic: InternalCategory, limit: int):
+    """Every table of a cell out of fa into its free module, in lexicographic order."""
+    f, c = fa.f.table, ic.c.table
+    elems = module_plan(fa, ic).elems
+    choices = [[i for i, (x, m) in enumerate(elems) if f[x] == o == c[m]] for o in f]
+    return _bounded_product(choices, limit, "endomorphism")
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory, cap: int | None = None) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
     limit = enumeration_cap() if cap is None else cap
-    fm = free_module(fa, ic)
-    choices = _endo_choice_lists(fa, ic, limit)
-    out = []
-    for table in itertools.product(*choices):
-        out.append(kleisli_endo(fa, ic, FinMap(fa.a, fm.span.apex, table)))
-    return out
+    plan = module_plan(fa, ic)
+    return [_wrap_endo(plan, fa, ic, table) for table in _endo_tables(fa, ic, limit)]
 
 
 def module_endomorphism(endo: KleisliEndo) -> FinMap:
     """The actual endomorphism of the free-module carrier f_A . M.
 
-    Sends a generator pair (a, m) to (carrier(a), arrow(a) then m); the
-    assignment turns Kleisli composition into plain composition of maps.
+    Sends a generator pair (a, m) to (carrier(a), arrow(a) then m): the
+    Kleisli composite of endo after the pairs themselves, read as slots.
+    The assignment turns Kleisli composition into plain composition of maps.
     """
-    pb = free_module(endo.base, endo.target).pb
-    ic = endo.target
-    bar, prime = endo.bar.table, endo.prime.table
-    table = []
-    for a, m in pb.elems:
-        table.append(pb.index[(prime[a], ic.then(bar[a], m))])
-    return FinMap(pb.apex, pb.apex, tuple(table))
-
-
-def _fast_kleisli_tables(fa: SliceObject, ic: InternalCategory):
-    """Precomputed lookups for elementwise Kleisli composition on raw tables."""
-    pb = free_module(fa, ic).pb
-    return pb.elems, pb.index, ic.composable.index, ic.mu.table
-
-
-def _fast_compose(elems, index, comp_index, mu_table, beta: tuple, alpha: tuple) -> tuple:
-    """Raw-table Kleisli composite "alpha then beta"; mirrors kleisli_compose."""
-    out = []
-    for slot in alpha:
-        x1, m1 = elems[slot]
-        x2, m2 = elems[beta[x1]]
-        out.append(index[(x2, mu_table[comp_index[(m2, m1)]])])
-    return tuple(out)
+    plan = module_plan(endo.base, endo.target)
+    apex = plan.fm.span.apex
+    return FinMap(apex, apex, plan.compose(endo.cell.map.table, range(apex.size)))
 
 
 def kleisli_inverse(
@@ -317,36 +309,26 @@ def kleisli_inverse(
     extend(iota after bar) for simply presented input and verifies it.
     """
     fa, ic = endo.base, endo.target
-    fm = free_module(fa, ic)
-    elems, index, comp_index, mu_table = _fast_kleisli_tables(fa, ic)
+    plan = module_plan(fa, ic)
     unit = kleisli_unit(fa, ic).cell.map.table
     mine = endo.cell.map.table
-    if fm.span.apex.size <= bruteforce_apex_limit:
-        choices = _endo_choice_lists(fa, ic, enumeration_cap())
-        matches = []
-        for cand in itertools.product(*choices):
-            if _fast_compose(elems, index, comp_index, mu_table, cand, mine) != unit:
-                continue
-            if _fast_compose(elems, index, comp_index, mu_table, mine, cand) != unit:
-                continue
-            matches.append(cand)
+
+    def inverts(cand: tuple) -> bool:
+        return plan.compose(cand, mine) == unit and plan.compose(mine, cand) == unit
+
+    if plan.fm.span.apex.size <= bruteforce_apex_limit:
+        matches = [cand for cand in _endo_tables(fa, ic, enumeration_cap()) if inverts(cand)]
         if not matches:
             return None
         if len(matches) > 1:
             raise AssertionError("two-sided inverses in a monoid must be unique")
-        return kleisli_endo(fa, ic, FinMap(fa.a, fm.span.apex, matches[0]))
+        return _wrap_endo(plan, fa, ic, matches[0])
     if iota is None or not is_simply_presented(endo):
         raise SizeLimitExceeded(
             "carrier too large for brute force and no inversion map available"
         )
     claimed = extend(conv_element(fa, ic, compose(iota, endo.bar)))
-    cand = claimed.cell.map.table
-    if (
-        _fast_compose(elems, index, comp_index, mu_table, cand, mine) == unit
-        and _fast_compose(elems, index, comp_index, mu_table, mine, cand) == unit
-    ):
-        return claimed
-    return None
+    return claimed if inverts(claimed.cell.map.table) else None
 
 
 def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int, ...]:
@@ -439,22 +421,16 @@ def verify_adjunction(
                 for phi in all_maps(a_obj.a, b_obj.a)
                 if compose(b_obj.f, phi) == a_obj.f
             ]
-            end_homset = []
-            for phi in slice_cells:
-                for psi in slice_cells:
-                    if end_square_holds(
-                        hat,
-                        beta,
-                        FinMap(a_obj.a, b_obj.a, phi),
-                        FinMap(a_obj.a, b_obj.a, psi),
-                    ):
-                        end_homset.append((phi, psi))
-            retrieved = retrieve(beta)
-            conv_homset = [
-                phi
+            src_plan, dst_plan = module_plan(a_obj, hat.target), module_plan(b_obj, beta.target)
+            u, v = hat.cell.map.table, beta.cell.map.table
+            end_homset = [
+                (phi, psi)
                 for phi in slice_cells
-                if compose(retrieved.map, FinMap(a_obj.a, b_obj.a, phi)) == alpha.map
+                for psi in slice_cells
+                if src_plan.square_holds(dst_plan, u, v, phi, psi)
             ]
+            bar = retrieve(beta).map.table
+            conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.map.table]
             firsts = [phi for phi, _ in end_homset]
             ok = len(firsts) == len(set(firsts)) and sorted(firsts) == sorted(conv_homset)
             rb.require(

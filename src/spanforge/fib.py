@@ -31,6 +31,7 @@ from .feistel import (
     extend,
     free_module,
     kleisli_endo,
+    module_plan,
     retrieve,
 )
 from .report import Report, ReportBuilder
@@ -141,22 +142,26 @@ def check_functor(fd: FunctorData) -> Report:
         if not rb.require(fa in target_arrows, "arrow-map-lands", a):
             continue
         rb.require(
-            fd.target.src[fa] == fd.object_map[fd.source.src[a]]
-            and fd.target.dst[fa] == fd.object_map[fd.source.dst[a]],
+            fd.target.src[fa] == fd.object_map.get(fd.source.src[a])
+            and fd.target.dst[fa] == fd.object_map.get(fd.source.dst[a]),
             "endpoints-preserved",
             a,
         )
+    # an image outside the target has no identity or composite there, which fails the law
     for x in fd.source.objects:
         if x in fd.object_map and fd.source.ident[x] in fd.arrow_map:
+            image = fd.object_map[x]
             rb.require(
-                fd.arrow_map[fd.source.ident[x]] == fd.target.ident[fd.object_map[x]],
+                image in fd.target.ident
+                and fd.arrow_map[fd.source.ident[x]] == fd.target.ident[image],
                 "identities-preserved",
                 x,
             )
     for (f, g), h in fd.source.comp.items():
         if f in fd.arrow_map and g in fd.arrow_map and h in fd.arrow_map:
+            pair = (fd.arrow_map[f], fd.arrow_map[g])
             rb.require(
-                fd.target.comp[(fd.arrow_map[f], fd.arrow_map[g])] == fd.arrow_map[h],
+                pair in fd.target.comp and fd.target.comp[pair] == fd.arrow_map[h],
                 "composition-preserved",
                 (f, g),
             )
@@ -261,20 +266,13 @@ def build_endo_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInsta
     keys = [
         [_endo_key(extend(alpha)) for alpha in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects
     ]
-    pbs = [free_module(obj, ss.ic).pb for obj in ss.objects]
+    plans = [module_plan(obj, ss.ic) for obj in ss.objects]
 
     def lifts(k: int, i: int, j: int):
         sig = ss.arrows[k].map.table
-        src_elems, dst_index = pbs[i].elems, pbs[j].index
         for u_table in keys[i]:
             for v_table in keys[j]:
-                # the endomorphism square for (sigma, sigma), elementwise
-                for a, slot in enumerate(u_table):
-                    x, m = src_elems[slot]
-                    moved = dst_index.get((sig[x], m))
-                    if moved is None or moved != v_table[sig[a]]:
-                        break
-                else:
+                if plans[i].square_holds(plans[j], u_table, v_table, sig, sig):
                     yield u_table, v_table
 
     return _fibration(ss, keys, lifts)
@@ -338,11 +336,11 @@ def _functor_over_base(
     objects_law, arrows_law = over_base
     for key in source.total.objects:
         rb.require(
-            target.proj.object_map[obj_map[key]] == source.proj.object_map[key], objects_law, key
+            target.proj.object_map.get(obj_map[key]) == source.proj.object_map[key], objects_law, key
         )
     for key in source.total.arrows:
         rb.require(
-            target.proj.arrow_map[arr_map[key]] == source.proj.arrow_map[key], arrows_law, key
+            target.proj.arrow_map.get(arr_map[key]) == source.proj.arrow_map[key], arrows_law, key
         )
     return fd
 
@@ -378,9 +376,9 @@ def cartesian_iso(ss: SubSlice, cap: int | None = None) -> CartesianIso:
     backward = _functor_over_base(rb, endo, conv, retrieved, "backward-", triangle)
     for there, back in ((forward, backward), (backward, forward)):
         for key in there.source.objects:
-            rb.require(back.object_map[there.object_map[key]] == key, "mutual-inverse-objects", key)
+            rb.require(back.object_map.get(there.object_map[key]) == key, "mutual-inverse-objects", key)
         for key in there.source.arrows:
-            rb.require(back.arrow_map[there.arrow_map[key]] == key, "mutual-inverse-arrows", key)
+            rb.require(back.arrow_map.get(there.arrow_map[key]) == key, "mutual-inverse-arrows", key)
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
         for beta in conv_fibre(ss.objects[j], ss.ic, cap):
@@ -465,10 +463,10 @@ def transport_conv(
         rb, endo1, endo2, move_endo, "endo-transport-", ("q-square-objects", "q-square-arrows")
     )
     for key in conv1.total.objects:
-        lhs = endo_map.object_map[ext1[key]]
+        lhs = endo_map.object_map.get(ext1[key])
         rb.require(lhs == ext2[conv_map.object_map[key]], "intertwine-objects", key)
     for key in conv1.total.arrows:
-        lhs = endo_map.arrow_map[_image_arrow(ext1, conv1.total, key)]
+        lhs = endo_map.arrow_map.get(_image_arrow(ext1, conv1.total, key))
         rhs = _image_arrow(ext2, conv2.total, conv_map.arrow_map[key])
         rb.require(lhs == rhs, "intertwine-arrows", key)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)

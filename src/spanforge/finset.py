@@ -21,6 +21,10 @@ from .errors import (
     SquareDoesNotCommute,
 )
 
+# Bound of every lru_cache in the package, so that none grows without limit
+# in a long-lived process; the bundled sweeps use a few dozen entries at most.
+CACHE_SIZE = 512
+
 
 @dataclass(frozen=True)
 class FinSet:
@@ -127,7 +131,7 @@ class PullbackResult:
         return {pair: i for i, pair in enumerate(self.elems)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pullback(f: FinMap, g: FinMap) -> PullbackResult:
     """Canonical pullback of f and g: pairs (a, b) with f(a) = g(b)."""
     if f.cod != g.cod:

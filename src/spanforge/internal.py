@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -23,6 +23,7 @@ from .errors import (
     UnderlyingCategoryInvalid,
 )
 from .finset import (
+    CACHE_SIZE,
     FinMap,
     FinSet,
     all_maps,
@@ -69,22 +70,22 @@ class InternalCategory:
             raise MalformedTables("target map must go M -> O")
         if self.eta.dom != self.o or self.eta.cod != self.m:
             raise MalformedTables("unit map must go O -> M")
-        pb = pullback(self.c, self.d)
+        pb = self.composable
         if self.mu.dom != pb.apex or self.mu.cod != self.m:
             raise MalformedTables(
                 f"composition table must map the {pb.apex.size} composable pairs into M"
             )
 
-    @property
+    @cached_property
     def composable(self):
         """Canonical pullback of c and d: pairs (a, b) with c(a) = d(b)."""
         return pullback(self.c, self.d)
 
-    @property
+    @cached_property
     def mor_span(self) -> Span:
         return Span(self.o, self.m, self.d, self.c)
 
-    @property
+    @cached_property
     def unit_span(self) -> Span:
         return Span(self.o, self.o, identity(self.o), identity(self.o))
 
@@ -93,13 +94,13 @@ class InternalCategory:
         return self.mu.table[pair_position(self.composable, a, b)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def mu_cell(ic: InternalCategory) -> TwoCell:
     """The composition map as a cell from the self-tensor of the arrow span."""
     return TwoCell(tensor(ic.mor_span, ic.mor_span).span, ic.mor_span, ic.mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def eta_cell(ic: InternalCategory) -> TwoCell:
     return TwoCell(ic.unit_span, ic.mor_span, ic.eta)
 

@@ -17,10 +17,10 @@ Conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BaseMismatch, ConditionFails, DomainMismatch, MalformedTables
-from .finset import FinMap, FinSet, PullbackResult, compose, identity, pair_position, pullback
+from .finset import CACHE_SIZE, FinMap, FinSet, PullbackResult, compose, identity, pair_position, pullback
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class SliceObject:
     def o(self) -> FinSet:
         return self.f.cod
 
-    @property
+    @cached_property
     def span(self) -> Span:
-        """The symmetric span (f, f) this slice object stands for."""
+        """The symmetric span (f, f) this slice object stands for; built once."""
         return Span(self.f.cod, self.a, self.f, self.f)
 
 
@@ -77,16 +77,17 @@ class TwoCell:
             raise MalformedTables("cell map must go from source apex to target apex")
         if self.src.o != self.dst.o:
             raise BaseMismatch("cells only exist between spans over the same base")
-        if compose(self.dst.left, self.map) != self.src.left:
+        table = self.map.table
+        if tuple(map(self.dst.left.table.__getitem__, table)) != self.src.left.table:
             raise MalformedTables("left triangle does not commute")
-        if compose(self.dst.right, self.map) != self.src.right:
+        if tuple(map(self.dst.right.table.__getitem__, table)) != self.src.right.table:
             raise MalformedTables("right triangle does not commute")
 
     def __call__(self, i: int) -> int:
         return self.map.table[i]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def identity_cell(s: Span) -> TwoCell:
     return TwoCell(s, s, identity(s.apex))
 
@@ -114,7 +115,7 @@ class TensorResult:
         return self.pb.proj_right
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tensor(x: Span, m: Span) -> TensorResult:
     """Glue x and m along x.right = m.left; see the module conventions."""
     if x.o != m.o:
@@ -163,7 +164,7 @@ def pair_cells(xi: TwoCell, alpha: TwoCell) -> TwoCell:
     return TwoCell(xi.src, tr.span, FinMap(xi.src.apex, tr.span.apex, table))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def reassociate(x: Span, y: Span, z: Span) -> TwoCell:
     """The canonical cell (x . y) . z  =>  x . (y . z), ((a,b),c) -> (a,(b,c))."""
     if not (x.o == y.o == z.o):

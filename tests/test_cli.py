@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spanforge import cli
 from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +79,12 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", path)
         assert code == 2
         assert "'size'" in err
+
+    def test_boolean_table_entry_is_exit_two(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "bool.json", {"kind": "finset-map", "dom": 1, "cod": 2, "table": [True]})
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2
+        assert out == "" and "'table'" in err
 
     def test_subslice_kind(self, capsys, tmp_path):
         with open(FIXTURES / "subslice_pair2.json") as fh:
@@ -318,3 +325,13 @@ class TestEntryPoint:
         code, _, err = run_cli(capsys, "check", "no/such/file.json")
         assert code == 2
         assert "error" in err
+
+    def test_unexpected_exception_is_one_line_exit_two(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("table kernel\nbroke")
+
+        monkeypatch.setattr(cli, "cmd_toffoli", broken)
+        code, out, err = run_cli(capsys, "toffoli", "--m", "1", "--n", "1", "--f", "0,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: RuntimeError: table kernel broke\n"

@@ -42,7 +42,16 @@ from spanforge.catalog import (
     pair_groupoid,
     xor_group,
 )
-from spanforge.feistel import _fast_compose, _fast_kleisli_tables, free_module
+from spanforge.feistel import free_module
+from spanforge.internal import mu_cell
+from spanforge.span import (
+    compose_cells,
+    diagonal,
+    identity_cell,
+    pair_cells,
+    reassociate,
+    tensor_cells,
+)
 
 from suites import (
     conv_external_agreement,
@@ -51,6 +60,7 @@ from suites import (
     homomorphism_suite,
     inversion_suite,
     point_base,
+    slice_objects,
 )
 
 Z2 = one_object_category(MONOIDS["z2"])
@@ -59,6 +69,56 @@ AND2 = one_object_category(MONOIDS["and2"])
 
 def conv_from_table(fa, ic, table):
     return conv_element(fa, ic, FinMap(fa.a, ic.m, tuple(table)))
+
+
+# Reference products built only from the cell calculus.  The library computes
+# the same tables with flat kernels; these are the specification they must match.
+
+
+def conv_mult_by_cells(alpha, beta):
+    """Diagonal, then the tensor of the two cells, then the composition cell."""
+    tensored = tensor_cells(alpha.cell, beta.cell)
+    cell = compose_cells(mu_cell(alpha.target), compose_cells(tensored, diagonal(alpha.base)))
+    return cell.map.table
+
+
+def extend_by_cells(alpha):
+    """The pairing <id, alpha> into the free module."""
+    return pair_cells(identity_cell(alpha.base.span), alpha.cell).map.table
+
+
+def kleisli_compose_by_cells(beta, alpha):
+    """Apply alpha, tensor beta with the arrow span, rebracket, then compose arrows."""
+    ic, base_span = alpha.target, alpha.base.span
+    mspan = ic.mor_span
+    step1 = tensor_cells(beta.cell, identity_cell(mspan))
+    rebracket = reassociate(base_span, mspan, mspan)
+    step3 = tensor_cells(identity_cell(base_span), mu_cell(ic))
+    cell = compose_cells(step3, compose_cells(rebracket, compose_cells(step1, alpha.cell)))
+    return cell.map.table
+
+
+def assert_kernels_match(fa, ic, with_all_endos):
+    """conv_mult, extend and kleisli_compose equal their cell references over fa.
+
+    Products run over every fibre pair, Kleisli composites over the extended
+    pairs and, when asked, over every pair of endomorphisms.  Returns the
+    number of fibre pairs.
+    """
+    fibre = conv_fibre(fa, ic)
+    extended = [extend(e) for e in fibre]
+    for e, hat in zip(fibre, extended):
+        assert hat.cell.map.table == extend_by_cells(e)
+    for s, s_hat in zip(fibre, extended):
+        for t, t_hat in zip(fibre, extended):
+            assert conv_mult(s, t).map.table == conv_mult_by_cells(s, t)
+            assert kleisli_compose(s_hat, t_hat).cell.map.table == kleisli_compose_by_cells(s_hat, t_hat)
+    if with_all_endos:
+        endos = kleisli_fibre(fa, ic)
+        for x in endos:
+            for y in endos:
+                assert kleisli_compose(x, y).cell.map.table == kleisli_compose_by_cells(x, y)
+    return len(fibre) ** 2
 
 
 class TestConvUnit:
@@ -165,17 +225,20 @@ class TestKleisli:
         perm = module_endomorphism(cnot)
         assert compose(perm, perm) == identity(perm.dom)
 
-    def test_fast_compose_matches_machinery(self):
-        for name in ("z2", "and2", "leftzero3"):
-            ic = one_object_category(MONOIDS[name])
-            fa = point_base(ic, 2)
-            tables = _fast_kleisli_tables(fa, ic)
-            endos = kleisli_fibre(fa, ic)
-            for x in endos:
-                for y in endos:
-                    expected = kleisli_compose(x, y).cell.map.table
-                    got = _fast_compose(*tables, x.cell.map.table, y.cell.map.table)
-                    assert got == expected
+    def test_kernels_match_cell_calculus(self):
+        # the criterion-1 sweep: every fibre pair, 7 monoids, |X| <= 3
+        swept = 0
+        for monoid in MONOIDS.values():
+            ic = one_object_category(monoid)
+            for x_size in range(4):
+                swept += assert_kernels_match(point_base(ic, x_size), ic, with_all_endos=False)
+        assert swept == 10_552
+        # pair groupoids: the composable pairs are not the full product of arrows
+        for n in (2, 3):
+            ic = pair_groupoid(n).cat
+            for a_size in range(3):
+                for fa in slice_objects(ic, a_size):
+                    assert_kernels_match(fa, ic, with_all_endos=True)
 
     def test_module_endomorphism_turns_kleisli_into_composition(self):
         fa = point_base(Z2, 2)

@@ -223,6 +223,14 @@ class TestDiscreteFibrationChecker:
         fi = FibrationInstance(fc, fc, FunctorData(fc, fc, {"x": "x"}, {"id": "id"}))
         assert check_discrete_fibration(fi).passed
 
+    def test_images_outside_the_target_fail_their_laws(self):
+        fc = FiniteCategory(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})
+        report = check_functor(FunctorData(fc, fc, {"x": "y"}, {"id": "ghost"}))
+        assert failed_laws(report) == (
+            ["arrow-map-lands", "composition-preserved", "identities-preserved", "object-map-lands"],
+            4,
+        )
+
     def test_parallel_pair_defect_reports_lift_count_two(self):
         base = FiniteCategory(
             ("x", "y"),
@@ -398,7 +406,7 @@ def count_laws(monkeypatch):
 
 
 Z3 = one_object_groupoid(MONOIDS["z3"])
-REAL_EXTEND, REAL_KLEISLI_ENDO = fib.extend, fib.kleisli_endo
+REAL_EXTEND, REAL_KLEISLI_ENDO, REAL_RETRIEVE = fib.extend, fib.kleisli_endo, fib.retrieve
 
 
 def inverting_extend(alpha):
@@ -410,6 +418,19 @@ def inverting_kleisli_endo(fa, ic, apex_map):
     """Decodes an endomorphism key to the extension of its inverted arrow component."""
     bar = REAL_KLEISLI_ENDO(fa, ic, apex_map).bar
     return REAL_EXTEND(conv_element(fa, ic, compose(Z3.iota, bar)))
+
+
+def reversing_retrieve(endo):
+    """retrieve with each table reversed: objects land in the fibres, many arrows do not."""
+    elem = REAL_RETRIEVE(endo)
+    reversed_map = FinMap(elem.map.dom, elem.map.cod, elem.map.table[::-1])
+    return conv_element(elem.base, elem.target, reversed_map)
+
+
+def reversing_extend(alpha):
+    """extend of the reversed table: objects land in the fibres, many arrows do not."""
+    reversed_map = FinMap(alpha.map.dom, alpha.map.cod, alpha.map.table[::-1])
+    return REAL_EXTEND(conv_element(alpha.base, alpha.target, reversed_map))
 
 
 def failed_laws(report):
@@ -482,6 +503,22 @@ class TestCheckerGuards:
         report = cartesian_iso(default_subslice(Z3.cat)).report
         assert failed_laws(report) == (["mutual-inverse-arrows", "mutual-inverse-objects"], 144)
 
+    def test_cartesian_iso_reports_images_outside_the_target(self, monkeypatch):
+        monkeypatch.setattr(fib, "retrieve", reversing_retrieve)
+        report = cartesian_iso(default_subslice(Z3.cat)).report
+        assert report.first().law == "backward-welldefined"
+        assert failed_laws(report) == (
+            [
+                "backward-arrow-map-lands",
+                "backward-composition-preserved",
+                "backward-welldefined",
+                "mutual-inverse-arrows",
+                "mutual-inverse-objects",
+                "projection-triangle",
+            ],
+            336,
+        )
+
     @pytest.mark.parametrize(
         "name, corrupted",
         [("extend", inverting_extend), ("kleisli_endo", inverting_kleisli_endo)],
@@ -494,3 +531,21 @@ class TestCheckerGuards:
         monkeypatch.setattr(fib, name, corrupted)
         report = transport_conv(k, functor, ss).report
         assert failed_laws(report) == (["intertwine-arrows", "intertwine-objects"], 72)
+
+    def test_transport_reports_images_outside_the_target(self, monkeypatch):
+        ss = default_subslice(Z3.cat)
+        k = identity_fragment_for(ss)
+        functor = identity_internal_functor(apply_lex_functor(k, Z3.cat))
+        monkeypatch.setattr(fib, "extend", reversing_extend)
+        report = transport_conv(k, functor, ss).report
+        assert failed_laws(report) == (
+            [
+                "endo-transport-arrow-map-lands",
+                "endo-transport-composition-preserved",
+                "endo-transport-welldefined",
+                "intertwine-arrows",
+                "intertwine-objects",
+                "q-square-arrows",
+            ],
+            288,
+        )

@@ -1,6 +1,9 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
+import spanforge
 from hypothesis import given, settings, strategies as st
 
 from spanforge import (
@@ -19,7 +22,7 @@ from spanforge import (
     product,
     pullback,
 )
-from spanforge.finset import constant, terminal_map
+from spanforge.finset import CACHE_SIZE, constant, terminal_map
 
 
 def sizes(upper):
@@ -209,3 +212,24 @@ class TestBijections:
     def test_invert_rejects_noninjective(self):
         with pytest.raises(MalformedTables):
             invert(FinMap(FinSet(2), FinSet(2), (0, 0)))
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        caches = {}
+        for info in pkgutil.iter_modules(spanforge.__path__):
+            module = importlib.import_module(f"spanforge.{info.name}")
+            for name, obj in vars(module).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    caches[name] = obj.cache_info().maxsize
+        assert set(caches) == {
+            "pullback",
+            "tensor",
+            "identity_cell",
+            "reassociate",
+            "mu_cell",
+            "eta_cell",
+            "_conv_fibre_cached",
+            "module_plan",
+        }
+        assert set(caches.values()) == {CACHE_SIZE}
