@@ -33,6 +33,7 @@ from .finset import FinMap, FinSet, pullback
 from .internal import (
     InternalCategory,
     InternalGroupoid,
+    budget,
     check_internal_category,
     check_internal_groupoid,
 )
@@ -235,6 +236,7 @@ def cmd_conv_table(args) -> int:
     a = FinSet(a_size)
     fa = SliceObject(a, FinMap(a, ic.o, f_table))
     fibre = conv_fibre(fa, ic)
+    budget(len(fibre) ** 2, f"{len(fibre)}^2 conv-table products")
     unit = conv_unit(fa, ic)
     index = {e.map.table: i for i, e in enumerate(fibre)}
     print(f"fibre size: {len(fibre)}")

@@ -20,34 +20,40 @@ construction and Feistel ciphers are the one-object instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables, SizeLimitExceeded
 from .finset import CACHE_SIZE, FinMap, all_maps, compose, identity
-from .internal import InternalCategory, InternalGroupoid, enumeration_cap, eta_cell
+from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap, eta_cell
 from .report import Report, ReportBuilder
 from .span import SliceObject, TensorResult, TwoCell, compose_cells, tensor
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModulePlan:
-    """The free module f_A . M of one slice object, as flat lookup tables.
+    """The convolution monoid of a slice object base valued in ic, as flat tables.
 
-    ``elems``/``index`` number the generator pairs (a, m) of the module
-    carrier, and ``comp_index``/``mu`` compose arrows.  The product kernels
-    below compute raw tables from these alone; the cell calculus (diagonal,
-    tensor_cells, pair_cells, reassociate, mu_cell) is their specification,
-    and the tests compare the two exactly.
+    ``fm`` is the free module f_A . M; ``elems``/``index`` number its
+    generator pairs (a, m), and ``comp_index``/``mu`` compose arrows.  The
+    product kernels below compute raw tables from these alone; the cell
+    calculus (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is
+    their specification, and the tests compare the two exactly.
+
+    Every element carries its plan, so products never look one up.  A plan
+    compares and hashes by (base, ic) alone: a plan rebuilt after the cache
+    dropped an earlier one equals it.
     """
 
-    fm: TensorResult
-    elems: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int]
-    comp_index: dict[tuple[int, int], int]
-    mu: tuple[int, ...]
+    base: SliceObject
+    ic: InternalCategory
+    fm: TensorResult = field(compare=False, repr=False)
+    elems: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    index: dict[tuple[int, int], int] = field(compare=False, repr=False)
+    comp_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
+    mu: tuple[int, ...] = field(compare=False, repr=False)
 
     def conv(self, s: tuple, t: tuple) -> tuple:
         """Convolution product: s(a) then t(a) at every generator a."""
@@ -89,7 +95,7 @@ def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
     if base.o != ic.o:
         raise BaseMismatch("slice object and internal category live over different bases")
     fm = tensor(base.span, ic.mor_span)
-    return ModulePlan(fm, fm.pb.elems, fm.pb.index, ic.composable.index, ic.mu.table)
+    return ModulePlan(base, ic, fm, fm.pb.elems, fm.pb.index, ic.composable.index, ic.mu.table)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
@@ -99,17 +105,22 @@ def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
 
 @dataclass(frozen=True)
 class ConvElement:
-    """An element of the convolution monoid over base, valued in target."""
+    """An element of the convolution monoid of plan.base, valued in plan.ic."""
 
-    base: SliceObject
-    target: InternalCategory
+    plan: ModulePlan
     cell: TwoCell
 
     def __post_init__(self) -> None:
-        if self.base.o != self.target.o:
-            raise BaseMismatch("slice object and internal category live over different bases")
-        if self.cell.src != self.base.span or self.cell.dst != self.target.mor_span:
+        if self.cell.src != self.plan.base.span or self.cell.dst != self.plan.ic.mor_span:
             raise BaseMismatch("cell endpoints must be the slice span and the arrow span")
+
+    @property
+    def base(self) -> SliceObject:
+        return self.plan.base
+
+    @property
+    def target(self) -> InternalCategory:
+        return self.plan.ic
 
     @property
     def map(self) -> FinMap:
@@ -117,71 +128,81 @@ class ConvElement:
 
 
 def conv_element(base: SliceObject, ic: InternalCategory, arrow_map: FinMap) -> ConvElement:
-    return ConvElement(base, ic, TwoCell(base.span, ic.mor_span, arrow_map))
+    return _conv(module_plan(base, ic), arrow_map)
+
+
+def _conv(plan: ModulePlan, arrow_map: FinMap) -> ConvElement:
+    return ConvElement(plan, TwoCell(plan.base.span, plan.ic.mor_span, arrow_map))
 
 
 @dataclass(frozen=True)
 class KleisliEndo:
-    """An endomorphism of the free module on base, as a cell f_A => f_A . M."""
+    """An endomorphism of the free module on plan.base, as a cell f_A => f_A . M."""
 
-    base: SliceObject
-    target: InternalCategory
+    plan: ModulePlan
     cell: TwoCell
 
     def __post_init__(self) -> None:
-        if self.base.o != self.target.o:
-            raise BaseMismatch("slice object and internal category live over different bases")
-        fm = module_plan(self.base, self.target).fm
-        if self.cell.src != self.base.span or self.cell.dst != fm.span:
+        if self.cell.src != self.plan.base.span or self.cell.dst != self.plan.fm.span:
             raise BaseMismatch("cell endpoints must be the slice span and its free module")
+
+    @property
+    def base(self) -> SliceObject:
+        return self.plan.base
+
+    @property
+    def target(self) -> InternalCategory:
+        return self.plan.ic
 
     @property
     def bar(self) -> FinMap:
         """The arrow component: right projection after the cell."""
-        return compose(free_module(self.base, self.target).proj_right, self.cell.map)
+        return compose(self.plan.fm.proj_right, self.cell.map)
 
     @property
     def prime(self) -> FinMap:
         """The carrier component: left projection after the cell."""
-        return compose(free_module(self.base, self.target).proj_left, self.cell.map)
+        return compose(self.plan.fm.proj_left, self.cell.map)
 
 
 def kleisli_endo(base: SliceObject, ic: InternalCategory, apex_map: FinMap) -> KleisliEndo:
-    return KleisliEndo(base, ic, TwoCell(base.span, free_module(base, ic).span, apex_map))
+    plan = module_plan(base, ic)
+    return KleisliEndo(plan, TwoCell(plan.base.span, plan.fm.span, apex_map))
 
 
-def _wrap_endo(plan: ModulePlan, base: SliceObject, ic: InternalCategory, table: tuple) -> KleisliEndo:
+def _wrap_endo(plan: ModulePlan, table: tuple) -> KleisliEndo:
     span = plan.fm.span
-    return KleisliEndo(base, ic, TwoCell(base.span, span, FinMap(base.a, span.apex, table)))
+    return KleisliEndo(plan, TwoCell(plan.base.span, span, FinMap(plan.base.a, span.apex, table)))
 
 
 def conv_unit(fa: SliceObject, ic: InternalCategory) -> ConvElement:
     """The unit of the convolution monoid: the identity family eta after f."""
-    if fa.o != ic.o:
-        raise BaseMismatch("slice object and internal category live over different bases")
-    to_unit = TwoCell(fa.span, ic.unit_span, fa.f)
-    return ConvElement(fa, ic, compose_cells(eta_cell(ic), to_unit))
+    return _unit(module_plan(fa, ic))
+
+
+def _unit(plan: ModulePlan) -> ConvElement:
+    to_unit = TwoCell(plan.base.span, plan.ic.unit_span, plan.base.f)
+    return ConvElement(plan, compose_cells(eta_cell(plan.ic), to_unit))
 
 
 def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     """Convolution product: diagonal, tensor of the cells, then composition."""
-    if alpha.base != beta.base or alpha.target != beta.target:
+    plan = alpha.plan
+    if beta.plan != plan:
         raise BaseMismatch("convolution factors must share base and target")
-    fa, ic = alpha.base, alpha.target
-    table = module_plan(fa, ic).conv(alpha.map.table, beta.map.table)
-    return conv_element(fa, ic, FinMap(fa.a, ic.m, table))
+    table = plan.conv(alpha.map.table, beta.map.table)
+    return _conv(plan, FinMap(plan.base.a, plan.ic.m, table))
 
 
 def extend(alpha: ConvElement) -> KleisliEndo:
     """The simply presented endomorphism <id, alpha>: a -> (a, alpha(a))."""
-    fa, ic = alpha.base, alpha.target
-    plan = module_plan(fa, ic)
-    return _wrap_endo(plan, fa, ic, plan.extend(alpha.map.table))
+    plan = alpha.plan
+    return _wrap_endo(plan, plan.extend(alpha.map.table))
 
 
 def retrieve(endo: KleisliEndo) -> ConvElement:
     """Project an endomorphism to its arrow component; inverts extend."""
-    return conv_element(endo.base, endo.target, endo.bar)
+    return _conv(endo.plan, endo.bar)
 
 
 def kleisli_unit(fa: SliceObject, ic: InternalCategory) -> KleisliEndo:
@@ -194,11 +215,10 @@ def kleisli_compose(beta: KleisliEndo, alpha: KleisliEndo) -> KleisliEndo:
     The module calculus specifies it: apply alpha, tensor beta with the
     arrow span, rebracket, and finish with the composition cell.
     """
-    if alpha.base != beta.base or alpha.target != beta.target:
+    plan = alpha.plan
+    if beta.plan != plan:
         raise BaseMismatch("Kleisli factors must share base and target")
-    fa, ic = alpha.base, alpha.target
-    plan = module_plan(fa, ic)
-    return _wrap_endo(plan, fa, ic, plan.compose(beta.cell.map.table, alpha.cell.map.table))
+    return _wrap_endo(plan, plan.compose(beta.cell.map.table, alpha.cell.map.table))
 
 
 def is_simply_presented(endo: KleisliEndo) -> bool:
@@ -221,8 +241,8 @@ def end_square_holds(
     src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap
 ) -> bool:
     """Elementwise test of the endomorphism-morphism square."""
-    return module_plan(src.base, src.target).square_holds(
-        module_plan(dst.base, dst.target),
+    return src.plan.square_holds(
+        dst.plan,
         src.cell.map.table,
         dst.cell.map.table,
         sigma.table,
@@ -262,19 +282,18 @@ def _bounded_product(choices: list[list[int]], limit: int, what: str):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory, limit: int) -> tuple[ConvElement, ...]:
+    plan = module_plan(fa, ic)
     d, c = ic.d.table, ic.c.table
     choices = [[m for m in range(ic.m.size) if d[m] == o == c[m]] for o in fa.f.table]
     return tuple(
-        conv_element(fa, ic, FinMap(fa.a, ic.m, table))
-        for table in _bounded_product(choices, limit, "fibre")
+        _conv(plan, FinMap(fa.a, ic.m, table)) for table in _bounded_product(choices, limit, "fibre")
     )
 
 
-def _endo_tables(fa: SliceObject, ic: InternalCategory, limit: int):
-    """Every table of a cell out of fa into its free module, in lexicographic order."""
-    f, c = fa.f.table, ic.c.table
-    elems = module_plan(fa, ic).elems
-    choices = [[i for i, (x, m) in enumerate(elems) if f[x] == o == c[m]] for o in f]
+def _endo_tables(plan: ModulePlan, limit: int):
+    """Every table of a cell out of plan.base into its free module, in lexicographic order."""
+    f, c = plan.base.f.table, plan.ic.c.table
+    choices = [[i for i, (x, m) in enumerate(plan.elems) if f[x] == o == c[m]] for o in f]
     return _bounded_product(choices, limit, "endomorphism")
 
 
@@ -282,7 +301,7 @@ def kleisli_fibre(fa: SliceObject, ic: InternalCategory, cap: int | None = None)
     """All free-module endomorphisms over fa, in lexicographic table order."""
     limit = enumeration_cap() if cap is None else cap
     plan = module_plan(fa, ic)
-    return [_wrap_endo(plan, fa, ic, table) for table in _endo_tables(fa, ic, limit)]
+    return [_wrap_endo(plan, table) for table in _endo_tables(plan, limit)]
 
 
 def module_endomorphism(endo: KleisliEndo) -> FinMap:
@@ -292,7 +311,7 @@ def module_endomorphism(endo: KleisliEndo) -> FinMap:
     Kleisli composite of endo after the pairs themselves, read as slots.
     The assignment turns Kleisli composition into plain composition of maps.
     """
-    plan = module_plan(endo.base, endo.target)
+    plan = endo.plan
     apex = plan.fm.span.apex
     return FinMap(apex, apex, plan.compose(endo.cell.map.table, range(apex.size)))
 
@@ -308,26 +327,25 @@ def kleisli_inverse(
     is small; beyond the limit, falls back to the inversion formula
     extend(iota after bar) for simply presented input and verifies it.
     """
-    fa, ic = endo.base, endo.target
-    plan = module_plan(fa, ic)
-    unit = kleisli_unit(fa, ic).cell.map.table
+    plan = endo.plan
+    unit = extend(_unit(plan)).cell.map.table
     mine = endo.cell.map.table
 
     def inverts(cand: tuple) -> bool:
         return plan.compose(cand, mine) == unit and plan.compose(mine, cand) == unit
 
     if plan.fm.span.apex.size <= bruteforce_apex_limit:
-        matches = [cand for cand in _endo_tables(fa, ic, enumeration_cap()) if inverts(cand)]
+        matches = [cand for cand in _endo_tables(plan, enumeration_cap()) if inverts(cand)]
         if not matches:
             return None
         if len(matches) > 1:
             raise AssertionError("two-sided inverses in a monoid must be unique")
-        return _wrap_endo(plan, fa, ic, matches[0])
+        return _wrap_endo(plan, matches[0])
     if iota is None or not is_simply_presented(endo):
         raise SizeLimitExceeded(
             "carrier too large for brute force and no inversion map available"
         )
-    claimed = extend(conv_element(fa, ic, compose(iota, endo.bar)))
+    claimed = extend(_conv(plan, compose(iota, endo.bar)))
     return claimed if inverts(claimed.cell.map.table) else None
 
 
@@ -339,6 +357,10 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
     """
     if m_bits < 0 or n_bits < 0:
         raise MalformedTables("bit widths must be non-negative")
+    # 2^width passes the cap exactly when width reaches the cap's bit length;
+    # clamping first keeps a huge width from building a huge integer.
+    width, cap = m_bits + n_bits, enumeration_cap()
+    budget(1 << min(width, cap.bit_length()), f"2^{width} Toffoli states", cap)
     if len(table) != 1 << m_bits:
         raise MalformedTables(f"truth table must have {1 << m_bits} rows")
     mask = (1 << n_bits) - 1
@@ -346,7 +368,7 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
         if not isinstance(v, int) or not 0 <= v <= mask:
             raise MalformedTables(f"truth table entry {v!r} does not fit in {n_bits} bits")
     perm = []
-    for state in range(1 << (m_bits + n_bits)):
+    for state in range(1 << width):
         x, y = state >> n_bits, state & mask
         perm.append((x << n_bits) | (table[x] ^ y))
     if len(set(perm)) != len(perm):
@@ -421,7 +443,7 @@ def verify_adjunction(
                 for phi in all_maps(a_obj.a, b_obj.a)
                 if compose(b_obj.f, phi) == a_obj.f
             ]
-            src_plan, dst_plan = module_plan(a_obj, hat.target), module_plan(b_obj, beta.target)
+            src_plan, dst_plan = hat.plan, beta.plan
             u, v = hat.cell.map.table, beta.cell.map.table
             end_homset = [
                 (phi, psi)

@@ -52,6 +52,16 @@ def enumeration_cap() -> int:
         raise MalformedTables(f"SPANFORGE_SIZE_CAP must be an int, got {raw!r}") from None
 
 
+def budget(count: int, what: str, cap: int | None = None) -> None:
+    """Refuse a loop over count items of what once it would pass the cap.
+
+    The cap is enumeration_cap() unless one is given.
+    """
+    limit = enumeration_cap() if cap is None else cap
+    if count > limit:
+        raise SizeLimitExceeded(f"enumeration of {what} exceeds cap {limit}")
+
+
 @dataclass(frozen=True)
 class InternalCategory:
     """Objects object, morphisms object, source/target, units, composition."""
@@ -274,6 +284,7 @@ def external_category(ic: InternalCategory, c_obj: FinSet, cap: int | None = Non
     src = {a: tuple(ic.d.table[v] for v in a) for a in arrows}
     dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
     ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
+    budget(n_arr * n_arr, f"{n_arr}^2 external-category composites", limit)
     index = ic.composable.index
     comp = {}
     for a in arrows:

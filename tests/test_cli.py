@@ -171,6 +171,31 @@ class TestToffoli:
         assert "error" in err
 
 
+class TestSizeCap:
+    """Each loop the cap bounds refuses past SPANFORGE_SIZE_CAP, exit 1, before any output."""
+
+    def test_toffoli_states(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
+        code, out, err = run_cli(capsys, "toffoli", "--m", "1", "--n", "4", "--f", "0,0")
+        assert (code, out) == (1, "")
+        assert "2^5 Toffoli states exceeds cap 16" in err
+
+    def test_toffoli_states_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
+        code, out, _ = run_cli(capsys, "toffoli", "--m", "1", "--n", "3", "--f", "0,0")
+        assert code == 0
+        assert len(out.splitlines()) == 16
+
+    def test_conv_table_products(self, capsys, monkeypatch):
+        # fibre of 8 elements is within the cap; its 64 products are not
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
+        code, out, err = run_cli(
+            capsys, "conv-table", str(FIXTURES / "z2_internal.json"), "--slice", "3", "0,0,0"
+        )
+        assert (code, out) == (1, "")
+        assert "8^2 conv-table products exceeds cap 16" in err
+
+
 class TestFeistel:
     GROUP = str(FIXTURES / "z2_4_group.json")
     KEYS = str(FIXTURES / "feistel_keys.json")

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -42,7 +43,8 @@ from spanforge.catalog import (
     pair_groupoid,
     xor_group,
 )
-from spanforge.feistel import free_module
+from spanforge import feistel
+from spanforge.feistel import free_module, module_plan
 from spanforge.internal import mu_cell
 from spanforge.span import (
     compose_cells,
@@ -248,6 +250,70 @@ class TestKleisli:
                 assert module_endomorphism(kleisli_compose(x, y)) == compose(
                     module_endomorphism(x), module_endomorphism(y)
                 )
+
+
+class TestModulePlan:
+    """Every element carries the plan of its monoid; products read it and look nothing up."""
+
+    def test_products_on_ready_elements_look_up_no_plan(self, monkeypatch):
+        ic = one_object_category(MONOIDS["leftzero3"])
+        fa = point_base(ic, 2)
+        fibre = conv_fibre(fa, ic)
+        extended = [extend(e) for e in fibre]
+        lookups = []
+
+        def counted(base, target):
+            lookups.append((base, target))
+            return module_plan(base, target)
+
+        monkeypatch.setattr(feistel, "module_plan", counted)
+        for s, s_hat in zip(fibre, extended):
+            for t, t_hat in zip(fibre, extended):
+                conv_mult(s, t)
+                kleisli_compose(s_hat, t_hat)
+            extend(s)
+            retrieve(s_hat)
+        assert lookups == []
+
+    def test_plans_rebuilt_after_eviction_are_equal(self):
+        ic = one_object_category(MONOIDS["z3"])
+        alpha = conv_from_table(point_base(ic, 2), ic, (1, 2))
+        module_plan.cache_clear()
+        beta = conv_from_table(point_base(ic, 2), ic, (2, 2))
+        assert alpha.plan is not beta.plan
+        assert alpha.plan == beta.plan and hash(alpha.plan) == hash(beta.plan)
+        assert conv_mult(alpha, beta).map.table == conv_mult_by_cells(alpha, beta)
+        a_hat, b_hat = extend(alpha), extend(beta)
+        assert kleisli_compose(b_hat, a_hat).cell.map.table == kleisli_compose_by_cells(b_hat, a_hat)
+
+    def test_pickled_element_multiplies_with_the_original(self):
+        ic = one_object_category(MONOIDS["z3"])
+        alpha = conv_from_table(point_base(ic, 2), ic, (1, 2))
+        copy = pickle.loads(pickle.dumps(alpha))
+        assert copy == alpha and copy.plan is not alpha.plan
+        assert conv_mult(copy, alpha).map.table == conv_mult_by_cells(alpha, alpha)
+
+    def test_mixed_factors_raise_base_mismatch(self):
+        # one target over two bases, and one base under two targets
+        pairs = (
+            (conv_unit(point_base(Z2, 1), Z2), conv_unit(point_base(Z2, 2), Z2)),
+            (conv_unit(point_base(AND2, 1), AND2), conv_unit(point_base(Z2, 1), Z2)),
+        )
+        for alpha, beta in pairs:
+            with pytest.raises(BaseMismatch, match="^convolution factors must share base and target$"):
+                conv_mult(alpha, beta)
+            with pytest.raises(BaseMismatch, match="^Kleisli factors must share base and target$"):
+                kleisli_compose(extend(alpha), extend(beta))
+
+    def test_element_over_another_base_is_refused_once(self):
+        pair = pair_groupoid(2).cat
+        a = FinSet(1)
+        fa = SliceObject(a, FinMap(a, pair.o, (1,)))
+        message = "^slice object and internal category live over different bases$"
+        with pytest.raises(BaseMismatch, match=message):
+            conv_element(fa, Z2, FinMap(a, Z2.m, (0,)))
+        with pytest.raises(BaseMismatch, match=message):
+            kleisli_endo(fa, Z2, FinMap(a, FinSet(2), (0,)))
 
 
 class TestExtendRetrieve:

@@ -194,6 +194,13 @@ class TestExternalCategory:
         with pytest.raises(SizeLimitExceeded):
             external_category(ic, FinSet(1))
 
+    def test_size_cap_bounds_composites(self, monkeypatch):
+        # 1 object and 8 arrows fit under the cap; the 64 arrow pairs do not
+        ic = one_object_category(MONOIDS["and2"])
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
+        with pytest.raises(SizeLimitExceeded, match="8\\^2 external-category composites exceeds cap 16"):
+            external_category(ic, FinSet(3))
+
 
 class TestInternalFunctor:
     def test_doubling_embeds_z2_in_z4(self):
