@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedTables, NotAGroup
-from .finset import FinMap, FinSet, identity
+from .finset import FinMap, FinSet, identity, pullback
 from .internal import InternalCategory, InternalGroupoid
 
 
@@ -140,8 +140,7 @@ def one_object_category(monoid: MonoidTable) -> InternalCategory:
     m = FinSet(monoid.size)
     to_o = FinMap(m, o, (0,) * monoid.size)
     eta = FinMap(o, m, (monoid.unit,))
-    apex = FinSet(monoid.size * monoid.size)
-    mu = FinMap(apex, m, monoid.table)
+    mu = FinMap(pullback(to_o, to_o).apex, m, monoid.table)
     return InternalCategory(o, m, to_o, to_o, eta, mu)
 
 
@@ -155,8 +154,7 @@ def discrete_category(n: int, labels: tuple[str, ...] | None = None) -> Internal
     """Only identity arrows: M = O, all structure maps identities."""
     o = FinSet(n, labels)
     ident = identity(o)
-    composable_count = n  # only (x, x) pairs
-    mu = FinMap(FinSet(composable_count), o, tuple(range(n)))
+    mu = FinMap(pullback(ident, ident).apex, o, tuple(range(n)))  # only (x, x) pairs
     cat = InternalCategory(o, o, ident, ident, ident, mu)
     return InternalGroupoid(cat, ident)
 
@@ -173,10 +171,8 @@ def pair_groupoid(n: int) -> InternalGroupoid:
     d = FinMap(m, o, tuple(x // n for x in range(n * n)))
     c = FinMap(m, o, tuple(x % n for x in range(n * n)))
     eta = FinMap(o, m, tuple(a * n + a for a in range(n)))
-    pairs = [
-        (x, y) for x in range(n * n) for y in range(n * n) if c.table[x] == d.table[y]
-    ]
-    mu = FinMap(FinSet(len(pairs)), m, tuple((x // n) * n + (y % n) for x, y in pairs))
+    pb = pullback(c, d)
+    mu = FinMap(pb.apex, m, tuple((x // n) * n + (y % n) for x, y in pb.elems))
     iota = FinMap(m, m, tuple((x % n) * n + (x // n) for x in range(n * n)))
     return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
 
@@ -192,13 +188,9 @@ def action_groupoid_z2() -> InternalGroupoid:
     d = FinMap(m, o, tuple(x // 2 for x in range(4)))
     c = FinMap(m, o, tuple((x // 2) ^ (x % 2) for x in range(4)))
     eta = FinMap(o, m, (0, 2))
-    pairs = [(x, y) for x in range(4) for y in range(4) if c.table[x] == d.table[y]]
-    mu_table = []
-    for x, y in pairs:
-        point, g = x // 2, x % 2
-        h = y % 2
-        mu_table.append(point * 2 + (g ^ h))
-    mu = FinMap(FinSet(len(pairs)), m, tuple(mu_table))
+    pb = pullback(c, d)
+    # (point, g) then (point', h) is (point, g xor h)
+    mu = FinMap(pb.apex, m, tuple((x // 2) * 2 + ((x ^ y) % 2) for x, y in pb.elems))
     iota = FinMap(m, m, tuple(((x // 2) ^ (x % 2)) * 2 + (x % 2) for x in range(4)))
     return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
 

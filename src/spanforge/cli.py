@@ -219,14 +219,18 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_conv_table(args) -> int:
-    doc = load_document(args.internal)
+def _load_internal_category(path: str, command: str) -> InternalCategory:
+    """The internal category of a category or groupoid file, for the named command."""
+    doc = load_document(path)
     if doc["kind"] == "internal-groupoid":
-        ic = internal_groupoid_from_document(doc, args.internal).cat
-    elif doc["kind"] == "internal-category":
-        ic = internal_category_from_document(doc, args.internal)
-    else:
-        raise ParseError(f"{args.internal}: conv-table needs an internal category file")
+        return internal_groupoid_from_document(doc, path).cat
+    if doc["kind"] == "internal-category":
+        return internal_category_from_document(doc, path)
+    raise ParseError(f"{path}: {command} needs an internal category file")
+
+
+def cmd_conv_table(args) -> int:
+    ic = _load_internal_category(args.internal, "conv-table")
     size_text, table_text = args.slice
     try:
         a_size = int(size_text)
@@ -301,13 +305,7 @@ def cmd_feistel(args) -> int:
 
 
 def cmd_fib_check(args) -> int:
-    doc = load_document(args.internal)
-    if doc["kind"] == "internal-groupoid":
-        ic = internal_groupoid_from_document(doc, args.internal).cat
-    elif doc["kind"] == "internal-category":
-        ic = internal_category_from_document(doc, args.internal)
-    else:
-        raise ParseError(f"{args.internal}: fib-check needs an internal category file")
+    ic = _load_internal_category(args.internal, "fib-check")
     sub_doc = load_document(args.subslice)
     if sub_doc["kind"] != "sub-slice":
         raise ParseError(f"{args.subslice}: fib-check needs a sub-slice file")

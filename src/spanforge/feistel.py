@@ -20,6 +20,7 @@ construction and Feistel ciphers are the one-object instances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -264,44 +265,40 @@ def endo_base_change(src: SliceObject, sigma: FinMap, endo: KleisliEndo) -> Klei
     return extend(conv_element(src, endo.target, compose(endo.bar, sigma)))
 
 
-def conv_fibre(fa: SliceObject, ic: InternalCategory, cap: int | None = None) -> list[ConvElement]:
+def conv_fibre(fa: SliceObject, ic: InternalCategory) -> list[ConvElement]:
     """All convolution elements over fa, in lexicographic table order."""
-    limit = enumeration_cap() if cap is None else cap
-    return list(_conv_fibre_cached(fa, ic, limit))
+    # budgeted before the cache, so a fibre cached under a larger cap is refused too
+    count = math.prod(len(ch) for ch in _fibre_choices(fa, ic))
+    budget(count, f"{count} fibre elements")
+    return list(_conv_fibre_cached(fa, ic))
 
 
-def _bounded_product(choices: list[list[int]], limit: int, what: str):
-    """All tables choosing one entry per position, once their count is within the cap."""
-    count = 1
-    for ch in choices:
-        count *= len(ch)
-        if count > limit:
-            raise SizeLimitExceeded(f"{what} enumeration exceeds cap {limit}")
-    return itertools.product(*choices)
+def _fibre_choices(fa: SliceObject, ic: InternalCategory) -> list[list[int]]:
+    """For each point of fa, the endo-arrows at the object it lies over."""
+    d, c = ic.d.table, ic.c.table
+    return [[m for m in range(ic.m.size) if d[m] == o == c[m]] for o in fa.f.table]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory, limit: int) -> tuple[ConvElement, ...]:
+def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory) -> tuple[ConvElement, ...]:
     plan = module_plan(fa, ic)
-    d, c = ic.d.table, ic.c.table
-    choices = [[m for m in range(ic.m.size) if d[m] == o == c[m]] for o in fa.f.table]
-    return tuple(
-        _conv(plan, FinMap(fa.a, ic.m, table)) for table in _bounded_product(choices, limit, "fibre")
-    )
+    tables = itertools.product(*_fibre_choices(fa, ic))
+    return tuple(_conv(plan, FinMap(fa.a, ic.m, table)) for table in tables)
 
 
-def _endo_tables(plan: ModulePlan, limit: int):
+def _endo_tables(plan: ModulePlan):
     """Every table of a cell out of plan.base into its free module, in lexicographic order."""
     f, c = plan.base.f.table, plan.ic.c.table
     choices = [[i for i, (x, m) in enumerate(plan.elems) if f[x] == o == c[m]] for o in f]
-    return _bounded_product(choices, limit, "endomorphism")
+    count = math.prod(len(ch) for ch in choices)
+    budget(count, f"{count} free-module endomorphisms")
+    return itertools.product(*choices)
 
 
-def kleisli_fibre(fa: SliceObject, ic: InternalCategory, cap: int | None = None) -> list[KleisliEndo]:
+def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
-    limit = enumeration_cap() if cap is None else cap
     plan = module_plan(fa, ic)
-    return [_wrap_endo(plan, table) for table in _endo_tables(plan, limit)]
+    return [_wrap_endo(plan, table) for table in _endo_tables(plan)]
 
 
 def module_endomorphism(endo: KleisliEndo) -> FinMap:
@@ -335,7 +332,7 @@ def kleisli_inverse(
         return plan.compose(cand, mine) == unit and plan.compose(mine, cand) == unit
 
     if plan.fm.span.apex.size <= bruteforce_apex_limit:
-        matches = [cand for cand in _endo_tables(plan, enumeration_cap()) if inverts(cand)]
+        matches = [cand for cand in _endo_tables(plan) if inverts(cand)]
         if not matches:
             return None
         if len(matches) > 1:
@@ -359,8 +356,8 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
         raise MalformedTables("bit widths must be non-negative")
     # 2^width passes the cap exactly when width reaches the cap's bit length;
     # clamping first keeps a huge width from building a huge integer.
-    width, cap = m_bits + n_bits, enumeration_cap()
-    budget(1 << min(width, cap.bit_length()), f"2^{width} Toffoli states", cap)
+    width = m_bits + n_bits
+    budget(1 << min(width, enumeration_cap().bit_length()), f"2^{width} Toffoli states")
     if len(table) != 1 << m_bits:
         raise MalformedTables(f"truth table must have {1 << m_bits} rows")
     mask = (1 << n_bits) - 1
@@ -413,7 +410,6 @@ def verify_adjunction(
     conv_objects: Iterable[ConvElement],
     end_objects: Iterable[KleisliEndo],
     groupoid: InternalGroupoid | None = None,
-    cap: int | None = None,
 ) -> Report:
     """Exhaustively exhibit the hom-set bijection of the extension adjunction.
 
@@ -425,7 +421,6 @@ def verify_adjunction(
     """
     conv_objects = list(conv_objects)
     end_objects = list(end_objects)
-    limit = enumeration_cap() if cap is None else cap
     rb = ReportBuilder()
     targets = {c.target for c in conv_objects} | {e.target for e in end_objects}
     if len(targets) > 1:
@@ -436,8 +431,7 @@ def verify_adjunction(
         for beta in end_objects:
             b_obj = beta.base
             n_candidates = b_obj.a.size ** a_obj.a.size
-            if n_candidates * n_candidates > limit:
-                raise SizeLimitExceeded("candidate morphism enumeration exceeds cap")
+            budget(n_candidates * n_candidates, f"{n_candidates}^2 candidate morphisms")
             slice_cells = [
                 phi.table
                 for phi in all_maps(a_obj.a, b_obj.a)

@@ -20,17 +20,17 @@ from .internal import (
     InternalFunctor,
     LexFunctorData,
     apply_lex_functor,
+    budget,
 )
 from .feistel import (
     ConvElement,
     KleisliEndo,
+    _conv,
+    _wrap_endo,
     conv_base_change,
-    conv_element,
     conv_fibre,
     endo_base_change,
     extend,
-    free_module,
-    kleisli_endo,
     module_plan,
     retrieve,
 )
@@ -60,6 +60,11 @@ class SubSlice:
             if cell.src not in self.span_index or cell.dst not in self.span_index:
                 raise MalformedTables("sub-slice arrow endpoints must be listed objects")
         self.base_category  # checks the identities and closure under composition
+
+    @cached_property
+    def _plans(self) -> tuple:
+        """The module plan of each object, looked up once per sub-slice."""
+        return tuple(module_plan(obj, self.ic) for obj in self.objects)
 
     @cached_property
     def span_index(self) -> dict:
@@ -98,6 +103,7 @@ def full_subslice(ic: InternalCategory, objects) -> SubSlice:
     arrows = []
     for src in objects:
         for dst in objects:
+            budget(dst.a.size**src.a.size, f"{dst.a.size}^{src.a.size} slice cells")
             for phi in all_maps(src.a, dst.a):
                 if compose(dst.f, phi) == src.f:
                     arrows.append(TwoCell(src.span, dst.span, phi))
@@ -237,13 +243,13 @@ def _fibration(ss: SubSlice, keys: list, lifts) -> FibrationInstance:
     return FibrationInstance(total, base, proj)
 
 
-def build_conv_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInstance:
+def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     """Category of convolution elements over the sub-slice, with its projection.
 
     Objects are pairs (slice object, element); an arrow over a base cell
     phi runs from the pullback of an element along phi to that element.
     """
-    keys = [[_conv_key(e) for e in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects]
+    keys = [[_conv_key(e) for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     key_sets = [set(fibre) for fibre in keys]
 
     def lifts(k: int, i: int, j: int):
@@ -256,19 +262,18 @@ def build_conv_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInsta
     return _fibration(ss, keys, lifts)
 
 
-def build_endo_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInstance:
+def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     """Category of simply presented endomorphisms over the sub-slice.
 
     An arrow over a base cell sigma is a pair of endomorphisms whose
     square (sigma tensored with the arrow span) commutes; the equal
     components of such a morphism make a single cell suffice.
     """
-    keys = [
-        [_endo_key(extend(alpha)) for alpha in conv_fibre(obj, ss.ic, cap)] for obj in ss.objects
-    ]
-    plans = [module_plan(obj, ss.ic) for obj in ss.objects]
+    keys = [[_endo_key(extend(alpha)) for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    plans = ss._plans
 
     def lifts(k: int, i: int, j: int):
+        budget(len(keys[i]) * len(keys[j]), f"{len(keys[i])}x{len(keys[j])} endomorphism pairs")
         sig = ss.arrows[k].map.table
         for u_table in keys[i]:
             for v_table in keys[j]:
@@ -280,8 +285,7 @@ def build_endo_fibration(ss: SubSlice, cap: int | None = None) -> FibrationInsta
 
 def _as_endo(ss: SubSlice, i: int, table: tuple) -> KleisliEndo:
     """The endomorphism over object i whose key is the given table."""
-    fa = ss.objects[i]
-    return kleisli_endo(fa, ss.ic, FinMap(fa.a, free_module(fa, ss.ic).span.apex, table))
+    return _wrap_endo(ss._plans[i], table)
 
 
 class _Extensions(dict):
@@ -293,8 +297,8 @@ class _Extensions(dict):
 
     def __missing__(self, key: tuple) -> tuple:
         i, table = key
-        fa = self.ss.objects[i]
-        elem = conv_element(fa, self.ss.ic, FinMap(fa.a, self.ss.ic.m, table))
+        plan = self.ss._plans[i]
+        elem = _conv(plan, FinMap(plan.base.a, plan.ic.m, table))
         self[key] = image = (i, _endo_key(extend(elem)))
         return image
 
@@ -354,14 +358,14 @@ class CartesianIso:
     endo: FibrationInstance
 
 
-def cartesian_iso(ss: SubSlice, cap: int | None = None) -> CartesianIso:
+def cartesian_iso(ss: SubSlice) -> CartesianIso:
     """The extension/retrieval pair as mutually inverse functors over the base.
 
     Checks functoriality of both directions, mutual inversion, commutation
     with both projections, and fibrewise naturality of the family.
     """
-    conv = build_conv_fibration(ss, cap)
-    endo = build_endo_fibration(ss, cap)
+    conv = build_conv_fibration(ss)
+    endo = build_endo_fibration(ss)
     rb = ReportBuilder()
     extensions = _Extensions(ss)
 
@@ -381,7 +385,7 @@ def cartesian_iso(ss: SubSlice, cap: int | None = None) -> CartesianIso:
             rb.require(back.arrow_map.get(there.arrow_map[key]) == key, "mutual-inverse-arrows", key)
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
-        for beta in conv_fibre(ss.objects[j], ss.ic, cap):
+        for beta in conv_fibre(ss.objects[j], ss.ic):
             pulled_then_extended = extend(
                 conv_base_change(ss.objects[i], cell.map, beta)
             )
@@ -427,7 +431,6 @@ def transport_conv(
     k: LexFunctorData,
     functor: InternalFunctor,
     ss: SubSlice,
-    cap: int | None = None,
 ) -> TransportResult:
     """Transport both fibrations along (lex functor, internal functor).
 
@@ -441,10 +444,10 @@ def transport_conv(
     if functor.src != transported:
         raise NotInternalFunctor("internal functor must start at the transported category")
     ss2 = transported_subslice(k, functor, ss)
-    conv1 = build_conv_fibration(ss, cap)
-    conv2 = build_conv_fibration(ss2, cap)
-    endo1 = build_endo_fibration(ss, cap)
-    endo2 = build_endo_fibration(ss2, cap)
+    conv1 = build_conv_fibration(ss)
+    conv2 = build_conv_fibration(ss2)
+    endo1 = build_endo_fibration(ss)
+    endo2 = build_endo_fibration(ss2)
     rb = ReportBuilder()
     ext1, ext2 = _Extensions(ss), _Extensions(ss2)
 

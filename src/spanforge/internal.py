@@ -42,24 +42,24 @@ DEFAULT_SIZE_CAP = 10**6
 
 
 def enumeration_cap() -> int:
-    """Current cap on enumerated maps; SPANFORGE_SIZE_CAP overrides it."""
+    """Current cap on enumerated items; SPANFORGE_SIZE_CAP overrides it."""
     raw = os.environ.get("SPANFORGE_SIZE_CAP")
     if raw is None:
         return DEFAULT_SIZE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise MalformedTables(f"SPANFORGE_SIZE_CAP must be an int, got {raw!r}") from None
+        cap = -1
+    if cap < 0:
+        raise MalformedTables(f"SPANFORGE_SIZE_CAP must be a non-negative int, got {raw!r}")
+    return cap
 
 
-def budget(count: int, what: str, cap: int | None = None) -> None:
-    """Refuse a loop over count items of what once it would pass the cap.
-
-    The cap is enumeration_cap() unless one is given.
-    """
-    limit = enumeration_cap() if cap is None else cap
-    if count > limit:
-        raise SizeLimitExceeded(f"enumeration of {what} exceeds cap {limit}")
+def budget(count: int, what: str) -> None:
+    """Refuse a loop over count items of what once it would pass enumeration_cap()."""
+    cap = enumeration_cap()
+    if count > cap:
+        raise SizeLimitExceeded(f"enumeration of {what} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -266,25 +266,21 @@ def two_sided_inverse(fc: FiniteCategory, arrow) -> object | None:
     return None
 
 
-def external_category(ic: InternalCategory, c_obj: FinSet, cap: int | None = None) -> FiniteCategory:
+def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     """The category of maps from c_obj: objects are maps into O, arrows maps into M.
 
     An arrow alpha: C -> M runs from d.alpha to c.alpha; the identity at f
     is eta.f and composition is pointwise composition of arrows.
     """
-    limit = enumeration_cap() if cap is None else cap
-    n_obj = ic.o.size**c_obj.size
     n_arr = ic.m.size**c_obj.size
-    if n_obj > limit or n_arr > limit:
-        raise SizeLimitExceeded(
-            f"external category needs {n_obj} objects and {n_arr} arrows, cap is {limit}"
-        )
+    budget(ic.o.size**c_obj.size, f"{ic.o.size}^{c_obj.size} external-category objects")
+    budget(n_arr, f"{ic.m.size}^{c_obj.size} external-category arrows")
     objects = tuple(f.table for f in all_maps(c_obj, ic.o))
     arrows = tuple(a.table for a in all_maps(c_obj, ic.m))
     src = {a: tuple(ic.d.table[v] for v in a) for a in arrows}
     dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
     ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
-    budget(n_arr * n_arr, f"{n_arr}^2 external-category composites", limit)
+    budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
     index = ic.composable.index
     comp = {}
     for a in arrows:
@@ -465,6 +461,8 @@ def hom_functor_data(
     requested (left, right) squares using the canonical pullback data.
     """
     sets, maps, witnesses = _close_fragment(sets, maps, squares)
+    for a in sets:
+        budget(a.size**s.size, f"{a.size}^{s.size} hom-functor images")
     objects = {a: FinSet(a.size**s.size) for a in sets}
     arrows = {}
     for f in maps:

@@ -195,6 +195,12 @@ class TestSizeCap:
         assert (code, out) == (1, "")
         assert "8^2 conv-table products exceeds cap 16" in err
 
+    def test_negative_cap_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "-5")
+        code, out, err = run_cli(capsys, "toffoli", "--m", "1", "--n", "1", "--f", "0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: SPANFORGE_SIZE_CAP must be a non-negative int, got '-5'\n"
+
 
 class TestFeistel:
     GROUP = str(FIXTURES / "z2_4_group.json")

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import spanforge.feistel as feistel
 import spanforge.fib as fib
 
 from spanforge import (
@@ -34,6 +35,7 @@ from spanforge import (
     identity_internal_functor,
     kleisli_compose,
     kleisli_unit,
+    retrieve,
     transport_conv,
 )
 from spanforge.catalog import (
@@ -406,7 +408,7 @@ def count_laws(monkeypatch):
 
 
 Z3 = one_object_groupoid(MONOIDS["z3"])
-REAL_EXTEND, REAL_KLEISLI_ENDO, REAL_RETRIEVE = fib.extend, fib.kleisli_endo, fib.retrieve
+REAL_EXTEND, REAL_AS_ENDO, REAL_RETRIEVE = fib.extend, fib._as_endo, fib.retrieve
 
 
 def inverting_extend(alpha):
@@ -414,10 +416,10 @@ def inverting_extend(alpha):
     return REAL_EXTEND(conv_element(alpha.base, alpha.target, compose(Z3.iota, alpha.map)))
 
 
-def inverting_kleisli_endo(fa, ic, apex_map):
+def inverting_endo(ss, i, table):
     """Decodes an endomorphism key to the extension of its inverted arrow component."""
-    bar = REAL_KLEISLI_ENDO(fa, ic, apex_map).bar
-    return REAL_EXTEND(conv_element(fa, ic, compose(Z3.iota, bar)))
+    endo = REAL_AS_ENDO(ss, i, table)
+    return REAL_EXTEND(conv_element(endo.base, endo.target, compose(Z3.iota, endo.bar)))
 
 
 def reversing_retrieve(endo):
@@ -521,7 +523,7 @@ class TestCheckerGuards:
 
     @pytest.mark.parametrize(
         "name, corrupted",
-        [("extend", inverting_extend), ("kleisli_endo", inverting_kleisli_endo)],
+        [("extend", inverting_extend), ("_as_endo", inverting_endo)],
     )
     def test_transport_reports_a_corrupted_move(self, monkeypatch, name, corrupted):
         ss = default_subslice(Z3.cat)
@@ -549,3 +551,28 @@ class TestCheckerGuards:
             ],
             288,
         )
+
+
+class TestSubSlicePlans:
+    """A sub-slice looks up each object's plan once; decoding element keys reads those plans."""
+
+    def test_decoding_keys_looks_up_no_plan(self, monkeypatch):
+        ss = default_subslice(pair_groupoid(2).cat)
+        conv, endo = build_conv_fibration(ss), build_endo_fibration(ss)
+        real = feistel.module_plan
+        lookups = []
+
+        def counted(base, target):
+            lookups.append((base, target))
+            return real(base, target)
+
+        monkeypatch.setattr(feistel, "module_plan", counted)
+        monkeypatch.setattr(fib, "module_plan", counted)
+        extensions = fib._Extensions(ss)
+        endo_objects, conv_objects = set(endo.total.objects), set(conv.total.objects)
+        for key in conv.total.objects:
+            assert extensions[key] in endo_objects
+        for i, table in endo.total.objects:
+            assert (i, retrieve(fib._as_endo(ss, i, table)).map.table) in conv_objects
+        assert lookups == []
+        assert len(conv_objects) == len(endo_objects) > 0

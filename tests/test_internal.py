@@ -183,10 +183,11 @@ class TestExternalCategory:
         fc = external_category(one_object_category(MONOIDS["and2"]), FinSet(1))
         assert any(two_sided_inverse(fc, arrow) is None for arrow in fc.arrows)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         ic = one_object_category(MONOIDS["klein4"])
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "10")
         with pytest.raises(SizeLimitExceeded):
-            external_category(ic, FinSet(3), cap=10)
+            external_category(ic, FinSet(3))
 
     def test_size_cap_env_override(self, monkeypatch):
         ic = one_object_category(MONOIDS["z2"])
