@@ -28,7 +28,7 @@ from .feistel import (
     feistel_network,
     toffoli_extend,
 )
-from .fib import SubSlice, build_conv_fibration, build_endo_fibration, cartesian_iso, check_discrete_fibration
+from .fib import SubSlice, cartesian_iso, check_discrete_fibration
 from .finset import FinMap, FinSet, pullback
 from .internal import (
     InternalCategory,
@@ -315,13 +315,11 @@ def cmd_fib_check(args) -> int:
         print(f"sub-slice: fail ({exc})")
         return 1
     failed = False
-    conv = build_conv_fibration(ss)
-    endo = build_endo_fibration(ss)
-    for name, fi in (("conv-fibration unique-lift", conv), ("endo-fibration unique-lift", endo)):
+    iso = cartesian_iso(ss)
+    for name, fi in (("conv-fibration unique-lift", iso.conv), ("endo-fibration unique-lift", iso.endo)):
         report = check_discrete_fibration(fi)
         print(f"{name}: {'pass' if report.passed else 'fail (' + str(report.first()) + ')'}")
         failed = failed or not report.passed
-    iso = cartesian_iso(ss)
     print(f"cartesian-iso: {'pass' if iso.report.passed else 'fail (' + str(iso.report.first()) + ')'}")
     failed = failed or not iso.report.passed
     return 1 if failed else 0
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate a structure file")
     p_check.add_argument("path")
     p_check.add_argument("--kind", choices=KINDS, default=None)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=lambda args: cmd_check(args))
 
     p_conv = sub.add_parser("conv-table", help="print a convolution multiplication table")
     p_conv.add_argument("internal")
@@ -349,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="carrier size and comma-separated map into the objects object",
     )
-    p_conv.set_defaults(func=cmd_conv_table)
+    p_conv.set_defaults(func=lambda args: cmd_conv_table(args))
 
     p_tof = sub.add_parser("toffoli", help="print the reversible extension of a truth table")
     p_tof.add_argument("--m", type=int, required=True)
     p_tof.add_argument("--n", type=int, required=True)
     p_tof.add_argument("--f", required=True, help="comma-separated truth table of length 2^m")
-    p_tof.set_defaults(func=cmd_toffoli)
+    p_tof.set_defaults(func=lambda args: cmd_toffoli(args))
 
     p_fei = sub.add_parser("feistel", help="encrypt or decrypt one state")
     p_fei.add_argument("mode", choices=("encrypt", "decrypt"))
@@ -363,20 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_fei.add_argument("--rounds", type=int, required=True)
     p_fei.add_argument("--keys", required=True)
     p_fei.add_argument("--input", required=True)
-    p_fei.set_defaults(func=cmd_feistel)
+    p_fei.set_defaults(func=lambda args: cmd_feistel(args))
 
     p_fib = sub.add_parser("fib-check", help="build and verify both fibrations over a sub-slice")
     p_fib.add_argument("--internal", required=True)
     p_fib.add_argument("--subslice", required=True)
-    p_fib.set_defaults(func=cmd_fib_check)
+    p_fib.set_defaults(func=lambda args: cmd_fib_check(args))
 
     return parser
 
 
+# built on the first main call, not at import; each subcommand's func looks up
+# its cmd_* by name when called, so rebinding a cmd_* still reaches main
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -27,9 +27,7 @@ from .feistel import (
     KleisliEndo,
     _conv,
     _wrap_endo,
-    conv_base_change,
     conv_fibre,
-    endo_base_change,
     extend,
     module_plan,
     retrieve,
@@ -383,15 +381,18 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
             rb.require(back.object_map.get(there.object_map[key]) == key, "mutual-inverse-objects", key)
         for key in there.source.arrows:
             rb.require(back.arrow_map.get(there.arrow_map[key]) == key, "mutual-inverse-arrows", key)
+    # conv_base_change and endo_base_change, computed on the sub-slice's plans
+    fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
-        for beta in conv_fibre(ss.objects[j], ss.ic):
-            pulled_then_extended = extend(
-                conv_base_change(ss.objects[i], cell.map, beta)
-            )
-            extended_then_pulled = endo_base_change(ss.objects[i], cell.map, extend(beta))
+        plan, sigma = ss._plans[i], cell.map.table
+        for beta in fibres[j]:
+            pulled = FinMap(plan.base.a, ss.ic.m, tuple(beta.map.table[v] for v in sigma))
+            pulled_then_extended = _endo_key(extend(_conv(plan, pulled)))
+            bar = extend(beta).bar.table
+            extended_then_pulled = plan.extend(tuple(bar[v] for v in sigma))
             rb.require(
-                _endo_key(pulled_then_extended) == _endo_key(extended_then_pulled),
+                pulled_then_extended == extended_then_pulled,
                 "fibrewise-naturality",
                 (k, _conv_key(beta)),
             )

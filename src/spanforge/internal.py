@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
@@ -214,50 +214,78 @@ class FiniteCategory:
     ident: Mapping
     comp: Mapping
 
+    _hom: dict = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
-        objects, arrows = self.objects, self.arrows
-        if len(set(objects)) != len(objects):
+        # the checks run on positions: s[f], t[f] number the ends of arrow f,
+        # out[x] lists the arrows leaving x, pos[g] is g's place in out[src[g]],
+        # and rows[f][pos[g]] is the position of "f then g"
+        objects, arrows, src, dst = self.objects, self.arrows, self.src, self.dst
+        oid = {x: i for i, x in enumerate(objects)}
+        if len(oid) != len(objects):
             raise MalformedTables("duplicate object keys")
-        if len(set(arrows)) != len(arrows):
+        aid = {a: f for f, a in enumerate(arrows)}
+        if len(aid) != len(arrows):
             raise MalformedTables("duplicate arrow keys")
-        obj_set, arrow_set = set(objects), set(arrows)
-        by_src: dict = {x: [] for x in objects}
-        for a in arrows:
-            if self.src[a] not in obj_set or self.dst[a] not in obj_set:
+        s, t, pos = [], [], []
+        out: list[list[int]] = [[] for _ in objects]
+        hom: dict = {}
+        for f, a in enumerate(arrows):
+            x, y = oid.get(src[a]), oid.get(dst[a])
+            if x is None or y is None:
                 raise MalformedTables(f"arrow {a!r} has unknown endpoints")
-            by_src[self.src[a]].append(a)
-        for x in objects:
-            i = self.ident.get(x)
-            if i not in arrow_set or self.src[i] != x or self.dst[i] != x:
-                raise MalformedTables(f"object {x!r} lacks an identity arrow")
-        composable = sum(len(by_src[self.dst[f]]) for f in arrows)
-        if len(self.comp) != composable:
+            s.append(x)
+            t.append(y)
+            pos.append(len(out[x]))
+            out[x].append(f)
+            hom.setdefault((src[a], dst[a]), []).append(a)
+        object.__setattr__(self, "_hom", hom)
+        ident = []
+        for x, key in enumerate(objects):
+            e = aid.get(self.ident.get(key))
+            if e is None or s[e] != x or t[e] != x:
+                raise MalformedTables(f"object {key!r} lacks an identity arrow")
+            ident.append(e)
+        if len(self.comp) != sum(len(out[y]) for y in t):
             raise MalformedTables("composition table keys must be exactly the composable pairs")
+        rows = [[0] * len(out[y]) for y in t]
         for (f, g), h in self.comp.items():
-            if self.dst[f] != self.src[g]:
+            fi, gi = aid.get(f), aid.get(g)
+            if fi is None or gi is None or t[fi] != s[gi]:
                 raise MalformedTables(f"({f!r}, {g!r}) is not a composable pair")
-            if h not in arrow_set or self.src[h] != self.src[f] or self.dst[h] != self.dst[g]:
+            hi = aid.get(h)
+            if hi is None or s[hi] != s[fi] or t[hi] != t[gi]:
                 raise MalformedTables(f"composite of ({f!r}, {g!r}) has wrong endpoints")
-        for f in arrows:
-            if self.comp[(self.ident[self.src[f]], f)] != f:
-                raise MalformedTables(f"left identity law fails at {f!r}")
-            if self.comp[(f, self.ident[self.dst[f]])] != f:
-                raise MalformedTables(f"right identity law fails at {f!r}")
-        comp = self.comp
+            rows[fi][pos[gi]] = hi
+        for f, a in enumerate(arrows):
+            if rows[ident[s[f]]][pos[f]] != f:
+                raise MalformedTables(f"left identity law fails at {a!r}")
+            if rows[f][pos[ident[t[f]]]] != f:
+                raise MalformedTables(f"right identity law fails at {a!r}")
+        # (f then g) then h against f then (g then h), one row of h at a time
+        places = [[pos[gh] for gh in row] for row in rows]
+        for f, row in enumerate(rows):
+            for g, fg in zip(out[t[f]], row):
+                if rows[fg] != list(map(row.__getitem__, places[g])):
+                    raise MalformedTables(self._first_associativity_failure())
+
+    def _first_associativity_failure(self) -> str:
+        """Replay the triples in table order: the message naming the first failing one."""
+        comp, by_src = self.comp, {x: [] for x in self.objects}
+        for a in self.arrows:
+            by_src[self.src[a]].append(a)
         for (f, g), fg in comp.items():
             for h in by_src[self.dst[g]]:
                 if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                    raise MalformedTables(f"associativity fails at ({f!r}, {g!r}, {h!r})")
+                    return f"associativity fails at ({f!r}, {g!r}, {h!r})"
 
     def hom(self, x, y) -> tuple:
-        return tuple(a for a in self.arrows if self.src[a] == x and self.dst[a] == y)
+        return tuple(self._hom.get((x, y), ()))
 
 
 def two_sided_inverse(fc: FiniteCategory, arrow) -> object | None:
     """Search the finite category for a two-sided inverse of the arrow."""
-    for b in fc.arrows:
-        if fc.src[b] != fc.dst[arrow] or fc.dst[b] != fc.src[arrow]:
-            continue
+    for b in fc.hom(fc.dst[arrow], fc.src[arrow]):
         if (
             fc.comp[(arrow, b)] == fc.ident[fc.src[arrow]]
             and fc.comp[(b, arrow)] == fc.ident[fc.dst[arrow]]

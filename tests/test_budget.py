@@ -1,4 +1,4 @@
-"""Every enumeration goes through internal.budget: each call site refuses past the cap."""
+"""Every exponential enumeration goes through internal.budget: each call site refuses past the cap."""
 
 import re
 from pathlib import Path
@@ -12,12 +12,14 @@ from spanforge import (
     SubSlice,
     TwoCell,
     build_endo_fibration,
+    check_internal_category,
     conv_fibre,
     conv_unit,
     external_category,
     full_subslice,
     hom_functor_data,
     identity,
+    identity_functor_data,
     kleisli_fibre,
     kleisli_inverse,
     kleisli_unit,
@@ -111,3 +113,12 @@ def test_malformed_cap_is_refused(raw, monkeypatch):
     message = f"SPANFORGE_SIZE_CAP must be a non-negative int, got {raw!r}"
     with pytest.raises(MalformedTables, match=f"^{re.escape(message)}$"):
         conv_fibre(z2_point(1), Z2)
+
+
+def test_polynomial_checks_run_under_any_cap(monkeypatch):
+    """The loops over tables already built stay unbudgeted, as the README lists them."""
+    fa = z2_point(2)
+    monkeypatch.setenv("SPANFORGE_SIZE_CAP", "0")
+    assert lone_object_subslice(fa).base_category.arrows == (0,)
+    assert check_internal_category(Z2).passed
+    identity_functor_data([Z2.o, Z2.m], [Z2.d, Z2.c, Z2.eta]).verify()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spanforge import cli
+from spanforge import cli, fib
 from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,6 +321,45 @@ class TestFibCheck:
         assert code == 0
         assert out.count("pass") == 3
 
+    @pytest.mark.parametrize(
+        "subslice, code, expected",
+        [
+            (
+                "subslice_pair2.json",
+                0,
+                "conv-fibration unique-lift: pass\n"
+                "endo-fibration unique-lift: pass\n"
+                "cartesian-iso: pass\n",
+            ),
+            ("subslice_pair2_defect.json", 1, "sub-slice: fail (identity missing for object with |A|=2)\n"),
+        ],
+    )
+    def test_bundled_output_is_pinned(self, capsys, subslice, code, expected):
+        assert run_cli(
+            capsys,
+            "fib-check",
+            "--internal", str(FIXTURES / "pair_groupoid.json"),
+            "--subslice", str(FIXTURES / subslice),
+        ) == (code, expected, "")
+
+    def test_builds_each_fibration_once(self, capsys, monkeypatch):
+        built = []
+        real = fib._fibration
+
+        def counted(ss, keys, lifts):
+            built.append(ss)
+            return real(ss, keys, lifts)
+
+        monkeypatch.setattr(fib, "_fibration", counted)
+        code, _, _ = run_cli(
+            capsys,
+            "fib-check",
+            "--internal", str(FIXTURES / "pair_groupoid.json"),
+            "--subslice", str(FIXTURES / "subslice_pair2.json"),
+        )
+        assert code == 0
+        assert len(built) == 2
+
     @pytest.mark.parametrize("src", [5, -1])
     def test_arrow_endpoint_out_of_range_is_exit_two(self, capsys, tmp_path, src):
         doc = {
@@ -366,3 +405,38 @@ class TestEntryPoint:
         assert code == 2
         assert out == ""
         assert err == "error: RuntimeError: table kernel broke\n"
+
+
+class TestParserReuse:
+    """main builds its parser once per process and dispatches to cli.cmd_* as bound at call time."""
+
+    TOFFOLI = ("toffoli", "--m", "1", "--n", "1", "--f", "0,1")
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run_cli(capsys, *self.TOFFOLI)[0] == 0
+        assert run_cli(capsys, "check", str(FIXTURES / "pair_groupoid.json")) == (0, "ok\n", "")
+        assert len(builds) == 1
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        code, out, err = run_cli(capsys, "toffoli", "--m", "1")
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --n, --f" in err
+        assert run_cli(capsys, *self.TOFFOLI) == (0, "00 -> 00\n01 -> 01\n10 -> 11\n11 -> 10\n", "")
+
+    def test_command_patched_after_the_parser_is_built_is_called(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_cli(capsys, *self.TOFFOLI)[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_feistel", lambda args: calls.append(args.mode) or 0)
+        code = cli.main(["feistel", "decrypt", "--group", "g", "--rounds", "1", "--keys", "k", "--input", "0"])
+        assert (code, calls) == (0, ["decrypt"])

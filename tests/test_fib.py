@@ -521,6 +521,21 @@ class TestCheckerGuards:
             336,
         )
 
+    def test_fibrewise_naturality_failures_match_the_base_change_oracle(self, monkeypatch):
+        ss = default_subslice(Z3.cat)
+        expected = []
+        for k, cell in enumerate(ss.arrows):
+            i, j = ss.arrow_endpoints(k)
+            for beta in conv_fibre(ss.objects[j], ss.ic):
+                lhs = reversing_extend(conv_base_change(ss.objects[i], cell.map, beta))
+                rhs = endo_base_change(ss.objects[i], cell.map, reversing_extend(beta))
+                if lhs.cell.map != rhs.cell.map:
+                    expected.append((k, beta.map.table))
+        monkeypatch.setattr(fib, "extend", reversing_extend)
+        report = cartesian_iso(ss).report
+        found = [f.witness for f in report.failures if f.law == "fibrewise-naturality"]
+        assert found == expected and len(expected) > 0
+
     @pytest.mark.parametrize(
         "name, corrupted",
         [("extend", inverting_extend), ("_as_endo", inverting_endo)],
@@ -576,3 +591,20 @@ class TestSubSlicePlans:
             assert (i, retrieve(fib._as_endo(ss, i, table)).map.table) in conv_objects
         assert lookups == []
         assert len(conv_objects) == len(endo_objects) > 0
+
+    @pytest.mark.parametrize("name", ["z2", "pair2", "klein4"])
+    def test_cartesian_iso_looks_up_each_plan_once(self, monkeypatch, name):
+        ss = default_subslice(CATALOG[name].category)
+        for obj in ss.objects:
+            conv_fibre(obj, ss.ic)  # the fibre cache is warm, as in any second use of a fibre
+        real = feistel.module_plan
+        lookups = []
+
+        def counted(base, target):
+            lookups.append((base, target))
+            return real(base, target)
+
+        monkeypatch.setattr(feistel, "module_plan", counted)
+        monkeypatch.setattr(fib, "module_plan", counted)
+        assert cartesian_iso(ss).report.passed
+        assert len(lookups) <= len(ss.objects)

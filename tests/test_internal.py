@@ -36,7 +36,7 @@ from spanforge.catalog import (
     one_object_groupoid,
     pair_groupoid,
 )
-from spanforge.internal import two_sided_inverse
+from spanforge.internal import FiniteCategory, two_sided_inverse
 
 from util import single_entry_mutants
 
@@ -277,3 +277,79 @@ class TestLexTransport:
         k.arrows[identity(pb.apex)] = identity(squashed)
         with pytest.raises(NotLex):
             apply_lex_functor(k, ic)
+
+
+def arrow_category(**changes):
+    """x --f--> y with both identities, as FiniteCategory fields; changes replace fields."""
+    fields = dict(
+        objects=("x", "y"),
+        arrows=("1x", "1y", "f"),
+        src={"1x": "x", "1y": "y", "f": "x"},
+        dst={"1x": "x", "1y": "y", "f": "y"},
+        ident={"x": "1x", "y": "1y"},
+        comp={("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f", ("1y", "1y"): "1y"},
+    )
+    fields.update(changes)
+    return fields
+
+
+def magma_category(products, reverse=False):
+    """One object x and the arrows 1, a, b: 1 is a unit except where products says otherwise."""
+    arrows = ("1", "a", "b")
+    pairs = [(f, g) for f in arrows for g in arrows]
+    comp = {
+        (f, g): products.get((f, g), g if f == "1" else f)
+        for f, g in (reversed(pairs) if reverse else pairs)
+    }
+    loop = {a: "x" for a in arrows}
+    return dict(objects=("x",), arrows=arrows, src=loop, dst=loop, ident={"x": "1"}, comp=comp)
+
+
+# a unital magma in which every triple of non-units fails associativity
+NON_ASSOCIATIVE = {("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "a", ("b", "b"): "a"}
+Z3_PRODUCTS = {("a", "a"): "b", ("a", "b"): "1", ("b", "a"): "1", ("b", "b"): "a"}
+
+
+class TestFiniteCategoryMessages:
+    """Each malformed table is refused with its own message and first witness."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (arrow_category(objects=("x", "y", "x")), "duplicate object keys"),
+            (arrow_category(arrows=("1x", "1y", "f", "1y")), "duplicate arrow keys"),
+            (
+                arrow_category(src={"1x": "x", "1y": "y", "f": "z"}),
+                "arrow 'f' has unknown endpoints",
+            ),
+            (arrow_category(ident={"x": "1x", "y": "f"}), "object 'y' lacks an identity arrow"),
+            (
+                arrow_category(comp={("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f"}),
+                "composition table keys must be exactly the composable pairs",
+            ),
+            (
+                arrow_category(
+                    comp={("1x", "1x"): "1x", ("1x", "f"): "f", ("f", "1y"): "f", ("f", "f"): "1y"}
+                ),
+                "('f', 'f') is not a composable pair",
+            ),
+            (
+                arrow_category(
+                    comp={("1x", "1x"): "1x", ("1x", "f"): "1x", ("f", "1y"): "f", ("1y", "1y"): "1y"}
+                ),
+                "composite of ('1x', 'f') has wrong endpoints",
+            ),
+            (magma_category({**Z3_PRODUCTS, ("1", "b"): "a"}), "left identity law fails at 'b'"),
+            (magma_category({**Z3_PRODUCTS, ("b", "1"): "a"}), "right identity law fails at 'b'"),
+            (magma_category(NON_ASSOCIATIVE), "associativity fails at ('a', 'a', 'a')"),
+            (magma_category(NON_ASSOCIATIVE, reverse=True), "associativity fails at ('b', 'b', 'a')"),
+        ],
+    )
+    def test_message(self, fields, message):
+        with pytest.raises(MalformedTables) as info:
+            FiniteCategory(**fields)
+        assert str(info.value) == message
+
+    def test_well_formed_tables_pass(self):
+        FiniteCategory(**arrow_category())
+        FiniteCategory(**magma_category(Z3_PRODUCTS, reverse=True))
