@@ -67,23 +67,22 @@ class MonoidTable:
         return True
 
 
-def monoid_from_rows(name: str, rows) -> MonoidTable:
-    n = len(rows)
-    flat = tuple(v for row in rows for v in row)
-    unit = None
-    for e in range(n):
-        if all(flat[e * n + i] == i and flat[i * n + e] == i for i in range(n)):
-            unit = e
-            break
-    if unit is None:
-        raise MalformedTables(f"{name}: no two-sided unit")
-    return MonoidTable(name, n, flat, unit)
-
-
 def monoid_from_flat(name: str, size: int, flat) -> MonoidTable:
+    """The monoid of a row-major Cayley table; its unit is found, not given."""
+    flat = tuple(flat)
     if len(flat) != size * size:
         raise MalformedTables(f"{name}: flat Cayley table must have {size * size} entries")
-    return monoid_from_rows(name, [list(flat[i * size : (i + 1) * size]) for i in range(size)])
+    for e in range(size):
+        if all(flat[e * size + i] == i and flat[i * size + e] == i for i in range(size)):
+            return MonoidTable(name, size, flat, e)
+    raise MalformedTables(f"{name}: no two-sided unit")
+
+
+def monoid_from_rows(name: str, rows) -> MonoidTable:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise MalformedTables(f"{name}: Cayley table must have {n} rows of {n} entries")
+    return monoid_from_flat(name, n, [v for row in rows for v in row])
 
 
 def cyclic_group(n: int) -> MonoidTable:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
-from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables, SizeLimitExceeded
+from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
 from .finset import CACHE_SIZE, FinMap, all_maps, compose, identity
 from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap, eta_cell
 from .report import Report, ReportBuilder
@@ -286,19 +286,14 @@ def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory) -> tuple[ConvEleme
     return tuple(_conv(plan, FinMap(fa.a, ic.m, table)) for table in tables)
 
 
-def _endo_tables(plan: ModulePlan):
-    """Every table of a cell out of plan.base into its free module, in lexicographic order."""
-    f, c = plan.base.f.table, plan.ic.c.table
-    choices = [[i for i, (x, m) in enumerate(plan.elems) if f[x] == o == c[m]] for o in f]
-    count = math.prod(len(ch) for ch in choices)
-    budget(count, f"{count} free-module endomorphisms")
-    return itertools.product(*choices)
-
-
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
     plan = module_plan(fa, ic)
-    return [_wrap_endo(plan, table) for table in _endo_tables(plan)]
+    f, c = fa.f.table, ic.c.table
+    choices = [[i for i, (x, m) in enumerate(plan.elems) if f[x] == o == c[m]] for o in f]
+    count = math.prod(len(ch) for ch in choices)
+    budget(count, f"{count} free-module endomorphisms")
+    return [_wrap_endo(plan, table) for table in itertools.product(*choices)]
 
 
 def module_endomorphism(endo: KleisliEndo) -> FinMap:
@@ -313,37 +308,31 @@ def module_endomorphism(endo: KleisliEndo) -> FinMap:
     return FinMap(apex, apex, plan.compose(endo.cell.map.table, range(apex.size)))
 
 
-def kleisli_inverse(
-    endo: KleisliEndo,
-    iota: FinMap | None = None,
-    bruteforce_apex_limit: int = 64,
-) -> KleisliEndo | None:
-    """Two-sided Kleisli inverse, or None if no candidate works.
+def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
+    """Two-sided Kleisli inverse, or None when endo has none.
 
-    Searches every endomorphism over the same base when the module carrier
-    is small; beyond the limit, falls back to the inversion formula
-    extend(iota after bar) for simply presented input and verifies it.
+    An inverse exists exactly when the carrier component is a bijection and
+    every arrow component m has a two-sided inverse in M.  It is then built
+    generator by generator: where endo sends a to (x, m), the inverse sends
+    x to (a, m^-1); over a group this is Feistel decryption.  The category
+    axioms are not checked on construction, so the candidate must compose
+    to the Kleisli unit on both sides before it is returned.
     """
     plan = endo.plan
-    unit = extend(_unit(plan)).cell.map.table
+    elems, index, ic = plan.elems, plan.index, plan.ic
     mine = endo.cell.map.table
-
-    def inverts(cand: tuple) -> bool:
-        return plan.compose(cand, mine) == unit and plan.compose(mine, cand) == unit
-
-    if plan.fm.span.apex.size <= bruteforce_apex_limit:
-        matches = [cand for cand in _endo_tables(plan) if inverts(cand)]
-        if not matches:
+    cand = [None] * len(mine)
+    for a, slot in enumerate(mine):
+        x, m = elems[slot]
+        inv = ic.inverse(m)
+        if inv is None or cand[x] is not None:
             return None
-        if len(matches) > 1:
-            raise AssertionError("two-sided inverses in a monoid must be unique")
-        return _wrap_endo(plan, matches[0])
-    if iota is None or not is_simply_presented(endo):
-        raise SizeLimitExceeded(
-            "carrier too large for brute force and no inversion map available"
-        )
-    claimed = extend(_conv(plan, compose(iota, endo.bar)))
-    return claimed if inverts(claimed.cell.map.table) else None
+        cand[x] = index[(a, inv)]
+    table = tuple(cand)
+    unit = extend(_unit(plan)).cell.map.table
+    if plan.compose(table, mine) != unit or plan.compose(mine, table) != unit:
+        return None
+    return _wrap_endo(plan, table)
 
 
 def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int, ...]:
@@ -457,7 +446,7 @@ def verify_adjunction(
             )
     if groupoid is not None:
         for alpha in conv_objects:
-            inverse = kleisli_inverse(extend(alpha), iota=groupoid.iota)
+            inverse = kleisli_inverse(extend(alpha))
             rb.require(
                 inverse is not None,
                 "automorphism",

@@ -103,6 +103,16 @@ class InternalCategory:
         """Compose the arrows a then b; they must be composable."""
         return self.mu.table[pair_position(self.composable, a, b)]
 
+    def inverse(self, m: int) -> int | None:
+        """The two-sided inverse of arrow m, or None when M holds none."""
+        index, mu, eta = self.composable.index, self.mu.table, self.eta.table
+        src_unit, dst_unit = eta[self.d.table[m]], eta[self.c.table[m]]
+        for n in range(self.m.size):
+            m_n, n_m = index.get((m, n)), index.get((n, m))
+            if m_n is not None and n_m is not None and mu[m_n] == src_unit and mu[n_m] == dst_unit:
+                return n
+        return None
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def mu_cell(ic: InternalCategory) -> TwoCell:

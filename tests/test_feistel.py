@@ -10,7 +10,6 @@ from spanforge import (
     KeyScheduleMismatch,
     MalformedTables,
     NotAGroup,
-    SizeLimitExceeded,
     SliceObject,
     all_maps,
     compose,
@@ -413,20 +412,47 @@ class TestKleisliInverse:
         absorbing = extend(conv_from_table(fa, AND2, (0,)))
         assert kleisli_inverse(absorbing) is None
 
-    def test_formula_fallback_path(self):
+    def test_group_inverse_matches_formula_on_66_generator_pairs(self):
         groupoid = one_object_groupoid(MONOIDS["z3"])
         ic = groupoid.cat
-        fa = point_base(ic, 2)
-        alpha = conv_from_table(fa, ic, (1, 2))
-        direct = kleisli_inverse(extend(alpha))
-        via_formula = kleisli_inverse(extend(alpha), iota=groupoid.iota, bruteforce_apex_limit=1)
-        assert direct is not None and via_formula is not None
-        assert direct.cell.map == via_formula.cell.map
+        fa = point_base(ic, 22)
+        alpha = conv_from_table(fa, ic, [a % 3 for a in range(22)])
+        found = kleisli_inverse(extend(alpha))
+        formula = extend(conv_element(fa, ic, compose(groupoid.iota, alpha.map)))
+        assert found is not None
+        assert found.cell.map == formula.cell.map
 
-    def test_fallback_requires_inversion_data(self):
-        fa = point_base(Z2, 2)
-        with pytest.raises(SizeLimitExceeded):
-            kleisli_inverse(kleisli_unit(fa, Z2), bruteforce_apex_limit=1)
+    def test_unit_inverts_itself_on_66_generator_pairs(self):
+        fa = point_base(Z2, 33)
+        unit = kleisli_unit(fa, Z2)
+        found = kleisli_inverse(unit)
+        assert found is not None
+        assert found.cell.map == unit.cell.map
+
+    def test_matches_exhaustive_search_on_every_endomorphism(self):
+        """The construction finds exactly the inverse a search of the whole fibre finds."""
+        categories = [one_object_category(m) for m in MONOIDS.values()]
+        categories += [CATALOG[name].category for name in ("discrete2", "pair2", "action2")]
+        categories.append(pair_groupoid(3).cat)
+        compared = invertible = 0
+        for ic in categories:
+            for x_size in range(3):
+                for fa in slice_objects(ic, x_size):
+                    unit = kleisli_unit(fa, ic).cell.map
+                    fibre = kleisli_fibre(fa, ic)
+                    for endo in fibre:
+                        searched = [
+                            cand.cell.map
+                            for cand in fibre
+                            if kleisli_compose(cand, endo).cell.map == unit
+                            and kleisli_compose(endo, cand).cell.map == unit
+                        ]
+                        found = kleisli_inverse(endo)
+                        assert len(searched) <= 1
+                        assert ([found.cell.map] if found else []) == searched
+                        compared += 1
+                        invertible += found is not None
+        assert (compared, invertible) == (323, 162)
 
 
 class TestToffoli:

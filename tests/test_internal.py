@@ -65,6 +65,13 @@ class TestMonoidCatalog:
         with pytest.raises(MalformedTables):
             monoid_from_rows("broken", [[1, 1], [1, 1]])
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(MalformedTables, match="^x: Cayley table must have 2 rows of 2 entries$"):
+            monoid_from_rows("x", [[1, 0], [0]])
+        # four entries in all, but not two rows of two
+        with pytest.raises(MalformedTables, match="^y: Cayley table must have 2 rows of 2 entries$"):
+            monoid_from_rows("y", [[0, 1, 1], [0]])
+
     def test_nonassociative_table_rejected(self):
         # 0 is a unit but (1.1).2 != 1.(1.2)
         with pytest.raises(MalformedTables):
