@@ -27,10 +27,10 @@ from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
-from .finset import CACHE_SIZE, FinMap, all_maps, compose, identity
-from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap, eta_cell
+from .finset import CACHE_SIZE, FinMap, FinSet, all_maps, compose, identity
+from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap
 from .report import Report, ReportBuilder
-from .span import SliceObject, TensorResult, TwoCell, compose_cells, tensor
+from .span import SliceObject, TensorResult, TwoCell, tensor
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class ModulePlan:
     Every element carries its plan, so products never look one up.  A plan
     compares and hashes by (base, ic) alone: a plan rebuilt after the cache
     dropped an earlier one equals it.
+
+    ``convs`` and ``endos`` memoise the checked element of each raw table,
+    so an equal product is the same object; each holds at most CACHE_SIZE
+    entries and is left out of pickles.
     """
 
     base: SliceObject
@@ -55,6 +59,11 @@ class ModulePlan:
     index: dict[tuple[int, int], int] = field(compare=False, repr=False)
     comp_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
     mu: tuple[int, ...] = field(compare=False, repr=False)
+    convs: dict[tuple, ConvElement] = field(default_factory=dict, compare=False, repr=False)
+    endos: dict[tuple, KleisliEndo] = field(default_factory=dict, compare=False, repr=False)
+
+    def __reduce__(self):
+        return ModulePlan, (self.base, self.ic, self.fm, self.elems, self.index, self.comp_index, self.mu)
 
     def conv(self, s: tuple, t: tuple) -> tuple:
         """Convolution product: s(a) then t(a) at every generator a."""
@@ -129,11 +138,26 @@ class ConvElement:
 
 
 def conv_element(base: SliceObject, ic: InternalCategory, arrow_map: FinMap) -> ConvElement:
-    return _conv(module_plan(base, ic), arrow_map)
+    plan = module_plan(base, ic)
+    _check_ends(arrow_map, base.a, ic.m)
+    return _conv(plan, arrow_map.table)
 
 
-def _conv(plan: ModulePlan, arrow_map: FinMap) -> ConvElement:
-    return ConvElement(plan, TwoCell(plan.base.span, plan.ic.mor_span, arrow_map))
+def _check_ends(cell_map: FinMap, src: FinSet, dst: FinSet) -> None:
+    """TwoCell's endpoint check, run before a memo lookup that reads only the table."""
+    if cell_map.dom != src or cell_map.cod != dst:
+        raise MalformedTables("cell map must go from source apex to target apex")
+
+
+def _conv(plan: ModulePlan, table: tuple) -> ConvElement:
+    """The element with this arrow table, built and checked once per plan."""
+    elem = plan.convs.get(table)
+    if elem is None:
+        cell = TwoCell(plan.base.span, plan.ic.mor_span, FinMap(plan.base.a, plan.ic.m, table))
+        elem = ConvElement(plan, cell)
+        if len(plan.convs) < CACHE_SIZE:
+            plan.convs[table] = elem
+    return elem
 
 
 @dataclass(frozen=True)
@@ -168,12 +192,19 @@ class KleisliEndo:
 
 def kleisli_endo(base: SliceObject, ic: InternalCategory, apex_map: FinMap) -> KleisliEndo:
     plan = module_plan(base, ic)
-    return KleisliEndo(plan, TwoCell(plan.base.span, plan.fm.span, apex_map))
+    _check_ends(apex_map, base.a, plan.fm.span.apex)
+    return _wrap_endo(plan, apex_map.table)
 
 
 def _wrap_endo(plan: ModulePlan, table: tuple) -> KleisliEndo:
-    span = plan.fm.span
-    return KleisliEndo(plan, TwoCell(plan.base.span, span, FinMap(plan.base.a, span.apex, table)))
+    """The endomorphism with this apex table, built and checked once per plan."""
+    endo = plan.endos.get(table)
+    if endo is None:
+        span = plan.fm.span
+        endo = KleisliEndo(plan, TwoCell(plan.base.span, span, FinMap(plan.base.a, span.apex, table)))
+        if len(plan.endos) < CACHE_SIZE:
+            plan.endos[table] = endo
+    return endo
 
 
 def conv_unit(fa: SliceObject, ic: InternalCategory) -> ConvElement:
@@ -182,8 +213,7 @@ def conv_unit(fa: SliceObject, ic: InternalCategory) -> ConvElement:
 
 
 def _unit(plan: ModulePlan) -> ConvElement:
-    to_unit = TwoCell(plan.base.span, plan.ic.unit_span, plan.base.f)
-    return ConvElement(plan, compose_cells(eta_cell(plan.ic), to_unit))
+    return _conv(plan, compose(plan.ic.eta, plan.base.f).table)
 
 
 def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
@@ -191,8 +221,7 @@ def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     plan = alpha.plan
     if beta.plan != plan:
         raise BaseMismatch("convolution factors must share base and target")
-    table = plan.conv(alpha.map.table, beta.map.table)
-    return _conv(plan, FinMap(plan.base.a, plan.ic.m, table))
+    return _conv(plan, plan.conv(alpha.map.table, beta.map.table))
 
 
 def extend(alpha: ConvElement) -> KleisliEndo:
@@ -203,7 +232,8 @@ def extend(alpha: ConvElement) -> KleisliEndo:
 
 def retrieve(endo: KleisliEndo) -> ConvElement:
     """Project an endomorphism to its arrow component; inverts extend."""
-    return _conv(endo.plan, endo.bar)
+    plan = endo.plan
+    return _conv(plan, tuple(map(plan.fm.proj_right.table.__getitem__, endo.cell.map.table)))
 
 
 def kleisli_unit(fa: SliceObject, ic: InternalCategory) -> KleisliEndo:
@@ -283,7 +313,7 @@ def _fibre_choices(fa: SliceObject, ic: InternalCategory) -> list[list[int]]:
 def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory) -> tuple[ConvElement, ...]:
     plan = module_plan(fa, ic)
     tables = itertools.product(*_fibre_choices(fa, ic))
-    return tuple(_conv(plan, FinMap(fa.a, ic.m, table)) for table in tables)
+    return tuple(_conv(plan, table) for table in tables)
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:

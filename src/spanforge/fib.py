@@ -296,8 +296,7 @@ class _Extensions(dict):
     def __missing__(self, key: tuple) -> tuple:
         i, table = key
         plan = self.ss._plans[i]
-        elem = _conv(plan, FinMap(plan.base.a, plan.ic.m, table))
-        self[key] = image = (i, _endo_key(extend(elem)))
+        self[key] = image = (i, _endo_key(extend(_conv(plan, table))))
         return image
 
 
@@ -387,7 +386,7 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         i, j = ss.arrow_endpoints(k)
         plan, sigma = ss._plans[i], cell.map.table
         for beta in fibres[j]:
-            pulled = FinMap(plan.base.a, ss.ic.m, tuple(beta.map.table[v] for v in sigma))
+            pulled = tuple(beta.map.table[v] for v in sigma)
             pulled_then_extended = _endo_key(extend(_conv(plan, pulled)))
             bar = extend(beta).bar.table
             extended_then_pulled = plan.extend(tuple(bar[v] for v in sigma))

@@ -21,8 +21,8 @@ from .errors import (
     SquareDoesNotCommute,
 )
 
-# Bound of every lru_cache in the package, so that none grows without limit
-# in a long-lived process; the bundled sweeps use a few dozen entries at most.
+# Bound of every lru_cache and per-plan element memo in the package, so that
+# none grows without limit in a long-lived process.
 CACHE_SIZE = 512
 
 
@@ -36,7 +36,7 @@ class FinSet:
     def __post_init__(self) -> None:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        if not isinstance(self.size, int) or self.size < 0:
+        if type(self.size) is not int or self.size < 0:
             raise MalformedTables(f"set size must be a non-negative int, got {self.size!r}")
         if self.labels is not None:
             if len(self.labels) != self.size:
@@ -69,7 +69,7 @@ class FinMap:
                 f"table length {len(self.table)} != domain size {self.dom.size}"
             )
         for i, v in enumerate(self.table):
-            if not isinstance(v, int) or not 0 <= v < self.cod.size:
+            if type(v) is not int or not 0 <= v < self.cod.size:
                 raise MalformedTables(f"entry {v!r} at index {i} not below {self.cod.size}")
 
     def __call__(self, i: int) -> int:

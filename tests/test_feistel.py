@@ -11,6 +11,7 @@ from spanforge import (
     MalformedTables,
     NotAGroup,
     SliceObject,
+    TwoCell,
     all_maps,
     compose,
     conv_element,
@@ -43,8 +44,8 @@ from spanforge.catalog import (
     xor_group,
 )
 from spanforge import feistel
-from spanforge.feistel import free_module, module_plan
-from spanforge.internal import mu_cell
+from spanforge.feistel import ModulePlan, free_module, module_plan
+from spanforge.internal import eta_cell, mu_cell
 from spanforge.span import (
     compose_cells,
     diagonal,
@@ -134,6 +135,15 @@ class TestConvUnit:
         unit = conv_unit(fa, ic)
         # oracle: evaluate eta after f pointwise
         assert unit.map.table == tuple(ic.eta.table[fa.f.table[x]] for x in range(2))
+
+    def test_unit_matches_cell_calculus(self):
+        # the library reads the unit as a table; the cell eta after f is its specification
+        for entry in CATALOG.values():
+            ic = entry.category
+            for a_size in range(3):
+                for fa in slice_objects(ic, a_size):
+                    cell = compose_cells(eta_cell(ic), TwoCell(fa.span, ic.unit_span, fa.f))
+                    assert conv_unit(fa, ic).cell == cell
 
     def test_unit_law_exhaustive(self):
         for name in ("z2", "z3", "and2", "leftzero3"):
@@ -291,6 +301,79 @@ class TestModulePlan:
         copy = pickle.loads(pickle.dumps(alpha))
         assert copy == alpha and copy.plan is not alpha.plan
         assert conv_mult(copy, alpha).map.table == conv_mult_by_cells(alpha, alpha)
+
+    def test_pickle_leaves_the_memos_out(self):
+        ic = one_object_category(MONOIDS["klein4"])
+        fa = point_base(ic, 3)
+        module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        alpha = conv_unit(fa, ic)
+        size = len(pickle.dumps(alpha))
+        fibre = conv_fibre(fa, ic)
+        assert fibre[0].plan is alpha.plan
+        for s in fibre:
+            for t in fibre:
+                extend(conv_mult(s, t))
+        assert len(alpha.plan.convs) == 64 and len(alpha.plan.endos) == 64
+        assert len(pickle.dumps(alpha)) == size
+        copy = pickle.loads(pickle.dumps(alpha))
+        assert copy.plan.convs == {} and copy.plan.endos == {}
+
+    def test_criterion_1_sweep_builds_each_element_once(self, monkeypatch):
+        ics = [one_object_category(monoid) for monoid in MONOIDS.values()]
+        module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        built = []
+        check = TwoCell.__post_init__
+
+        def counted(cell):
+            built.append(cell)
+            check(cell)
+
+        monkeypatch.setattr(TwoCell, "__post_init__", counted)
+        first = {}
+
+        def same(obj):
+            """Each (plan, kind, table) comes back as one object."""
+            key = (id(obj.plan), type(obj), obj.cell.map.table)
+            assert first.setdefault(key, obj) is obj
+            return obj
+
+        for ic in ics:
+            for x_size in range(4):
+                fa = point_base(ic, x_size)
+                same(extend(same(conv_unit(fa, ic))))
+                same(kleisli_unit(fa, ic))
+                fibre = [same(e) for e in conv_fibre(fa, ic)]
+                extended = [same(extend(e)) for e in fibre]
+                for s, s_hat in zip(fibre, extended):
+                    for t, t_hat in zip(fibre, extended):
+                        same(extend(same(conv_mult(s, t))))
+                        same(kleisli_compose(t_hat, s_hat))
+        assert len(built) == len(first)
+
+    @pytest.mark.parametrize(
+        "kernel, bad, message",
+        [
+            ("conv", lambda s, t: (4,) + s[1:], "^entry 4 at index 0 not below 4$"),
+            ("conv", lambda s, t: s[::-1], "^left triangle does not commute$"),
+            ("compose", lambda beta, alpha: (4,) + alpha[1:], "^entry 4 at index 0 not below 4$"),
+            ("compose", lambda beta, alpha: alpha[::-1], "^left triangle does not commute$"),
+        ],
+    )
+    def test_malformed_kernel_tables_are_refused_every_time(self, monkeypatch, kernel, bad, message):
+        ic = pair_groupoid(2).cat
+        a = FinSet(2)
+        unit = conv_unit(SliceObject(a, FinMap(a, ic.o, (0, 1))), ic)
+        plan = unit.plan
+        factor = unit if kernel == "conv" else extend(unit)
+        product = conv_mult if kernel == "conv" else kleisli_compose
+        memos = dict(plan.convs), dict(plan.endos)
+        monkeypatch.setattr(ModulePlan, kernel, lambda self, x, y: bad(x, y))
+        for _ in range(2):
+            with pytest.raises(MalformedTables, match=message):
+                product(factor, factor)
+        assert (plan.convs, plan.endos) == memos
 
     def test_mixed_factors_raise_base_mismatch(self):
         # one target over two bases, and one base under two targets

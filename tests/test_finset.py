@@ -22,6 +22,17 @@ from spanforge import (
     product,
     pullback,
 )
+from spanforge import (
+    ConvElement,
+    KleisliEndo,
+    SliceObject,
+    TwoCell,
+    conv_fibre,
+    conv_mult,
+    kleisli_compose,
+    kleisli_fibre,
+)
+from spanforge.catalog import MONOIDS, one_object_category
 from spanforge.finset import CACHE_SIZE, constant, terminal_map
 
 
@@ -41,6 +52,13 @@ class TestFinSetAndMap:
             FinMap(FinSet(1), FinSet(1), (1,))
         with pytest.raises(MalformedTables):
             FinMap(FinSet(2), FinSet(2), (0,))
+
+    def test_booleans_rejected(self):
+        # True == 1 as a value and as a dict key, so a bool would pass for an int
+        with pytest.raises(MalformedTables, match="^set size must be a non-negative int, got True$"):
+            FinSet(True)
+        with pytest.raises(MalformedTables, match="^entry True at index 0 not below 2$"):
+            FinMap(FinSet(2), FinSet(2), (True, False))
 
     def test_empty_sets_allowed(self):
         empty = FinSet(0)
@@ -233,3 +251,37 @@ class TestCaches:
             "module_plan",
         }
         assert set(caches.values()) == {CACHE_SIZE}
+
+    def test_element_memos_are_bounded(self):
+        # z3 over |A| = 6 has 729 elements and over |A| = 3 has 729 endomorphisms
+        z3 = one_object_category(MONOIDS["z3"])
+
+        def point_base(size):
+            a = FinSet(size)
+            return SliceObject(a, FinMap(a, z3.o, (0,) * size))
+
+        fa = point_base(6)
+        fibre = conv_fibre(fa, z3)
+        assert len(fibre) > CACHE_SIZE
+        plan = fibre[0].plan
+        for s in fibre:
+            table = tuple((x + y) % 3 for x, y in zip(s.map.table, fibre[5].map.table))
+            fresh = ConvElement(plan, TwoCell(fa.span, z3.mor_span, FinMap(fa.a, z3.m, table)))
+            assert conv_mult(s, fibre[5]) == fresh
+        assert len(plan.convs) == CACHE_SIZE
+
+        fa = point_base(3)
+        endos = kleisli_fibre(fa, z3)
+        assert len(endos) > CACHE_SIZE
+        plan = endos[0].plan
+        apex = plan.fm.span.apex
+        beta = endos[100].cell.map.table
+        for alpha in endos:
+            table = []
+            for slot in alpha.cell.map.table:
+                x1, m1 = divmod(slot, 3)
+                x2, m2 = divmod(beta[x1], 3)
+                table.append(3 * x2 + (m1 + m2) % 3)
+            fresh = KleisliEndo(plan, TwoCell(fa.span, plan.fm.span, FinMap(fa.a, apex, tuple(table))))
+            assert kleisli_compose(endos[100], alpha) == fresh
+        assert len(plan.endos) == CACHE_SIZE
