@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
-from .finset import CACHE_SIZE, FinMap, FinSet, all_maps, compose, identity
+from .finset import CACHE_SIZE, FinMap, FinSet, all_maps, compose
 from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap
 from .report import Report, ReportBuilder
 from .span import SliceObject, TensorResult, TwoCell, tensor
@@ -37,11 +37,13 @@ from .span import SliceObject, TensorResult, TwoCell, tensor
 class ModulePlan:
     """The convolution monoid of a slice object base valued in ic, as flat tables.
 
-    ``fm`` is the free module f_A . M; ``elems``/``index`` number its
-    generator pairs (a, m), and ``comp_index``/``mu`` compose arrows.  The
-    product kernels below compute raw tables from these alone; the cell
-    calculus (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is
-    their specification, and the tests compare the two exactly.
+    ``fm`` is the free module f_A . M.  Generator s is the pair (carrier[s],
+    arrow[s]); slot[x][m] is the generator (x, m), or None where f(x) is not
+    the source of m; comp_rows[a][b] is "a then b", or None off the
+    composable pairs.  The kernels below index these tuples by position, with
+    no tuple key or dict lookup; a checked element never reaches a None
+    entry.  The cell calculus (diagonal, tensor_cells, pair_cells,
+    reassociate, mu_cell) is their specification; the tests compare exactly.
 
     Every element carries its plan, so products never look one up.  A plan
     compares and hashes by (base, ic) alone: a plan rebuilt after the cache
@@ -55,34 +57,37 @@ class ModulePlan:
     base: SliceObject
     ic: InternalCategory
     fm: TensorResult = field(compare=False, repr=False)
-    elems: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
-    index: dict[tuple[int, int], int] = field(compare=False, repr=False)
-    comp_index: dict[tuple[int, int], int] = field(compare=False, repr=False)
-    mu: tuple[int, ...] = field(compare=False, repr=False)
+    comp_rows: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
+    slot: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
+    carrier: tuple[int, ...] = field(compare=False, repr=False)
+    arrow: tuple[int, ...] = field(compare=False, repr=False)
     convs: dict[tuple, ConvElement] = field(default_factory=dict, compare=False, repr=False)
     endos: dict[tuple, KleisliEndo] = field(default_factory=dict, compare=False, repr=False)
 
     def __reduce__(self):
-        return ModulePlan, (self.base, self.ic, self.fm, self.elems, self.index, self.comp_index, self.mu)
+        return ModulePlan, (self.base, self.ic, self.fm, self.comp_rows, self.slot, self.carrier, self.arrow)
 
     def conv(self, s: tuple, t: tuple) -> tuple:
         """Convolution product: s(a) then t(a) at every generator a."""
-        comp, mu = self.comp_index, self.mu
-        return tuple([mu[comp[pair]] for pair in zip(s, t)])
+        rows, out = self.comp_rows, []
+        for m, n in zip(s, t):
+            out.append(rows[m][n])
+        return tuple(out)
 
     def extend(self, alpha: tuple) -> tuple:
         """The simply presented endomorphism a -> (a, alpha(a))."""
-        index = self.index
-        return tuple([index[pair] for pair in enumerate(alpha)])
+        slot, out = self.slot, []
+        for a, m in enumerate(alpha):
+            out.append(slot[a][m])
+        return tuple(out)
 
     def compose(self, beta: tuple, alpha: tuple) -> tuple:
         """Kleisli composite: alpha, then beta on the carrier, then compose arrows."""
-        elems, index, comp, mu = self.elems, self.index, self.comp_index, self.mu
+        slot, carrier, arrow, rows = self.slot, self.carrier, self.arrow, self.comp_rows
         out = []
-        for slot in alpha:
-            x1, m1 = elems[slot]
-            x2, m2 = elems[beta[x1]]
-            out.append(index[(x2, mu[comp[(m2, m1)]])])
+        for s1 in alpha:
+            s2 = beta[carrier[s1]]
+            out.append(slot[carrier[s2]][rows[arrow[s2]][arrow[s1]]])
         return tuple(out)
 
     def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
@@ -90,11 +95,9 @@ class ModulePlan:
 
         Holds when v(sigma(a)) = (tau(x), m) for every generator a with u(a) = (x, m).
         """
-        elems, index = self.elems, dst.index
-        for a, slot in enumerate(u):
-            x, m = elems[slot]
-            moved = index.get((tau[x], m))
-            if moved is None or moved != v[sigma[a]]:
+        carrier, arrow, slot = self.carrier, self.arrow, dst.slot
+        for a, s in enumerate(u):
+            if slot[tau[carrier[s]]][arrow[s]] != v[sigma[a]]:
                 return False
         return True
 
@@ -105,7 +108,9 @@ def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
     if base.o != ic.o:
         raise BaseMismatch("slice object and internal category live over different bases")
     fm = tensor(base.span, ic.mor_span)
-    return ModulePlan(base, ic, fm, fm.pb.elems, fm.pb.index, ic.composable.index, ic.mu.table)
+    index, arrows = fm.pb.index, range(ic.m.size)
+    slot = tuple(tuple(index.get((x, m)) for m in arrows) for x in range(base.a.size))
+    return ModulePlan(base, ic, fm, ic.comp_rows, slot, fm.proj_left.table, fm.proj_right.table)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
@@ -219,7 +224,7 @@ def _unit(plan: ModulePlan) -> ConvElement:
 def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     """Convolution product: diagonal, tensor of the cells, then composition."""
     plan = alpha.plan
-    if beta.plan != plan:
+    if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("convolution factors must share base and target")
     return _conv(plan, plan.conv(alpha.map.table, beta.map.table))
 
@@ -233,7 +238,7 @@ def extend(alpha: ConvElement) -> KleisliEndo:
 def retrieve(endo: KleisliEndo) -> ConvElement:
     """Project an endomorphism to its arrow component; inverts extend."""
     plan = endo.plan
-    return _conv(plan, tuple(map(plan.fm.proj_right.table.__getitem__, endo.cell.map.table)))
+    return _conv(plan, tuple(map(plan.arrow.__getitem__, endo.cell.map.table)))
 
 
 def kleisli_unit(fa: SliceObject, ic: InternalCategory) -> KleisliEndo:
@@ -247,14 +252,14 @@ def kleisli_compose(beta: KleisliEndo, alpha: KleisliEndo) -> KleisliEndo:
     arrow span, rebracket, and finish with the composition cell.
     """
     plan = alpha.plan
-    if beta.plan != plan:
+    if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("Kleisli factors must share base and target")
     return _wrap_endo(plan, plan.compose(beta.cell.map.table, alpha.cell.map.table))
 
 
 def is_simply_presented(endo: KleisliEndo) -> bool:
     """True when the carrier component is the identity, i.e. endo = <id, bar>."""
-    return endo.prime == identity(endo.base.a)
+    return tuple(map(endo.plan.carrier.__getitem__, endo.cell.map.table)) == tuple(range(endo.base.a.size))
 
 
 def coreflect(endo: KleisliEndo) -> tuple[KleisliEndo, FinMap]:
@@ -320,7 +325,7 @@ def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
     plan = module_plan(fa, ic)
     f, c = fa.f.table, ic.c.table
-    choices = [[i for i, (x, m) in enumerate(plan.elems) if f[x] == o == c[m]] for o in f]
+    choices = [[s for s, (x, m) in enumerate(zip(plan.carrier, plan.arrow)) if f[x] == o == c[m]] for o in f]
     count = math.prod(len(ch) for ch in choices)
     budget(count, f"{count} free-module endomorphisms")
     return [_wrap_endo(plan, table) for table in itertools.product(*choices)]
@@ -349,15 +354,14 @@ def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
     to the Kleisli unit on both sides before it is returned.
     """
     plan = endo.plan
-    elems, index, ic = plan.elems, plan.index, plan.ic
+    slot, carrier, arrow, ic = plan.slot, plan.carrier, plan.arrow, plan.ic
     mine = endo.cell.map.table
     cand = [None] * len(mine)
-    for a, slot in enumerate(mine):
-        x, m = elems[slot]
-        inv = ic.inverse(m)
+    for a, s in enumerate(mine):
+        x, inv = carrier[s], ic.inverse(arrow[s])
         if inv is None or cand[x] is not None:
             return None
-        cand[x] = index[(a, inv)]
+        cand[x] = slot[a][inv]
     table = tuple(cand)
     unit = extend(_unit(plan)).cell.map.table
     if plan.compose(table, mine) != unit or plan.compose(mine, table) != unit:

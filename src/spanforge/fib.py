@@ -384,12 +384,12 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
-        plan, sigma = ss._plans[i], cell.map.table
+        plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
         for beta in fibres[j]:
             pulled = tuple(beta.map.table[v] for v in sigma)
             pulled_then_extended = _endo_key(extend(_conv(plan, pulled)))
-            bar = extend(beta).bar.table
-            extended_then_pulled = plan.extend(tuple(bar[v] for v in sigma))
+            hat = _endo_key(extend(beta))
+            extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
             rb.require(
                 pulled_then_extended == extended_then_pulled,
                 "fibrewise-naturality",

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import (
+    DomainMismatch,
     MalformedTables,
     NotInternalFunctor,
     NotLex,
@@ -32,7 +33,6 @@ from .finset import (
     invert,
     is_bijection,
     mediating,
-    pair_position,
     pullback,
 )
 from .report import Report, ReportBuilder
@@ -99,17 +99,26 @@ class InternalCategory:
     def unit_span(self) -> Span:
         return Span(self.o, self.o, identity(self.o), identity(self.o))
 
+    @cached_property
+    def comp_rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """comp_rows[a][b] is "a then b", or None where the pair is not composable."""
+        index, mu, arrows = self.composable.index, self.mu.table, range(self.m.size)
+        return tuple(tuple(mu[index[(a, b)]] if (a, b) in index else None for b in arrows) for a in arrows)
+
     def then(self, a: int, b: int) -> int:
-        """Compose the arrows a then b; they must be composable."""
-        return self.mu.table[pair_position(self.composable, a, b)]
+        """Compose the arrows a then b; DomainMismatch unless they are a composable pair."""
+        n = self.m.size
+        ab = self.comp_rows[a][b] if type(a) is type(b) is int and 0 <= a < n and 0 <= b < n else None
+        if ab is None:
+            raise DomainMismatch(f"arrows ({a!r}, {b!r}) are not a composable pair of M")
+        return ab
 
     def inverse(self, m: int) -> int | None:
         """The two-sided inverse of arrow m, or None when M holds none."""
-        index, mu, eta = self.composable.index, self.mu.table, self.eta.table
+        rows, eta = self.comp_rows, self.eta.table
         src_unit, dst_unit = eta[self.d.table[m]], eta[self.c.table[m]]
-        for n in range(self.m.size):
-            m_n, n_m = index.get((m, n)), index.get((n, m))
-            if m_n is not None and n_m is not None and mu[m_n] == src_unit and mu[n_m] == dst_unit:
+        for n, m_n in enumerate(rows[m]):
+            if m_n == src_unit and rows[n][m] == dst_unit:
                 return n
         return None
 
@@ -156,29 +165,26 @@ def check_internal_category(ic: InternalCategory) -> Report:
             "composition-target",
             f"pair ({ic.m.label(a)}, {ic.m.label(b)})",
         )
-    index = ic.composable.index
+    rows = ic.comp_rows
     for m in range(ic.m.size):
-        left = index.get((eta[d[m]], m))
+        left = rows[eta[d[m]]][m]
         if not rb.require(left is not None, "left-unit", f"arrow {ic.m.label(m)} not composable"):
             continue
-        rb.require(mu[left] == m, "left-unit", f"arrow {ic.m.label(m)}")
+        rb.require(left == m, "left-unit", f"arrow {ic.m.label(m)}")
     for m in range(ic.m.size):
-        right = index.get((m, eta[c[m]]))
+        right = rows[m][eta[c[m]]]
         if not rb.require(right is not None, "right-unit", f"arrow {ic.m.label(m)} not composable"):
             continue
-        rb.require(mu[right] == m, "right-unit", f"arrow {ic.m.label(m)}")
-    for i, (a, b) in enumerate(pairs):
-        ab = mu[i]
-        for x in range(ic.m.size):
-            j = index.get((b, x))
-            if j is None:
+        rb.require(right == m, "right-unit", f"arrow {ic.m.label(m)}")
+    for (a, b), ab in zip(pairs, mu):
+        for x, bx in enumerate(rows[b]):
+            if bx is None:
                 continue
-            lhs_idx = index.get((ab, x))
-            bx_idx = index.get((a, mu[j]))
+            lhs, rhs = rows[ab][x], rows[a][bx]
             witness = f"triple ({ic.m.label(a)}, {ic.m.label(b)}, {ic.m.label(x)})"
-            if not rb.require(lhs_idx is not None and bx_idx is not None, "associativity", witness):
+            if not rb.require(lhs is not None and rhs is not None, "associativity", witness):
                 continue
-            rb.require(mu[lhs_idx] == mu[bx_idx], "associativity", witness)
+            rb.require(lhs == rhs, "associativity", witness)
     return rb.report()
 
 
@@ -194,15 +200,15 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
         lab = f"arrow {ic.m.label(m)}"
         rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
         rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
-    index = ic.composable.index
+    rows = ic.comp_rows
     for m in range(ic.m.size):
         lab = f"arrow {ic.m.label(m)}"
-        right = index.get((m, iota[m]))
+        right = rows[m][iota[m]]
         if rb.require(right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(ic.mu.table[right] == eta[d[m]], "right-inverse-law", lab)
-        left = index.get((iota[m], m))
+            rb.require(right == eta[d[m]], "right-inverse-law", lab)
+        left = rows[iota[m]][m]
         if rb.require(left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(ic.mu.table[left] == eta[c[m]], "left-inverse-law", lab)
+            rb.require(left == eta[c[m]], "left-inverse-law", lab)
     for m in range(ic.m.size):
         rb.require(iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
     return rb.report()
@@ -319,13 +325,13 @@ def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
     ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
     budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
-    index = ic.composable.index
+    rows = ic.comp_rows
     comp = {}
     for a in arrows:
         for b in arrows:
             if dst[a] != src[b]:
                 continue
-            comp[(a, b)] = tuple(ic.mu.table[index[(x, y)]] for x, y in zip(a, b))
+            comp[(a, b)] = tuple(rows[x][y] for x, y in zip(a, b))
     return FiniteCategory(objects, arrows, src, dst, ident, comp)
 
 

@@ -45,7 +45,7 @@ from spanforge.catalog import (
 )
 from spanforge import feistel
 from spanforge.feistel import ModulePlan, free_module, module_plan
-from spanforge.internal import eta_cell, mu_cell
+from spanforge.internal import check_internal_category, eta_cell, mu_cell
 from spanforge.span import (
     compose_cells,
     diagonal,
@@ -64,6 +64,7 @@ from suites import (
     point_base,
     slice_objects,
 )
+from util import loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
 AND2 = one_object_category(MONOIDS["and2"])
@@ -251,6 +252,18 @@ class TestKleisli:
                 for fa in slice_objects(ic, a_size):
                     assert_kernels_match(fa, ic, with_all_endos=True)
 
+    def test_kernels_match_cell_calculus_with_real_loops(self):
+        # two objects, an idempotent, an involution and two parallel arrows:
+        # the composition rows hold None entries and the fibres have several elements
+        ic = loops_and_bridges()
+        assert check_internal_category(ic).passed
+        assert any(ab is None for row in ic.comp_rows for ab in row)
+        swept = 0
+        for a_size in range(3):
+            for fa in slice_objects(ic, a_size):
+                swept += assert_kernels_match(fa, ic, with_all_endos=True)
+        assert swept == 1 + 2 * 2**2 + 4 * 4**2  # |A| = 0, 1, 2
+
     def test_module_endomorphism_turns_kleisli_into_composition(self):
         fa = point_base(Z2, 2)
         endos = kleisli_fibre(fa, Z2)
@@ -318,6 +331,27 @@ class TestModulePlan:
         assert len(pickle.dumps(alpha)) == size
         copy = pickle.loads(pickle.dumps(alpha))
         assert copy.plan.convs == {} and copy.plan.endos == {}
+
+    def test_pickled_plan_keeps_its_rows_and_columns(self):
+        ic = loops_and_bridges()
+        a = FinSet(2)
+        fa = SliceObject(a, FinMap(a, ic.o, (0, 1)))
+        fibre = conv_fibre(fa, ic)
+        plan = fibre[0].plan
+        extend(conv_mult(fibre[0], fibre[-1]))  # fills both memos, which the copy leaves out
+        copies = pickle.loads(pickle.dumps(fibre))
+        copy = copies[0].plan
+        assert copy is not plan and all(e.plan is copy for e in copies)
+        assert copy.convs == {} and copy.endos == {}
+        for name in ("comp_rows", "slot", "carrier", "arrow"):
+            assert getattr(copy, name) == getattr(plan, name)
+        assert copy.arrow == plan.fm.proj_right.table
+        for s, s_copy in zip(fibre, copies):
+            assert extend(s_copy).cell == extend(s).cell
+            for t, t_copy in zip(fibre, copies):
+                assert conv_mult(s_copy, t_copy).cell == conv_mult(s, t).cell
+                product = kleisli_compose(extend(s_copy), extend(t_copy))
+                assert product.cell == kleisli_compose(extend(s), extend(t)).cell
 
     def test_criterion_1_sweep_builds_each_element_once(self, monkeypatch):
         ics = [one_object_category(monoid) for monoid in MONOIDS.values()]

@@ -286,6 +286,23 @@ class TestCartesianIso:
         assert iso.report.passed
         assert len(iso.forward.object_map) == 4
 
+    def test_naturality_reads_the_plan_columns(self, monkeypatch):
+        # the fibrewise-naturality loop reads each plan's arrow column; a checked
+        # bar map per (base arrow, fibre element) would add 125 maps here
+        feistel.module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        ss = default_subslice(CATALOG["klein4"].category)
+        built = []
+        check = FinMap.__post_init__
+
+        def counted(fmap):
+            built.append(fmap.table)
+            check(fmap)
+
+        monkeypatch.setattr(FinMap, "__post_init__", counted)
+        assert cartesian_iso(ss).report.passed
+        assert len(built) <= 54
+
     def test_forward_and_backward_are_functors(self):
         iso = cartesian_iso(default_subslice(CATALOG["action2"].category))
         assert check_functor(iso.forward).passed

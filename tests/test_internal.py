@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from spanforge import (
+    DomainMismatch,
     FinMap,
     FinSet,
     InternalCategory,
@@ -38,7 +39,7 @@ from spanforge.catalog import (
 )
 from spanforge.internal import FiniteCategory, two_sided_inverse
 
-from util import single_entry_mutants
+from util import loops_and_bridges, single_entry_mutants
 
 
 class TestMonoidCatalog:
@@ -121,6 +122,50 @@ class TestChecker:
                 rejected += 1
         assert total == 4 + 4 + 6 + 24  # d, c entries over O; eta, mu entries over M
         assert rejected == total
+
+
+def then_by_index(ic, a, b):
+    """"a then b" read through the pullback index of composable pairs, or None off it."""
+    i = ic.composable.index.get((a, b))
+    return None if i is None else ic.mu.table[i]
+
+
+def inverse_by_index(ic, m):
+    """The two-sided inverse of m by a scan of M through the pullback index."""
+    index, mu, eta = ic.composable.index, ic.mu.table, ic.eta.table
+    src_unit, dst_unit = eta[ic.d.table[m]], eta[ic.c.table[m]]
+    for n in range(ic.m.size):
+        m_n, n_m = index.get((m, n)), index.get((n, m))
+        if m_n is not None and n_m is not None and mu[m_n] == src_unit and mu[n_m] == dst_unit:
+            return n
+    return None
+
+
+class TestCompositionRows:
+    def test_then_and_inverse_match_the_pullback_index(self):
+        instances = [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]
+        refused = 0
+        for ic in instances:
+            for a in range(ic.m.size):
+                for b in range(ic.m.size):
+                    want = then_by_index(ic, a, b)
+                    assert ic.comp_rows[a][b] == want
+                    if want is None:
+                        refused += 1
+                        with pytest.raises(DomainMismatch):
+                            ic.then(a, b)
+                    else:
+                        assert ic.then(a, b) == want
+                assert ic.inverse(a) == inverse_by_index(ic, a)
+        assert refused > 0
+
+    @pytest.mark.parametrize(
+        "a, b", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 4), (4, 0), (True, 0), (0, False)]
+    )
+    def test_then_refuses_a_bad_pair_by_name(self, a, b):
+        ic = pair_groupoid(2).cat
+        with pytest.raises(DomainMismatch, match=rf"^arrows \({a!r}, {b!r}\) are not a composable pair of M$"):
+            ic.then(a, b)
 
 
 class TestGroupoidChecker:

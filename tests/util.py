@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps
+from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps, pullback
 from spanforge.internal import InternalCategory
 
 
@@ -84,3 +84,27 @@ def single_entry_mutants(ic: InternalCategory):
 def compositions_table(monoid, xs):
     """Pointwise product oracle for tuples over a MonoidTable."""
     return tuple(monoid.mult(a, b) for a, b in zip(*xs))
+
+
+def loops_and_bridges() -> InternalCategory:
+    """Two objects with real loops: neither a groupoid nor only identities.
+
+    Arrows: 0 = id at 0, 1 = an idempotent e at 0, 2 = id at 1, 3 = an
+    involution s at 1, and 4, 5 = two arrows p, q from 0 to 1.  "e then h"
+    is p for both h in {p, q}; s fixes p and q.
+    """
+    o, m = FinSet(2), FinSet(6)
+    d = FinMap(m, o, (0, 0, 1, 1, 0, 0))
+    c = FinMap(m, o, (0, 0, 1, 1, 1, 1))
+    table = {(1, 1): 1, (1, 4): 4, (1, 5): 4, (3, 3): 2, (4, 3): 4, (5, 3): 5}
+
+    def then(a: int, b: int) -> int:
+        if a in (0, 2):
+            return b
+        if b in (0, 2):
+            return a
+        return table[(a, b)]
+
+    pb = pullback(c, d)
+    mu = FinMap(pb.apex, m, tuple(then(a, b) for a, b in pb.elems))
+    return InternalCategory(o, m, d, c, FinMap(o, m, (0, 2)), mu)
