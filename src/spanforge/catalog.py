@@ -2,16 +2,21 @@
 
 Multiplication tables are row-major and diagrammatic: ``table[i][j]`` is
 "i then j", matching the composition convention of the engine.  Every
-table is re-verified at construction, so the catalog is self-certifying.
+table is re-verified at construction, so the catalog is self-certifying: a
+monoid is checked as a one-object FiniteCategory, whose construction
+verifies the unit and associativity laws, and its inverses are that
+category's two-sided inverses.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedTables, NotAGroup
 from .finset import FinMap, FinSet, identity, pullback
-from .internal import InternalCategory, InternalGroupoid
+from .internal import FiniteCategory, InternalCategory, InternalGroupoid, two_sided_inverse
 
 
 @dataclass(frozen=True)
@@ -32,39 +37,31 @@ class MonoidTable:
             raise MalformedTables(f"Cayley table for {self.name} has out-of-range entries")
         if not 0 <= self.unit < n:
             raise MalformedTables(f"unit of {self.name} out of range")
-        for i in range(n):
-            if self.mult(self.unit, i) != i or self.mult(i, self.unit) != i:
-                raise MalformedTables(f"{self.name}: {self.unit} is not a two-sided unit")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mult(a, b)
-                for c in range(n):
-                    if self.mult(ab, c) != self.mult(a, self.mult(b, c)):
-                        raise MalformedTables(f"{self.name}: associativity fails at ({a},{b},{c})")
+        try:
+            self.category  # checks the unit and associativity
+        except MalformedTables as exc:
+            raise MalformedTables(f"{self.name}: {exc}") from None
+
+    @cached_property
+    def category(self) -> FiniteCategory:
+        """The monoid as a category on one object, 0, whose arrows are its elements."""
+        elements = tuple(range(self.size))
+        ends = dict.fromkeys(elements, 0)
+        comp = dict(zip(itertools.product(elements, repeat=2), self.table))  # the table is row-major
+        return FiniteCategory((0,), elements, ends, ends, {0: self.unit}, comp)
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i * self.size + j]
 
     def inverse_table(self) -> tuple[int, ...]:
         """Two-sided inverses for every element; NotAGroup if any is missing."""
-        inv = []
-        for a in range(self.size):
-            found = None
-            for b in range(self.size):
-                if self.mult(a, b) == self.unit and self.mult(b, a) == self.unit:
-                    found = b
-                    break
-            if found is None:
-                raise NotAGroup(f"{self.name}: element {a} has no two-sided inverse")
-            inv.append(found)
-        return tuple(inv)
+        inv = tuple(two_sided_inverse(self.category, a) for a in range(self.size))
+        if None in inv:
+            raise NotAGroup(f"{self.name}: element {inv.index(None)} has no two-sided inverse")
+        return inv
 
     def is_group(self) -> bool:
-        try:
-            self.inverse_table()
-        except NotAGroup:
-            return False
-        return True
+        return all(two_sided_inverse(self.category, a) is not None for a in range(self.size))
 
 
 def monoid_from_flat(name: str, size: int, flat) -> MonoidTable:

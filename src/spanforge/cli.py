@@ -14,6 +14,7 @@ import sys
 
 from .catalog import MonoidTable, monoid_from_flat
 from .errors import (
+    AxiomFails,
     KeyScheduleMismatch,
     MalformedTables,
     NotAGroup,
@@ -48,6 +49,7 @@ KINDS = (
     "sub-slice",
     "round-config",
 )
+Internal = InternalCategory | InternalGroupoid  # what an internal-category or -groupoid document holds
 
 
 def load_document(path: str) -> dict:
@@ -134,14 +136,31 @@ def internal_groupoid_from_document(doc: dict, path: str) -> InternalGroupoid:
     return InternalGroupoid(cat, iota)
 
 
-def subslice_from_document(doc: dict, path: str, ic: InternalCategory | None = None) -> SubSlice:
-    if ic is None:
+def internal_from_document(doc: dict, path: str, command: str) -> Internal:
+    """The category or groupoid of an internal-category or internal-groupoid document."""
+    if doc["kind"] == "internal-groupoid":
+        return internal_groupoid_from_document(doc, path)
+    if doc["kind"] == "internal-category":
+        return internal_category_from_document(doc, path)
+    raise ParseError(f"{path}: {command} needs an internal category file")
+
+
+def checked_category(internal: Internal) -> InternalCategory:
+    """The category of a structure read from input, once its axioms hold; else AxiomFails names the first."""
+    groupoid = isinstance(internal, InternalGroupoid)
+    report = check_internal_groupoid(internal) if groupoid else check_internal_category(internal)
+    if not report.passed:
+        raise AxiomFails(str(report.first()))
+    return internal.cat if groupoid else internal
+
+
+def subslice_from_document(doc: dict, path: str, internal: Internal | None = None) -> SubSlice:
+    if internal is None:
         inner = doc.get("internal_category")
         if not isinstance(inner, dict):
             raise ParseError(f"{path}: sub-slice needs an inline internal_category")
-        inner = dict(inner)
-        inner.setdefault("kind", "internal-category")
-        ic = internal_category_from_document(inner, path)
+        internal = internal_category_from_document(inner, path)
+    ic = internal.cat if isinstance(internal, InternalGroupoid) else internal
     objects = []
     raw_objects = doc.get("objects")
     if not isinstance(raw_objects, list):
@@ -163,7 +182,8 @@ def subslice_from_document(doc: dict, path: str, ic: InternalCategory | None = N
         arrows.append(
             TwoCell(src.span, dst.span, FinMap(src.a, dst.a, tuple(_int_list(entry, "map", path))))
         )
-    return SubSlice(ic, tuple(objects), tuple(arrows))
+    # the axioms are checked after the arrows are read: a missing object exits 2 before a failed law exits 1
+    return SubSlice(checked_category(internal), tuple(objects), tuple(arrows))
 
 
 def round_config_from_document(doc: dict, path: str) -> tuple[int, list[list[int]]]:
@@ -188,16 +208,8 @@ def cmd_check(args) -> int:
             monoid = monoid_from_document(doc, args.path)
             if kind == "group":
                 monoid.inverse_table()
-        elif kind == "internal-category":
-            report = check_internal_category(internal_category_from_document(doc, args.path))
-            if not report.passed:
-                print(f"fail {report.first()}")
-                return 1
-        elif kind == "internal-groupoid":
-            report = check_internal_groupoid(internal_groupoid_from_document(doc, args.path))
-            if not report.passed:
-                print(f"fail {report.first()}")
-                return 1
+        elif kind in ("internal-category", "internal-groupoid"):
+            checked_category(internal_from_document(doc, args.path, "check"))
         elif kind == "sub-slice":
             subslice_from_document(doc, args.path)
         elif kind == "round-config":
@@ -208,6 +220,7 @@ def cmd_check(args) -> int:
                 if len(fn) != len(fns[0]) or any(not 0 <= v < len(fn) for v in fn):
                     raise MalformedTables("round function entries must index the state set")
     except (
+        AxiomFails,
         MalformedTables,
         NotAGroup,
         KeyScheduleMismatch,
@@ -219,18 +232,8 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _load_internal_category(path: str, command: str) -> InternalCategory:
-    """The internal category of a category or groupoid file, for the named command."""
-    doc = load_document(path)
-    if doc["kind"] == "internal-groupoid":
-        return internal_groupoid_from_document(doc, path).cat
-    if doc["kind"] == "internal-category":
-        return internal_category_from_document(doc, path)
-    raise ParseError(f"{path}: {command} needs an internal category file")
-
-
 def cmd_conv_table(args) -> int:
-    ic = _load_internal_category(args.internal, "conv-table")
+    ic = checked_category(internal_from_document(load_document(args.internal), args.internal, "conv-table"))
     size_text, table_text = args.slice
     try:
         a_size = int(size_text)
@@ -305,12 +308,12 @@ def cmd_feistel(args) -> int:
 
 
 def cmd_fib_check(args) -> int:
-    ic = _load_internal_category(args.internal, "fib-check")
+    internal = internal_from_document(load_document(args.internal), args.internal, "fib-check")
     sub_doc = load_document(args.subslice)
     if sub_doc["kind"] != "sub-slice":
         raise ParseError(f"{args.subslice}: fib-check needs a sub-slice file")
     try:
-        ss = subslice_from_document(sub_doc, args.subslice, ic)
+        ss = subslice_from_document(sub_doc, args.subslice, internal)
     except MalformedTables as exc:
         print(f"sub-slice: fail ({exc})")
         return 1

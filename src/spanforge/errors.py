@@ -37,6 +37,10 @@ class UnderlyingCategoryInvalid(SpanforgeError):
         super().__init__(f"underlying category invalid: {report.summary()}")
 
 
+class AxiomFails(SpanforgeError):
+    """An internal category or groupoid read from input fails an axiom; the message names the first."""
+
+
 class SizeLimitExceeded(SpanforgeError):
     """An enumeration would exceed the configured cap."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MalformedTables, NotInternalFunctor, NotLex
-from .finset import FinMap, FinSet, all_maps, compose, identity
+from .finset import FinMap, FinSet, all_maps, compose
 from .internal import (
     FiniteCategory,
     InternalCategory,
@@ -74,25 +74,26 @@ class SubSlice:
 
     @cached_property
     def base_category(self) -> FiniteCategory:
-        objects = tuple(range(len(self.objects)))
         arrows = tuple(range(len(self.arrows)))
-        src = {k: self.arrow_endpoints(k)[0] for k in arrows}
-        dst = {k: self.arrow_endpoints(k)[1] for k in arrows}
-        cell_index = {cell: k for k, cell in enumerate(self.arrows)}
+        # a listed cell is known by its ends and its map's table, so lookups build no cells
+        cells = [(*self.arrow_endpoints(k), cell.map.table) for k, cell in enumerate(self.arrows)]
+        cell_index = {cell: k for k, cell in enumerate(cells)}
         ident = {}
         for i, obj in enumerate(self.objects):
-            ident[i] = cell_index.get(TwoCell(obj.span, obj.span, identity(obj.a)))
+            ident[i] = cell_index.get((i, i, tuple(range(obj.a.size))))
             if ident[i] is None:
                 raise MalformedTables(f"identity missing for object with |A|={obj.a.size}")
         comp = {}
-        for k1, t1 in enumerate(self.arrows):
-            for k2, t2 in enumerate(self.arrows):
-                if t1.dst != t2.src:
+        for k1, (i1, j1, phi1) in enumerate(cells):
+            for k2, (i2, j2, phi2) in enumerate(cells):
+                if j1 != i2:
                     continue
-                comp[(k1, k2)] = cell_index.get(TwoCell(t1.src, t2.dst, compose(t2.map, t1.map)))
+                comp[(k1, k2)] = cell_index.get((i1, j2, tuple(phi2[v] for v in phi1)))
                 if comp[(k1, k2)] is None:
                     raise MalformedTables("sub-slice not closed under composition")
-        return FiniteCategory(objects, arrows, src, dst, ident, comp)
+        src = {k: i for k, (i, _, _) in enumerate(cells)}
+        dst = {k: j for k, (_, j, _) in enumerate(cells)}
+        return FiniteCategory(tuple(range(len(self.objects))), arrows, src, dst, ident, comp)
 
 
 def full_subslice(ic: InternalCategory, objects) -> SubSlice:

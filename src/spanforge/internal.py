@@ -278,22 +278,14 @@ class FiniteCategory:
                 raise MalformedTables(f"left identity law fails at {a!r}")
             if rows[f][pos[ident[t[f]]]] != f:
                 raise MalformedTables(f"right identity law fails at {a!r}")
-        # (f then g) then h against f then (g then h), one row of h at a time
+        # (f then g) then h against f then (g then h), one row of h per pair, in the order of comp
         places = [[pos[gh] for gh in row] for row in rows]
-        for f, row in enumerate(rows):
-            for g, fg in zip(out[t[f]], row):
-                if rows[fg] != list(map(row.__getitem__, places[g])):
-                    raise MalformedTables(self._first_associativity_failure())
-
-    def _first_associativity_failure(self) -> str:
-        """Replay the triples in table order: the message naming the first failing one."""
-        comp, by_src = self.comp, {x: [] for x in self.objects}
-        for a in self.arrows:
-            by_src[self.src[a]].append(a)
-        for (f, g), fg in comp.items():
-            for h in by_src[self.dst[g]]:
-                if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                    return f"associativity fails at ({f!r}, {g!r}, {h!r})"
+        for fk, gk in self.comp:
+            row, g = rows[aid[fk]], aid[gk]
+            fg = row[pos[g]]
+            if rows[fg] != list(map(row.__getitem__, places[g])):
+                h = next(h for h, lhs, f_gh in zip(out[t[g]], rows[fg], places[g]) if lhs != row[f_gh])
+                raise MalformedTables(f"associativity fails at ({fk!r}, {gk!r}, {arrows[h]!r})")
 
     def hom(self, x, y) -> tuple:
         return tuple(self._hom.get((x, y), ()))

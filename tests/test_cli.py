@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import random
 import subprocess
@@ -11,6 +12,11 @@ from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+
+# the benchmark's plain-Python judges: what each command must answer, computed without spanforge
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +382,91 @@ class TestFibCheck:
         )
         assert code == 2
         assert out == ""
+        assert "'src'" in err
+
+
+# one object, unit 0, and a.a = b, a.b = b, b.a = a, b.b = a: (a.a).a = a but a.(a.a) = b
+NON_ASSOCIATIVE = {
+    "kind": "internal-category", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0],
+    "eta": [0], "mu": [0, 1, 2, 1, 2, 2, 2, 1, 1],
+}
+# z2 with an inversion map that sends 1 to the unit
+Z2_BAD_IOTA = {
+    "kind": "internal-groupoid", "o_size": 1, "m_size": 2, "d": [0, 0], "c": [0, 0],
+    "eta": [0], "mu": [0, 1, 1, 0], "iota": [0, 0],
+}
+POINT_SUBSLICE = {
+    "kind": "sub-slice",
+    "objects": [{"size": 1, "map": [0]}],
+    "arrows": [{"src": 0, "dst": 0, "map": [0]}],
+}
+
+
+class TestCategoryCheckedOnEveryPath:
+    """Every command that reads an internal category checks its axioms, in the oracle's order."""
+
+    def check(self, capsys, tmp_path, doc):
+        """spanforge check on doc, and the exit code the benchmark oracle expects."""
+        got = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
+        return got, oracle.check(json.dumps(doc))[0]
+
+    def conv_table(self, capsys, tmp_path, doc, a_size, f_table):
+        got = run_cli(capsys, "conv-table", write_doc(tmp_path, "in.json", doc), "--slice", a_size, f_table)
+        return got, oracle.conv_table(json.dumps(doc), a_size, f_table)[0]
+
+    def fib_check(self, capsys, tmp_path, doc, sub):
+        internal, subslice = write_doc(tmp_path, "in.json", doc), write_doc(tmp_path, "sub.json", sub)
+        got = run_cli(capsys, "fib-check", "--internal", internal, "--subslice", subslice)
+        return got, oracle.fib_check(json.dumps(doc), json.dumps(sub))[0]
+
+    def test_check_names_the_first_failed_law(self, capsys, tmp_path):
+        (code, out, _), expected = self.check(capsys, tmp_path, NON_ASSOCIATIVE)
+        assert (code, out, expected) == (1, "fail associativity: triple (1, 1, 1)\n", 1)
+
+    def test_fib_check_on_the_bad_mu_fixture(self, capsys):
+        got = run_cli(
+            capsys,
+            "fib-check",
+            "--internal", str(FIXTURES / "pair_groupoid_bad_mu.json"),
+            "--subslice", str(FIXTURES / "subslice_pair2.json"),
+        )
+        assert got == (1, "", "error: composition-target: pair (0, 0)\n")
+        texts = ((FIXTURES / name).read_text() for name in ("pair_groupoid_bad_mu.json", "subslice_pair2.json"))
+        assert oracle.fib_check(*texts)[0] == 1
+
+    def test_fib_check_checks_the_category(self, capsys, tmp_path):
+        (code, out, _), expected = self.fib_check(capsys, tmp_path, NON_ASSOCIATIVE, POINT_SUBSLICE)
+        assert (code, out, expected) == (1, "", 1)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (NON_ASSOCIATIVE, "associativity: triple (1, 1, 1)"),
+            (Z2_BAD_IOTA, "right-inverse-law: arrow 1"),
+        ],
+    )
+    def test_conv_table_prints_no_table(self, capsys, tmp_path, doc, message):
+        got, expected = self.conv_table(capsys, tmp_path, doc, "2", "0,0")
+        assert (got, expected) == ((1, "", f"error: {message}\n"), 1)
+
+    def test_conv_table_checks_the_category_before_the_slice(self, capsys, tmp_path):
+        (code, out, _), expected = self.conv_table(capsys, tmp_path, NON_ASSOCIATIVE, "2", "x")
+        assert (code, out, expected) == (1, "", 1)
+
+    def test_check_on_a_subslice_checks_its_inline_category(self, capsys, tmp_path):
+        doc = dict(POINT_SUBSLICE, internal_category=NON_ASSOCIATIVE)
+        (code, out, _), expected = self.check(capsys, tmp_path, doc)
+        assert (code, out, expected) == (1, "fail associativity: triple (1, 1, 1)\n", 1)
+
+    @pytest.mark.parametrize("command", ["check", "fib-check"])
+    def test_arrows_are_read_before_the_axioms(self, capsys, tmp_path, command):
+        sub = dict(POINT_SUBSLICE, arrows=[{"src": 3, "dst": 0, "map": [0]}])
+        if command == "check":
+            got, expected = self.check(capsys, tmp_path, dict(sub, internal_category=NON_ASSOCIATIVE))
+        else:
+            got, expected = self.fib_check(capsys, tmp_path, NON_ASSOCIATIVE, sub)
+        code, out, err = got
+        assert (code, out, expected) == (2, "", 2)
         assert "'src'" in err
 
 

@@ -62,7 +62,7 @@ def single_object_subslice(ic, fa):
 class TestSubSlice:
     def test_identity_required(self):
         fa = point_base(Z2, 1)
-        with pytest.raises(MalformedTables):
+        with pytest.raises(MalformedTables, match=r"^identity missing for object with \|A\|=1$"):
             SubSlice(Z2, (fa,), ())
 
     def test_closure_required(self):
@@ -72,13 +72,30 @@ class TestSubSlice:
         # swap composed with itself is the identity: fine; but swap-after-swap
         # plus a third map breaks closure when the composite is missing
         step = TwoCell(fa.span, fa.span, FinMap(fa.a, fa.a, (0, 0)))
-        with pytest.raises(MalformedTables):
+        with pytest.raises(MalformedTables, match="^sub-slice not closed under composition$"):
             SubSlice(Z2, (fa,), (ident, swap, step))
 
     def test_duplicate_objects_rejected(self):
         fa = point_base(Z2, 1)
         with pytest.raises(MalformedTables):
             SubSlice(Z2, (fa, fa), (TwoCell(fa.span, fa.span, identity(fa.a)),))
+
+    def test_base_category_builds_no_cells(self, monkeypatch):
+        # identities and composites are looked up by (source, target, table), not built as cells
+        ic = CATALOG["klein4"].category
+        full = full_subslice(ic, [point_base(ic, a) for a in range(4)])
+        assert len(full.arrows) == 60
+        built = []
+        check = TwoCell.__post_init__
+
+        def counted(cell):
+            built.append(cell)
+            check(cell)
+
+        monkeypatch.setattr(TwoCell, "__post_init__", counted)
+        ss = SubSlice(ic, full.objects, full.arrows)
+        assert len(ss.base_category.arrows) == 60
+        assert built == []
 
     def test_base_category_of_default_subslice(self):
         for name in ("z2", "pair2", "action2"):

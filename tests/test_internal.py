@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 
@@ -10,6 +12,7 @@ from spanforge import (
     InternalFunctor,
     InternalGroupoid,
     MalformedTables,
+    NotAGroup,
     NotInternalFunctor,
     NotLex,
     SizeLimitExceeded,
@@ -75,8 +78,111 @@ class TestMonoidCatalog:
 
     def test_nonassociative_table_rejected(self):
         # 0 is a unit but (1.1).2 != 1.(1.2)
-        with pytest.raises(MalformedTables):
+        with pytest.raises(MalformedTables, match=r"^broken: associativity fails at \(1, 1, 2\)$"):
             MonoidTable("broken", 3, (0, 1, 2, 1, 2, 1, 2, 1, 1), 0)
+
+    @pytest.mark.parametrize(
+        "table, unit, message",
+        [
+            ((0, 1, 1, 0), 1, "t: left identity law fails at 0"),
+            ((0, 1, 0, 1), 0, "t: right identity law fails at 1"),  # "x then y" is y
+        ],
+    )
+    def test_bad_unit_names_the_first_failing_arrow(self, table, unit, message):
+        with pytest.raises(MalformedTables) as info:
+            MonoidTable("t", 2, table, unit)
+        assert str(info.value) == message
+
+    def test_category_is_built_once(self):
+        m = MonoidTable("z3", 3, tuple((i + j) % 3 for i in range(3) for j in range(3)), 0)
+        assert m.category is m.category
+        assert m.inverse_table() == (0, 2, 1)
+
+
+def monoid_by_loops(size, table, unit):
+    """The verdict of plain unit, associativity and inverse loops: the oracle for MonoidTable.
+
+    ("unit", None) when unit is not two-sided, ("associativity", (a, b, c))
+    at the first triple in lexicographic order that fails, else ("ok", the
+    first two-sided inverse of each element, or None when one is missing).
+    """
+    def mult(i, j):
+        return table[i * size + j]
+
+    for i in range(size):
+        if mult(unit, i) != i or mult(i, unit) != i:
+            return "unit", None
+    for a in range(size):
+        for b in range(size):
+            ab = mult(a, b)
+            for c in range(size):
+                if mult(ab, c) != mult(a, mult(b, c)):
+                    return "associativity", (a, b, c)
+    inv = []
+    for a in range(size):
+        found = next((b for b in range(size) if mult(a, b) == unit and mult(b, a) == unit), None)
+        if found is None:
+            return "ok", None
+        inv.append(found)
+    return "ok", tuple(inv)
+
+
+def monoid_verdict(size, table, unit):
+    """The same verdict read off MonoidTable, inverse_table and is_group."""
+    try:
+        monoid = MonoidTable("t", size, tuple(table), unit)
+    except MalformedTables as exc:
+        message = str(exc)
+        if "associativity" in message:
+            return "associativity", tuple(int(v) for v in re.findall(r"\d+", message.split(" at ")[1]))
+        assert "unit" in message or "identity law" in message, message
+        return "unit", None
+    try:
+        inverses = monoid.inverse_table()
+    except NotAGroup:
+        inverses = None
+    assert monoid.is_group() == (inverses is not None)
+    return "ok", inverses
+
+
+def unit_first_tables(n):
+    """Every n-element table in which 0 is a two-sided unit."""
+    free = [(i, j) for i in range(1, n) for j in range(1, n)]
+    for values in itertools.product(range(n), repeat=len(free)):
+        table = [j if i == 0 else i if j == 0 else 0 for i in range(n) for j in range(n)]
+        for (i, j), v in zip(free, values):
+            table[i * n + j] = v
+        yield table
+
+
+class TestMonoidTableAgainstLoops:
+    """MonoidTable gives the verdict, first failing triple and inverses of the plain loops."""
+
+    def test_catalog(self):
+        for m in MONOIDS.values():
+            assert monoid_by_loops(m.size, m.table, m.unit) == monoid_verdict(m.size, m.table, m.unit)
+
+    def test_all_three_element_tables_with_unit_zero(self):
+        tables = list(unit_first_tables(3))
+        assert len(tables) == 81
+        verdicts = [monoid_verdict(3, t, 0) for t in tables]
+        assert verdicts == [monoid_by_loops(3, t, 0) for t in tables]
+        assert {v[0] for v in verdicts} == {"ok", "associativity"}
+
+    def test_seeded_random_tables(self):
+        rng = random.Random(20211206)
+        kinds = set()
+        for _ in range(400):
+            n = rng.randrange(1, 5)
+            unit = rng.randrange(n)
+            table = [rng.randrange(n) for _ in range(n * n)]
+            if rng.random() < 0.7:  # most tables get a true unit, so the associativity check is reached
+                for i in range(n):
+                    table[unit * n + i] = table[i * n + unit] = i
+            expected = monoid_by_loops(n, table, unit)
+            assert monoid_verdict(n, table, unit) == expected
+            kinds.add(expected[0])
+        assert kinds == {"ok", "unit", "associativity"}
 
 
 class TestChecker:
@@ -405,3 +511,81 @@ class TestFiniteCategoryMessages:
     def test_well_formed_tables_pass(self):
         FiniteCategory(**arrow_category())
         FiniteCategory(**magma_category(Z3_PRODUCTS, reverse=True))
+
+
+def associativity_by_replay(fields):
+    """Replay every keyed triple in the order of comp: the oracle for the first witness."""
+    comp, by_src = fields["comp"], {x: [] for x in fields["objects"]}
+    for a in fields["arrows"]:
+        by_src[fields["src"][a]].append(a)
+    for (f, g), fg in comp.items():
+        for h in by_src[fields["dst"][g]]:
+            if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
+                return f"associativity fails at ({f!r}, {g!r}, {h!r})"
+    return None
+
+
+def loops_and_bridges_mutants():
+    """loops_and_bridges as FiniteCategory fields, with one composite of non-identities moved.
+
+    The new composite keeps its endpoints, so the identity laws still hold.
+    """
+    ic = loops_and_bridges()
+    d, c, eta, rows = ic.d.table, ic.c.table, ic.eta.table, ic.comp_rows
+    arrows = tuple(range(ic.m.size))
+    comp = {(a, b): rows[a][b] for a in arrows for b in arrows if rows[a][b] is not None}
+    base = dict(
+        objects=tuple(range(ic.o.size)), arrows=arrows, src=dict(enumerate(d)),
+        dst=dict(enumerate(c)), ident=dict(enumerate(eta)), comp=comp,
+    )
+    for (a, b), ab in comp.items():
+        if a in eta or b in eta:
+            continue
+        for h in arrows:
+            if h != ab and d[h] == d[ab] and c[h] == c[ab]:
+                yield dict(base, comp={**comp, (a, b): h})
+
+
+class TestFiniteCategoryAssociativityWitness:
+    """The one associativity pass names the triple the keyed replay finds first."""
+
+    @staticmethod
+    def assert_matches_replay(fields):
+        expected = associativity_by_replay(fields)
+        try:
+            FiniteCategory(**fields)
+        except MalformedTables as exc:
+            assert str(exc) == expected
+            return expected
+        assert expected is None
+        return expected
+
+    def test_shuffled_magmas(self):
+        rng = random.Random(2112)
+        arrows = ("1", "a", "b", "c")
+        seen = set()
+        for _ in range(300):
+            group = MONOIDS[rng.choice(("z4", "klein4"))]  # unit 0, relabelled as "1"
+            labelled = enumerate(arrows)
+            products = {(f, g): arrows[group.mult(i, j)] for (i, f), (j, g) in itertools.product(labelled, repeat=2)}
+            for _ in range(rng.randrange(3)):
+                products[(rng.choice(arrows[1:]), rng.choice(arrows[1:]))] = rng.choice(arrows)
+            pairs = [(f, g) for f in arrows for g in arrows]
+            rng.shuffle(pairs)
+            comp = {(f, g): products.get((f, g), g if f == "1" else f) for f, g in pairs}
+            loop = {a: "x" for a in arrows}
+            fields = dict(objects=("x",), arrows=arrows, src=loop, dst=loop, ident={"x": "1"}, comp=comp)
+            seen.add(self.assert_matches_replay(fields) is None)
+        assert seen == {True, False}
+
+    def test_shuffled_two_object_mutants(self):
+        rng = random.Random(873)
+        mutants = list(loops_and_bridges_mutants())
+        assert mutants
+        failing = 0
+        for fields in mutants:
+            for _ in range(5):
+                items = list(fields["comp"].items())
+                rng.shuffle(items)
+                failing += self.assert_matches_replay(dict(fields, comp=dict(items))) is not None
+        assert failing > 0
