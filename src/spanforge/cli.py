@@ -116,24 +116,25 @@ def monoid_from_document(doc: dict, path: str) -> MonoidTable:
     return monoid_from_flat(doc.get("name", "monoid"), size, tuple(table))
 
 
+def _read_internal(doc: dict, path: str, groupoid: bool) -> Internal:
+    """Type-check every field of a document (else exit 2), then build its category or groupoid."""
+    o_size, m_size = _int_field(doc, "o_size", path), _int_field(doc, "m_size", path)
+    names = ("d", "c", "eta", "mu", "iota") if groupoid else ("d", "c", "eta", "mu")
+    tables = [tuple(_int_list(doc, name, path)) for name in names]
+    o_labels, m_labels = _labels(doc, "o_labels", path), _labels(doc, "m_labels", path)
+    o, m = FinSet(o_size, o_labels), FinSet(m_size, m_labels)
+    d, c, eta = FinMap(m, o, tables[0]), FinMap(m, o, tables[1]), FinMap(o, m, tables[2])
+    # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order
+    cat = InternalCategory(o, m, d, c, eta, FinMap(pullback(c, d).apex, m, tables[3]))
+    return InternalGroupoid(cat, FinMap(m, m, tables[4])) if groupoid else cat
+
+
 def internal_category_from_document(doc: dict, path: str) -> InternalCategory:
-    o = FinSet(_int_field(doc, "o_size", path), _labels(doc, "o_labels", path))
-    m = FinSet(_int_field(doc, "m_size", path), _labels(doc, "m_labels", path))
-    d = FinMap(m, o, tuple(_int_list(doc, "d", path)))
-    c = FinMap(m, o, tuple(_int_list(doc, "c", path)))
-    eta = FinMap(o, m, tuple(_int_list(doc, "eta", path)))
-    mu_table = tuple(_int_list(doc, "mu", path))
-    # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in
-    # lexicographic order; its expected length is checked by the constructor.
-    apex = pullback(c, d).apex
-    mu = FinMap(apex, m, mu_table)
-    return InternalCategory(o, m, d, c, eta, mu)
+    return _read_internal(doc, path, groupoid=False)
 
 
 def internal_groupoid_from_document(doc: dict, path: str) -> InternalGroupoid:
-    cat = internal_category_from_document(doc, path)
-    iota = FinMap(cat.m, cat.m, tuple(_int_list(doc, "iota", path)))
-    return InternalGroupoid(cat, iota)
+    return _read_internal(doc, path, groupoid=True)
 
 
 def internal_from_document(doc: dict, path: str, command: str) -> Internal:
@@ -251,19 +252,12 @@ def cmd_conv_table(args) -> int:
         print(f"  {i}: {list(e.map.table)}")
     print(f"unit: {index[unit.map.table]}")
     print("multiplication table:")
-    products = {}
-    for i, x in enumerate(fibre):
-        row = []
-        for j, y in enumerate(fibre):
-            value = index[conv_mult(x, y).map.table]
-            products[(i, j)] = value
-            row.append(str(value))
-        print("  " + " ".join(row))
-    unit_idx = index[unit.map.table]
-    is_group = all(
-        any(products[(i, j)] == unit_idx and products[(j, i)] == unit_idx for j in range(len(fibre)))
-        for i in range(len(fibre))
-    )
+    products = []
+    for x in fibre:
+        products.append([index[conv_mult(x, y).map.table] for y in fibre])
+        print("  " + " ".join(map(str, products[-1])))
+    u, n = index[unit.map.table], len(fibre)
+    is_group = all(any(row[j] == u == products[j][i] for j in range(n)) for i, row in enumerate(products))
     print(f"group: {'yes' if is_group else 'no'}")
     return 0
 

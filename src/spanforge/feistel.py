@@ -39,11 +39,12 @@ class ModulePlan:
 
     ``fm`` is the free module f_A . M.  Generator s is the pair (carrier[s],
     arrow[s]); slot[x][m] is the generator (x, m), or None where f(x) is not
-    the source of m; comp_rows[a][b] is "a then b", or None off the
-    composable pairs.  The kernels below index these tuples by position, with
-    no tuple key or dict lookup; a checked element never reaches a None
-    entry.  The cell calculus (diagonal, tensor_cells, pair_cells,
-    reassociate, mu_cell) is their specification; the tests compare exactly.
+    the source of m.  ``rows`` and ``pos`` are ic.tables': rows[a][pos[b]] is
+    "a then b", one entry per composable pair.  The kernels below index these
+    tuples by position, with no tuple key or dict lookup; a checked element
+    composes only composable pairs and never reaches a None slot.  The cell
+    calculus (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is
+    their specification; the tests compare exactly.
 
     Every element carries its plan, so products never look one up.  A plan
     compares and hashes by (base, ic) alone: a plan rebuilt after the cache
@@ -57,7 +58,8 @@ class ModulePlan:
     base: SliceObject
     ic: InternalCategory
     fm: TensorResult = field(compare=False, repr=False)
-    comp_rows: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    pos: tuple[int, ...] = field(compare=False, repr=False)
     slot: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
     carrier: tuple[int, ...] = field(compare=False, repr=False)
     arrow: tuple[int, ...] = field(compare=False, repr=False)
@@ -65,13 +67,14 @@ class ModulePlan:
     endos: dict[tuple, KleisliEndo] = field(default_factory=dict, compare=False, repr=False)
 
     def __reduce__(self):
-        return ModulePlan, (self.base, self.ic, self.fm, self.comp_rows, self.slot, self.carrier, self.arrow)
+        tables = (self.fm, self.rows, self.pos, self.slot, self.carrier, self.arrow)
+        return ModulePlan, (self.base, self.ic, *tables)
 
     def conv(self, s: tuple, t: tuple) -> tuple:
         """Convolution product: s(a) then t(a) at every generator a."""
-        rows, out = self.comp_rows, []
+        rows, pos, out = self.rows, self.pos, []
         for m, n in zip(s, t):
-            out.append(rows[m][n])
+            out.append(rows[m][pos[n]])
         return tuple(out)
 
     def extend(self, alpha: tuple) -> tuple:
@@ -83,11 +86,11 @@ class ModulePlan:
 
     def compose(self, beta: tuple, alpha: tuple) -> tuple:
         """Kleisli composite: alpha, then beta on the carrier, then compose arrows."""
-        slot, carrier, arrow, rows = self.slot, self.carrier, self.arrow, self.comp_rows
+        slot, carrier, arrow, rows, pos = self.slot, self.carrier, self.arrow, self.rows, self.pos
         out = []
         for s1 in alpha:
             s2 = beta[carrier[s1]]
-            out.append(slot[carrier[s2]][rows[arrow[s2]][arrow[s1]]])
+            out.append(slot[carrier[s2]][rows[arrow[s2]][pos[arrow[s1]]]])
         return tuple(out)
 
     def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
@@ -110,7 +113,8 @@ def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
     fm = tensor(base.span, ic.mor_span)
     index, arrows = fm.pb.index, range(ic.m.size)
     slot = tuple(tuple(index.get((x, m)) for m in arrows) for x in range(base.a.size))
-    return ModulePlan(base, ic, fm, ic.comp_rows, slot, fm.proj_left.table, fm.proj_right.table)
+    cat = ic.tables
+    return ModulePlan(base, ic, fm, cat.rows, cat.pos, slot, fm.proj_left.table, fm.proj_right.table)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:

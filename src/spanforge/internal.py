@@ -13,7 +13,8 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainMismatch,
@@ -63,8 +64,91 @@ def budget(count: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class CategoryTables:
+    """A finite category on ids: the one composition format of the package.
+
+    Arrow f runs from s[f] to t[f]; ident[x] is the identity at x.  out[x]
+    lists the arrows leaving x in id order and pos[g] is g's place in
+    out[s[g]], so rows[f][pos[g]] is "f then g": one entry per composable pair.
+    """
+
+    s: tuple[int, ...]
+    t: tuple[int, ...]
+    ident: tuple[int, ...]
+    out: tuple[tuple[int, ...], ...]
+    pos: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def then(self, f: int, g: int) -> int | None:
+        """f then g, or None when g does not leave the target of f."""
+        return self.rows[f][self.pos[g]] if self.t[f] == self.s[g] else None
+
+
+def _leaving(s: tuple[int, ...], n_objects: int) -> tuple[tuple, tuple[int, ...]]:
+    """out and pos of CategoryTables for arrows with the sources s."""
+    out: list[list[int]] = [[] for _ in range(n_objects)]
+    pos = []
+    for f, x in enumerate(s):
+        pos.append(len(out[x]))
+        out[x].append(f)
+    return tuple(map(tuple, out)), tuple(pos)
+
+
+def law_checks(cat: CategoryTables, firsts: Sequence[int], seconds: Sequence[int]) -> Iterator[tuple]:
+    """Walk the category laws on ids, yielding (law, ids, verdict) for each instance.
+
+    The pairs (firsts[i], seconds[i]) are the composable pairs, each once, in
+    the order to walk them.  Order: identity endpoints per object, composite
+    endpoints per pair, the left then the right unit per arrow, associativity
+    per pair.  verdict is True, False, or None where a composite it reads is
+    not defined.  Associativity goes a row at a time: the verdict of (f, g) is
+    True when the law holds for every h leaving t[g], else one verdict per h.
+    """
+    s, t, ident, out, pos, rows = cat.s, cat.t, cat.ident, cat.out, cat.pos, cat.rows
+    for x, e in enumerate(ident):
+        yield "identity-source", (x,), s[e] == x
+        yield "identity-target", (x,), t[e] == x
+    for pair in zip(firsts, seconds):
+        f, g = pair
+        fg = rows[f][pos[g]]
+        yield "composition-source", pair, s[fg] == s[f]
+        yield "composition-target", pair, t[fg] == t[g]
+    for m, x in enumerate(s):
+        e = ident[x]
+        yield "left-unit", (m,), rows[e][pos[m]] == m if t[e] == x else None
+    for m, y in enumerate(t):
+        e = ident[y]
+        yield "right-unit", (m,), rows[m][pos[e]] == m if s[e] == y else None
+    # (f then g) then h against f then (g then h): read[g] picks every "g then h" out of a row of f
+    # in one call; a row of one entry, or with a composite that leaves another object, goes entry
+    # by entry, so no composite indexes a row it is not in
+    read = [
+        itemgetter(*[pos[gh] for gh in row]) if len(row) > 1 and all(s[gh] == x for gh in row) else None
+        for x, row in zip(s, rows)
+    ]
+    for pair in zip(firsts, seconds):
+        f, g = pair
+        row = rows[f]
+        fg = row[pos[g]]
+        lhs = rows[fg] if t[fg] == t[g] else None
+        if lhs is not None and read[g] is not None and lhs == read[g](row):
+            yield "associativity", pair, True
+            continue
+        verdicts = tuple(
+            None if lhs is None or s[gh] != s[g] else lhs[i] == row[pos[gh]] for i, gh in enumerate(rows[g])
+        )
+        yield "associativity", pair, True if all(verdicts) else verdicts
+
+
+@dataclass(frozen=True)
 class InternalCategory:
-    """Objects object, morphisms object, source/target, units, composition."""
+    """Objects object, morphisms object, source/target, units, composition.
+
+    ``tables`` is the category on ids: s = d, t = c, ident = eta, and
+    ``rows[a]`` is the run of mu that holds the composites of a, one entry
+    for each arrow leaving c(a), in id order.  ``then`` and ``inverse``, the
+    law pass, ``external_category`` and the product kernels all read it.
+    """
 
     o: FinSet
     m: FinSet
@@ -100,25 +184,27 @@ class InternalCategory:
         return Span(self.o, self.o, identity(self.o), identity(self.o))
 
     @cached_property
-    def comp_rows(self) -> tuple[tuple[int | None, ...], ...]:
-        """comp_rows[a][b] is "a then b", or None where the pair is not composable."""
-        index, mu, arrows = self.composable.index, self.mu.table, range(self.m.size)
-        return tuple(tuple(mu[index[(a, b)]] if (a, b) in index else None for b in arrows) for a in arrows)
+    def tables(self) -> CategoryTables:
+        """The category on ids; the composable pairs (a, b) run through mu a at a time."""
+        out, pos = _leaving(self.d.table, self.o.size)
+        ends = list(itertools.accumulate((len(out[y]) for y in self.c.table), initial=0))
+        rows = tuple(self.mu.table[i:j] for i, j in zip(ends, ends[1:]))
+        return CategoryTables(self.d.table, self.c.table, self.eta.table, out, pos, rows)
 
     def then(self, a: int, b: int) -> int:
         """Compose the arrows a then b; DomainMismatch unless they are a composable pair."""
         n = self.m.size
-        ab = self.comp_rows[a][b] if type(a) is type(b) is int and 0 <= a < n and 0 <= b < n else None
+        ab = self.tables.then(a, b) if type(a) is type(b) is int and 0 <= a < n and 0 <= b < n else None
         if ab is None:
             raise DomainMismatch(f"arrows ({a!r}, {b!r}) are not a composable pair of M")
         return ab
 
     def inverse(self, m: int) -> int | None:
         """The two-sided inverse of arrow m, or None when M holds none."""
-        rows, eta = self.comp_rows, self.eta.table
-        src_unit, dst_unit = eta[self.d.table[m]], eta[self.c.table[m]]
-        for n, m_n in enumerate(rows[m]):
-            if m_n == src_unit and rows[n][m] == dst_unit:
+        cat = self.tables
+        src_unit, dst_unit = cat.ident[cat.s[m]], cat.ident[cat.t[m]]
+        for n, m_n in zip(cat.out[cat.t[m]], cat.rows[m]):
+            if m_n == src_unit and cat.then(n, m) == dst_unit:
                 return n
         return None
 
@@ -148,43 +234,28 @@ class InternalGroupoid:
 
 def check_internal_category(ic: InternalCategory) -> Report:
     """Verify the category axioms; failures name the law and a witness."""
-    rb = ReportBuilder()
-    d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
-    pairs = ic.composable.elems
-    for o in range(ic.o.size):
-        rb.require(d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
-        rb.require(c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
-    for idx, (a, b) in enumerate(pairs):
-        rb.require(
-            d[mu[idx]] == d[a],
-            "composition-source",
-            f"pair ({ic.m.label(a)}, {ic.m.label(b)})",
-        )
-        rb.require(
-            c[mu[idx]] == c[b],
-            "composition-target",
-            f"pair ({ic.m.label(a)}, {ic.m.label(b)})",
-        )
-    rows = ic.comp_rows
-    for m in range(ic.m.size):
-        left = rows[eta[d[m]]][m]
-        if not rb.require(left is not None, "left-unit", f"arrow {ic.m.label(m)} not composable"):
-            continue
-        rb.require(left == m, "left-unit", f"arrow {ic.m.label(m)}")
-    for m in range(ic.m.size):
-        right = rows[m][eta[c[m]]]
-        if not rb.require(right is not None, "right-unit", f"arrow {ic.m.label(m)} not composable"):
-            continue
-        rb.require(right == m, "right-unit", f"arrow {ic.m.label(m)}")
-    for (a, b), ab in zip(pairs, mu):
-        for x, bx in enumerate(rows[b]):
-            if bx is None:
-                continue
-            lhs, rhs = rows[ab][x], rows[a][bx]
-            witness = f"triple ({ic.m.label(a)}, {ic.m.label(b)}, {ic.m.label(x)})"
-            if not rb.require(lhs is not None and rhs is not None, "associativity", witness):
-                continue
-            rb.require(lhs == rhs, "associativity", witness)
+    rb, cat = ReportBuilder(), ic.tables
+
+    def witness(law: str, ids: tuple) -> str:
+        if law.startswith("identity"):
+            return f"object {ic.o.label(ids[0])}"
+        names = ", ".join(map(ic.m.label, ids))
+        return (f"arrow {names}", f"pair ({names})", f"triple ({names})")[len(ids) - 1]
+
+    # one require per check, as every law is walked; a witness is written only for a failure
+    pb = ic.composable  # its projections list the composable pairs in lexicographic order
+    for law, ids, verdict in law_checks(cat, pb.proj_left.table, pb.proj_right.table):
+        if law == "associativity":
+            for h, v in zip(cat.out[cat.t[ids[1]]], itertools.repeat(True) if verdict is True else verdict):
+                w = None if v is True else witness(law, (*ids, h))
+                if rb.require(v is not None, law, w):
+                    rb.require(v, law, w)
+        elif law.endswith("unit"):
+            w = None if verdict is True else witness(law, ids)
+            if rb.require(verdict is not None, law, w and f"{w} not composable"):
+                rb.require(verdict, law, w)
+        else:
+            rb.require(verdict, law, None if verdict else witness(law, ids))
     return rb.report()
 
 
@@ -200,13 +271,13 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
         lab = f"arrow {ic.m.label(m)}"
         rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
         rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
-    rows = ic.comp_rows
+    then = ic.tables.then
     for m in range(ic.m.size):
         lab = f"arrow {ic.m.label(m)}"
-        right = rows[m][iota[m]]
+        right = then(m, iota[m])
         if rb.require(right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
             rb.require(right == eta[d[m]], "right-inverse-law", lab)
-        left = rows[iota[m]][m]
+        left = then(iota[m], m)
         if rb.require(left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
             rb.require(left == eta[c[m]], "left-inverse-law", lab)
     for m in range(ic.m.size):
@@ -219,8 +290,9 @@ class FiniteCategory:
     """An explicit category: object keys, arrow keys, and full tables.
 
     ``comp[(f, g)]`` is the composite "f then g" and is defined for
-    exactly the pairs with ``dst[f] == src[g]``.  The identity and
-    associativity laws are verified on construction.
+    exactly the pairs with ``dst[f] == src[g]``.  The keys are numbered,
+    and the unit and associativity laws are verified on construction by
+    the pass that checks internal categories, in the order of ``comp``.
     """
 
     objects: tuple
@@ -233,9 +305,6 @@ class FiniteCategory:
     _hom: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # the checks run on positions: s[f], t[f] number the ends of arrow f,
-        # out[x] lists the arrows leaving x, pos[g] is g's place in out[src[g]],
-        # and rows[f][pos[g]] is the position of "f then g"
         objects, arrows, src, dst = self.objects, self.arrows, self.src, self.dst
         oid = {x: i for i, x in enumerate(objects)}
         if len(oid) != len(objects):
@@ -243,19 +312,19 @@ class FiniteCategory:
         aid = {a: f for f, a in enumerate(arrows)}
         if len(aid) != len(arrows):
             raise MalformedTables("duplicate arrow keys")
-        s, t, pos = [], [], []
-        out: list[list[int]] = [[] for _ in objects]
+        s, t = [], []
         hom: dict = {}
-        for f, a in enumerate(arrows):
+        for a in arrows:
             x, y = oid.get(src[a]), oid.get(dst[a])
             if x is None or y is None:
                 raise MalformedTables(f"arrow {a!r} has unknown endpoints")
             s.append(x)
             t.append(y)
-            pos.append(len(out[x]))
-            out[x].append(f)
             hom.setdefault((src[a], dst[a]), []).append(a)
         object.__setattr__(self, "_hom", hom)
+        out, pos = _leaving(s, len(objects))
+        # a key that names no arrow and one that names an arrow with the wrong
+        # ends get one message, so each lookup tests the ends it reads
         ident = []
         for x, key in enumerate(objects):
             e = aid.get(self.ident.get(key))
@@ -265,6 +334,7 @@ class FiniteCategory:
         if len(self.comp) != sum(len(out[y]) for y in t):
             raise MalformedTables("composition table keys must be exactly the composable pairs")
         rows = [[0] * len(out[y]) for y in t]
+        firsts, seconds = [], []
         for (f, g), h in self.comp.items():
             fi, gi = aid.get(f), aid.get(g)
             if fi is None or gi is None or t[fi] != s[gi]:
@@ -273,19 +343,16 @@ class FiniteCategory:
             if hi is None or s[hi] != s[fi] or t[hi] != t[gi]:
                 raise MalformedTables(f"composite of ({f!r}, {g!r}) has wrong endpoints")
             rows[fi][pos[gi]] = hi
-        for f, a in enumerate(arrows):
-            if rows[ident[s[f]]][pos[f]] != f:
-                raise MalformedTables(f"left identity law fails at {a!r}")
-            if rows[f][pos[ident[t[f]]]] != f:
-                raise MalformedTables(f"right identity law fails at {a!r}")
-        # (f then g) then h against f then (g then h), one row of h per pair, in the order of comp
-        places = [[pos[gh] for gh in row] for row in rows]
-        for fk, gk in self.comp:
-            row, g = rows[aid[fk]], aid[gk]
-            fg = row[pos[g]]
-            if rows[fg] != list(map(row.__getitem__, places[g])):
-                h = next(h for h, lhs, f_gh in zip(out[t[g]], rows[fg], places[g]) if lhs != row[f_gh])
-                raise MalformedTables(f"associativity fails at ({fk!r}, {gk!r}, {arrows[h]!r})")
+            firsts.append(fi)
+            seconds.append(gi)
+        cat = CategoryTables(tuple(s), tuple(t), tuple(ident), out, pos, tuple(map(tuple, rows)))
+        for law, ids, verdict in law_checks(cat, firsts, seconds):
+            if verdict is True:
+                continue
+            if law != "associativity":  # a unit law: the keys above hold every other one
+                raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {arrows[ids[0]]!r}")
+            h = next(h for h, v in zip(out[t[ids[1]]], verdict) if v is not True)
+            raise MalformedTables(f"associativity fails at ({', '.join(repr(arrows[f]) for f in (*ids, h))})")
 
     def hom(self, x, y) -> tuple:
         return tuple(self._hom.get((x, y), ()))
@@ -317,13 +384,13 @@ def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
     ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
     budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
-    rows = ic.comp_rows
+    rows, pos = ic.tables.rows, ic.tables.pos
     comp = {}
     for a in arrows:
         for b in arrows:
             if dst[a] != src[b]:
                 continue
-            comp[(a, b)] = tuple(rows[x][y] for x, y in zip(a, b))
+            comp[(a, b)] = tuple(rows[x][pos[y]] for x, y in zip(a, b))
     return FiniteCategory(objects, arrows, src, dst, ident, comp)
 
 

@@ -470,6 +470,37 @@ class TestCategoryCheckedOnEveryPath:
         assert "'src'" in err
 
 
+class TestEveryFieldReadFirst:
+    """An internal-category document is read and type-checked whole before any table is built."""
+
+    @pytest.mark.parametrize(
+        "fields, bad",
+        [
+            # d is out of range, but eta is not even an array
+            ({"d": [5], "c": [0], "eta": "x", "mu": [0]}, "eta"),
+            # o_size is negative, but m_size is a boolean
+            ({"o_size": -1, "m_size": True}, "m_size"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["internal-category", "internal-groupoid"])
+    def test_type_error_after_a_shape_error_is_exit_two(self, capsys, tmp_path, fields, bad, kind):
+        doc = {"kind": kind, "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0], **fields}
+        if kind == "internal-groupoid":
+            doc["iota"] = [0]
+        code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert f"field {bad!r}" in err
+        assert oracle.check(json.dumps(doc))[0] == 2
+
+    def test_groupoid_reads_iota_before_building_the_category(self, capsys, tmp_path):
+        doc = {"kind": "internal-groupoid", "o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0],
+               "mu": [0], "iota": "x"}
+        code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert "field 'iota'" in err
+        assert oracle.check(json.dumps(doc))[0] == 2
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         env_root = str(ROOT / "src")

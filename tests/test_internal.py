@@ -1,6 +1,8 @@
 import itertools
 import random
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -41,8 +43,9 @@ from spanforge.catalog import (
     pair_groupoid,
 )
 from spanforge.internal import FiniteCategory, two_sided_inverse
+from spanforge.report import ReportBuilder
 
-from util import loops_and_bridges, single_entry_mutants
+from util import iota_mutants, loops_and_bridges, single_entry_mutants
 
 
 class TestMonoidCatalog:
@@ -255,7 +258,7 @@ class TestCompositionRows:
             for a in range(ic.m.size):
                 for b in range(ic.m.size):
                     want = then_by_index(ic, a, b)
-                    assert ic.comp_rows[a][b] == want
+                    assert ic.tables.then(a, b) == want
                     if want is None:
                         refused += 1
                         with pytest.raises(DomainMismatch):
@@ -265,6 +268,17 @@ class TestCompositionRows:
                 assert ic.inverse(a) == inverse_by_index(ic, a)
         assert refused > 0
 
+    def test_rows_are_runs_of_mu(self):
+        for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
+            cat = ic.tables
+            assert tuple(ab for row in cat.rows for ab in row) == ic.mu.table
+            for a, row in enumerate(cat.rows):
+                leaving = tuple(b for b in range(ic.m.size) if (a, b) in ic.composable.index)
+                assert cat.out[ic.c.table[a]] == leaving
+                assert len(row) == len(cat.out[ic.c.table[a]])
+            for b in range(ic.m.size):
+                assert cat.out[ic.d.table[b]][cat.pos[b]] == b
+
     @pytest.mark.parametrize(
         "a, b", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 4), (4, 0), (True, 0), (0, False)]
     )
@@ -272,6 +286,200 @@ class TestCompositionRows:
         ic = pair_groupoid(2).cat
         with pytest.raises(DomainMismatch, match=rf"^arrows \({a!r}, {b!r}\) are not a composable pair of M$"):
             ic.then(a, b)
+
+
+def category_report_by_index(ic):
+    """The category laws walked one by one, "a then b" read through the pullback index.
+
+    The oracle for check_internal_category: the same laws, witnesses and order.
+    """
+    rb = ReportBuilder()
+    d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
+    pairs, arrows, label = ic.composable.elems, range(ic.m.size), ic.m.label
+    for o in range(ic.o.size):
+        rb.require(d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
+        rb.require(c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
+    for (a, b), ab in zip(pairs, mu):
+        rb.require(d[ab] == d[a], "composition-source", f"pair ({label(a)}, {label(b)})")
+        rb.require(c[ab] == c[b], "composition-target", f"pair ({label(a)}, {label(b)})")
+    for m in arrows:
+        left = then_by_index(ic, eta[d[m]], m)
+        if rb.require(left is not None, "left-unit", f"arrow {label(m)} not composable"):
+            rb.require(left == m, "left-unit", f"arrow {label(m)}")
+    for m in arrows:
+        right = then_by_index(ic, m, eta[c[m]])
+        if rb.require(right is not None, "right-unit", f"arrow {label(m)} not composable"):
+            rb.require(right == m, "right-unit", f"arrow {label(m)}")
+    for (a, b), ab in zip(pairs, mu):
+        for x in arrows:
+            bx = then_by_index(ic, b, x)
+            if bx is None:
+                continue
+            lhs, rhs = then_by_index(ic, ab, x), then_by_index(ic, a, bx)
+            witness = f"triple ({label(a)}, {label(b)}, {label(x)})"
+            if rb.require(lhs is not None and rhs is not None, "associativity", witness):
+                rb.require(lhs == rhs, "associativity", witness)
+    return rb.report()
+
+
+def groupoid_report_by_index(g):
+    """The inversion laws walked one by one: the oracle for check_internal_groupoid."""
+    underlying = category_report_by_index(g.cat)
+    if not underlying.passed:
+        raise UnderlyingCategoryInvalid(underlying)
+    ic, rb = g.cat, ReportBuilder()
+    d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
+    for m in range(ic.m.size):
+        lab = f"arrow {ic.m.label(m)}"
+        rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
+        rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
+    for m in range(ic.m.size):
+        lab = f"arrow {ic.m.label(m)}"
+        right = then_by_index(ic, m, iota[m])
+        if rb.require(right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
+            rb.require(right == eta[d[m]], "right-inverse-law", lab)
+        left = then_by_index(ic, iota[m], m)
+        if rb.require(left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
+            rb.require(left == eta[c[m]], "left-inverse-law", lab)
+    for m in range(ic.m.size):
+        rb.require(iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
+    return rb.report()
+
+
+def law_pass_instances():
+    """Every catalog category, loops_and_bridges and a labelled discrete category."""
+    return [entry.category for entry in CATALOG.values()] + [
+        loops_and_bridges(),
+        discrete_category(3, ("x", "y", "z")).cat,
+    ]
+
+
+def external_refuses(ic):
+    try:
+        external_category(ic, FinSet(1))
+    except MalformedTables:
+        return True
+    return False
+
+
+class TestLawPassAgainstLoops:
+    """check_internal_category and check_internal_groupoid report what the plain loops report.
+
+    They also check as often: one ReportBuilder.require call per check, law by law.
+    """
+
+    @pytest.fixture(autouse=True)
+    def count_requires(self, monkeypatch):
+        self.counts, require = Counter(), ReportBuilder.require
+
+        def counting(rb, condition, law, witness=None):
+            self.counts[law] += 1
+            return require(rb, condition, law, witness)
+
+        monkeypatch.setattr(ReportBuilder, "require", counting)
+
+    def assert_same_checks(self, check, oracle, structure):
+        self.counts.clear()
+        expected = oracle(structure)
+        want = dict(self.counts)
+        self.counts.clear()
+        assert check(structure).failures == expected.failures
+        assert dict(self.counts) == want
+        return expected
+
+    def assert_category_matches(self, ic):
+        expected = self.assert_same_checks(check_internal_category, category_report_by_index, ic)
+        assert external_refuses(ic) == (not expected.passed)
+        return expected
+
+    def test_instances(self):
+        for ic in law_pass_instances():
+            assert self.assert_category_matches(ic).passed
+
+    def test_single_entry_mutants(self):
+        laws, built = set(), 0
+        for ic in law_pass_instances():
+            for _, build in single_entry_mutants(ic):
+                try:
+                    mutant = build()
+                except MalformedTables:
+                    continue
+                built += 1
+                laws.update(f.law for f in self.assert_category_matches(mutant).failures)
+        assert built == 259  # the rest change the number of composable pairs, so mu no longer fits
+        assert laws == {
+            "identity-source", "identity-target", "composition-source", "composition-target",
+            "left-unit", "right-unit", "associativity",
+        }
+
+    def test_unit_witness_when_the_identity_does_not_compose(self):
+        # an identity with the wrong target: its unit composites are not defined
+        ic = pair_groupoid(2).cat
+        mutant = InternalCategory(ic.o, ic.m, ic.d, ic.c, FinMap(ic.o, ic.m, (1, 3)), ic.mu)
+        witnesses = {str(f) for f in self.assert_category_matches(mutant).failures}
+        assert "left-unit: arrow 0 not composable" in witnesses
+
+    def test_more_objects_than_arrows(self):
+        # two objects share the one arrow as their identity
+        o, m = FinSet(2, ("x", "y")), FinSet(1, ("e",))
+        d = c = FinMap(m, o, (0,))
+        ic = InternalCategory(o, m, d, c, FinMap(o, m, (0, 0)), FinMap(pullback(c, d).apex, m, (0,)))
+        failures = self.assert_category_matches(ic).failures
+        assert [str(f) for f in failures] == ["identity-source: object y", "identity-target: object y"]
+
+    def test_groupoids_and_their_iota_mutants(self):
+        laws, checked = set(), 0
+        for entry in CATALOG.values():
+            if entry.iota is None:
+                continue
+            for g in [entry.groupoid, *iota_mutants(entry.groupoid)]:
+                checked += 1
+                expected = self.assert_same_checks(check_internal_groupoid, groupoid_report_by_index, g)
+                laws.update(f.law for f in expected.failures)
+        assert checked == 5 + 2 + 2 + 12 + 12 + 12
+        assert laws == {
+            "inverse-flips-target", "inverse-flips-source", "right-inverse-law", "left-inverse-law",
+            "inverse-involutive",
+        }
+
+    def test_groupoid_over_a_failing_category(self):
+        g = pair_groupoid(2)
+        for _, build in single_entry_mutants(g.cat):
+            try:
+                mutant = InternalGroupoid(build(), g.iota)
+            except MalformedTables:
+                continue
+            with pytest.raises(UnderlyingCategoryInvalid) as expected:
+                groupoid_report_by_index(mutant)
+            with pytest.raises(UnderlyingCategoryInvalid) as got:
+                check_internal_groupoid(mutant)
+            assert got.value.report.failures == expected.value.report.failures
+
+
+class TestSparseCategory:
+    """Composition costs one entry per composable pair, not one per pair of arrows."""
+
+    def test_check_of_a_large_discrete_category_stays_small(self):
+        ic = discrete_category(1500).cat
+        tracemalloc.start()
+        try:
+            assert check_internal_category(ic).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # 1500^2 dense entries alone would take 18 MB
+        rng = random.Random(1500)
+        sample = [(a, a) for a in rng.sample(range(1500), 50)]
+        sample += [(rng.randrange(1500), rng.randrange(1500)) for _ in range(200)]
+        for a, b in sample:
+            want = then_by_index(ic, a, b)
+            if want is None:
+                with pytest.raises(DomainMismatch):
+                    ic.then(a, b)
+            else:
+                assert ic.then(a, b) == want
+        for a, _ in sample[:20]:
+            assert ic.inverse(a) == inverse_by_index(ic, a) == a
 
 
 class TestGroupoidChecker:
@@ -508,6 +716,14 @@ class TestFiniteCategoryMessages:
             FiniteCategory(**fields)
         assert str(info.value) == message
 
+    def test_left_identity_law_is_checked_at_every_arrow_first(self):
+        # the right law fails at 'a' and the left law at 'b': the left law is walked
+        # at every arrow before the right law, as check_internal_category walks them
+        fields = magma_category({**Z3_PRODUCTS, ("a", "1"): "b", ("1", "b"): "a"})
+        with pytest.raises(MalformedTables) as info:
+            FiniteCategory(**fields)
+        assert str(info.value) == "left identity law fails at 'b'"
+
     def test_well_formed_tables_pass(self):
         FiniteCategory(**arrow_category())
         FiniteCategory(**magma_category(Z3_PRODUCTS, reverse=True))
@@ -531,9 +747,9 @@ def loops_and_bridges_mutants():
     The new composite keeps its endpoints, so the identity laws still hold.
     """
     ic = loops_and_bridges()
-    d, c, eta, rows = ic.d.table, ic.c.table, ic.eta.table, ic.comp_rows
+    d, c, eta = ic.d.table, ic.c.table, ic.eta.table
     arrows = tuple(range(ic.m.size))
-    comp = {(a, b): rows[a][b] for a in arrows for b in arrows if rows[a][b] is not None}
+    comp = {(a, b): then_by_index(ic, a, b) for a, b in ic.composable.elems}
     base = dict(
         objects=tuple(range(ic.o.size)), arrows=arrows, src=dict(enumerate(d)),
         dst=dict(enumerate(c)), ident=dict(enumerate(eta)), comp=comp,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps, pullback
-from spanforge.internal import InternalCategory
+from spanforge.internal import InternalCategory, InternalGroupoid
 
 
 def finset(n: int) -> FinSet:
@@ -79,6 +79,16 @@ def single_entry_mutants(ic: InternalCategory):
                     f"{name}[{pos}] -> {new}",
                     lambda m=mutated: build(*m),
                 )
+
+
+def iota_mutants(g: InternalGroupoid):
+    """Every groupoid candidate differing from g in one entry of its inversion map."""
+    m, table = g.cat.m, g.iota.table
+    for pos, old in enumerate(table):
+        for new in range(m.size):
+            if new != old:
+                mutated = table[:pos] + (new,) + table[pos + 1:]
+                yield InternalGroupoid(g.cat, FinMap(m, m, mutated))
 
 
 def compositions_table(monoid, xs):
