@@ -10,13 +10,12 @@ category's two-sided inverses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MalformedTables, NotAGroup
 from .finset import FinMap, FinSet, identity, pullback
-from .internal import FiniteCategory, InternalCategory, InternalGroupoid, two_sided_inverse
+from .internal import CategoryTables, FiniteCategory, InternalCategory, InternalGroupoid
 
 
 @dataclass(frozen=True)
@@ -45,23 +44,24 @@ class MonoidTable:
     @cached_property
     def category(self) -> FiniteCategory:
         """The monoid as a category on one object, 0, whose arrows are its elements."""
-        elements = tuple(range(self.size))
-        ends = dict.fromkeys(elements, 0)
-        comp = dict(zip(itertools.product(elements, repeat=2), self.table))  # the table is row-major
-        return FiniteCategory((0,), elements, ends, ends, {0: self.unit}, comp)
+        n, elements = self.size, tuple(range(self.size))
+        rows = tuple(self.table[i * n : (i + 1) * n] for i in elements)  # the table is row-major
+        ends = (0,) * n
+        tables = CategoryTables(ends, ends, (self.unit,), (elements,), elements, rows)
+        return FiniteCategory((0,), elements, tables)
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i * self.size + j]
 
     def inverse_table(self) -> tuple[int, ...]:
         """Two-sided inverses for every element; NotAGroup if any is missing."""
-        inv = tuple(two_sided_inverse(self.category, a) for a in range(self.size))
+        inv = tuple(self.category.tables.inverse(a) for a in range(self.size))
         if None in inv:
             raise NotAGroup(f"{self.name}: element {inv.index(None)} has no two-sided inverse")
         return inv
 
     def is_group(self) -> bool:
-        return all(two_sided_inverse(self.category, a) is not None for a in range(self.size))
+        return all(self.category.tables.inverse(a) is not None for a in range(self.size))
 
 
 def monoid_from_flat(name: str, size: int, flat) -> MonoidTable:

@@ -85,14 +85,19 @@ def _int_field(doc: dict, field: str, path: str) -> int:
     return value
 
 
-def _object_field(doc: dict, field: str, path: str, objects: list):
-    """The listed object that an integer field names by its position."""
+def _object_field(doc: dict, field: str, path: str, objects: list) -> int:
+    """The position of the listed object that an integer field names."""
     i = _int_field(doc, field, path)
     if not 0 <= i < len(objects):
-        raise ParseError(
-            f"{path}: field {field!r} must name one of the {len(objects)} objects, got {i}"
-        )
-    return objects[i]
+        raise ParseError(f"{path}: field {field!r} must name one of the {len(objects)} objects, got {i}")
+    return i
+
+
+def _entries(doc: dict, field: str, path: str) -> list[dict]:
+    value = doc.get(field)
+    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+        raise ParseError(f"{path}: field {field!r} must be an array of objects")
+    return value
 
 
 def finmap_from_document(doc: dict, path: str) -> FinMap:
@@ -116,25 +121,28 @@ def monoid_from_document(doc: dict, path: str) -> MonoidTable:
     return monoid_from_flat(doc.get("name", "monoid"), size, tuple(table))
 
 
-def _read_internal(doc: dict, path: str, groupoid: bool) -> Internal:
-    """Type-check every field of a document (else exit 2), then build its category or groupoid."""
+def _internal_fields(doc: dict, path: str, groupoid: bool) -> tuple:
+    """Every field of an internal-category or -groupoid document, type-checked (else exit 2)."""
     o_size, m_size = _int_field(doc, "o_size", path), _int_field(doc, "m_size", path)
     names = ("d", "c", "eta", "mu", "iota") if groupoid else ("d", "c", "eta", "mu")
     tables = [tuple(_int_list(doc, name, path)) for name in names]
-    o_labels, m_labels = _labels(doc, "o_labels", path), _labels(doc, "m_labels", path)
+    return o_size, m_size, _labels(doc, "o_labels", path), _labels(doc, "m_labels", path), *tables
+
+
+def _build_internal(o_size, m_size, o_labels, m_labels, d, c, eta, mu, iota=None) -> Internal:
     o, m = FinSet(o_size, o_labels), FinSet(m_size, m_labels)
-    d, c, eta = FinMap(m, o, tables[0]), FinMap(m, o, tables[1]), FinMap(o, m, tables[2])
+    d, c, eta = FinMap(m, o, d), FinMap(m, o, c), FinMap(o, m, eta)
     # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order
-    cat = InternalCategory(o, m, d, c, eta, FinMap(pullback(c, d).apex, m, tables[3]))
-    return InternalGroupoid(cat, FinMap(m, m, tables[4])) if groupoid else cat
+    cat = InternalCategory(o, m, d, c, eta, FinMap(pullback(c, d).apex, m, mu))
+    return cat if iota is None else InternalGroupoid(cat, FinMap(m, m, iota))
 
 
 def internal_category_from_document(doc: dict, path: str) -> InternalCategory:
-    return _read_internal(doc, path, groupoid=False)
+    return _build_internal(*_internal_fields(doc, path, groupoid=False))
 
 
 def internal_groupoid_from_document(doc: dict, path: str) -> InternalGroupoid:
-    return _read_internal(doc, path, groupoid=True)
+    return _build_internal(*_internal_fields(doc, path, groupoid=True))
 
 
 def internal_from_document(doc: dict, path: str, command: str) -> Internal:
@@ -156,35 +164,27 @@ def checked_category(internal: Internal) -> InternalCategory:
 
 
 def subslice_from_document(doc: dict, path: str, internal: Internal | None = None) -> SubSlice:
+    """Read in perfbench/oracle.py's order: every object's types, then shapes; every arrow's types and
+    ends (exit 2 on a bad type or a missing object); the category's shape and axioms; the cells."""
     if internal is None:
         inner = doc.get("internal_category")
         if not isinstance(inner, dict):
             raise ParseError(f"{path}: sub-slice needs an inline internal_category")
-        internal = internal_category_from_document(inner, path)
-    ic = internal.cat if isinstance(internal, InternalGroupoid) else internal
-    objects = []
-    raw_objects = doc.get("objects")
-    if not isinstance(raw_objects, list):
-        raise ParseError(f"{path}: field 'objects' must be an array")
-    for entry in raw_objects:
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: sub-slice objects must be objects")
-        a = FinSet(_int_field(entry, "size", path))
-        objects.append(SliceObject(a, FinMap(a, ic.o, tuple(_int_list(entry, "map", path)))))
+        fields = _internal_fields(inner, path, groupoid=False)
+    o_size = fields[0] if internal is None else getattr(internal, "cat", internal).o.size
+    entries = _entries(doc, "objects", path)
+    objects = [(_int_field(e, "size", path), tuple(_int_list(e, "map", path))) for e in entries]
+    for size, f in objects:
+        if size < 0 or len(f) != size or not all(0 <= v < o_size for v in f):
+            raise MalformedTables(f"object map {list(f)} must send {size} points to the {o_size} objects")
     arrows = []
-    raw_arrows = doc.get("arrows")
-    if not isinstance(raw_arrows, list):
-        raise ParseError(f"{path}: field 'arrows' must be an array")
-    for entry in raw_arrows:
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: sub-slice arrows must be objects")
-        src = _object_field(entry, "src", path, objects)
-        dst = _object_field(entry, "dst", path, objects)
-        arrows.append(
-            TwoCell(src.span, dst.span, FinMap(src.a, dst.a, tuple(_int_list(entry, "map", path))))
-        )
-    # the axioms are checked after the arrows are read: a missing object exits 2 before a failed law exits 1
-    return SubSlice(checked_category(internal), tuple(objects), tuple(arrows))
+    for e in _entries(doc, "arrows", path):
+        src, dst = _object_field(e, "src", path, objects), _object_field(e, "dst", path, objects)
+        arrows.append((src, dst, tuple(_int_list(e, "map", path))))
+    ic = checked_category(_build_internal(*fields) if internal is None else internal)
+    spans = [SliceObject(FinSet(size), FinMap(FinSet(size), ic.o, f)) for size, f in objects]
+    cells = [TwoCell(spans[i].span, spans[j].span, FinMap(spans[i].a, spans[j].a, m)) for i, j, m in arrows]
+    return SubSlice(ic, tuple(spans), tuple(cells))
 
 
 def round_config_from_document(doc: dict, path: str) -> tuple[int, list[list[int]]]:

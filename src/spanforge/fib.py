@@ -9,21 +9,24 @@ evidence at any size.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MalformedTables, NotInternalFunctor, NotLex
 from .finset import FinMap, FinSet, all_maps, compose
 from .internal import (
+    CategoryTables,
     FiniteCategory,
     InternalCategory,
     InternalFunctor,
     LexFunctorData,
+    _leaving,
     apply_lex_functor,
     budget,
 )
 from .feistel import (
-    ConvElement,
     KleisliEndo,
     _conv,
     _wrap_endo,
@@ -74,26 +77,22 @@ class SubSlice:
 
     @cached_property
     def base_category(self) -> FiniteCategory:
-        arrows = tuple(range(len(self.arrows)))
         # a listed cell is known by its ends and its map's table, so lookups build no cells
         cells = [(*self.arrow_endpoints(k), cell.map.table) for k, cell in enumerate(self.arrows)]
         cell_index = {cell: k for k, cell in enumerate(cells)}
-        ident = {}
-        for i, obj in enumerate(self.objects):
-            ident[i] = cell_index.get((i, i, tuple(range(obj.a.size))))
-            if ident[i] is None:
-                raise MalformedTables(f"identity missing for object with |A|={obj.a.size}")
-        comp = {}
-        for k1, (i1, j1, phi1) in enumerate(cells):
-            for k2, (i2, j2, phi2) in enumerate(cells):
-                if j1 != i2:
-                    continue
-                comp[(k1, k2)] = cell_index.get((i1, j2, tuple(phi2[v] for v in phi1)))
-                if comp[(k1, k2)] is None:
-                    raise MalformedTables("sub-slice not closed under composition")
-        src = {k: i for k, (i, _, _) in enumerate(cells)}
-        dst = {k: j for k, (_, j, _) in enumerate(cells)}
-        return FiniteCategory(tuple(range(len(self.objects))), arrows, src, dst, ident, comp)
+        ident = tuple(cell_index.get((i, i, tuple(range(obj.a.size)))) for i, obj in enumerate(self.objects))
+        if None in ident:
+            missing = self.objects[ident.index(None)]
+            raise MalformedTables(f"identity missing for object with |A|={missing.a.size}")
+        s, t = tuple(i for i, _, _ in cells), tuple(j for _, j, _ in cells)
+        out, pos = _leaving(s, len(self.objects))
+        rows = []
+        for i, j, phi in cells:
+            rows.append(tuple(cell_index.get((i, t[k], tuple(cells[k][2][v] for v in phi))) for k in out[j]))
+            if None in rows[-1]:
+                raise MalformedTables("sub-slice not closed under composition")
+        tables = CategoryTables(s, t, ident, out, pos, tuple(rows))
+        return FiniteCategory(tuple(range(len(self.objects))), tuple(range(len(self.arrows))), tables)
 
 
 def full_subslice(ic: InternalCategory, objects) -> SubSlice:
@@ -125,51 +124,51 @@ def default_subslice(ic: InternalCategory) -> SubSlice:
 
 @dataclass
 class FunctorData:
-    """Tabular functor between finite categories: object and arrow tables."""
+    """Tabular functor between finite categories: ``obj[x]`` and ``arr[f]`` are target ids.
+
+    None is no image.  An image outside the target is held as its key, which is no id: it
+    fails every law that reads it, and two such images compare by their keys.
+    """
 
     source: FiniteCategory
     target: FiniteCategory
-    object_map: dict
-    arrow_map: dict
+    obj: tuple
+    arr: tuple
 
 
 def check_functor(fd: FunctorData) -> Report:
+    """Check the functor laws on ids, one check per object, arrow or composable pair; witnesses are keys."""
     rb = ReportBuilder()
-    target_objects, target_arrows = set(fd.target.objects), set(fd.target.arrows)
-    for x in fd.source.objects:
-        if not rb.require(x in fd.object_map, "object-map-total", x):
-            continue
-        rb.require(fd.object_map[x] in target_objects, "object-map-lands", x)
-    for a in fd.source.arrows:
-        if not rb.require(a in fd.arrow_map, "arrow-map-total", a):
-            continue
-        fa = fd.arrow_map[a]
-        if not rb.require(fa in target_arrows, "arrow-map-lands", a):
-            continue
-        rb.require(
-            fd.target.src[fa] == fd.object_map.get(fd.source.src[a])
-            and fd.target.dst[fa] == fd.object_map.get(fd.source.dst[a]),
-            "endpoints-preserved",
-            a,
-        )
+    src, tgt = fd.source.tables, fd.target.tables
+    obj = tuple(fd.obj) + (None,) * (len(src.ident) - len(fd.obj))
+    arr = tuple(fd.arr) + (None,) * (len(src.s) - len(fd.arr))
+    lands_obj = [type(y) is int and 0 <= y < len(tgt.ident) for y in obj]
+    lands_arr = [type(a) is int and 0 <= a < len(tgt.s) for a in arr]
+    for x, key in enumerate(fd.source.objects):
+        if rb.require(obj[x] is not None, "object-map-total", key):
+            rb.require(lands_obj[x], "object-map-lands", key)
+    for f, key in enumerate(fd.source.arrows):
+        total = rb.require(arr[f] is not None, "arrow-map-total", key)
+        if total and rb.require(lands_arr[f], "arrow-map-lands", key):
+            ends = (tgt.s[arr[f]], tgt.t[arr[f]])
+            rb.require(ends == (obj[src.s[f]], obj[src.t[f]]), "endpoints-preserved", key)
     # an image outside the target has no identity or composite there, which fails the law
-    for x in fd.source.objects:
-        if x in fd.object_map and fd.source.ident[x] in fd.arrow_map:
-            image = fd.object_map[x]
-            rb.require(
-                image in fd.target.ident
-                and fd.arrow_map[fd.source.ident[x]] == fd.target.ident[image],
-                "identities-preserved",
-                x,
-            )
-    for (f, g), h in fd.source.comp.items():
-        if f in fd.arrow_map and g in fd.arrow_map and h in fd.arrow_map:
-            pair = (fd.arrow_map[f], fd.arrow_map[g])
-            rb.require(
-                pair in fd.target.comp and fd.target.comp[pair] == fd.arrow_map[h],
-                "composition-preserved",
-                (f, g),
-            )
+    for x, key in enumerate(fd.source.objects):
+        if obj[x] is not None and arr[src.ident[x]] is not None:
+            rb.require(lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]], "identities-preserved", key)
+    # a row at a time: "f then g" is read off the row of f's image, when g's image leaves its target
+    keys, t_s, t_pos = fd.source.arrows, tgt.s, tgt.pos
+    for f, row in enumerate(src.rows):
+        if arr[f] is None:
+            continue
+        image_row, image_t = (tgt.rows[arr[f]], tgt.t[arr[f]]) if lands_arr[f] else ((), None)
+        for g, h in zip(src.out[src.t[f]], row):
+            if arr[g] is not None and arr[h] is not None:
+                rb.require(
+                    lands_arr[g] and t_s[arr[g]] == image_t and image_row[t_pos[arr[g]]] == arr[h],
+                    "composition-preserved",
+                    (keys[f], keys[g]),
+                )
     return rb.report()
 
 
@@ -190,56 +189,44 @@ class FibrationInstance:
 def check_discrete_fibration(fi: FibrationInstance) -> Report:
     """Unique lifting: one arrow over each base arrow into each fibre object."""
     rb = ReportBuilder()
-    lifts: dict[tuple, int] = {}
-    for a in fi.total.arrows:
-        key = (fi.proj.arrow_map[a], fi.total.dst[a])
-        lifts[key] = lifts.get(key, 0) + 1
-    for t in fi.total.objects:
-        over = fi.proj.object_map[t]
-        for k in fi.base.arrows:
-            if fi.base.dst[k] != over:
-                continue
-            count = lifts.get((k, t), 0)
-            rb.require(
-                count == 1,
-                "unique-lift",
-                f"base arrow {k!r}, fibre object {t!r}, lifts {count}",
-            )
+    lifts = Counter(zip(fi.proj.arr, fi.total.tables.t))
+    for y, over in enumerate(fi.proj.obj):
+        for k in (k for k, z in enumerate(fi.base.tables.t) if z == over):
+            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
+            rb.require(lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
     return rb.report()
-
-
-def _conv_key(elem: ConvElement) -> tuple:
-    return elem.map.table
-
-
-def _endo_key(endo: KleisliEndo) -> tuple:
-    return endo.cell.map.table
 
 
 def _fibration(ss: SubSlice, keys: list, lifts) -> FibrationInstance:
     """The total category over the sub-slice, with its projection.
 
-    Objects are (i, key) for each key of fibre i.  ``lifts(k, i, j)`` yields
-    the (source key, target key) pairs over base arrow k from object i to
-    object j; each gives the arrow (k, source key, target key).  A composite
-    composes the base arrows and keeps the outer keys.
+    Objects are (i, key) for each key of fibre i, numbered fibre by fibre.  ``lifts(k, i, j)``
+    yields the places (u, v) in fibres i and j of each arrow (k, keys[i][u], keys[j][v]) over
+    base arrow k.  A composite lies over the composite base arrow and keeps the outer ends,
+    so the total rows are read off the base rows.
     """
-    base = ss.base_category
-    objects = tuple((i, t) for i, fibre in enumerate(keys) for t in fibre)
-    arrows = tuple((k, s, t) for k in base.arrows for s, t in lifts(k, base.src[k], base.dst[k]))
-    src = {a: (base.src[a[0]], a[1]) for a in arrows}
-    dst = {a: (base.dst[a[0]], a[2]) for a in arrows}
-    ident = {(i, t): (base.ident[i], t, t) for i, t in objects}
-    by_src: dict = {}
-    for a in arrows:
-        by_src.setdefault(src[a], []).append(a)
-    comp = {}
-    for a1 in arrows:
-        for a2 in by_src.get(dst[a1], ()):
-            comp[(a1, a2)] = (base.comp[(a1[0], a2[0])], a1[1], a2[2])
-    total = FiniteCategory(objects, arrows, src, dst, ident, comp)
-    proj = FunctorData(total, base, {t: t[0] for t in objects}, {a: a[0] for a in arrows})
-    return FibrationInstance(total, base, proj)
+    base = ss.base_category.tables
+    start = list(itertools.accumulate(map(len, keys), initial=0))
+    objects = tuple((i, key) for i, fibre in enumerate(keys) for key in fibre)
+    arrows, over, s, t = [], [], [], []
+    for k, (i, j) in enumerate(zip(base.s, base.t)):
+        for u, v in lifts(k, i, j):
+            arrows.append((k, keys[i][u], keys[j][v]))
+            over.append(k)
+            s.append(start[i] + u)
+            t.append(start[j] + v)
+    # a missing identity or composite is None, which FiniteCategory refuses
+    lift = {ends: a for a, ends in enumerate(zip(over, s, t))}
+    ident = tuple(lift.get((base.ident[i], x, x)) for x, (i, _) in enumerate(objects))
+    out, pos = _leaving(s, len(objects))
+    over_pos = [base.pos[k] for k in over]
+    rows = tuple(
+        tuple(lift.get((base_row[over_pos[g]], x, t[g])) for g in out[y])
+        for base_row, x, y in zip(map(base.rows.__getitem__, over), s, t)
+    )
+    total = FiniteCategory(objects, tuple(arrows), CategoryTables(tuple(s), tuple(t), ident, out, pos, rows))
+    proj = FunctorData(total, ss.base_category, tuple(i for i, _ in objects), tuple(over))
+    return FibrationInstance(total, ss.base_category, proj)
 
 
 def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
@@ -248,15 +235,15 @@ def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     Objects are pairs (slice object, element); an arrow over a base cell
     phi runs from the pullback of an element along phi to that element.
     """
-    keys = [[_conv_key(e) for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
-    key_sets = [set(fibre) for fibre in keys]
+    keys = [[e.map.table for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    places = [{key: u for u, key in enumerate(fibre)} for fibre in keys]
 
     def lifts(k: int, i: int, j: int):
         phi = ss.arrows[k].map.table
-        for beta in keys[j]:
-            pulled = tuple(beta[v] for v in phi)
-            if pulled in key_sets[i]:
-                yield pulled, beta
+        for v, beta in enumerate(keys[j]):
+            u = places[i].get(tuple(beta[x] for x in phi))
+            if u is not None:
+                yield u, v
 
     return _fibration(ss, keys, lifts)
 
@@ -268,16 +255,16 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     square (sigma tensored with the arrow span) commutes; the equal
     components of such a morphism make a single cell suffice.
     """
-    keys = [[_endo_key(extend(alpha)) for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    keys = [[extend(alpha).cell.map.table for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     plans = ss._plans
 
     def lifts(k: int, i: int, j: int):
         budget(len(keys[i]) * len(keys[j]), f"{len(keys[i])}x{len(keys[j])} endomorphism pairs")
         sig = ss.arrows[k].map.table
-        for u_table in keys[i]:
-            for v_table in keys[j]:
+        for u, u_table in enumerate(keys[i]):
+            for v, v_table in enumerate(keys[j]):
                 if plans[i].square_holds(plans[j], u_table, v_table, sig, sig):
-                    yield u_table, v_table
+                    yield u, v
 
     return _fibration(ss, keys, lifts)
 
@@ -297,13 +284,18 @@ class _Extensions(dict):
     def __missing__(self, key: tuple) -> tuple:
         i, table = key
         plan = self.ss._plans[i]
-        self[key] = image = (i, _endo_key(extend(_conv(plan, table))))
+        self[key] = image = (i, extend(_conv(plan, table)).cell.map.table)
         return image
 
 
-def _image_arrow(obj_map, total: FiniteCategory, arrow: tuple) -> tuple:
-    """The arrow over the same base arrow between the images of the arrow's ends."""
-    return (arrow[0], obj_map[total.src[arrow]][1], obj_map[total.dst[arrow]][1])
+def _at(table: tuple, y) -> object:
+    """table[y] for an id y; None for an image outside the target."""
+    return table[y] if type(y) is int else None
+
+
+def _image_arrow(fi: FibrationInstance, f: int, ends: list) -> tuple:
+    """The key of the arrow over the base arrow of f from ends[s[f]] to ends[t[f]], given as object keys."""
+    return (fi.proj.arr[f], ends[fi.total.tables.s[f]][1], ends[fi.total.tables.t[f]][1])
 
 
 def _functor_over_base(
@@ -321,29 +313,24 @@ def _functor_over_base(
     check_functor's laws (prefixed), and that the functor lies over the base,
     on objects and on arrows (the two ``over_base`` laws).
     """
-    target_objects = set(target.total.objects)
-    obj_map = {}
+    tgt = target.total
+    images, obj = [], []
     for key in source.total.objects:
-        image = (key[0], move(*key))
-        rb.require(image in target_objects, f"{prefix}welldefined", key)
-        obj_map[key] = image
-    target_arrows = set(target.total.arrows)
-    arr_map = {}
-    for key in source.total.arrows:
-        image = _image_arrow(obj_map, source.total, key)
-        rb.require(image in target_arrows, f"{prefix}welldefined", key)
-        arr_map[key] = image
-    fd = FunctorData(source.total, target.total, obj_map, arr_map)
+        images.append((key[0], move(*key)))
+        obj.append(tgt.object_id.get(images[-1], images[-1]))
+        rb.require(type(obj[-1]) is int, f"{prefix}welldefined", key)
+    arr = []
+    for f, key in enumerate(source.total.arrows):
+        image = _image_arrow(source, f, images)
+        arr.append(tgt.arrow_id.get(image, image))
+        rb.require(type(arr[-1]) is int, f"{prefix}welldefined", key)
+    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
     rb.merge(check_functor(fd), prefix)
     objects_law, arrows_law = over_base
-    for key in source.total.objects:
-        rb.require(
-            target.proj.object_map.get(obj_map[key]) == source.proj.object_map[key], objects_law, key
-        )
-    for key in source.total.arrows:
-        rb.require(
-            target.proj.arrow_map.get(arr_map[key]) == source.proj.arrow_map[key], arrows_law, key
-        )
+    for x, key in enumerate(source.total.objects):
+        rb.require(_at(target.proj.obj, obj[x]) == source.proj.obj[x], objects_law, key)
+    for f, key in enumerate(source.total.arrows):
+        rb.require(_at(target.proj.arr, arr[f]) == source.proj.arr[f], arrows_law, key)
     return fd
 
 
@@ -371,16 +358,16 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         return extensions[(i, table)][1]
 
     def retrieved(i: int, table: tuple) -> tuple:
-        return _conv_key(retrieve(_as_endo(ss, i, table)))
+        return retrieve(_as_endo(ss, i, table)).map.table
 
     triangle = ("projection-triangle", "projection-triangle")
     forward = _functor_over_base(rb, conv, endo, extended, "forward-", triangle)
     backward = _functor_over_base(rb, endo, conv, retrieved, "backward-", triangle)
     for there, back in ((forward, backward), (backward, forward)):
-        for key in there.source.objects:
-            rb.require(back.object_map.get(there.object_map[key]) == key, "mutual-inverse-objects", key)
-        for key in there.source.arrows:
-            rb.require(back.arrow_map.get(there.arrow_map[key]) == key, "mutual-inverse-arrows", key)
+        for x, key in enumerate(there.source.objects):
+            rb.require(_at(back.obj, there.obj[x]) == x, "mutual-inverse-objects", key)
+        for f, key in enumerate(there.source.arrows):
+            rb.require(_at(back.arr, there.arr[f]) == f, "mutual-inverse-arrows", key)
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
     fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
     for k, cell in enumerate(ss.arrows):
@@ -388,13 +375,13 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
         for beta in fibres[j]:
             pulled = tuple(beta.map.table[v] for v in sigma)
-            pulled_then_extended = _endo_key(extend(_conv(plan, pulled)))
-            hat = _endo_key(extend(beta))
+            pulled_then_extended = extend(_conv(plan, pulled)).cell.map.table
+            hat = extend(beta).cell.map.table
             extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
             rb.require(
                 pulled_then_extended == extended_then_pulled,
                 "fibrewise-naturality",
-                (k, _conv_key(beta)),
+                (k, beta.map.table),
             )
     return CartesianIso(forward, backward, rb.report(), conv, endo)
 
@@ -466,13 +453,16 @@ def transport_conv(
     endo_map = _functor_over_base(
         rb, endo1, endo2, move_endo, "endo-transport-", ("q-square-objects", "q-square-arrows")
     )
-    for key in conv1.total.objects:
-        lhs = endo_map.object_map.get(ext1[key])
-        rb.require(lhs == ext2[conv_map.object_map[key]], "intertwine-objects", key)
-    for key in conv1.total.arrows:
-        lhs = endo_map.arrow_map.get(_image_arrow(ext1, conv1.total, key))
-        rhs = _image_arrow(ext2, conv2.total, conv_map.arrow_map[key])
-        rb.require(lhs == rhs, "intertwine-arrows", key)
+    # both sides as images in endo2: an id, or the key of an image outside it
+    extended = [ext1[key] for key in conv1.total.objects]
+    moved = [ext2[conv2.total.objects[y] if type(y) is int else y] for y in conv_map.obj]
+    for x, key in enumerate(conv1.total.objects):
+        lhs = _at(endo_map.obj, endo1.total.object_id.get(extended[x]))
+        rb.require(lhs == endo2.total.object_id.get(moved[x], moved[x]), "intertwine-objects", key)
+    for f, key in enumerate(conv1.total.arrows):
+        lhs = _at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended)))
+        rhs = _image_arrow(conv1, f, moved)
+        rb.require(lhs == endo2.total.arrow_id.get(rhs, rhs), "intertwine-arrows", key)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)
 
 

@@ -136,9 +136,11 @@ def pullback(f: FinMap, g: FinMap) -> PullbackResult:
     """Canonical pullback of f and g: pairs (a, b) with f(a) = g(b)."""
     if f.cod != g.cod:
         raise CodomainMismatch(f"pullback legs must share a codomain ({f.cod} vs {g.cod})")
-    elems = tuple(
-        (a, b) for a in range(f.dom.size) for b in range(g.dom.size) if f.table[a] == g.table[b]
-    )
+    # the right leg's domain grouped by value, so the work is linear in the pairs found
+    right_of: dict[int, list[int]] = {}
+    for b, v in enumerate(g.table):
+        right_of.setdefault(v, []).append(b)
+    elems = tuple((a, b) for a, v in enumerate(f.table) for b in right_of.get(v, ()))
     apex = FinSet(len(elems))
     proj_left = FinMap(apex, f.dom, tuple(a for a, _ in elems))
     proj_right = FinMap(apex, g.dom, tuple(b for _, b in elems))

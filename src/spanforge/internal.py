@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -82,6 +82,14 @@ class CategoryTables:
     def then(self, f: int, g: int) -> int | None:
         """f then g, or None when g does not leave the target of f."""
         return self.rows[f][self.pos[g]] if self.t[f] == self.s[g] else None
+
+    def inverse(self, f: int) -> int | None:
+        """The first arrow, in id order, that is a two-sided inverse of f, or None."""
+        src_unit, dst_unit = self.ident[self.s[f]], self.ident[self.t[f]]
+        for g, f_g in zip(self.out[self.t[f]], self.rows[f]):
+            if f_g == src_unit and self.then(g, f) == dst_unit:
+                return g
+        return None
 
 
 def _leaving(s: tuple[int, ...], n_objects: int) -> tuple[tuple, tuple[int, ...]]:
@@ -201,12 +209,7 @@ class InternalCategory:
 
     def inverse(self, m: int) -> int | None:
         """The two-sided inverse of arrow m, or None when M holds none."""
-        cat = self.tables
-        src_unit, dst_unit = cat.ident[cat.s[m]], cat.ident[cat.t[m]]
-        for n, m_n in zip(cat.out[cat.t[m]], cat.rows[m]):
-            if m_n == src_unit and cat.then(n, m) == dst_unit:
-                return n
-        return None
+        return self.tables.inverse(m)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -285,27 +288,66 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
     return rb.report()
 
 
+def _ids(values: Sequence, bound: int) -> bool:
+    """Every value is an int id below bound."""
+    return set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < bound)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
-    """An explicit category: object keys, arrow keys, and full tables.
+    """An explicit category on ids; its keys are labels.
 
-    ``comp[(f, g)]`` is the composite "f then g" and is defined for
-    exactly the pairs with ``dst[f] == src[g]``.  The keys are numbered,
-    and the unit and associativity laws are verified on construction by
-    the pass that checks internal categories, in the order of ``comp``.
+    ``tables`` is the category: object x is labelled ``objects[x]`` and arrow
+    f ``arrows[f]``, and the keys are read only for messages, witnesses and
+    the keyed views.  Construction refuses malformed tables, then checks the
+    laws by the pass that checks internal categories and raises the first
+    failure.  The pass walks the composable pairs row by row, or in the order
+    (firsts, seconds) given as ``order``.  ``from_keys`` builds the category
+    of keyed tables; ``src``, ``dst``, ``ident``, ``comp``, ``hom``,
+    ``object_id`` and ``arrow_id`` are keyed views, built on first read.
     """
 
     objects: tuple
     arrows: tuple
-    src: Mapping
-    dst: Mapping
-    ident: Mapping
-    comp: Mapping
+    tables: CategoryTables
+    order: InitVar[tuple | None] = None
 
-    _hom: dict = field(init=False, repr=False)
+    def __post_init__(self, order) -> None:
+        objects, arrows, cat = self.objects, self.arrows, self.tables
+        n, m = len(objects), len(arrows)
+        if len(cat.ident) != n or not len(cat.s) == len(cat.t) == len(cat.rows) == m:
+            raise MalformedTables("tables must hold one identity per object and one row per arrow")
+        if not (_ids(cat.s, n) and _ids(cat.t, n) and _ids(cat.ident, m)):
+            raise MalformedTables("endpoints must be object ids and identities arrow ids")
+        if (cat.out, cat.pos) != _leaving(cat.s, n):
+            raise MalformedTables("out and pos must list the arrows leaving each object in id order")
+        for f, row in enumerate(cat.rows):
+            if len(row) != len(cat.out[cat.t[f]]) or not _ids(row, m):
+                raise MalformedTables(f"row of {arrows[f]!r} must hold an arrow id per arrow leaving its end")
+        if order is None:  # row by row
+            order = [f for f, row in enumerate(cat.rows) for _ in row], [g for y in cat.t for g in cat.out[y]]
+        for law, ids, verdict in law_checks(cat, *order):
+            if verdict is True:
+                continue
+            if law.startswith("identity"):
+                raise MalformedTables(f"object {objects[ids[0]]!r} lacks an identity arrow")
+            names = ", ".join(repr(arrows[f]) for f in ids)
+            if law.startswith("composition"):
+                raise MalformedTables(f"composite of ({names}) has wrong endpoints")
+            if law != "associativity":
+                raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
+            h = next(h for h, v in zip(cat.out[cat.t[ids[1]]], verdict) if v is not True)
+            raise MalformedTables(f"associativity fails at ({names}, {arrows[h]!r})")
 
-    def __post_init__(self) -> None:
-        objects, arrows, src, dst = self.objects, self.arrows, self.src, self.dst
+    @classmethod
+    def from_keys(
+        cls, objects, arrows, src: Mapping, dst: Mapping, ident: Mapping, comp: Mapping
+    ) -> FiniteCategory:
+        """The category of keyed tables, numbered in the order the keys are listed.
+
+        ``comp[(f, g)]`` is "f then g", defined for exactly the pairs with ``dst[f] == src[g]``;
+        the laws are checked walking the pairs in the order of ``comp``.
+        """
         oid = {x: i for i, x in enumerate(objects)}
         if len(oid) != len(objects):
             raise MalformedTables("duplicate object keys")
@@ -313,29 +355,26 @@ class FiniteCategory:
         if len(aid) != len(arrows):
             raise MalformedTables("duplicate arrow keys")
         s, t = [], []
-        hom: dict = {}
         for a in arrows:
             x, y = oid.get(src[a]), oid.get(dst[a])
             if x is None or y is None:
                 raise MalformedTables(f"arrow {a!r} has unknown endpoints")
             s.append(x)
             t.append(y)
-            hom.setdefault((src[a], dst[a]), []).append(a)
-        object.__setattr__(self, "_hom", hom)
         out, pos = _leaving(s, len(objects))
         # a key that names no arrow and one that names an arrow with the wrong
         # ends get one message, so each lookup tests the ends it reads
-        ident = []
+        idents = []
         for x, key in enumerate(objects):
-            e = aid.get(self.ident.get(key))
+            e = aid.get(ident.get(key))
             if e is None or s[e] != x or t[e] != x:
                 raise MalformedTables(f"object {key!r} lacks an identity arrow")
-            ident.append(e)
-        if len(self.comp) != sum(len(out[y]) for y in t):
+            idents.append(e)
+        if len(comp) != sum(len(out[y]) for y in t):
             raise MalformedTables("composition table keys must be exactly the composable pairs")
         rows = [[0] * len(out[y]) for y in t]
         firsts, seconds = [], []
-        for (f, g), h in self.comp.items():
+        for (f, g), h in comp.items():
             fi, gi = aid.get(f), aid.get(g)
             if fi is None or gi is None or t[fi] != s[gi]:
                 raise MalformedTables(f"({f!r}, {g!r}) is not a composable pair")
@@ -345,53 +384,50 @@ class FiniteCategory:
             rows[fi][pos[gi]] = hi
             firsts.append(fi)
             seconds.append(gi)
-        cat = CategoryTables(tuple(s), tuple(t), tuple(ident), out, pos, tuple(map(tuple, rows)))
-        for law, ids, verdict in law_checks(cat, firsts, seconds):
-            if verdict is True:
-                continue
-            if law != "associativity":  # a unit law: the keys above hold every other one
-                raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {arrows[ids[0]]!r}")
-            h = next(h for h, v in zip(out[t[ids[1]]], verdict) if v is not True)
-            raise MalformedTables(f"associativity fails at ({', '.join(repr(arrows[f]) for f in (*ids, h))})")
+        tables = CategoryTables(tuple(s), tuple(t), tuple(idents), out, pos, tuple(map(tuple, rows)))
+        return cls(tuple(objects), tuple(arrows), tables, (firsts, seconds))
+
+    # the keyed views, each built on first read
+    src = cached_property(lambda self: dict(zip(self.arrows, (self.objects[x] for x in self.tables.s))))
+    dst = cached_property(lambda self: dict(zip(self.arrows, (self.objects[y] for y in self.tables.t))))
+    ident = cached_property(lambda self: dict(zip(self.objects, (self.arrows[e] for e in self.tables.ident))))
+    object_id = cached_property(lambda self: {x: i for i, x in enumerate(self.objects)})
+    arrow_id = cached_property(lambda self: {a: f for f, a in enumerate(self.arrows)})
+
+    @cached_property
+    def comp(self) -> dict:
+        """(f, g) -> "f then g", one entry per composable pair, row by row."""
+        a, cat = self.arrows, self.tables
+        return {(a[f], a[g]): a[h] for f, row in enumerate(cat.rows) for g, h in zip(cat.out[cat.t[f]], row)}
 
     def hom(self, x, y) -> tuple:
-        return tuple(self._hom.get((x, y), ()))
-
-
-def two_sided_inverse(fc: FiniteCategory, arrow) -> object | None:
-    """Search the finite category for a two-sided inverse of the arrow."""
-    for b in fc.hom(fc.dst[arrow], fc.src[arrow]):
-        if (
-            fc.comp[(arrow, b)] == fc.ident[fc.src[arrow]]
-            and fc.comp[(b, arrow)] == fc.ident[fc.dst[arrow]]
-        ):
-            return b
-    return None
+        """The arrows from x to y, in id order."""
+        return tuple(a for a in self.arrows if self.src[a] == x and self.dst[a] == y)
 
 
 def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     """The category of maps from c_obj: objects are maps into O, arrows maps into M.
 
     An arrow alpha: C -> M runs from d.alpha to c.alpha; the identity at f
-    is eta.f and composition is pointwise composition of arrows.
+    is eta.f and composition is pointwise composition of arrows.  Maps are
+    listed in lexicographic order, so a map's id is its lexicographic index.
     """
-    n_arr = ic.m.size**c_obj.size
-    budget(ic.o.size**c_obj.size, f"{ic.o.size}^{c_obj.size} external-category objects")
+    n_obj, n_arr = ic.o.size**c_obj.size, ic.m.size**c_obj.size
+    budget(n_obj, f"{ic.o.size}^{c_obj.size} external-category objects")
     budget(n_arr, f"{ic.m.size}^{c_obj.size} external-category arrows")
     objects = tuple(f.table for f in all_maps(c_obj, ic.o))
     arrows = tuple(a.table for a in all_maps(c_obj, ic.m))
-    src = {a: tuple(ic.d.table[v] for v in a) for a in arrows}
-    dst = {a: tuple(ic.c.table[v] for v in a) for a in arrows}
-    ident = {f: tuple(ic.eta.table[v] for v in f) for f in objects}
+    cat, n_o, n_m = ic.tables, ic.o.size, ic.m.size
+    s = tuple(_map_lex_index(map(cat.s.__getitem__, a), n_o) for a in arrows)
+    t = tuple(_map_lex_index(map(cat.t.__getitem__, a), n_o) for a in arrows)
+    ident = tuple(_map_lex_index(map(cat.ident.__getitem__, x), n_m) for x in objects)
     budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
-    rows, pos = ic.tables.rows, ic.tables.pos
-    comp = {}
-    for a in arrows:
-        for b in arrows:
-            if dst[a] != src[b]:
-                continue
-            comp[(a, b)] = tuple(rows[x][pos[y]] for x, y in zip(a, b))
-    return FiniteCategory(objects, arrows, src, dst, ident, comp)
+    out, pos = _leaving(s, n_obj)
+    # pointwise composites: the ends of a then b agree at every point
+    rows = tuple(
+        tuple(_map_lex_index(map(cat.then, a, arrows[g]), n_m) for g in out[y]) for a, y in zip(arrows, t)
+    )
+    return FiniteCategory(objects, arrows, CategoryTables(s, t, ident, out, pos, rows))
 
 
 @dataclass(frozen=True)
@@ -516,7 +552,7 @@ def apply_lex_functor(k: LexFunctorData, ic: InternalCategory) -> InternalCatego
     return out
 
 
-def _map_lex_index(table: tuple[int, ...], base: int) -> int:
+def _map_lex_index(table: Iterable[int], base: int) -> int:
     """Position of a value table in the lexicographic enumeration of maps."""
     idx = 0
     for v in table:

@@ -501,6 +501,65 @@ class TestEveryFieldReadFirst:
         assert oracle.check(json.dumps(doc))[0] == 2
 
 
+PAIR_CATEGORY = {
+    "kind": "internal-category", "o_size": 2, "m_size": 4, "d": [0, 0, 1, 1], "c": [0, 1, 0, 1],
+    "eta": [0, 3], "mu": [0, 1, 0, 1, 2, 3, 2, 3],
+}
+
+
+class TestSubsliceReadOrder:
+    """A sub-slice is read whole, in the oracle's order, before its category or cells are built."""
+
+    @pytest.mark.parametrize(
+        "doc, bad",
+        [
+            # the inline category's d is out of range, but the arrow names a missing object
+            (
+                dict(
+                    POINT_SUBSLICE,
+                    internal_category={**NON_ASSOCIATIVE, "m_size": 1, "d": [5], "c": [0], "mu": [0]},
+                    arrows=[{"src": 3, "dst": 0, "map": [0]}],
+                ),
+                "'src'",
+            ),
+            # the first cell does not commute, but the second arrow's map is not an array
+            (
+                {
+                    "kind": "sub-slice",
+                    "internal_category": PAIR_CATEGORY,
+                    "objects": [{"size": 1, "map": [0]}, {"size": 1, "map": [1]}],
+                    "arrows": [{"src": 0, "dst": 1, "map": [0]}, {"src": 0, "dst": 0, "map": "x"}],
+                },
+                "'map'",
+            ),
+        ],
+    )
+    def test_check_reads_every_arrow_before_building(self, capsys, tmp_path, doc, bad):
+        code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
+        assert (code, out) == (2, "")
+        assert bad in err
+        assert oracle.check(json.dumps(doc))[0] == 2
+
+    def test_fib_check_reads_every_arrow_before_building(self, capsys, tmp_path):
+        sub = json.loads((FIXTURES / "subslice_pair2.json").read_text())
+        sub["arrows"][0]["map"] = [5]
+        sub["arrows"][2]["map"] = None
+        internal = FIXTURES / "pair_groupoid.json"
+        subslice = write_doc(tmp_path, "sub.json", sub)
+        code, out, err = run_cli(capsys, "fib-check", "--internal", str(internal), "--subslice", subslice)
+        assert (code, out) == (2, "")
+        assert "'map'" in err
+        assert oracle.fib_check(internal.read_text(), json.dumps(sub))[0] == 2
+
+    def test_object_shapes_are_checked_before_the_arrows_are_read(self, capsys, tmp_path):
+        # as in the oracle: an object map out of range exits 1 even though an arrow names no object
+        doc = dict(POINT_SUBSLICE, internal_category=PAIR_CATEGORY, objects=[{"size": 1, "map": [2]}],
+                   arrows=[{"src": 3, "dst": 0, "map": [0]}])
+        code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
+        assert (code, out) == (1, "fail object map [2] must send 1 points to the 2 objects\n")
+        assert oracle.check(json.dumps(doc))[0] == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         env_root = str(ROOT / "src")

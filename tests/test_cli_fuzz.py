@@ -6,6 +6,7 @@ no unexpected exception reaching the catch-all "error: <Type>: <msg>" line.
 
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
@@ -23,6 +24,13 @@ DOCS = {path.name: json.loads(path.read_text()) for path in sorted(FIXTURES.glob
 INTERNAL = ("and2_internal.json", "pair_groupoid.json", "pair_groupoid_bad_mu.json",
             "z2_internal.json")
 SUBSLICES = ("subslice_pair2.json", "subslice_pair2_defect.json")
+# pair_groupoid.json as a category, inlined to make a sub-slice fixture a whole document for check
+INLINE = dict({k: v for k, v in DOCS["pair_groupoid.json"].items() if k != "iota"}, kind="internal-category")
+
+# the benchmark's plain-Python judges, loaded by path: the spec of every exit code
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", FIXTURES.parent / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 JUNK = st.sampled_from(
     [True, False, None, -1, -5, 0, 1, 2, 3, 99, 1.5, "x", "", [], {}, [0], [True], [-1], [99]]
@@ -57,6 +65,13 @@ def mutated(draw, doc):
         elif isinstance(child, int) and not isinstance(child, bool):
             node[key] = child + draw(st.sampled_from([-100, -1, 1, 2, 100]))
         return doc
+
+
+@st.composite
+def mutated_twice(draw, doc):
+    """The document with one or two fields mutated."""
+    doc = draw(mutated(doc))
+    return draw(mutated(doc)) if draw(st.booleans()) else doc
 
 
 @st.composite
@@ -111,10 +126,8 @@ def command(draw):
     return argv, docs
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(command())
-def test_main_always_ends_in_a_named_exit(case):
-    argv, docs = case
+def run_main(argv, docs, env=None) -> tuple[int, str]:
+    """cli.main on argv, with each {i} replaced by the path of docs[i] written out: (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(docs):
@@ -123,9 +136,33 @@ def test_main_always_ends_in_a_named_exit(case):
             paths.append(str(path))
         argv = [arg.format(*paths) if arg.startswith("{") else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, {"SPANFORGE_SIZE_CAP": "64"}):
+        with mock.patch.dict(os.environ, env or {}):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command())
+def test_main_always_ends_in_a_named_exit(case):
+    argv, docs = case
+    code, err = run_main(argv, docs, {"SPANFORGE_SIZE_CAP": "64"})
     assert code in (0, 1, 2), (argv, docs, code)
-    assert "Traceback" not in err.getvalue()
-    assert not UNEXPECTED.search(err.getvalue()), (argv, docs, err.getvalue())
+    assert "Traceback" not in err
+    assert not UNEXPECTED.search(err), (argv, docs, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_subslice_exit_codes_match_the_oracle(data):
+    sub = data.draw(st.sampled_from(SUBSLICES))
+    if data.draw(st.booleans()):
+        doc = data.draw(mutated_twice(dict(DOCS[sub], internal_category=INLINE)))
+        code, err = run_main(["check", "{0}"], [doc])
+        expected = oracle.check(json.dumps(doc))[0]
+    else:
+        internal = DOCS[data.draw(st.sampled_from(INTERNAL))]
+        doc = data.draw(mutated_twice(DOCS[sub]))
+        code, err = run_main(["fib-check", "--internal", "{0}", "--subslice", "{1}"], [internal, doc])
+        expected = oracle.fib_check(json.dumps(internal), json.dumps(doc))[0]
+    assert code == expected, (doc, code, expected, err)

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -49,7 +51,15 @@ from spanforge.feistel import conv_base_change, endo_base_change
 from spanforge.internal import FiniteCategory, apply_lex_functor
 from spanforge.report import ReportBuilder
 
+from keyed import (
+    base_category_by_keys,
+    check_functor_by_keys,
+    conv_fibration_by_keys,
+    endo_fibration_by_keys,
+    keyed_maps,
+)
 from suites import point_base
+from util import all_slice_objects, loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
 
@@ -193,9 +203,8 @@ class TestEndoFibration:
     def test_identity_base_arrow_lifts_to_identity(self):
         ss = default_subslice(Z2)
         fi = build_endo_fibration(ss)
-        for t in fi.total.objects:
-            lift = fi.total.ident[t]
-            assert fi.proj.arrow_map[lift] == fi.base.ident[fi.proj.object_map[t]]
+        for x, lift in enumerate(fi.total.tables.ident):
+            assert fi.proj.arr[lift] == fi.base.tables.ident[fi.proj.obj[x]]
 
     def test_base_change_is_a_monoid_homomorphism(self):
         for name in ("z2", "and2"):
@@ -238,20 +247,24 @@ class TestEndoFibration:
 
 class TestDiscreteFibrationChecker:
     def test_identity_functor_on_one_object_category_passes(self):
-        fc = FiniteCategory(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})
-        fi = FibrationInstance(fc, fc, FunctorData(fc, fc, {"x": "x"}, {"id": "id"}))
+        fc = FiniteCategory.from_keys(
+            ("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}
+        )
+        fi = FibrationInstance(fc, fc, FunctorData(fc, fc, (0,), (0,)))
         assert check_discrete_fibration(fi).passed
 
     def test_images_outside_the_target_fail_their_laws(self):
-        fc = FiniteCategory(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})
-        report = check_functor(FunctorData(fc, fc, {"x": "y"}, {"id": "ghost"}))
+        fc = FiniteCategory.from_keys(
+            ("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}
+        )
+        report = check_functor(FunctorData(fc, fc, ("y",), ("ghost",)))
         assert failed_laws(report) == (
             ["arrow-map-lands", "composition-preserved", "identities-preserved", "object-map-lands"],
             4,
         )
 
     def test_parallel_pair_defect_reports_lift_count_two(self):
-        base = FiniteCategory(
+        base = FiniteCategory.from_keys(
             ("x", "y"),
             ("ix", "iy", "u"),
             {"ix": "x", "iy": "y", "u": "x"},
@@ -264,7 +277,7 @@ class TestDiscreteFibrationChecker:
                 ("u", "iy"): "u",
             },
         )
-        total = FiniteCategory(
+        total = FiniteCategory.from_keys(
             ("a", "b"),
             ("ia", "ib", "g1", "g2"),
             {"ia": "a", "ib": "b", "g1": "a", "g2": "a"},
@@ -279,12 +292,8 @@ class TestDiscreteFibrationChecker:
                 ("g2", "ib"): "g2",
             },
         )
-        proj = FunctorData(
-            total,
-            base,
-            {"a": "x", "b": "y"},
-            {"ia": "ix", "ib": "iy", "g1": "u", "g2": "u"},
-        )
+        # a -> x, b -> y; ia -> ix, ib -> iy, g1 and g2 -> u
+        proj = FunctorData(total, base, (0, 1), (0, 1, 2, 2))
         fi = FibrationInstance(total, base, proj)
         report = check_discrete_fibration(fi)
         assert not report.passed
@@ -301,7 +310,7 @@ class TestCartesianIso:
         fa = point_base(Z2, 2)
         iso = cartesian_iso(single_object_subslice(Z2, fa))
         assert iso.report.passed
-        assert len(iso.forward.object_map) == 4
+        assert len(iso.forward.obj) == 4
 
     def test_naturality_reads_the_plan_columns(self, monkeypatch):
         # the fibrewise-naturality loop reads each plan's arrow column; a checked
@@ -360,8 +369,8 @@ class TestTransport:
         result = transport_conv(k, functor, ss)
         assert result.report.passed
         assert result.transported.objects == ss.objects
-        for key, value in result.conv_map.object_map.items():
-            assert key == value
+        conv_map = result.conv_map
+        assert [conv_map.target.objects[y] for y in conv_map.obj] == list(conv_map.source.objects)
 
     def test_hom_functor_transport_passes(self):
         ss = default_subslice(Z2)
@@ -409,10 +418,12 @@ class TestTransport:
         k12, f12 = compose_intcat_morphisms(k1, f1, k2, f2, Z2)
         combined = transport_conv(k12, f12, ss)
         assert combined.report.passed
-        for key, mid in first.conv_map.object_map.items():
-            assert second.conv_map.object_map[mid] == combined.conv_map.object_map[key]
-        for key, mid in first.conv_map.arrow_map.items():
-            assert second.conv_map.arrow_map[mid] == combined.conv_map.arrow_map[key]
+        one, two, both = first.conv_map, second.conv_map, combined.conv_map
+        assert (two.source.objects, two.source.arrows) == (one.target.objects, one.target.arrows)
+        for x, mid in enumerate(one.obj):
+            assert two.target.objects[two.obj[mid]] == both.target.objects[both.obj[x]]
+        for f, mid in enumerate(one.arr):
+            assert two.target.arrows[two.arr[mid]] == both.target.arrows[both.arr[f]]
 
 
 def transport_instances():
@@ -642,3 +653,125 @@ class TestSubSlicePlans:
         monkeypatch.setattr(fib, "module_plan", counted)
         assert cartesian_iso(ss).report.passed
         assert len(lookups) <= len(ss.objects)
+
+
+def oracle_subslices():
+    """Every CATALOG default sub-slice, and loops_and_bridges' full sub-slice with |A| <= 2."""
+    ic = loops_and_bridges()
+    full = full_subslice(ic, [obj for a in range(3) for obj in all_slice_objects(a, ic.o)])
+    return [default_subslice(entry.category) for entry in CATALOG.values()] + [full]
+
+
+def assert_same_report(fd):
+    """check_functor on ids reports the keyed oracle's laws, witnesses and order."""
+    report = check_functor(fd)
+    assert report.failures == check_functor_by_keys(fd.source, fd.target, *keyed_maps(fd)).failures
+    return report
+
+
+class TestIdsAgainstKeyedOracles:
+    """The fibration layer on ids agrees table for table, and report for report, with the keyed build."""
+
+    def test_total_categories_match_the_keyed_build(self):
+        for ss in oracle_subslices():
+            base = base_category_by_keys(ss)
+            assert (ss.base_category.arrows, ss.base_category.tables) == (base.arrows, base.tables)
+            for build, oracle in (
+                (build_conv_fibration, conv_fibration_by_keys),
+                (build_endo_fibration, endo_fibration_by_keys),
+            ):
+                fi = build(ss)
+                total, object_map, arrow_map = oracle(ss)
+                assert (fi.total.objects, fi.total.arrows) == (total.objects, total.arrows)
+                assert fi.total.tables == total.tables
+                assert fi.proj.obj == tuple(object_map[x] for x in total.objects)
+                assert fi.proj.arr == tuple(arrow_map[a] for a in total.arrows)
+
+    def test_check_functor_on_real_functors(self):
+        for ss in oracle_subslices():
+            iso = cartesian_iso(ss)
+            assert iso.report.passed
+            for fd in (iso.forward, iso.backward, iso.conv.proj, iso.endo.proj):
+                assert assert_same_report(fd).passed
+        for k, functor, ss in transport_instances():
+            result = transport_conv(k, functor, ss)
+            for fd in (result.conv_map, result.endo_map):
+                assert assert_same_report(fd).passed
+
+    @pytest.mark.parametrize(
+        "name, corrupted, fails",
+        [
+            ("extend", inverting_extend, False),
+            ("_as_endo", inverting_endo, False),
+            ("retrieve", reversing_retrieve, True),
+            ("extend", reversing_extend, True),
+        ],
+    )
+    def test_check_functor_on_corrupted_moves(self, monkeypatch, name, corrupted, fails):
+        ss = default_subslice(Z3.cat)
+        k = identity_fragment_for(ss)
+        functor = identity_internal_functor(apply_lex_functor(k, Z3.cat))
+        monkeypatch.setattr(fib, name, corrupted)
+        iso = cartesian_iso(ss)
+        result = transport_conv(k, functor, ss)
+        functors = (iso.forward, iso.backward, result.conv_map, result.endo_map)
+        reports = [assert_same_report(fd) for fd in functors]
+        assert any(not report.passed for report in reports) == fails
+
+    def test_check_functor_on_corrupted_tables(self):
+        fd = cartesian_iso(default_subslice(Z3.cat)).forward
+        obj, arr = list(fd.obj), list(fd.arr)
+        mutants = [
+            (obj[1:] + obj[:1], arr),  # objects to the wrong images
+            (obj, [arr[0]] * len(arr)),  # every arrow to one arrow
+            (obj, arr[:-1]),  # no image for the last arrow
+            (obj[:-1], arr),  # no image for the last object
+            ([("ghost",)] + obj[1:], arr),  # an object image outside the target
+            (obj, arr[:2] + [("ghost", 0, 0)] * (len(arr) - 2)),  # arrow images outside the target
+            (obj, [len(fd.target.arrows)] + arr[1:]),  # an id past the end
+        ]
+        for mutant_obj, mutant_arr in mutants:
+            mutant = FunctorData(fd.source, fd.target, tuple(mutant_obj), tuple(mutant_arr))
+            assert not assert_same_report(mutant).passed
+
+
+class TestFibrationOnIds:
+    """The fibration pass builds no keyed tables, and what a fibration retains stays small."""
+
+    @staticmethod
+    def klein4_full_subslice():
+        ic = CATALOG["klein4"].category
+        return full_subslice(ic, [point_base(ic, a) for a in range(4)])
+
+    def test_no_keyed_composition_is_built(self, monkeypatch):
+        ss = self.klein4_full_subslice()
+        calls = []
+        from_keys = FiniteCategory.from_keys.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_keys(cls, *args)
+
+        monkeypatch.setattr(FiniteCategory, "from_keys", classmethod(counted))
+        iso = cartesian_iso(ss)
+        lifts = [check_discrete_fibration(fi) for fi in (iso.conv, iso.endo)]
+        assert iso.report.passed and all(report.passed for report in lifts)
+        assert (len(iso.conv.total.objects), len(iso.conv.total.arrows)) == (85, 2817)
+        assert calls == []
+        for category in (ss.base_category, iso.conv.total, iso.endo.total):
+            assert "comp" not in vars(category)
+
+    def test_conv_fibration_retains_little(self):
+        ss = self.klein4_full_subslice()
+        build_conv_fibration(ss)  # warm caches: fibres, plans, the base category
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fi = build_conv_fibration(ss)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(fi.total.arrows) == 2817
+        # 1.3 MB measured with CPython 3.11; the keyed comp dict alone held about 12.8 MB
+        assert retained < 2_000_000

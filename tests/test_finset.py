@@ -141,6 +141,26 @@ class TestPullback:
                     elems = pullback(f, g).elems
                     assert all(elems[i] < elems[i + 1] for i in range(len(elems) - 1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_elems_match_the_pairwise_scan(self, data):
+        # includes empty domains, an empty codomain, and legs whose images do not meet
+        cod = FinSet(data.draw(st.integers(0, 6)))
+        values = st.integers(0, cod.size - 1) if cod.size else st.nothing()
+        left = data.draw(st.lists(values, max_size=8 if cod.size else 0))
+        right = data.draw(st.lists(values, max_size=8 if cod.size else 0))
+        f = FinMap(FinSet(len(left)), cod, tuple(left))
+        g = FinMap(FinSet(len(right)), cod, tuple(right))
+        expected = tuple((a, b) for a in range(len(left)) for b in range(len(right)) if left[a] == right[b])
+        pb = pullback(f, g)
+        assert pb.elems == expected
+        assert (pb.proj_left.table, pb.proj_right.table) == (
+            tuple(a for a, _ in expected), tuple(b for _, b in expected))
+
+    def test_legs_with_disjoint_images_have_an_empty_pullback(self):
+        cod = FinSet(4)
+        assert pullback(FinMap(FinSet(3), cod, (0, 1, 0)), FinMap(FinSet(2), cod, (2, 3))).elems == ()
+
     def test_square_commutes(self):
         four, two = FinSet(4), FinSet(2)
         parity = FinMap(four, two, (0, 1, 0, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -42,7 +43,7 @@ from spanforge.catalog import (
     one_object_groupoid,
     pair_groupoid,
 )
-from spanforge.internal import FiniteCategory, two_sided_inverse
+from spanforge.internal import FiniteCategory
 from spanforge.report import ReportBuilder
 
 from util import iota_mutants, loops_and_bridges, single_entry_mutants
@@ -542,12 +543,12 @@ class TestExternalCategory:
     def test_groupoid_input_gives_all_arrows_invertible(self):
         for groupoid in (pair_groupoid(2), one_object_groupoid(MONOIDS["z3"]), action_groupoid_z2()):
             fc = external_category(groupoid.cat, FinSet(1))
-            for arrow in fc.arrows:
-                assert two_sided_inverse(fc, arrow) is not None
+            for f in range(len(fc.arrows)):
+                assert fc.tables.inverse(f) is not None
 
     def test_non_groupoid_has_non_invertible_arrow(self):
         fc = external_category(one_object_category(MONOIDS["and2"]), FinSet(1))
-        assert any(two_sided_inverse(fc, arrow) is None for arrow in fc.arrows)
+        assert any(fc.tables.inverse(f) is None for f in range(len(fc.arrows)))
 
     def test_size_cap(self, monkeypatch):
         ic = one_object_category(MONOIDS["klein4"])
@@ -713,7 +714,7 @@ class TestFiniteCategoryMessages:
     )
     def test_message(self, fields, message):
         with pytest.raises(MalformedTables) as info:
-            FiniteCategory(**fields)
+            FiniteCategory.from_keys(**fields)
         assert str(info.value) == message
 
     def test_left_identity_law_is_checked_at_every_arrow_first(self):
@@ -721,12 +722,61 @@ class TestFiniteCategoryMessages:
         # at every arrow before the right law, as check_internal_category walks them
         fields = magma_category({**Z3_PRODUCTS, ("a", "1"): "b", ("1", "b"): "a"})
         with pytest.raises(MalformedTables) as info:
-            FiniteCategory(**fields)
+            FiniteCategory.from_keys(**fields)
         assert str(info.value) == "left identity law fails at 'b'"
 
     def test_well_formed_tables_pass(self):
-        FiniteCategory(**arrow_category())
-        FiniteCategory(**magma_category(Z3_PRODUCTS, reverse=True))
+        FiniteCategory.from_keys(**arrow_category())
+        FiniteCategory.from_keys(**magma_category(Z3_PRODUCTS, reverse=True))
+
+
+class TestFiniteCategoryOnIds:
+    """FiniteCategory takes tables on ids, refuses malformed ones, and keeps keys as labels."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(rows=((0, 1), (1,))),  # a short row
+            dict(rows=((0, 1), (1, 2))),  # an arrow id out of range
+            dict(rows=((0, 1), (1, -1))),
+            dict(rows=((0, 1), (1, True))),  # a boolean is no id
+            dict(rows=((0, 1),)),  # a row missing
+            dict(s=(0, 1)),
+            dict(t=(0, -1)),
+            dict(ident=(2,)),
+            dict(ident=()),
+            dict(out=((1, 0),)),
+            dict(pos=(0, 0)),
+        ],
+    )
+    def test_malformed_tables_are_refused(self, changes):
+        z2 = MONOIDS["z2"].category
+        with pytest.raises(MalformedTables):
+            FiniteCategory(z2.objects, z2.arrows, dataclasses.replace(z2.tables, **changes))
+
+    def test_law_failures_are_named_by_key(self):
+        tables = dataclasses.replace(MONOIDS["z2"].category.tables, ident=(1,))
+        with pytest.raises(MalformedTables, match=r"^left identity law fails at '1'$"):
+            FiniteCategory(("x",), ("1", "a"), tables)
+
+    def test_keyed_views_round_trip_through_from_keys(self):
+        categories = [monoid.category for monoid in MONOIDS.values()]
+        categories += [external_category(pair_groupoid(2).cat, FinSet(2)), loops_and_bridges_category()]
+        for fc in categories:
+            again = FiniteCategory.from_keys(fc.objects, fc.arrows, fc.src, fc.dst, fc.ident, fc.comp)
+            assert (again.objects, again.arrows, again.tables) == (fc.objects, fc.arrows, fc.tables)
+            assert len(fc.comp) == sum(map(len, fc.tables.rows))
+            for x in fc.objects:
+                for y in fc.objects:
+                    expected = tuple(a for a in fc.arrows if (fc.src[a], fc.dst[a]) == (x, y))
+                    assert fc.hom(x, y) == expected
+            assert fc.hom("no such object", fc.objects[0]) == ()
+
+
+def loops_and_bridges_category() -> FiniteCategory:
+    """loops_and_bridges as a FiniteCategory on its own tables, labelled by letters."""
+    cat = loops_and_bridges().tables
+    return FiniteCategory(("X", "Y"), ("1X", "e", "1Y", "s", "p", "q"), cat)
 
 
 def associativity_by_replay(fields):
@@ -769,7 +819,7 @@ class TestFiniteCategoryAssociativityWitness:
     def assert_matches_replay(fields):
         expected = associativity_by_replay(fields)
         try:
-            FiniteCategory(**fields)
+            FiniteCategory.from_keys(**fields)
         except MalformedTables as exc:
             assert str(exc) == expected
             return expected
