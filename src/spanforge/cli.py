@@ -246,17 +246,17 @@ def cmd_conv_table(args) -> int:
     fibre = conv_fibre(fa, ic)
     budget(len(fibre) ** 2, f"{len(fibre)}^2 conv-table products")
     unit = conv_unit(fa, ic)
-    index = {e.map.table: i for i, e in enumerate(fibre)}
+    index = {e.table: i for i, e in enumerate(fibre)}
     print(f"fibre size: {len(fibre)}")
     for i, e in enumerate(fibre):
-        print(f"  {i}: {list(e.map.table)}")
-    print(f"unit: {index[unit.map.table]}")
+        print(f"  {i}: {list(e.table)}")
+    print(f"unit: {index[unit.table]}")
     print("multiplication table:")
     products = []
     for x in fibre:
-        products.append([index[conv_mult(x, y).map.table] for y in fibre])
+        products.append([index[conv_mult(x, y).table] for y in fibre])
         print("  " + " ".join(map(str, products[-1])))
-    u, n = index[unit.map.table], len(fibre)
+    u, n = index[unit.table], len(fibre)
     is_group = all(any(row[j] == u == products[j][i] for j in range(n)) for i, row in enumerate(products))
     print(f"group: {'yes' if is_group else 'no'}")
     return 0

@@ -124,14 +124,24 @@ def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
 
 @dataclass(frozen=True)
 class ConvElement:
-    """An element of the convolution monoid of plan.base, valued in plan.ic."""
+    """An element of the convolution monoid of plan.base, valued in plan.ic.
+
+    ``table`` is the arrow table of the cell.  ``_extension`` is set by
+    extend once it has built and checked the extension; pickles leave it out.
+    """
 
     plan: ModulePlan
     cell: TwoCell
+    table: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _extension: KleisliEndo | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cell.src != self.plan.base.span or self.cell.dst != self.plan.ic.mor_span:
             raise BaseMismatch("cell endpoints must be the slice span and the arrow span")
+        object.__setattr__(self, "table", self.cell.map.table)
+
+    def __reduce__(self):
+        return ConvElement, (self.plan, self.cell)
 
     @property
     def base(self) -> SliceObject:
@@ -171,14 +181,16 @@ def _conv(plan: ModulePlan, table: tuple) -> ConvElement:
 
 @dataclass(frozen=True)
 class KleisliEndo:
-    """An endomorphism of the free module on plan.base, as a cell f_A => f_A . M."""
+    """An endomorphism of the free module on plan.base, as a cell f_A => f_A . M (apex table ``table``)."""
 
     plan: ModulePlan
     cell: TwoCell
+    table: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cell.src != self.plan.base.span or self.cell.dst != self.plan.fm.span:
             raise BaseMismatch("cell endpoints must be the slice span and its free module")
+        object.__setattr__(self, "table", self.cell.map.table)
 
     @property
     def base(self) -> SliceObject:
@@ -230,19 +242,26 @@ def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     plan = alpha.plan
     if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("convolution factors must share base and target")
-    return _conv(plan, plan.conv(alpha.map.table, beta.map.table))
+    return _conv(plan, plan.conv(alpha.table, beta.table))
 
 
 def extend(alpha: ConvElement) -> KleisliEndo:
-    """The simply presented endomorphism <id, alpha>: a -> (a, alpha(a))."""
-    plan = alpha.plan
-    return _wrap_endo(plan, plan.extend(alpha.map.table))
+    """The simply presented endomorphism <id, alpha>: a -> (a, alpha(a)).
+
+    Built and checked on the first call for each element, which keeps it.
+    """
+    endo = alpha._extension
+    if endo is None:
+        plan = alpha.plan
+        endo = _wrap_endo(plan, plan.extend(alpha.table))
+        object.__setattr__(alpha, "_extension", endo)
+    return endo
 
 
 def retrieve(endo: KleisliEndo) -> ConvElement:
     """Project an endomorphism to its arrow component; inverts extend."""
     plan = endo.plan
-    return _conv(plan, tuple(map(plan.arrow.__getitem__, endo.cell.map.table)))
+    return _conv(plan, tuple(map(plan.arrow.__getitem__, endo.table)))
 
 
 def kleisli_unit(fa: SliceObject, ic: InternalCategory) -> KleisliEndo:
@@ -258,12 +277,12 @@ def kleisli_compose(beta: KleisliEndo, alpha: KleisliEndo) -> KleisliEndo:
     plan = alpha.plan
     if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("Kleisli factors must share base and target")
-    return _wrap_endo(plan, plan.compose(beta.cell.map.table, alpha.cell.map.table))
+    return _wrap_endo(plan, plan.compose(beta.table, alpha.table))
 
 
 def is_simply_presented(endo: KleisliEndo) -> bool:
     """True when the carrier component is the identity, i.e. endo = <id, bar>."""
-    return tuple(map(endo.plan.carrier.__getitem__, endo.cell.map.table)) == tuple(range(endo.base.a.size))
+    return tuple(map(endo.plan.carrier.__getitem__, endo.table)) == tuple(range(endo.base.a.size))
 
 
 def coreflect(endo: KleisliEndo) -> tuple[KleisliEndo, FinMap]:
@@ -281,13 +300,7 @@ def end_square_holds(
     src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap
 ) -> bool:
     """Elementwise test of the endomorphism-morphism square."""
-    return src.plan.square_holds(
-        dst.plan,
-        src.cell.map.table,
-        dst.cell.map.table,
-        sigma.table,
-        tau.table,
-    )
+    return src.plan.square_holds(dst.plan, src.table, dst.table, sigma.table, tau.table)
 
 
 def conv_base_change(src: SliceObject, sigma: FinMap, elem: ConvElement) -> ConvElement:
@@ -344,7 +357,7 @@ def module_endomorphism(endo: KleisliEndo) -> FinMap:
     """
     plan = endo.plan
     apex = plan.fm.span.apex
-    return FinMap(apex, apex, plan.compose(endo.cell.map.table, range(apex.size)))
+    return FinMap(apex, apex, plan.compose(endo.table, range(apex.size)))
 
 
 def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
@@ -359,7 +372,7 @@ def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
     """
     plan = endo.plan
     slot, carrier, arrow, ic = plan.slot, plan.carrier, plan.arrow, plan.ic
-    mine = endo.cell.map.table
+    mine = endo.table
     cand = [None] * len(mine)
     for a, s in enumerate(mine):
         x, inv = carrier[s], ic.inverse(arrow[s])
@@ -367,7 +380,7 @@ def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
             return None
         cand[x] = slot[a][inv]
     table = tuple(cand)
-    unit = extend(_unit(plan)).cell.map.table
+    unit = extend(_unit(plan)).table
     if plan.compose(table, mine) != unit or plan.compose(mine, table) != unit:
         return None
     return _wrap_endo(plan, table)
@@ -419,17 +432,17 @@ def feistel_network(
     for fn in round_fns:
         if len(fn) != n or any(not 0 <= v < n for v in fn):
             raise MalformedTables("round function must map the group to itself")
-    states = n * n
+    states, table = n * n, group.table
     perm = list(range(states))
     for fn in round_fns:
         for s in range(states):
             l, r = divmod(perm[s], n)
-            perm[s] = group.mult(fn[l], r) * n + l
+            perm[s] = table[fn[l] * n + r] * n + l
     inv_perm = list(range(states))
     for fn in reversed(round_fns):
         for s in range(states):
             a, b = divmod(inv_perm[s], n)
-            inv_perm[s] = b * n + group.mult(inv[fn[b]], a)
+            inv_perm[s] = b * n + table[inv[fn[b]] * n + a]
     return tuple(perm), tuple(inv_perm)
 
 
@@ -465,15 +478,15 @@ def verify_adjunction(
                 if compose(b_obj.f, phi) == a_obj.f
             ]
             src_plan, dst_plan = hat.plan, beta.plan
-            u, v = hat.cell.map.table, beta.cell.map.table
+            u, v = hat.table, beta.table
             end_homset = [
                 (phi, psi)
                 for phi in slice_cells
                 for psi in slice_cells
                 if src_plan.square_holds(dst_plan, u, v, phi, psi)
             ]
-            bar = retrieve(beta).map.table
-            conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.map.table]
+            bar = retrieve(beta).table
+            conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.table]
             firsts = [phi for phi, _ in end_homset]
             ok = len(firsts) == len(set(firsts)) and sorted(firsts) == sorted(conv_homset)
             rb.require(
@@ -488,6 +501,6 @@ def verify_adjunction(
             rb.require(
                 inverse is not None,
                 "automorphism",
-                f"extend of {alpha.map.table} has no two-sided inverse",
+                f"extend of {alpha.table} has no two-sided inverse",
             )
     return rb.report()

@@ -235,7 +235,7 @@ def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     Objects are pairs (slice object, element); an arrow over a base cell
     phi runs from the pullback of an element along phi to that element.
     """
-    keys = [[e.map.table for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    keys = [[e.table for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     places = [{key: u for u, key in enumerate(fibre)} for fibre in keys]
 
     def lifts(k: int, i: int, j: int):
@@ -255,7 +255,7 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     square (sigma tensored with the arrow span) commutes; the equal
     components of such a morphism make a single cell suffice.
     """
-    keys = [[extend(alpha).cell.map.table for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    keys = [[extend(alpha).table for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     plans = ss._plans
 
     def lifts(k: int, i: int, j: int):
@@ -284,7 +284,7 @@ class _Extensions(dict):
     def __missing__(self, key: tuple) -> tuple:
         i, table = key
         plan = self.ss._plans[i]
-        self[key] = image = (i, extend(_conv(plan, table)).cell.map.table)
+        self[key] = image = (i, extend(_conv(plan, table)).table)
         return image
 
 
@@ -358,7 +358,7 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         return extensions[(i, table)][1]
 
     def retrieved(i: int, table: tuple) -> tuple:
-        return retrieve(_as_endo(ss, i, table)).map.table
+        return retrieve(_as_endo(ss, i, table)).table
 
     triangle = ("projection-triangle", "projection-triangle")
     forward = _functor_over_base(rb, conv, endo, extended, "forward-", triangle)
@@ -374,14 +374,14 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         i, j = ss.arrow_endpoints(k)
         plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
         for beta in fibres[j]:
-            pulled = tuple(beta.map.table[v] for v in sigma)
-            pulled_then_extended = extend(_conv(plan, pulled)).cell.map.table
-            hat = extend(beta).cell.map.table
+            pulled = tuple(beta.table[v] for v in sigma)
+            pulled_then_extended = extend(_conv(plan, pulled)).table
+            hat = extend(beta).table
             extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
             rb.require(
                 pulled_then_extended == extended_then_pulled,
                 "fibrewise-naturality",
-                (k, beta.map.table),
+                (k, beta.table),
             )
     return CartesianIso(forward, backward, rb.report(), conv, endo)
 

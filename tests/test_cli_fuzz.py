@@ -39,6 +39,9 @@ NUMBER_TEXT = st.sampled_from(["-1", "0", "7", "99", "x", "", "1.5", "true"])
 TABLE_TEXT = st.sampled_from(
     ["", "0", "0,0", "0,1", "1,0", "0,0,0", "0,1,0,1", "0,,1", "-1,0", "2,2", "a,b"]
 )
+# conv-table's --slice arguments for the differential test; small, as the oracle enumerates without a budget
+SLICE_SIZES = ("", "-1", "x", "0", "1", "2", "3")
+SLICE_TABLES = ("", "-1", "x", "0", "1", "0,0", "0,1", "1,0", "0,0,0", "0,1,1", "0,,1")
 # the catch-all arm of cli.main: an exception no handler names, i.e. a defect
 UNEXPECTED = re.compile(r"^error: [A-Za-z_]*(Error|Exception|Exit|Warning): ", re.MULTILINE)
 
@@ -165,4 +168,18 @@ def test_subslice_exit_codes_match_the_oracle(data):
         doc = data.draw(mutated_twice(DOCS[sub]))
         code, err = run_main(["fib-check", "--internal", "{0}", "--subslice", "{1}"], [internal, doc])
         expected = oracle.fib_check(json.dumps(internal), json.dumps(doc))[0]
+    assert code == expected, (doc, code, expected, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_internal_category_exit_codes_match_the_oracle(data):
+    doc = data.draw(mutated_twice(DOCS[data.draw(st.sampled_from(INTERNAL))]))
+    if data.draw(st.booleans()):
+        size, table = data.draw(st.sampled_from(SLICE_SIZES)), data.draw(st.sampled_from(SLICE_TABLES))
+        code, err = run_main(["conv-table", "{0}", "--slice", size, table], [doc])
+        expected = oracle.conv_table(json.dumps(doc), size, table)[0]
+    else:
+        code, err = run_main(["check", "{0}"], [doc])
+        expected = oracle.check(json.dumps(doc))[0]
     assert code == expected, (doc, code, expected, err)

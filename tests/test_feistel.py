@@ -1,5 +1,8 @@
+import gc
+import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -45,6 +48,7 @@ from spanforge.catalog import (
 )
 from spanforge import feistel
 from spanforge.feistel import ModulePlan, free_module, module_plan
+from spanforge.finset import CACHE_SIZE
 from spanforge.internal import check_internal_category, eta_cell, mu_cell
 from spanforge.span import (
     compose_cells,
@@ -432,6 +436,107 @@ class TestModulePlan:
             kleisli_endo(fa, Z2, FinMap(a, FinSet(2), (0,)))
 
 
+class TestExtensionLink:
+    """extend is computed once per element and kept on it; nothing else sets it."""
+
+    def test_extension_is_computed_once_and_matches_the_cells(self, monkeypatch):
+        module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        kernel, calls = ModulePlan.extend, []
+
+        def counted(plan, table):
+            calls.append(table)
+            return kernel(plan, table)
+
+        monkeypatch.setattr(ModulePlan, "extend", counted)
+        elements = 0
+        for entry in CATALOG.values():
+            ic = entry.category
+            for a_size in range(3):
+                for fa in slice_objects(ic, a_size):
+                    for alpha in conv_fibre(fa, ic):
+                        assert alpha._extension is None
+                        hat = extend(alpha)
+                        assert extend(alpha) is hat and alpha._extension is hat
+                        assert hat.table == hat.cell.map.table == extend_by_cells(alpha)
+                        assert alpha.table == alpha.cell.map.table
+                        elements += 1
+        assert len(calls) == elements
+
+    def test_neither_extend_nor_retrieve_links_what_it_returns(self):
+        ic = one_object_category(MONOIDS["z3"])
+        module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        for endo in kleisli_fibre(point_base(ic, 2), ic):
+            assert retrieve(endo)._extension is None
+        hat = extend(conv_unit(point_base(ic, 2), ic))
+        assert set(vars(hat)) == {"plan", "cell", "table"}
+
+    def test_link_leaves_equality_hashing_and_pickles_alone(self):
+        ic = one_object_category(MONOIDS["z3"])
+        module_plan.cache_clear()
+        alpha = conv_from_table(point_base(ic, 2), ic, (1, 2))
+        key, size = hash(alpha), len(pickle.dumps(alpha))
+        hat = extend(alpha)
+        copy = pickle.loads(pickle.dumps(alpha))
+        assert hash(alpha) == key and len(pickle.dumps(alpha)) == size
+        assert copy == alpha and copy._extension is None and copy.table == alpha.table
+        assert extend(copy).cell == hat.cell and copy._extension is not None
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda table: (4,) + table[1:], "^entry 4 at index 0 not below 4$"),
+            (lambda table: table[::-1], "^left triangle does not commute$"),
+        ],
+    )
+    def test_malformed_extend_kernel_is_refused_every_time(self, monkeypatch, bad, message):
+        ic = pair_groupoid(2).cat
+        a = FinSet(2)
+        module_plan.cache_clear()
+        alpha = conv_unit(SliceObject(a, FinMap(a, ic.o, (0, 1))), ic)
+        plan = alpha.plan
+        memos = dict(plan.convs), dict(plan.endos)
+        monkeypatch.setattr(ModulePlan, "extend", lambda self, table: bad(table))
+        for _ in range(2):
+            with pytest.raises(MalformedTables, match=message):
+                extend(alpha)
+        assert alpha._extension is None and (plan.convs, plan.endos) == memos
+        monkeypatch.undo()
+        assert extend(alpha).table == extend_by_cells(alpha)
+
+    def test_links_on_a_full_plan_stay_within_a_fixed_memory_bound(self):
+        # worst case: the endomorphism memo is full before any element is
+        # extended, so every link holds an endomorphism no memo holds
+        ic = one_object_category(MONOIDS["z3"])
+        fa = point_base(ic, 6)
+        ic.tables, ic.mor_span  # built before tracing: the category outlives the plan
+        module_plan.cache_clear()
+        feistel._conv_fibre_cached.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            plan = module_plan(fa, ic)
+            fibre = conv_fibre(fa, ic)
+            apex = plan.fm.span.apex.size
+            for table in itertools.islice(itertools.product(range(apex), repeat=6), CACHE_SIZE):
+                kleisli_endo(fa, ic, FinMap(fa.a, plan.fm.span.apex, table))
+            gc.collect()
+            unlinked = tracemalloc.get_traced_memory()[0]
+            hats = [extend(alpha) for alpha in plan.convs.values()]
+            gc.collect()
+            linked = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(fibre) == 729 and len(plan.convs) == len(plan.endos) == CACHE_SIZE
+        held = {id(h) for h in hats} - {id(e) for e in plan.endos.values()}
+        assert len(held) == CACHE_SIZE  # one endomorphism per memoised element, no more
+        assert all(extend(alpha) is hat for alpha, hat in zip(plan.convs.values(), hats))
+        # measured 0.51 MB unlinked and 0.69 MB linked (CPython 3.11.7)
+        assert linked - unlinked < 0.3 * 2**20
+        assert linked < 0.85 * 2**20
+
+
 class TestExtendRetrieve:
     def test_cnot_table(self):
         fa = point_base(Z2, 2)
@@ -654,6 +759,9 @@ class TestFeistelNetwork:
         perm, inverse = feistel_network(s3, 4, fns)
         for s in range(36):
             assert inverse[perm[s]] == s
+        # one round is (l, r) -> (f(l) then r, l), in that order in a nonabelian group
+        one_round, _ = feistel_network(s3, 1, fns[:1])
+        assert one_round == tuple(s3.mult(fns[0][l], r) * 6 + l for l in range(6) for r in range(6))
 
     def test_round_extensions_are_bijections(self):
         group = xor_group(2)
