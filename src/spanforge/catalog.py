@@ -30,11 +30,13 @@ class MonoidTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(self.table))
         n = self.size
+        if type(n) is not int:
+            raise MalformedTables(f"size of {self.name} must be an int, got {n!r}")
         if len(self.table) != n * n:
             raise MalformedTables(f"Cayley table for {self.name} must have {n * n} entries")
-        if any(not 0 <= v < n for v in self.table):
+        if any(type(v) is not int or not 0 <= v < n for v in self.table):
             raise MalformedTables(f"Cayley table for {self.name} has out-of-range entries")
-        if not 0 <= self.unit < n:
+        if type(self.unit) is not int or not 0 <= self.unit < n:
             raise MalformedTables(f"unit of {self.name} out of range")
         try:
             self.category  # checks the unit and associativity
@@ -67,6 +69,8 @@ class MonoidTable:
 def monoid_from_flat(name: str, size: int, flat) -> MonoidTable:
     """The monoid of a row-major Cayley table; its unit is found, not given."""
     flat = tuple(flat)
+    if type(size) is not int:
+        raise MalformedTables(f"{name}: size must be an int, got {size!r}")
     if len(flat) != size * size:
         raise MalformedTables(f"{name}: flat Cayley table must have {size * size} entries")
     for e in range(size):
@@ -189,6 +193,32 @@ def action_groupoid_z2() -> InternalGroupoid:
     mu = FinMap(pb.apex, m, tuple((x // 2) * 2 + ((x ^ y) % 2) for x, y in pb.elems))
     iota = FinMap(m, m, tuple(((x // 2) ^ (x % 2)) * 2 + (x % 2) for x in range(4)))
     return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
+
+
+def loops_and_bridges() -> InternalCategory:
+    """Two objects with real loops: neither a groupoid nor only identities.
+
+    Arrows: 0 = id at 0, 1 = an idempotent e at 0, 2 = id at 1, 3 = an
+    involution s at 1, and 4, 5 = two arrows p, q from 0 to 1.  "e then h"
+    is p for both h in {p, q}; s fixes p and q.  It is kept out of CATALOG,
+    whose six instances the sweeps and count pins range over, and
+    ``fixtures/loops_and_bridges.json`` holds it as a document.
+    """
+    o, m = FinSet(2), FinSet(6)
+    d = FinMap(m, o, (0, 0, 1, 1, 0, 0))
+    c = FinMap(m, o, (0, 0, 1, 1, 1, 1))
+    table = {(1, 1): 1, (1, 4): 4, (1, 5): 4, (3, 3): 2, (4, 3): 4, (5, 3): 5}
+
+    def then(a: int, b: int) -> int:
+        if a in (0, 2):
+            return b
+        if b in (0, 2):
+            return a
+        return table[(a, b)]
+
+    pb = pullback(c, d)
+    mu = FinMap(pb.apex, m, tuple(then(a, b) for a, b in pb.elems))
+    return InternalCategory(o, m, d, c, FinMap(o, m, (0, 2)), mu)
 
 
 @dataclass(frozen=True)

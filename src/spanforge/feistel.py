@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
@@ -38,13 +39,13 @@ class ModulePlan:
     """The convolution monoid of a slice object base valued in ic, as flat tables.
 
     ``fm`` is the free module f_A . M.  Generator s is the pair (carrier[s],
-    arrow[s]); slot[x][m] is the generator (x, m), or None where f(x) is not
-    the source of m.  ``rows`` and ``pos`` are ic.tables': rows[a][pos[b]] is
-    "a then b", one entry per composable pair.  The kernels below index these
-    tuples by position, with no tuple key or dict lookup; a checked element
-    composes only composable pairs and never reaches a None slot.  The cell
-    calculus (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is
-    their specification; the tests compare exactly.
+    arrow[s]); the generator (x, m) sits at start[x] + pos[m], fm.pb's layout.
+    ``rows`` and ``pos`` are ic.tables': rows[a][pos[b]] is "a then b", one
+    entry per composable pair.  The kernels below index these tuples by
+    position, with no tuple key or dict lookup; a checked element composes
+    only composable pairs and places only generators.  The cell calculus
+    (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is their
+    specification; the tests compare exactly.
 
     Every element carries its plan, so products never look one up.  A plan
     compares and hashes by (base, ic) alone: a plan rebuilt after the cache
@@ -60,14 +61,14 @@ class ModulePlan:
     fm: TensorResult = field(compare=False, repr=False)
     rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     pos: tuple[int, ...] = field(compare=False, repr=False)
-    slot: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
+    start: tuple[int, ...] = field(compare=False, repr=False)
     carrier: tuple[int, ...] = field(compare=False, repr=False)
     arrow: tuple[int, ...] = field(compare=False, repr=False)
     convs: dict[tuple, ConvElement] = field(default_factory=dict, compare=False, repr=False)
     endos: dict[tuple, KleisliEndo] = field(default_factory=dict, compare=False, repr=False)
 
     def __reduce__(self):
-        tables = (self.fm, self.rows, self.pos, self.slot, self.carrier, self.arrow)
+        tables = (self.fm, self.rows, self.pos, self.start, self.carrier, self.arrow)
         return ModulePlan, (self.base, self.ic, *tables)
 
     def conv(self, s: tuple, t: tuple) -> tuple:
@@ -79,18 +80,15 @@ class ModulePlan:
 
     def extend(self, alpha: tuple) -> tuple:
         """The simply presented endomorphism a -> (a, alpha(a))."""
-        slot, out = self.slot, []
-        for a, m in enumerate(alpha):
-            out.append(slot[a][m])
-        return tuple(out)
+        return tuple(map(add, self.start, map(self.pos.__getitem__, alpha)))  # start[a] + pos[alpha[a]] at each a
 
     def compose(self, beta: tuple, alpha: tuple) -> tuple:
         """Kleisli composite: alpha, then beta on the carrier, then compose arrows."""
-        slot, carrier, arrow, rows, pos = self.slot, self.carrier, self.arrow, self.rows, self.pos
+        start, carrier, arrow, rows, pos = self.start, self.carrier, self.arrow, self.rows, self.pos
         out = []
         for s1 in alpha:
             s2 = beta[carrier[s1]]
-            out.append(slot[carrier[s2]][rows[arrow[s2]][pos[arrow[s1]]]])
+            out.append(start[carrier[s2]] + pos[rows[arrow[s2]][pos[arrow[s1]]]])
         return tuple(out)
 
     def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
@@ -98,9 +96,10 @@ class ModulePlan:
 
         Holds when v(sigma(a)) = (tau(x), m) for every generator a with u(a) = (x, m).
         """
-        carrier, arrow, slot = self.carrier, self.arrow, dst.slot
+        carrier, arrow, dst_carrier, dst_arrow = self.carrier, self.arrow, dst.carrier, dst.arrow
         for a, s in enumerate(u):
-            if slot[tau[carrier[s]]][arrow[s]] != v[sigma[a]]:
+            t = v[sigma[a]]
+            if dst_carrier[t] != tau[carrier[s]] or dst_arrow[t] != arrow[s]:
                 return False
         return True
 
@@ -111,10 +110,8 @@ def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
     if base.o != ic.o:
         raise BaseMismatch("slice object and internal category live over different bases")
     fm = tensor(base.span, ic.mor_span)
-    index, arrows = fm.pb.index, range(ic.m.size)
-    slot = tuple(tuple(index.get((x, m)) for m in arrows) for x in range(base.a.size))
     cat = ic.tables
-    return ModulePlan(base, ic, fm, cat.rows, cat.pos, slot, fm.proj_left.table, fm.proj_right.table)
+    return ModulePlan(base, ic, fm, cat.rows, cat.pos, fm.pb.start, fm.proj_left.table, fm.proj_right.table)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
@@ -352,7 +349,7 @@ def module_endomorphism(endo: KleisliEndo) -> FinMap:
     """The actual endomorphism of the free-module carrier f_A . M.
 
     Sends a generator pair (a, m) to (carrier(a), arrow(a) then m): the
-    Kleisli composite of endo after the pairs themselves, read as slots.
+    Kleisli composite of endo after the pairs themselves, read as generators.
     The assignment turns Kleisli composition into plain composition of maps.
     """
     plan = endo.plan
@@ -371,14 +368,14 @@ def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
     to the Kleisli unit on both sides before it is returned.
     """
     plan = endo.plan
-    slot, carrier, arrow, ic = plan.slot, plan.carrier, plan.arrow, plan.ic
+    start, pos, carrier, arrow, ic = plan.start, plan.pos, plan.carrier, plan.arrow, plan.ic
     mine = endo.table
     cand = [None] * len(mine)
     for a, s in enumerate(mine):
         x, inv = carrier[s], ic.inverse(arrow[s])
         if inv is None or cand[x] is not None:
             return None
-        cand[x] = slot[a][inv]
+        cand[x] = start[a] + pos[inv]  # inv leaves c(arrow[s]) = f(a), so (a, inv) is a generator
     table = tuple(cand)
     unit = extend(_unit(plan)).table
     if plan.compose(table, mine) != unit or plan.compose(mine, table) != unit:
@@ -392,8 +389,8 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
     States are integers whose high m bits are x and low n bits are y,
     most significant bit first.
     """
-    if m_bits < 0 or n_bits < 0:
-        raise MalformedTables("bit widths must be non-negative")
+    if type(m_bits) is not int or type(n_bits) is not int or min(m_bits, n_bits) < 0:
+        raise MalformedTables("bit widths must be non-negative ints")
     # 2^width passes the cap exactly when width reaches the cap's bit length;
     # clamping first keeps a huge width from building a huge integer.
     width = m_bits + n_bits
@@ -402,7 +399,7 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
         raise MalformedTables(f"truth table must have {1 << m_bits} rows")
     mask = (1 << n_bits) - 1
     for v in table:
-        if not isinstance(v, int) or not 0 <= v <= mask:
+        if type(v) is not int or not 0 <= v <= mask:
             raise MalformedTables(f"truth table entry {v!r} does not fit in {n_bits} bits")
     perm = []
     for state in range(1 << width):
@@ -424,13 +421,15 @@ def feistel_network(
     encoded l * size + r.
     """
     inv = group.inverse_table()  # NotAGroup when inverses are missing
+    if type(rounds) is not int:
+        raise MalformedTables(f"round count must be an int, got {rounds!r}")
     if len(round_fns) != rounds:
         raise KeyScheduleMismatch(
             f"{rounds} rounds requested but {len(round_fns)} round functions supplied"
         )
     n = group.size
     for fn in round_fns:
-        if len(fn) != n or any(not 0 <= v < n for v in fn):
+        if len(fn) != n or any(type(v) is not int or not 0 <= v < n for v in fn):
             raise MalformedTables("round function must map the group to itself")
     states, table = n * n, group.table
     perm = list(range(states))

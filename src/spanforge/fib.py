@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import MalformedTables, NotInternalFunctor, NotLex
-from .finset import FinMap, FinSet, all_maps, compose
+from .finset import FinMap, FinSet, all_maps, compose, group_by_value
 from .internal import (
     CategoryTables,
     FiniteCategory,
     InternalCategory,
     InternalFunctor,
     LexFunctorData,
-    _leaving,
     apply_lex_functor,
     budget,
 )
@@ -85,7 +84,7 @@ class SubSlice:
             missing = self.objects[ident.index(None)]
             raise MalformedTables(f"identity missing for object with |A|={missing.a.size}")
         s, t = tuple(i for i, _, _ in cells), tuple(j for _, j, _ in cells)
-        out, pos = _leaving(s, len(self.objects))
+        out, pos = group_by_value(s, len(self.objects))
         rows = []
         for i, j, phi in cells:
             rows.append(tuple(cell_index.get((i, t[k], tuple(cells[k][2][v] for v in phi))) for k in out[j]))
@@ -218,7 +217,7 @@ def _fibration(ss: SubSlice, keys: list, lifts) -> FibrationInstance:
     # a missing identity or composite is None, which FiniteCategory refuses
     lift = {ends: a for a, ends in enumerate(zip(over, s, t))}
     ident = tuple(lift.get((base.ident[i], x, x)) for x, (i, _) in enumerate(objects))
-    out, pos = _leaving(s, len(objects))
+    out, pos = group_by_value(s, len(objects))
     over_pos = [base.pos[k] for k in over]
     rows = tuple(
         tuple(lift.get((base_row[over_pos[g]], x, t[g])) for g in out[y])

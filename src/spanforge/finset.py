@@ -3,16 +3,17 @@
 Elements of a set of size n are the indices 0..n-1; labels are cosmetic.
 Every value is an immutable table, so equality anywhere downstream is
 exact table equality, and every pullback is materialized once as the
-lexicographically ordered list of matching pairs.  ``PullbackResult.index``
-is the one pair -> position lookup; every other module reads it.
+lexicographically ordered list of matching pairs, with the layout of
+``group_by_value`` (the one grouping of a table's points by value).
+``pair_position`` is the one pair -> position lookup; every other module reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .errors import (
     CodomainMismatch,
@@ -116,19 +117,31 @@ def invert(f: FinMap) -> FinMap:
     return FinMap(f.cod, f.dom, tuple(table))
 
 
+def group_by_value(table: Sequence[int], size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(out, pos): out[v] lists the points i with table[i] = v < size in order, and i = out[v][pos[i]]."""
+    out: list[list[int]] = [[] for _ in range(size)]
+    pos = []
+    for i, v in enumerate(table):
+        pos.append(len(out[v]))
+        out[v].append(i)
+    return tuple(map(tuple, out)), tuple(pos)
+
+
 @dataclass(frozen=True)
 class PullbackResult:
-    """The canonical pullback: all matching pairs in lexicographic order."""
+    """The canonical pullback: all matching pairs in lexicographic order.
+
+    The derived layout stays out of equality: out and pos group the right foot
+    by g, and a's run opens at start[a], so the pair (a, b) sits at start[a] + pos[b].
+    """
 
     apex: FinSet
     elems: tuple[tuple[int, int], ...]
     proj_left: FinMap
     proj_right: FinMap
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        """Position of each pair in the apex, built on first use; shared, so read only."""
-        return {pair: i for i, pair in enumerate(self.elems)}
+    out: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    pos: tuple[int, ...] = field(compare=False, repr=False)
+    start: tuple[int, ...] = field(compare=False, repr=False)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -136,15 +149,13 @@ def pullback(f: FinMap, g: FinMap) -> PullbackResult:
     """Canonical pullback of f and g: pairs (a, b) with f(a) = g(b)."""
     if f.cod != g.cod:
         raise CodomainMismatch(f"pullback legs must share a codomain ({f.cod} vs {g.cod})")
-    # the right leg's domain grouped by value, so the work is linear in the pairs found
-    right_of: dict[int, list[int]] = {}
-    for b, v in enumerate(g.table):
-        right_of.setdefault(v, []).append(b)
-    elems = tuple((a, b) for a, v in enumerate(f.table) for b in right_of.get(v, ()))
+    out, pos = group_by_value(g.table, g.cod.size)  # g's fibres, so the work is linear in the pairs found
+    elems = tuple((a, b) for a, v in enumerate(f.table) for b in out[v])
+    start = tuple(itertools.accumulate((len(out[v]) for v in f.table), initial=0))
     apex = FinSet(len(elems))
     proj_left = FinMap(apex, f.dom, tuple(a for a, _ in elems))
     proj_right = FinMap(apex, g.dom, tuple(b for _, b in elems))
-    return PullbackResult(apex, elems, proj_left, proj_right)
+    return PullbackResult(apex, elems, proj_left, proj_right, out, pos, start)
 
 
 def mediating(pb: PullbackResult, u: FinMap, v: FinMap) -> FinMap:
@@ -153,19 +164,19 @@ def mediating(pb: PullbackResult, u: FinMap, v: FinMap) -> FinMap:
         raise DomainMismatch("cone legs must share a domain")
     if u.cod != pb.proj_left.cod or v.cod != pb.proj_right.cod:
         raise CodomainMismatch("cone legs must target the pullback feet")
-    index = pb.index
-    table = []
-    for x in range(u.dom.size):
-        pair = (u.table[x], v.table[x])
-        if pair not in index:
-            raise SquareDoesNotCommute(f"cone does not commute at element {x}: pair {pair}")
-        table.append(index[pair])
-    return FinMap(u.dom, pb.apex, tuple(table))
+    table = tuple(pair_position(pb, a, b) for a, b in zip(u.table, v.table))
+    if None in table:
+        x = table.index(None)
+        raise SquareDoesNotCommute(f"cone does not commute at element {x}: pair {(u.table[x], v.table[x])}")
+    return FinMap(u.dom, pb.apex, table)
 
 
-def pair_position(pb: PullbackResult, a: int, b: int) -> int:
-    """Index of the pair (a, b) in the apex; KeyError if the legs disagree."""
-    return pb.index[(a, b)]
+def pair_position(pb: PullbackResult, a: int, b: int) -> int | None:
+    """Position of the pair (a, b) in the apex, or None when it is not a pair of pb."""
+    if type(a) is not int or type(b) is not int or not (0 <= a < len(pb.start) - 1 and 0 <= b < len(pb.pos)):
+        return None
+    i = pb.start[a] + pb.pos[b]  # in a's run, that place holds (a, b) exactly when f(a) = g(b)
+    return i if i < pb.start[a + 1] and pb.proj_right.table[i] == b else None
 
 
 def product(a: FinSet, b: FinSet) -> PullbackResult:

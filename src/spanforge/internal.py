@@ -30,10 +30,12 @@ from .finset import (
     FinSet,
     all_maps,
     compose,
+    group_by_value,
     identity,
     invert,
     is_bijection,
     mediating,
+    pair_position,
     pullback,
 )
 from .report import Report, ReportBuilder
@@ -90,16 +92,6 @@ class CategoryTables:
             if f_g == src_unit and self.then(g, f) == dst_unit:
                 return g
         return None
-
-
-def _leaving(s: tuple[int, ...], n_objects: int) -> tuple[tuple, tuple[int, ...]]:
-    """out and pos of CategoryTables for arrows with the sources s."""
-    out: list[list[int]] = [[] for _ in range(n_objects)]
-    pos = []
-    for f, x in enumerate(s):
-        pos.append(len(out[x]))
-        out[x].append(f)
-    return tuple(map(tuple, out)), tuple(pos)
 
 
 def law_checks(cat: CategoryTables, firsts: Sequence[int], seconds: Sequence[int]) -> Iterator[tuple]:
@@ -193,19 +185,17 @@ class InternalCategory:
 
     @cached_property
     def tables(self) -> CategoryTables:
-        """The category on ids; the composable pairs (a, b) run through mu a at a time."""
-        out, pos = _leaving(self.d.table, self.o.size)
-        ends = list(itertools.accumulate((len(out[y]) for y in self.c.table), initial=0))
-        rows = tuple(self.mu.table[i:j] for i, j in zip(ends, ends[1:]))
-        return CategoryTables(self.d.table, self.c.table, self.eta.table, out, pos, rows)
+        """The category on ids, read off the layout of the composable pairs: a's run of mu is its row."""
+        pb = self.composable
+        rows = tuple(self.mu.table[i:j] for i, j in zip(pb.start, pb.start[1:]))
+        return CategoryTables(self.d.table, self.c.table, self.eta.table, pb.out, pb.pos, rows)
 
     def then(self, a: int, b: int) -> int:
         """Compose the arrows a then b; DomainMismatch unless they are a composable pair."""
-        n = self.m.size
-        ab = self.tables.then(a, b) if type(a) is type(b) is int and 0 <= a < n and 0 <= b < n else None
-        if ab is None:
+        i = pair_position(self.composable, a, b)
+        if i is None:
             raise DomainMismatch(f"arrows ({a!r}, {b!r}) are not a composable pair of M")
-        return ab
+        return self.mu.table[i]
 
     def inverse(self, m: int) -> int | None:
         """The two-sided inverse of arrow m, or None when M holds none."""
@@ -319,7 +309,7 @@ class FiniteCategory:
             raise MalformedTables("tables must hold one identity per object and one row per arrow")
         if not (_ids(cat.s, n) and _ids(cat.t, n) and _ids(cat.ident, m)):
             raise MalformedTables("endpoints must be object ids and identities arrow ids")
-        if (cat.out, cat.pos) != _leaving(cat.s, n):
+        if (cat.out, cat.pos) != group_by_value(cat.s, n):
             raise MalformedTables("out and pos must list the arrows leaving each object in id order")
         for f, row in enumerate(cat.rows):
             if len(row) != len(cat.out[cat.t[f]]) or not _ids(row, m):
@@ -361,7 +351,7 @@ class FiniteCategory:
                 raise MalformedTables(f"arrow {a!r} has unknown endpoints")
             s.append(x)
             t.append(y)
-        out, pos = _leaving(s, len(objects))
+        out, pos = group_by_value(s, len(objects))
         # a key that names no arrow and one that names an arrow with the wrong
         # ends get one message, so each lookup tests the ends it reads
         idents = []
@@ -422,7 +412,7 @@ def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     t = tuple(_map_lex_index(map(cat.t.__getitem__, a), n_o) for a in arrows)
     ident = tuple(_map_lex_index(map(cat.ident.__getitem__, x), n_m) for x in objects)
     budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
-    out, pos = _leaving(s, n_obj)
+    out, pos = group_by_value(s, n_obj)
     # pointwise composites: the ends of a then b agree at every point
     rows = tuple(
         tuple(_map_lex_index(map(cat.then, a, arrows[g]), n_m) for g in out[y]) for a, y in zip(arrows, t)

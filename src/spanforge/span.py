@@ -11,7 +11,7 @@ Conventions, fixed once and relied on everywhere:
 * Multi-fold tensors are always bracketed explicitly; ``reassociate``
   supplies the canonical bijection when a law needs rebracketing.
 * ``tensor(x, m).pb`` is the pullback a tensor was glued along; cells into
-  a tensor find their pair positions through its ``index``.
+  a tensor find their pair positions in its layout through ``pair_position``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spanforge import cli, fib
+from spanforge.catalog import loops_and_bridges
 from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +132,16 @@ class TestConvTable:
         assert code == 0
         assert "fibre size: 1" in out
         assert "group: yes" in out
+
+    def test_loops_and_bridges_fixture_is_the_catalog_instance(self, capsys):
+        path = FIXTURES / "loops_and_bridges.json"
+        doc, ic = json.loads(path.read_text()), loops_and_bridges()
+        assert (doc["kind"], doc["o_size"], doc["m_size"]) == ("internal-category", ic.o.size, ic.m.size)
+        assert [tuple(doc[k]) for k in ("d", "c", "eta", "mu")] == [ic.d.table, ic.c.table, ic.eta.table, ic.mu.table]
+        assert run_cli(capsys, "check", str(path)) == (0, "ok\n", "")
+        for a_size, f_text in (("1", "1"), ("2", "0,1"), ("3", "1,0,1")):
+            got = run_cli(capsys, "conv-table", str(path), "--slice", a_size, f_text)[:2]
+            assert got == oracle.conv_table(path.read_text(), a_size, f_text)
 
     def test_deterministic_output(self, capsys):
         args = ("conv-table", str(FIXTURES / "z2_internal.json"), "--slice", "2", "0,0")

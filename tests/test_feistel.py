@@ -41,6 +41,8 @@ from spanforge import (
 from spanforge.catalog import (
     CATALOG,
     MONOIDS,
+    MonoidTable,
+    monoid_from_flat,
     one_object_category,
     one_object_groupoid,
     pair_groupoid,
@@ -49,15 +51,8 @@ from spanforge.catalog import (
 from spanforge import feistel
 from spanforge.feistel import ModulePlan, free_module, module_plan
 from spanforge.finset import CACHE_SIZE
-from spanforge.internal import check_internal_category, eta_cell, mu_cell
-from spanforge.span import (
-    compose_cells,
-    diagonal,
-    identity_cell,
-    pair_cells,
-    reassociate,
-    tensor_cells,
-)
+from spanforge.internal import check_internal_category, eta_cell
+from spanforge.span import compose_cells
 
 from suites import (
     conv_external_agreement,
@@ -68,7 +63,7 @@ from suites import (
     point_base,
     slice_objects,
 )
-from util import loops_and_bridges
+from util import conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
 AND2 = one_object_category(MONOIDS["and2"])
@@ -76,33 +71,6 @@ AND2 = one_object_category(MONOIDS["and2"])
 
 def conv_from_table(fa, ic, table):
     return conv_element(fa, ic, FinMap(fa.a, ic.m, tuple(table)))
-
-
-# Reference products built only from the cell calculus.  The library computes
-# the same tables with flat kernels; these are the specification they must match.
-
-
-def conv_mult_by_cells(alpha, beta):
-    """Diagonal, then the tensor of the two cells, then the composition cell."""
-    tensored = tensor_cells(alpha.cell, beta.cell)
-    cell = compose_cells(mu_cell(alpha.target), compose_cells(tensored, diagonal(alpha.base)))
-    return cell.map.table
-
-
-def extend_by_cells(alpha):
-    """The pairing <id, alpha> into the free module."""
-    return pair_cells(identity_cell(alpha.base.span), alpha.cell).map.table
-
-
-def kleisli_compose_by_cells(beta, alpha):
-    """Apply alpha, tensor beta with the arrow span, rebracket, then compose arrows."""
-    ic, base_span = alpha.target, alpha.base.span
-    mspan = ic.mor_span
-    step1 = tensor_cells(beta.cell, identity_cell(mspan))
-    rebracket = reassociate(base_span, mspan, mspan)
-    step3 = tensor_cells(identity_cell(base_span), mu_cell(ic))
-    cell = compose_cells(step3, compose_cells(rebracket, compose_cells(step1, alpha.cell)))
-    return cell.map.table
 
 
 def assert_kernels_match(fa, ic, with_all_endos):
@@ -347,7 +315,7 @@ class TestModulePlan:
         copy = copies[0].plan
         assert copy is not plan and all(e.plan is copy for e in copies)
         assert copy.convs == {} and copy.endos == {}
-        for name in ("rows", "pos", "slot", "carrier", "arrow"):
+        for name in ("rows", "pos", "start", "carrier", "arrow"):
             assert getattr(copy, name) == getattr(plan, name)
         assert copy.arrow == plan.fm.proj_right.table
         for s, s_copy in zip(fibre, copies):
@@ -784,6 +752,27 @@ class TestFeistelNetwork:
     def test_malformed_round_function(self):
         with pytest.raises(MalformedTables):
             feistel_network(xor_group(1), 1, [[0, 2]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MonoidTable("x", True, (0,), 0),
+        lambda: monoid_from_flat("x", True, (0,)),
+        lambda: monoid_from_flat("x", 1.0, (0,)),
+        lambda: toffoli_extend(True, 0, [0, 0]),
+        lambda: toffoli_extend(1, 1, [True, False]),
+        lambda: feistel_network(MONOIDS["z2"], True, [[0, 1]]),
+        lambda: feistel_network(MONOIDS["z2"], 1, [[True, False]]),
+        lambda: feistel_network(MONOIDS["z2"], 1, [[0.0, 1]]),
+    ],
+    ids=["monoid size", "flat size", "flat float size", "toffoli width", "toffoli entry",
+         "feistel rounds", "feistel round entry", "feistel float entry"],
+)
+def test_a_boolean_or_float_is_not_an_int(build):
+    """Sizes, widths, round counts and table entries follow FinSet's rule: type(v) is int."""
+    with pytest.raises(MalformedTables):
+        build()
 
 
 class TestAdjunction:

@@ -32,8 +32,10 @@ from spanforge import (
     kleisli_compose,
     kleisli_fibre,
 )
-from spanforge.catalog import MONOIDS, one_object_category
-from spanforge.finset import CACHE_SIZE, constant, terminal_map
+from spanforge.catalog import CATALOG, MONOIDS, loops_and_bridges, one_object_category
+from spanforge.feistel import free_module, module_plan
+from spanforge.fib import default_subslice
+from spanforge.finset import CACHE_SIZE, constant, group_by_value, pair_position, terminal_map
 
 
 def sizes(upper):
@@ -110,6 +112,21 @@ class TestCompose:
                         assert compose(h, gf) == compose(compose(h, g), f)
 
 
+def off_pairs_by_scan(pb):
+    """pair_position equals a scan of elems on every pair of the feet, and is None past them.
+
+    Returns how many pairs of the feet are not pairs of pb.
+    """
+    index = {pair: i for i, pair in enumerate(pb.elems)}
+    n_left, n_right = pb.proj_left.cod.size, pb.proj_right.cod.size
+    for a in range(n_left):
+        for b in range(n_right):
+            assert pair_position(pb, a, b) == index.get((a, b))
+    for a, b in ((-1, 0), (0, -1), (n_left, 0), (0, n_right), (True, 0), (0, True), (False, False), (0.0, 0)):
+        assert pair_position(pb, a, b) is None
+    return n_left * n_right - len(index)
+
+
 class TestPullback:
     def test_pullback_of_identities_is_diagonal(self):
         two = FinSet(2)
@@ -156,6 +173,7 @@ class TestPullback:
         assert pb.elems == expected
         assert (pb.proj_left.table, pb.proj_right.table) == (
             tuple(a for a, _ in expected), tuple(b for _, b in expected))
+        off_pairs_by_scan(pb)
 
     def test_legs_with_disjoint_images_have_an_empty_pullback(self):
         cod = FinSet(4)
@@ -219,8 +237,24 @@ class TestMediating:
         two = FinSet(2)
         pb = pullback(identity(two), identity(two))
         swap = FinMap(two, two, (1, 0))
-        with pytest.raises(SquareDoesNotCommute):
+        with pytest.raises(SquareDoesNotCommute, match=r"^cone does not commute at element 0: pair \(0, 1\)$"):
             mediating(pb, identity(two), swap)
+
+
+class TestPairPosition:
+    def test_layout_matches_a_scan_of_elems(self):
+        off = 0
+        for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
+            pb = ic.composable
+            assert (pb.out, pb.pos) == group_by_value(ic.d.table, ic.o.size)
+            off += off_pairs_by_scan(pb)
+            for obj in default_subslice(ic).objects:
+                fm = free_module(obj, ic)
+                off += off_pairs_by_scan(fm.pb)
+                plan = module_plan(obj, ic)
+                assert (plan.start, plan.pos) == (fm.pb.start, fm.pb.pos)
+                assert plan.pos is ic.tables.pos
+        assert off > 0
 
 
 class TestProduct:

@@ -19,16 +19,22 @@ from spanforge import (
     NotInternalFunctor,
     NotLex,
     SizeLimitExceeded,
+    SliceObject,
     UnderlyingCategoryInvalid,
     apply_lex_functor,
     check_internal_category,
     check_internal_groupoid,
     compose,
+    conv_unit,
+    extend,
     external_category,
     hom_functor_data,
     identity,
     identity_functor_data,
     identity_internal_functor,
+    kleisli_compose,
+    kleisli_endo,
+    kleisli_inverse,
     pullback,
 )
 from spanforge.catalog import (
@@ -43,10 +49,12 @@ from spanforge.catalog import (
     one_object_groupoid,
     pair_groupoid,
 )
+from spanforge.feistel import module_plan
+from spanforge.finset import pair_position
 from spanforge.internal import FiniteCategory
 from spanforge.report import ReportBuilder
 
-from util import iota_mutants, loops_and_bridges, single_entry_mutants
+from util import extend_by_cells, iota_mutants, kleisli_compose_by_cells, loops_and_bridges, single_entry_mutants
 
 
 class TestMonoidCatalog:
@@ -234,15 +242,20 @@ class TestChecker:
         assert rejected == total
 
 
+def pair_index(pb):
+    """Each pair of a pullback -> its position, by a scan of elems."""
+    return {pair: i for i, pair in enumerate(pb.elems)}
+
+
 def then_by_index(ic, a, b):
-    """"a then b" read through the pullback index of composable pairs, or None off it."""
-    i = ic.composable.index.get((a, b))
+    """"a then b" read through an index of the composable pairs, or None off it."""
+    i = pair_index(ic.composable).get((a, b))
     return None if i is None else ic.mu.table[i]
 
 
 def inverse_by_index(ic, m):
-    """The two-sided inverse of m by a scan of M through the pullback index."""
-    index, mu, eta = ic.composable.index, ic.mu.table, ic.eta.table
+    """The two-sided inverse of m by a scan of M through an index of the composable pairs."""
+    index, mu, eta = pair_index(ic.composable), ic.mu.table, ic.eta.table
     src_unit, dst_unit = eta[ic.d.table[m]], eta[ic.c.table[m]]
     for n in range(ic.m.size):
         m_n, n_m = index.get((m, n)), index.get((n, m))
@@ -274,7 +287,7 @@ class TestCompositionRows:
             cat = ic.tables
             assert tuple(ab for row in cat.rows for ab in row) == ic.mu.table
             for a, row in enumerate(cat.rows):
-                leaving = tuple(b for b in range(ic.m.size) if (a, b) in ic.composable.index)
+                leaving = tuple(b for b in range(ic.m.size) if (a, b) in ic.composable.elems)
                 assert cat.out[ic.c.table[a]] == leaving
                 assert len(row) == len(cat.out[ic.c.table[a]])
             for b in range(ic.m.size):
@@ -481,6 +494,33 @@ class TestSparseCategory:
                 assert ic.then(a, b) == want
         for a, _ in sample[:20]:
             assert ic.inverse(a) == inverse_by_index(ic, a) == a
+
+    def test_plan_of_a_sparse_slice_stays_small(self):
+        # 300 points over 30 of the 3000 objects, ten to an object: each point has ten choices of generator
+        ic = discrete_category(3000).cat
+        ic.tables  # built first, so only what the plan adds is measured
+        a = FinSet(300)
+        base = SliceObject(a, FinMap(a, ic.o, tuple(100 * (x // 10) for x in range(300))))
+        tracemalloc.start()
+        try:
+            plan = module_plan(base, ic)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000  # a dense |A| x M table of generators alone holds 900 000 entries
+        unit = extend(conv_unit(base, ic))
+        assert unit.table == extend_by_cells(conv_unit(base, ic))
+        rng = random.Random(300)
+        endos = []
+        for _ in range(3):
+            carriers = [x for group in range(0, 300, 10) for x in rng.sample(range(group, group + 10), 10)]
+            table = tuple(pair_position(plan.fm.pb, x, base.f.table[x]) for x in carriers)
+            endos.append(kleisli_endo(base, ic, FinMap(a, plan.fm.span.apex, table)))
+        for s in endos + [unit]:
+            for t in endos + [unit]:
+                assert kleisli_compose(s, t).table == kleisli_compose_by_cells(s, t)
+            inverse = kleisli_inverse(s)
+            assert kleisli_compose(inverse, s) == kleisli_compose(s, inverse) == unit
 
 
 class TestGroupoidChecker:

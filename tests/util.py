@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps, pullback
-from spanforge.internal import InternalCategory, InternalGroupoid
+from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps
+from spanforge.catalog import loops_and_bridges  # re-exported: the suites import it from here
+from spanforge.internal import InternalCategory, InternalGroupoid, mu_cell
+from spanforge.span import compose_cells, diagonal, identity_cell, pair_cells, reassociate, tensor_cells
 
 
 def finset(n: int) -> FinSet:
@@ -96,25 +98,28 @@ def compositions_table(monoid, xs):
     return tuple(monoid.mult(a, b) for a, b in zip(*xs))
 
 
-def loops_and_bridges() -> InternalCategory:
-    """Two objects with real loops: neither a groupoid nor only identities.
+# Reference products built only from the cell calculus.  The library computes
+# the same tables with flat kernels; these are the specification they must match.
 
-    Arrows: 0 = id at 0, 1 = an idempotent e at 0, 2 = id at 1, 3 = an
-    involution s at 1, and 4, 5 = two arrows p, q from 0 to 1.  "e then h"
-    is p for both h in {p, q}; s fixes p and q.
-    """
-    o, m = FinSet(2), FinSet(6)
-    d = FinMap(m, o, (0, 0, 1, 1, 0, 0))
-    c = FinMap(m, o, (0, 0, 1, 1, 1, 1))
-    table = {(1, 1): 1, (1, 4): 4, (1, 5): 4, (3, 3): 2, (4, 3): 4, (5, 3): 5}
 
-    def then(a: int, b: int) -> int:
-        if a in (0, 2):
-            return b
-        if b in (0, 2):
-            return a
-        return table[(a, b)]
+def conv_mult_by_cells(alpha, beta):
+    """Diagonal, then the tensor of the two cells, then the composition cell."""
+    tensored = tensor_cells(alpha.cell, beta.cell)
+    cell = compose_cells(mu_cell(alpha.target), compose_cells(tensored, diagonal(alpha.base)))
+    return cell.map.table
 
-    pb = pullback(c, d)
-    mu = FinMap(pb.apex, m, tuple(then(a, b) for a, b in pb.elems))
-    return InternalCategory(o, m, d, c, FinMap(o, m, (0, 2)), mu)
+
+def extend_by_cells(alpha):
+    """The pairing <id, alpha> into the free module."""
+    return pair_cells(identity_cell(alpha.base.span), alpha.cell).map.table
+
+
+def kleisli_compose_by_cells(beta, alpha):
+    """Apply alpha, tensor beta with the arrow span, rebracket, then compose arrows."""
+    ic, base_span = alpha.target, alpha.base.span
+    mspan = ic.mor_span
+    step1 = tensor_cells(beta.cell, identity_cell(mspan))
+    rebracket = reassociate(base_span, mspan, mspan)
+    step3 = tensor_cells(identity_cell(base_span), mu_cell(ic))
+    cell = compose_cells(step3, compose_cells(rebracket, compose_cells(step1, alpha.cell)))
+    return cell.map.table
