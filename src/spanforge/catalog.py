@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedTables, NotAGroup
+from .errors import DomainMismatch, MalformedTables, NotAGroup
 from .finset import FinMap, FinSet, identity, pullback
 from .internal import CategoryTables, FiniteCategory, InternalCategory, InternalGroupoid
 
@@ -53,6 +53,10 @@ class MonoidTable:
         return FiniteCategory((0,), elements, tables)
 
     def mult(self, i: int, j: int) -> int:
+        """i then j; DomainMismatch unless both are elements."""
+        for x in (i, j):
+            if type(x) is not int or not 0 <= x < self.size:
+                raise DomainMismatch(f"{x!r} is not an element of {self.name}")
         return self.table[i * self.size + j]
 
     def inverse_table(self) -> tuple[int, ...]:

@@ -368,11 +368,12 @@ def kleisli_inverse(endo: KleisliEndo) -> KleisliEndo | None:
     to the Kleisli unit on both sides before it is returned.
     """
     plan = endo.plan
-    start, pos, carrier, arrow, ic = plan.start, plan.pos, plan.carrier, plan.arrow, plan.ic
+    start, pos, carrier, arrow = plan.start, plan.pos, plan.carrier, plan.arrow
+    inverse = plan.ic.tables.inverse  # arrow ids of a checked element, so no range check
     mine = endo.table
     cand = [None] * len(mine)
     for a, s in enumerate(mine):
-        x, inv = carrier[s], ic.inverse(arrow[s])
+        x, inv = carrier[s], inverse(arrow[s])
         if inv is None or cand[x] is not None:
             return None
         cand[x] = start[a] + pos[inv]  # inv leaves c(arrow[s]) = f(a), so (a, inv) is a generator

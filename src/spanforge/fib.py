@@ -273,18 +273,10 @@ def _as_endo(ss: SubSlice, i: int, table: tuple) -> KleisliEndo:
     return _wrap_endo(ss._plans[i], table)
 
 
-class _Extensions(dict):
-    """(i, element key) -> (i, key of the element's extension), built on first lookup."""
-
-    def __init__(self, ss: SubSlice) -> None:
-        super().__init__()
-        self.ss = ss
-
-    def __missing__(self, key: tuple) -> tuple:
-        i, table = key
-        plan = self.ss._plans[i]
-        self[key] = image = (i, extend(_conv(plan, table)).table)
-        return image
+def _extended(ss: SubSlice, key: tuple) -> tuple:
+    """The key (i, t) of an element over object i to the key of its extension."""
+    i, table = key
+    return i, extend(_conv(ss._plans[i], table)).table
 
 
 def _at(table: tuple, y) -> object:
@@ -351,10 +343,9 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     conv = build_conv_fibration(ss)
     endo = build_endo_fibration(ss)
     rb = ReportBuilder()
-    extensions = _Extensions(ss)
 
     def extended(i: int, table: tuple) -> tuple:
-        return extensions[(i, table)][1]
+        return _extended(ss, (i, table))[1]
 
     def retrieved(i: int, table: tuple) -> tuple:
         return retrieve(_as_endo(ss, i, table)).table
@@ -436,7 +427,6 @@ def transport_conv(
     endo1 = build_endo_fibration(ss)
     endo2 = build_endo_fibration(ss2)
     rb = ReportBuilder()
-    ext1, ext2 = _Extensions(ss), _Extensions(ss2)
 
     def move_conv(i: int, table: tuple) -> tuple:
         alpha = FinMap(ss.objects[i].a, ss.ic.m, table)
@@ -444,7 +434,7 @@ def transport_conv(
 
     def move_endo(i: int, table: tuple) -> tuple:
         moved_bar = compose(functor.fm, k.arr(_as_endo(ss, i, table).bar))
-        return ext2[(i, moved_bar.table)][1]
+        return _extended(ss2, (i, moved_bar.table))[1]
 
     conv_map = _functor_over_base(
         rb, conv1, conv2, move_conv, "conv-transport-", ("p-square-objects", "p-square-arrows")
@@ -453,8 +443,8 @@ def transport_conv(
         rb, endo1, endo2, move_endo, "endo-transport-", ("q-square-objects", "q-square-arrows")
     )
     # both sides as images in endo2: an id, or the key of an image outside it
-    extended = [ext1[key] for key in conv1.total.objects]
-    moved = [ext2[conv2.total.objects[y] if type(y) is int else y] for y in conv_map.obj]
+    extended = [_extended(ss, key) for key in conv1.total.objects]
+    moved = [_extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
     for x, key in enumerate(conv1.total.objects):
         lhs = _at(endo_map.obj, endo1.total.object_id.get(extended[x]))
         rb.require(lhs == endo2.total.object_id.get(moved[x], moved[x]), "intertwine-objects", key)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import InitVar, dataclass
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -94,31 +95,38 @@ class CategoryTables:
         return None
 
 
-def law_checks(cat: CategoryTables, firsts: Sequence[int], seconds: Sequence[int]) -> Iterator[tuple]:
-    """Walk the category laws on ids, yielding (law, ids, verdict) for each instance.
+def law_failures(cat: CategoryTables) -> Iterator[tuple[str, tuple, bool]]:
+    """Walk the category laws on ids, yielding (law, ids, defined) for each failing instance.
 
-    The pairs (firsts[i], seconds[i]) are the composable pairs, each once, in
-    the order to walk them.  Order: identity endpoints per object, composite
-    endpoints per pair, the left then the right unit per arrow, associativity
-    per pair.  verdict is True, False, or None where a composite it reads is
-    not defined.  Associativity goes a row at a time: the verdict of (f, g) is
-    True when the law holds for every h leaving t[g], else one verdict per h.
+    Order: identity endpoints per object, composite endpoints per pair, the
+    left then the right unit per arrow, associativity per triple (f, g, h).
+    The composable pairs go row by row, which is their lexicographic order.
+    defined is False where a composite that the law reads is missing.
     """
     s, t, ident, out, pos, rows = cat.s, cat.t, cat.ident, cat.out, cat.pos, cat.rows
     for x, e in enumerate(ident):
-        yield "identity-source", (x,), s[e] == x
-        yield "identity-target", (x,), t[e] == x
-    for pair in zip(firsts, seconds):
-        f, g = pair
-        fg = rows[f][pos[g]]
-        yield "composition-source", pair, s[fg] == s[f]
-        yield "composition-target", pair, t[fg] == t[g]
+        if s[e] != x:
+            yield "identity-source", (x,), True
+        if t[e] != x:
+            yield "identity-target", (x,), True
+    for f, row in enumerate(rows):
+        for g, fg in zip(out[t[f]], row):
+            if s[fg] != s[f]:
+                yield "composition-source", (f, g), True
+            if t[fg] != t[g]:
+                yield "composition-target", (f, g), True
     for m, x in enumerate(s):
         e = ident[x]
-        yield "left-unit", (m,), rows[e][pos[m]] == m if t[e] == x else None
+        if t[e] != x:
+            yield "left-unit", (m,), False
+        elif rows[e][pos[m]] != m:
+            yield "left-unit", (m,), True
     for m, y in enumerate(t):
         e = ident[y]
-        yield "right-unit", (m,), rows[m][pos[e]] == m if s[e] == y else None
+        if s[e] != y:
+            yield "right-unit", (m,), False
+        elif rows[m][pos[e]] != m:
+            yield "right-unit", (m,), True
     # (f then g) then h against f then (g then h): read[g] picks every "g then h" out of a row of f
     # in one call; a row of one entry, or with a composite that leaves another object, goes entry
     # by entry, so no composite indexes a row it is not in
@@ -126,18 +134,16 @@ def law_checks(cat: CategoryTables, firsts: Sequence[int], seconds: Sequence[int
         itemgetter(*[pos[gh] for gh in row]) if len(row) > 1 and all(s[gh] == x for gh in row) else None
         for x, row in zip(s, rows)
     ]
-    for pair in zip(firsts, seconds):
-        f, g = pair
-        row = rows[f]
-        fg = row[pos[g]]
-        lhs = rows[fg] if t[fg] == t[g] else None
-        if lhs is not None and read[g] is not None and lhs == read[g](row):
-            yield "associativity", pair, True
-            continue
-        verdicts = tuple(
-            None if lhs is None or s[gh] != s[g] else lhs[i] == row[pos[gh]] for i, gh in enumerate(rows[g])
-        )
-        yield "associativity", pair, True if all(verdicts) else verdicts
+    for f, row in enumerate(rows):
+        for g, fg in zip(out[t[f]], row):
+            lhs = rows[fg] if t[fg] == t[g] else None
+            if lhs is not None and read[g] is not None and lhs == read[g](row):
+                continue
+            for i, (h, gh) in enumerate(zip(out[t[g]], rows[g])):
+                if lhs is None or s[gh] != s[g]:
+                    yield "associativity", (f, g, h), False
+                elif lhs[i] != row[pos[gh]]:
+                    yield "associativity", (f, g, h), True
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,9 @@ class InternalCategory:
         return self.mu.table[i]
 
     def inverse(self, m: int) -> int | None:
-        """The two-sided inverse of arrow m, or None when M holds none."""
+        """The two-sided inverse of arrow m, or None when M holds none; DomainMismatch unless m is an arrow."""
+        if type(m) is not int or not 0 <= m < self.m.size:
+            raise DomainMismatch(f"{m!r} is not an arrow of M")
         return self.tables.inverse(m)
 
 
@@ -227,28 +235,26 @@ class InternalGroupoid:
 
 def check_internal_category(ic: InternalCategory) -> Report:
     """Verify the category axioms; failures name the law and a witness."""
-    rb, cat = ReportBuilder(), ic.tables
-
-    def witness(law: str, ids: tuple) -> str:
+    rb, cat, missing = ReportBuilder(), ic.tables, Counter()
+    for law, ids, defined in law_failures(cat):
         if law.startswith("identity"):
-            return f"object {ic.o.label(ids[0])}"
+            rb.fail(law, f"object {ic.o.label(ids[0])}")
+            continue
         names = ", ".join(map(ic.m.label, ids))
-        return (f"arrow {names}", f"pair ({names})", f"triple ({names})")[len(ids) - 1]
-
-    # one require per check, as every law is walked; a witness is written only for a failure
-    pb = ic.composable  # its projections list the composable pairs in lexicographic order
-    for law, ids, verdict in law_checks(cat, pb.proj_left.table, pb.proj_right.table):
-        if law == "associativity":
-            for h, v in zip(cat.out[cat.t[ids[1]]], itertools.repeat(True) if verdict is True else verdict):
-                w = None if v is True else witness(law, (*ids, h))
-                if rb.require(v is not None, law, w):
-                    rb.require(v, law, w)
-        elif law.endswith("unit"):
-            w = None if verdict is True else witness(law, ids)
-            if rb.require(verdict is not None, law, w and f"{w} not composable"):
-                rb.require(verdict, law, w)
-        else:
-            rb.require(verdict, law, None if verdict else witness(law, ids))
+        witness = (f"arrow {names}", f"pair ({names})", f"triple ({names})")[len(ids) - 1]
+        rb.fail(law, f"{witness} not composable" if law.endswith("unit") and not defined else witness)
+        missing[law] += not defined
+    # a unit or associativity instance is two checks, that its composites exist and that they
+    # agree, or only the first where one is missing
+    width = [len(cat.out[y]) for y in cat.t]  # the pairs (f, g) for each f
+    n_obj, n_arr, pairs = len(cat.ident), len(cat.s), sum(width)
+    triples = sum(width[g] for y in cat.t for g in cat.out[y])
+    for law, n in (
+        ("identity-source", n_obj), ("identity-target", n_obj), ("composition-source", pairs),
+        ("composition-target", pairs), ("left-unit", 2 * n_arr), ("right-unit", 2 * n_arr),
+        ("associativity", 2 * triples),
+    ):
+        rb.count(law, n - missing[law])
     return rb.report()
 
 
@@ -291,18 +297,16 @@ class FiniteCategory:
     f ``arrows[f]``, and the keys are read only for messages, witnesses and
     the keyed views.  Construction refuses malformed tables, then checks the
     laws by the pass that checks internal categories and raises the first
-    failure.  The pass walks the composable pairs row by row, or in the order
-    (firsts, seconds) given as ``order``.  ``from_keys`` builds the category
-    of keyed tables; ``src``, ``dst``, ``ident``, ``comp``, ``hom``,
-    ``object_id`` and ``arrow_id`` are keyed views, built on first read.
+    failure.  ``from_keys`` builds the category of keyed tables; ``src``,
+    ``dst``, ``ident``, ``comp``, ``hom``, ``object_id`` and ``arrow_id`` are
+    keyed views, built on first read.
     """
 
     objects: tuple
     arrows: tuple
     tables: CategoryTables
-    order: InitVar[tuple | None] = None
 
-    def __post_init__(self, order) -> None:
+    def __post_init__(self) -> None:
         objects, arrows, cat = self.objects, self.arrows, self.tables
         n, m = len(objects), len(arrows)
         if len(cat.ident) != n or not len(cat.s) == len(cat.t) == len(cat.rows) == m:
@@ -314,20 +318,18 @@ class FiniteCategory:
         for f, row in enumerate(cat.rows):
             if len(row) != len(cat.out[cat.t[f]]) or not _ids(row, m):
                 raise MalformedTables(f"row of {arrows[f]!r} must hold an arrow id per arrow leaving its end")
-        if order is None:  # row by row
-            order = [f for f, row in enumerate(cat.rows) for _ in row], [g for y in cat.t for g in cat.out[y]]
-        for law, ids, verdict in law_checks(cat, *order):
-            if verdict is True:
-                continue
-            if law.startswith("identity"):
-                raise MalformedTables(f"object {objects[ids[0]]!r} lacks an identity arrow")
-            names = ", ".join(repr(arrows[f]) for f in ids)
-            if law.startswith("composition"):
-                raise MalformedTables(f"composite of ({names}) has wrong endpoints")
-            if law != "associativity":
-                raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
-            h = next(h for h, v in zip(cat.out[cat.t[ids[1]]], verdict) if v is not True)
-            raise MalformedTables(f"associativity fails at ({names}, {arrows[h]!r})")
+        failure = next(law_failures(cat), None)
+        if failure is None:
+            return
+        law, ids, _ = failure
+        if law.startswith("identity"):
+            raise MalformedTables(f"object {objects[ids[0]]!r} lacks an identity arrow")
+        names = ", ".join(repr(arrows[f]) for f in ids)
+        if law.startswith("composition"):
+            raise MalformedTables(f"composite of ({names}) has wrong endpoints")
+        if law != "associativity":
+            raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
+        raise MalformedTables(f"associativity fails at ({names})")
 
     @classmethod
     def from_keys(
@@ -336,7 +338,7 @@ class FiniteCategory:
         """The category of keyed tables, numbered in the order the keys are listed.
 
         ``comp[(f, g)]`` is "f then g", defined for exactly the pairs with ``dst[f] == src[g]``;
-        the laws are checked walking the pairs in the order of ``comp``.
+        the laws are checked on ids, so the first failure named is the first in id order.
         """
         oid = {x: i for i, x in enumerate(objects)}
         if len(oid) != len(objects):
@@ -363,7 +365,6 @@ class FiniteCategory:
         if len(comp) != sum(len(out[y]) for y in t):
             raise MalformedTables("composition table keys must be exactly the composable pairs")
         rows = [[0] * len(out[y]) for y in t]
-        firsts, seconds = [], []
         for (f, g), h in comp.items():
             fi, gi = aid.get(f), aid.get(g)
             if fi is None or gi is None or t[fi] != s[gi]:
@@ -372,10 +373,8 @@ class FiniteCategory:
             if hi is None or s[hi] != s[fi] or t[hi] != t[gi]:
                 raise MalformedTables(f"composite of ({f!r}, {g!r}) has wrong endpoints")
             rows[fi][pos[gi]] = hi
-            firsts.append(fi)
-            seconds.append(gi)
         tables = CategoryTables(tuple(s), tuple(t), tuple(idents), out, pos, tuple(map(tuple, rows)))
-        return cls(tuple(objects), tuple(arrows), tables, (firsts, seconds))
+        return cls(tuple(objects), tuple(arrows), tables)
 
     # the keyed views, each built on first read
     src = cached_property(lambda self: dict(zip(self.arrows, (self.objects[x] for x in self.tables.s))))

@@ -18,9 +18,10 @@ class Failure:
 
 @dataclass(frozen=True)
 class Report:
-    """An ordered list of violated laws; empty means all checks passed."""
+    """An ordered list of violated laws, empty when all passed, and the count of checks run per law."""
 
     failures: tuple[Failure, ...] = field(default_factory=tuple)
+    checked: dict[str, int] = field(default_factory=dict)  # a law that ran no check is absent: no vacuous pass
 
     @property
     def passed(self) -> bool:
@@ -39,23 +40,31 @@ class Report:
 
 
 class ReportBuilder:
-    """Collects failures while a checker walks its laws in order."""
+    """Collects failures, and counts checks, while a checker walks its laws in order."""
 
     def __init__(self) -> None:
         self._failures: list[Failure] = []
+        self._checked: dict[str, int] = {}
 
     def fail(self, law: str, witness: object = None) -> None:
         self._failures.append(Failure(law, witness))
 
+    def count(self, law: str, n: int) -> None:
+        """Record n checks of law, passed or failed."""
+        if n:
+            self._checked[law] = self._checked.get(law, 0) + n
+
     def require(self, condition: bool, law: str, witness: object = None) -> bool:
+        self.count(law, 1)
         if not condition:
             self.fail(law, witness)
         return condition
 
     def merge(self, other: Report, prefix: str = "") -> None:
-        for f in other.failures:
-            law = f"{prefix}{f.law}" if prefix else f.law
-            self._failures.append(Failure(law, f.witness))
+        """Take over other's failures and counts under prefixed laws, without counting its checks again."""
+        self._failures += (Failure(f"{prefix}{f.law}", f.witness) for f in other.failures)
+        for law, n in other.checked.items():
+            self._checked[prefix + law] = self._checked.get(prefix + law, 0) + n
 
     def report(self) -> Report:
-        return Report(tuple(self._failures))
+        return Report(tuple(self._failures), dict(self._checked))

@@ -23,6 +23,7 @@ from spanforge import (
     cartesian_iso,
     check_discrete_fibration,
     check_functor,
+    check_internal_category,
     compose,
     compose_intcat_morphisms,
     conv_element,
@@ -440,15 +441,18 @@ def transport_instances():
 
 
 def count_laws(monkeypatch):
-    """Count every ReportBuilder.require call by law name from now on."""
+    """Count every check that a ReportBuilder records, by law name, from now on.
+
+    A merged report's counts are not counted again, so check_functor's laws count unprefixed.
+    """
     counts = Counter()
-    require = ReportBuilder.require
+    count = ReportBuilder.count
 
-    def counting(self, condition, law, witness=None):
-        counts[law] += 1
-        return require(self, condition, law, witness)
+    def counting(self, law, n):
+        counts[law] += n
+        return count(self, law, n)
 
-    monkeypatch.setattr(ReportBuilder, "require", counting)
+    monkeypatch.setattr(ReportBuilder, "count", counting)
     return counts
 
 
@@ -613,6 +617,56 @@ class TestCheckerGuards:
         )
 
 
+FUNCTOR_LAWS = (
+    "object-map-total", "object-map-lands", "arrow-map-total", "arrow-map-lands",
+    "endpoints-preserved", "identities-preserved", "composition-preserved",
+)
+
+
+def functor_laws(*prefixes):
+    return {prefix + law for prefix in prefixes for law in FUNCTOR_LAWS}
+
+
+class TestNoLawPassesVacuously:
+    """Each checker's reports name every one of its laws with at least one check run."""
+
+    @staticmethod
+    def assert_every_law_checked(report, laws):
+        assert report.passed
+        assert set(report.checked) == laws
+        assert all(report.checked[law] > 0 for law in laws)
+
+    def test_cartesian_iso_and_unique_lifts(self):
+        laws = functor_laws("forward-", "backward-") | {
+            "forward-welldefined", "backward-welldefined", "projection-triangle",
+            "mutual-inverse-objects", "mutual-inverse-arrows", "fibrewise-naturality",
+        }
+        assert len(laws) == 20
+        for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
+            iso = cartesian_iso(default_subslice(ic))
+            self.assert_every_law_checked(iso.report, laws)
+            for fibration in (iso.conv, iso.endo):
+                self.assert_every_law_checked(check_discrete_fibration(fibration), {"unique-lift"})
+
+    def test_transport(self):
+        laws = functor_laws("conv-transport-", "endo-transport-") | {
+            "conv-transport-welldefined", "endo-transport-welldefined", "p-square-objects",
+            "p-square-arrows", "q-square-objects", "q-square-arrows", "intertwine-objects",
+            "intertwine-arrows",
+        }
+        assert len(laws) == 22
+        for k, functor, ss in transport_instances():
+            self.assert_every_law_checked(transport_conv(k, functor, ss).report, laws)
+
+    def test_internal_category(self):
+        laws = {
+            "identity-source", "identity-target", "composition-source", "composition-target",
+            "left-unit", "right-unit", "associativity",
+        }
+        for entry in CATALOG.values():
+            self.assert_every_law_checked(check_internal_category(entry.category), laws)
+
+
 class TestSubSlicePlans:
     """A sub-slice looks up each object's plan once; decoding element keys reads those plans."""
 
@@ -628,10 +682,9 @@ class TestSubSlicePlans:
 
         monkeypatch.setattr(feistel, "module_plan", counted)
         monkeypatch.setattr(fib, "module_plan", counted)
-        extensions = fib._Extensions(ss)
         endo_objects, conv_objects = set(endo.total.objects), set(conv.total.objects)
         for key in conv.total.objects:
-            assert extensions[key] in endo_objects
+            assert fib._extended(ss, key) in endo_objects
         for i, table in endo.total.objects:
             assert (i, retrieve(fib._as_endo(ss, i, table)).map.table) in conv_objects
         assert lookups == []
