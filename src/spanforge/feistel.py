@@ -488,19 +488,13 @@ def verify_adjunction(
             bar = retrieve(beta).table
             conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.table]
             firsts = [phi for phi, _ in end_homset]
-            ok = len(firsts) == len(set(firsts)) and sorted(firsts) == sorted(conv_homset)
-            rb.require(
-                ok,
-                "hom-bijection",
-                f"bases |A|={a_obj.a.size}, |B|={b_obj.a.size}: "
-                f"{len(end_homset)} endomorphism morphisms vs {len(conv_homset)} slice cells",
-            )
+            if len(firsts) != len(set(firsts)) or sorted(firsts) != sorted(conv_homset):
+                sizes = f"{len(end_homset)} endomorphism morphisms vs {len(conv_homset)} slice cells"
+                rb.fail("hom-bijection", f"bases |A|={a_obj.a.size}, |B|={b_obj.a.size}: {sizes}")
+    rb.count("hom-bijection", len(conv_objects) * len(end_objects))
     if groupoid is not None:
         for alpha in conv_objects:
-            inverse = kleisli_inverse(extend(alpha))
-            rb.require(
-                inverse is not None,
-                "automorphism",
-                f"extend of {alpha.table} has no two-sided inverse",
-            )
+            if kleisli_inverse(extend(alpha)) is None:
+                rb.fail("automorphism", f"extend of {alpha.table} has no two-sided inverse")
+        rb.count("automorphism", len(conv_objects))
     return rb.report()

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedTables, NotInternalFunctor, NotLex
+from .errors import DomainMismatch, MalformedTables, NotInternalFunctor, NotLex
 from .finset import FinMap, FinSet, all_maps, compose, group_by_value
 from .internal import (
     CategoryTables,
@@ -71,6 +71,9 @@ class SubSlice:
         return {obj.span: i for i, obj in enumerate(self.objects)}
 
     def arrow_endpoints(self, k: int) -> tuple[int, int]:
+        """The object ids at the ends of arrow k; DomainMismatch unless k is an arrow."""
+        if type(k) is not int or not 0 <= k < len(self.arrows):
+            raise DomainMismatch(f"{k!r} is not an arrow of the sub-slice")
         cell = self.arrows[k]
         return self.span_index[cell.src], self.span_index[cell.dst]
 
@@ -139,35 +142,41 @@ def check_functor(fd: FunctorData) -> Report:
     """Check the functor laws on ids, one check per object, arrow or composable pair; witnesses are keys."""
     rb = ReportBuilder()
     src, tgt = fd.source.tables, fd.target.tables
-    obj = tuple(fd.obj) + (None,) * (len(src.ident) - len(fd.obj))
-    arr = tuple(fd.arr) + (None,) * (len(src.s) - len(fd.arr))
+    n_obj, n_arr = len(src.ident), len(src.s)
+    obj = (tuple(fd.obj) + (None,) * n_obj)[:n_obj]  # padded with no image, and cut to the source
+    arr = (tuple(fd.arr) + (None,) * n_arr)[:n_arr]
     lands_obj = [type(y) is int and 0 <= y < len(tgt.ident) for y in obj]
     lands_arr = [type(a) is int and 0 <= a < len(tgt.s) for a in arr]
     for x, key in enumerate(fd.source.objects):
-        if rb.require(obj[x] is not None, "object-map-total", key):
-            rb.require(lands_obj[x], "object-map-lands", key)
+        if not lands_obj[x]:
+            rb.fail("object-map-total" if obj[x] is None else "object-map-lands", key)
     for f, key in enumerate(fd.source.arrows):
-        total = rb.require(arr[f] is not None, "arrow-map-total", key)
-        if total and rb.require(lands_arr[f], "arrow-map-lands", key):
-            ends = (tgt.s[arr[f]], tgt.t[arr[f]])
-            rb.require(ends == (obj[src.s[f]], obj[src.t[f]]), "endpoints-preserved", key)
+        if not lands_arr[f]:
+            rb.fail("arrow-map-total" if arr[f] is None else "arrow-map-lands", key)
+        elif (tgt.s[arr[f]], tgt.t[arr[f]]) != (obj[src.s[f]], obj[src.t[f]]):
+            rb.fail("endpoints-preserved", key)
     # an image outside the target has no identity or composite there, which fails the law
-    for x, key in enumerate(fd.source.objects):
-        if obj[x] is not None and arr[src.ident[x]] is not None:
-            rb.require(lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]], "identities-preserved", key)
+    units = [x for x in range(n_obj) if obj[x] is not None and arr[src.ident[x]] is not None]
+    for x in units:
+        if not (lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]]):
+            rb.fail("identities-preserved", fd.source.objects[x])
     # a row at a time: "f then g" is read off the row of f's image, when g's image leaves its target
-    keys, t_s, t_pos = fd.source.arrows, tgt.s, tgt.pos
+    keys, t_s, t_pos, pairs = fd.source.arrows, tgt.s, tgt.pos, 0
     for f, row in enumerate(src.rows):
         if arr[f] is None:
             continue
         image_row, image_t = (tgt.rows[arr[f]], tgt.t[arr[f]]) if lands_arr[f] else ((), None)
         for g, h in zip(src.out[src.t[f]], row):
             if arr[g] is not None and arr[h] is not None:
-                rb.require(
-                    lands_arr[g] and t_s[arr[g]] == image_t and image_row[t_pos[arr[g]]] == arr[h],
-                    "composition-preserved",
-                    (keys[f], keys[g]),
-                )
+                pairs += 1
+                if not (lands_arr[g] and t_s[arr[g]] == image_t and image_row[t_pos[arr[g]]] == arr[h]):
+                    rb.fail("composition-preserved", (keys[f], keys[g]))
+    for law, n in (
+        ("object-map-total", n_obj), ("object-map-lands", n_obj - obj.count(None)), ("arrow-map-total", n_arr),
+        ("arrow-map-lands", n_arr - arr.count(None)), ("endpoints-preserved", sum(lands_arr)),
+        ("identities-preserved", len(units)), ("composition-preserved", pairs),
+    ):
+        rb.count(law, n)
     return rb.report()
 
 
@@ -189,10 +198,13 @@ def check_discrete_fibration(fi: FibrationInstance) -> Report:
     """Unique lifting: one arrow over each base arrow into each fibre object."""
     rb = ReportBuilder()
     lifts = Counter(zip(fi.proj.arr, fi.total.tables.t))
+    into, _ = group_by_value(fi.base.tables.t, len(fi.base.objects))  # the base arrows into each object
     for y, over in enumerate(fi.proj.obj):
-        for k in (k for k, z in enumerate(fi.base.tables.t) if z == over):
-            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
-            rb.require(lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
+        for k in into[over]:
+            if lifts[(k, y)] != 1:
+                where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
+                rb.fail("unique-lift", f"{where}, lifts {lifts[(k, y)]}")
+    rb.count("unique-lift", sum(len(into[over]) for over in fi.proj.obj))
     return rb.report()
 
 
@@ -289,6 +301,14 @@ def _image_arrow(fi: FibrationInstance, f: int, ends: list) -> tuple:
     return (fi.proj.arr[f], ends[fi.total.tables.s[f]][1], ends[fi.total.tables.t[f]][1])
 
 
+def _agree(rb: ReportBuilder, law: str, keys, got, expected) -> None:
+    """Check that got equals expected at each key, in order: one check per key, a failure where they differ."""
+    for key, value, want in zip(keys, got, expected):
+        if value != want:
+            rb.fail(law, key)
+    rb.count(law, len(keys))
+
+
 def _functor_over_base(
     rb: ReportBuilder,
     source: FibrationInstance,
@@ -305,23 +325,17 @@ def _functor_over_base(
     on objects and on arrows (the two ``over_base`` laws).
     """
     tgt = target.total
-    images, obj = [], []
-    for key in source.total.objects:
-        images.append((key[0], move(*key)))
-        obj.append(tgt.object_id.get(images[-1], images[-1]))
-        rb.require(type(obj[-1]) is int, f"{prefix}welldefined", key)
-    arr = []
-    for f, key in enumerate(source.total.arrows):
-        image = _image_arrow(source, f, images)
-        arr.append(tgt.arrow_id.get(image, image))
-        rb.require(type(arr[-1]) is int, f"{prefix}welldefined", key)
-    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
+    images = [(key[0], move(*key)) for key in source.total.objects]
+    obj = tuple(tgt.object_id.get(image, image) for image in images)
+    arrow_images = [_image_arrow(source, f, images) for f in range(len(source.total.arrows))]
+    arr = tuple(tgt.arrow_id.get(image, image) for image in arrow_images)
+    _agree(rb, f"{prefix}welldefined", source.total.objects, map(type, obj), itertools.repeat(int))
+    _agree(rb, f"{prefix}welldefined", source.total.arrows, map(type, arr), itertools.repeat(int))
+    fd = FunctorData(source.total, tgt, obj, arr)
     rb.merge(check_functor(fd), prefix)
     objects_law, arrows_law = over_base
-    for x, key in enumerate(source.total.objects):
-        rb.require(_at(target.proj.obj, obj[x]) == source.proj.obj[x], objects_law, key)
-    for f, key in enumerate(source.total.arrows):
-        rb.require(_at(target.proj.arr, arr[f]) == source.proj.arr[f], arrows_law, key)
+    _agree(rb, objects_law, source.total.objects, [_at(target.proj.obj, y) for y in obj], source.proj.obj)
+    _agree(rb, arrows_law, source.total.arrows, [_at(target.proj.arr, a) for a in arr], source.proj.arr)
     return fd
 
 
@@ -354,25 +368,22 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     forward = _functor_over_base(rb, conv, endo, extended, "forward-", triangle)
     backward = _functor_over_base(rb, endo, conv, retrieved, "backward-", triangle)
     for there, back in ((forward, backward), (backward, forward)):
-        for x, key in enumerate(there.source.objects):
-            rb.require(_at(back.obj, there.obj[x]) == x, "mutual-inverse-objects", key)
-        for f, key in enumerate(there.source.arrows):
-            rb.require(_at(back.arr, there.arr[f]) == f, "mutual-inverse-arrows", key)
+        back_obj = [_at(back.obj, y) for y in there.obj]
+        _agree(rb, "mutual-inverse-objects", there.source.objects, back_obj, range(len(there.obj)))
+        back_arr = [_at(back.arr, a) for a in there.arr]
+        _agree(rb, "mutual-inverse-arrows", there.source.arrows, back_arr, range(len(there.arr)))
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
     fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
+    keys, pulled_then_extended, extended_then_pulled = [], [], []
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
         plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
         for beta in fibres[j]:
-            pulled = tuple(beta.table[v] for v in sigma)
-            pulled_then_extended = extend(_conv(plan, pulled)).table
+            keys.append((k, beta.table))
+            pulled_then_extended.append(extend(_conv(plan, tuple(beta.table[v] for v in sigma))).table)
             hat = extend(beta).table
-            extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
-            rb.require(
-                pulled_then_extended == extended_then_pulled,
-                "fibrewise-naturality",
-                (k, beta.table),
-            )
+            extended_then_pulled.append(plan.extend(tuple(arrow[hat[v]] for v in sigma)))
+    _agree(rb, "fibrewise-naturality", keys, pulled_then_extended, extended_then_pulled)
     return CartesianIso(forward, backward, rb.report(), conv, endo)
 
 
@@ -445,13 +456,13 @@ def transport_conv(
     # both sides as images in endo2: an id, or the key of an image outside it
     extended = [_extended(ss, key) for key in conv1.total.objects]
     moved = [_extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
-    for x, key in enumerate(conv1.total.objects):
-        lhs = _at(endo_map.obj, endo1.total.object_id.get(extended[x]))
-        rb.require(lhs == endo2.total.object_id.get(moved[x], moved[x]), "intertwine-objects", key)
-    for f, key in enumerate(conv1.total.arrows):
-        lhs = _at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended)))
-        rhs = _image_arrow(conv1, f, moved)
-        rb.require(lhs == endo2.total.arrow_id.get(rhs, rhs), "intertwine-arrows", key)
+    lhs = [_at(endo_map.obj, endo1.total.object_id.get(x)) for x in extended]
+    rhs = [endo2.total.object_id.get(y, y) for y in moved]
+    _agree(rb, "intertwine-objects", conv1.total.objects, lhs, rhs)
+    arrows = range(len(conv1.total.arrows))
+    lhs = [_at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended))) for f in arrows]
+    rhs = [endo2.total.arrow_id.get(a, a) for a in (_image_arrow(conv1, f, moved) for f in arrows)]
+    _agree(rb, "intertwine-arrows", conv1.total.arrows, lhs, rhs)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)
 
 

@@ -74,6 +74,9 @@ class FinMap:
                 raise MalformedTables(f"entry {v!r} at index {i} not below {self.cod.size}")
 
     def __call__(self, i: int) -> int:
+        """The value at i; DomainMismatch unless i is an element of the domain."""
+        if type(i) is not int or not 0 <= i < self.dom.size:
+            raise DomainMismatch(f"{i!r} is not an element of a domain of size {self.dom.size}")
         return self.table[i]
 
 

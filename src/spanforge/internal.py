@@ -263,24 +263,28 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
     underlying = check_internal_category(g.cat)
     if not underlying.passed:
         raise UnderlyingCategoryInvalid(underlying)
-    ic = g.cat
-    rb = ReportBuilder()
-    d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
-    for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
-        rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
-        rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
-    then = ic.tables.then
-    for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
-        right = then(m, iota[m])
-        if rb.require(right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(right == eta[d[m]], "right-inverse-law", lab)
-        left = then(iota[m], m)
-        if rb.require(left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(left == eta[c[m]], "left-inverse-law", lab)
-    for m in range(ic.m.size):
-        rb.require(iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
+    ic, rb, arrows = g.cat, ReportBuilder(), range(g.cat.m.size)
+    d, c, eta, iota, then = ic.d.table, ic.c.table, ic.eta.table, g.iota.table, ic.tables.then
+    for m in arrows:
+        if c[iota[m]] != d[m]:
+            rb.fail("inverse-flips-target", f"arrow {ic.m.label(m)}")
+        if d[iota[m]] != c[m]:
+            rb.fail("inverse-flips-source", f"arrow {ic.m.label(m)}")
+    right, left = [then(m, iota[m]) for m in arrows], [then(iota[m], m) for m in arrows]
+    for m in arrows:
+        laws = (("right-inverse-law", right[m], eta[d[m]]), ("left-inverse-law", left[m], eta[c[m]]))
+        for law, composite, unit in laws:
+            if composite != unit:
+                missing = " not composable with inverse" if composite is None else ""
+                rb.fail(law, f"arrow {ic.m.label(m)}{missing}")
+    for m in arrows:
+        if iota[iota[m]] != m:
+            rb.fail("inverse-involutive", f"arrow {ic.m.label(m)}")
+    for law in ("inverse-flips-target", "inverse-flips-source", "inverse-involutive"):
+        rb.count(law, len(arrows))
+    # an inverse law is two checks, that the composite exists and is the identity, or one where it is missing
+    rb.count("right-inverse-law", 2 * len(arrows) - right.count(None))
+    rb.count("left-inverse-law", 2 * len(arrows) - left.count(None))
     return rb.report()
 
 

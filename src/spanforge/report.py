@@ -40,7 +40,7 @@ class Report:
 
 
 class ReportBuilder:
-    """Collects failures, and counts checks, while a checker walks its laws in order."""
+    """Collects each failing instance, and each law's count of checks, while a checker walks its laws in order."""
 
     def __init__(self) -> None:
         self._failures: list[Failure] = []
@@ -53,12 +53,6 @@ class ReportBuilder:
         """Record n checks of law, passed or failed."""
         if n:
             self._checked[law] = self._checked.get(law, 0) + n
-
-    def require(self, condition: bool, law: str, witness: object = None) -> bool:
-        self.count(law, 1)
-        if not condition:
-            self.fail(law, witness)
-        return condition
 
     def merge(self, other: Report, prefix: str = "") -> None:
         """Take over other's failures and counts under prefixed laws, without counting its checks again."""

@@ -84,7 +84,7 @@ class TwoCell:
             raise MalformedTables("right triangle does not commute")
 
     def __call__(self, i: int) -> int:
-        return self.map.table[i]
+        return self.map(i)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

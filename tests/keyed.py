@@ -1,18 +1,33 @@
-"""Keyed oracles for the fibration layer, which runs on ids.
+"""Oracles for the checkers, which run on ids and count each law once.
 
-These are the keyed constructions the library used before it held total
-categories and functors on ids: fibrations built as tuple-keyed ``comp``
-dicts handed to ``FiniteCategory.from_keys``, and ``check_functor`` walking
-key-to-key maps through the keyed views.  The tests compare the id tables
-and reports against them exactly.
+Keyed oracles: the keyed constructions the library used before it held total
+categories and functors on ids, that is fibrations built as tuple-keyed
+``comp`` dicts handed to ``FiniteCategory.from_keys``, and ``check_functor``
+walking key-to-key maps through the keyed views.
+
+Per-instance oracles (``*_by_index``, ``*_by_instance``): the law checks
+walked one instance at a time, with one ``require`` per check, as the
+checkers were written before they recorded failures only.  They read
+``extend``, ``retrieve`` and the key decoders through the library's modules
+at call time, so a fault injected there reaches both sides.
+
+The tests compare the id tables and reports against them exactly.
 """
 
 from __future__ import annotations
 
-from spanforge.fib import SubSlice
+from collections import Counter
+
+import spanforge.feistel as feistel
+import spanforge.fib as fib
+from spanforge.errors import UnderlyingCategoryInvalid
 from spanforge.feistel import conv_fibre, extend
+from spanforge.fib import FunctorData, SubSlice, _at, _image_arrow
+from spanforge.finset import FinMap, all_maps, compose
 from spanforge.internal import FiniteCategory, budget
 from spanforge.report import Report, ReportBuilder
+
+from util import require
 
 
 def keyed_maps(fd) -> tuple[dict, dict]:
@@ -31,16 +46,17 @@ def check_functor_by_keys(source: FiniteCategory, target: FiniteCategory, object
     rb = ReportBuilder()
     target_objects, target_arrows = set(target.objects), set(target.arrows)
     for x in source.objects:
-        if not rb.require(x in object_map, "object-map-total", x):
+        if not require(rb, x in object_map, "object-map-total", x):
             continue
-        rb.require(object_map[x] in target_objects, "object-map-lands", x)
+        require(rb, object_map[x] in target_objects, "object-map-lands", x)
     for a in source.arrows:
-        if not rb.require(a in arrow_map, "arrow-map-total", a):
+        if not require(rb, a in arrow_map, "arrow-map-total", a):
             continue
         fa = arrow_map[a]
-        if not rb.require(fa in target_arrows, "arrow-map-lands", a):
+        if not require(rb, fa in target_arrows, "arrow-map-lands", a):
             continue
-        rb.require(
+        require(
+            rb,
             target.src[fa] == object_map.get(source.src[a])
             and target.dst[fa] == object_map.get(source.dst[a]),
             "endpoints-preserved",
@@ -49,7 +65,8 @@ def check_functor_by_keys(source: FiniteCategory, target: FiniteCategory, object
     for x in source.objects:
         if x in object_map and source.ident[x] in arrow_map:
             image = object_map[x]
-            rb.require(
+            require(
+                rb,
                 image in target.ident and arrow_map[source.ident[x]] == target.ident[image],
                 "identities-preserved",
                 x,
@@ -57,7 +74,8 @@ def check_functor_by_keys(source: FiniteCategory, target: FiniteCategory, object
     for (f, g), h in source.comp.items():
         if f in arrow_map and g in arrow_map and h in arrow_map:
             pair = (arrow_map[f], arrow_map[g])
-            rb.require(
+            require(
+                rb,
                 pair in target.comp and target.comp[pair] == arrow_map[h],
                 "composition-preserved",
                 (f, g),
@@ -130,3 +148,235 @@ def endo_fibration_by_keys(ss: SubSlice):
                     yield u_table, v_table
 
     return fibration_by_keys(ss, keys, lifts)
+
+
+def pair_index(pb):
+    """Each pair of a pullback -> its position, by a scan of elems."""
+    return {pair: i for i, pair in enumerate(pb.elems)}
+
+
+def then_by_index(ic, a, b):
+    """"a then b" read through an index of the composable pairs, or None off it."""
+    i = pair_index(ic.composable).get((a, b))
+    return None if i is None else ic.mu.table[i]
+
+
+def category_report_by_index(ic):
+    """The category laws walked one by one, "a then b" read through the pullback index.
+
+    The oracle for check_internal_category: the same laws, witnesses and order.
+    """
+    rb = ReportBuilder()
+    d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
+    pairs, arrows, label = ic.composable.elems, range(ic.m.size), ic.m.label
+    for o in range(ic.o.size):
+        require(rb, d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
+        require(rb, c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
+    for (a, b), ab in zip(pairs, mu):
+        require(rb, d[ab] == d[a], "composition-source", f"pair ({label(a)}, {label(b)})")
+        require(rb, c[ab] == c[b], "composition-target", f"pair ({label(a)}, {label(b)})")
+    for m in arrows:
+        left = then_by_index(ic, eta[d[m]], m)
+        if require(rb, left is not None, "left-unit", f"arrow {label(m)} not composable"):
+            require(rb, left == m, "left-unit", f"arrow {label(m)}")
+    for m in arrows:
+        right = then_by_index(ic, m, eta[c[m]])
+        if require(rb, right is not None, "right-unit", f"arrow {label(m)} not composable"):
+            require(rb, right == m, "right-unit", f"arrow {label(m)}")
+    for (a, b), ab in zip(pairs, mu):
+        for x in arrows:
+            bx = then_by_index(ic, b, x)
+            if bx is None:
+                continue
+            lhs, rhs = then_by_index(ic, ab, x), then_by_index(ic, a, bx)
+            witness = f"triple ({label(a)}, {label(b)}, {label(x)})"
+            if require(rb, lhs is not None and rhs is not None, "associativity", witness):
+                require(rb, lhs == rhs, "associativity", witness)
+    return rb.report()
+
+
+def groupoid_report_by_index(g):
+    """The inversion laws walked one by one: the oracle for check_internal_groupoid."""
+    underlying = category_report_by_index(g.cat)
+    if not underlying.passed:
+        raise UnderlyingCategoryInvalid(underlying)
+    ic, rb = g.cat, ReportBuilder()
+    d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
+    for m in range(ic.m.size):
+        lab = f"arrow {ic.m.label(m)}"
+        require(rb, c[iota[m]] == d[m], "inverse-flips-target", lab)
+        require(rb, d[iota[m]] == c[m], "inverse-flips-source", lab)
+    for m in range(ic.m.size):
+        lab = f"arrow {ic.m.label(m)}"
+        right = then_by_index(ic, m, iota[m])
+        if require(rb, right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
+            require(rb, right == eta[d[m]], "right-inverse-law", lab)
+        left = then_by_index(ic, iota[m], m)
+        if require(rb, left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
+            require(rb, left == eta[c[m]], "left-inverse-law", lab)
+    for m in range(ic.m.size):
+        require(rb, iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
+    return rb.report()
+
+
+def check_functor_by_instance(fd: FunctorData) -> Report:
+    """check_functor with one require per object, arrow or composable pair."""
+    rb = ReportBuilder()
+    src, tgt = fd.source.tables, fd.target.tables
+    obj = tuple(fd.obj) + (None,) * (len(src.ident) - len(fd.obj))
+    arr = tuple(fd.arr) + (None,) * (len(src.s) - len(fd.arr))
+    lands_obj = [type(y) is int and 0 <= y < len(tgt.ident) for y in obj]
+    lands_arr = [type(a) is int and 0 <= a < len(tgt.s) for a in arr]
+    for x, key in enumerate(fd.source.objects):
+        if require(rb, obj[x] is not None, "object-map-total", key):
+            require(rb, lands_obj[x], "object-map-lands", key)
+    for f, key in enumerate(fd.source.arrows):
+        total = require(rb, arr[f] is not None, "arrow-map-total", key)
+        if total and require(rb, lands_arr[f], "arrow-map-lands", key):
+            ends = (tgt.s[arr[f]], tgt.t[arr[f]])
+            require(rb, ends == (obj[src.s[f]], obj[src.t[f]]), "endpoints-preserved", key)
+    for x, key in enumerate(fd.source.objects):
+        if obj[x] is not None and arr[src.ident[x]] is not None:
+            require(rb, lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]], "identities-preserved", key)
+    for f, row in enumerate(src.rows):
+        if arr[f] is None:
+            continue
+        image_row, image_t = (tgt.rows[arr[f]], tgt.t[arr[f]]) if lands_arr[f] else ((), None)
+        for g, h in zip(src.out[src.t[f]], row):
+            if arr[g] is not None and arr[h] is not None:
+                require(
+                    rb,
+                    lands_arr[g] and tgt.s[arr[g]] == image_t and image_row[tgt.pos[arr[g]]] == arr[h],
+                    "composition-preserved",
+                    (fd.source.arrows[f], fd.source.arrows[g]),
+                )
+    return rb.report()
+
+
+def check_discrete_fibration_by_instance(fi) -> Report:
+    """check_discrete_fibration with one require per base arrow into each fibre object's base object."""
+    rb = ReportBuilder()
+    lifts = Counter(zip(fi.proj.arr, fi.total.tables.t))
+    for y, over in enumerate(fi.proj.obj):
+        for k in (k for k, z in enumerate(fi.base.tables.t) if z == over):
+            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
+            require(rb, lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
+    return rb.report()
+
+
+def functor_over_base_by_instance(rb, source, target, move, prefix, over_base) -> FunctorData:
+    """fib._functor_over_base with one require per object or arrow."""
+    tgt = target.total
+    images, obj = [], []
+    for key in source.total.objects:
+        images.append((key[0], move(*key)))
+        obj.append(tgt.object_id.get(images[-1], images[-1]))
+        require(rb, type(obj[-1]) is int, f"{prefix}welldefined", key)
+    arr = []
+    for f, key in enumerate(source.total.arrows):
+        image = _image_arrow(source, f, images)
+        arr.append(tgt.arrow_id.get(image, image))
+        require(rb, type(arr[-1]) is int, f"{prefix}welldefined", key)
+    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
+    rb.merge(check_functor_by_instance(fd), prefix)
+    objects_law, arrows_law = over_base
+    for x, key in enumerate(source.total.objects):
+        require(rb, _at(target.proj.obj, obj[x]) == source.proj.obj[x], objects_law, key)
+    for f, key in enumerate(source.total.arrows):
+        require(rb, _at(target.proj.arr, arr[f]) == source.proj.arr[f], arrows_law, key)
+    return fd
+
+
+def cartesian_iso_by_instance(ss: SubSlice) -> Report:
+    """The report of cartesian_iso, with one require per check."""
+    conv, endo = fib.build_conv_fibration(ss), fib.build_endo_fibration(ss)
+    rb = ReportBuilder()
+
+    def extended(i, table):
+        return fib._extended(ss, (i, table))[1]
+
+    def retrieved(i, table):
+        return fib.retrieve(fib._as_endo(ss, i, table)).table
+
+    triangle = ("projection-triangle", "projection-triangle")
+    forward = functor_over_base_by_instance(rb, conv, endo, extended, "forward-", triangle)
+    backward = functor_over_base_by_instance(rb, endo, conv, retrieved, "backward-", triangle)
+    for there, back in ((forward, backward), (backward, forward)):
+        for x, key in enumerate(there.source.objects):
+            require(rb, _at(back.obj, there.obj[x]) == x, "mutual-inverse-objects", key)
+        for f, key in enumerate(there.source.arrows):
+            require(rb, _at(back.arr, there.arr[f]) == f, "mutual-inverse-arrows", key)
+    fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
+    for k, cell in enumerate(ss.arrows):
+        i, j = ss.arrow_endpoints(k)
+        plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
+        for beta in fibres[j]:
+            pulled = tuple(beta.table[v] for v in sigma)
+            pulled_then_extended = fib.extend(fib._conv(plan, pulled)).table
+            hat = fib.extend(beta).table
+            extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
+            require(rb, pulled_then_extended == extended_then_pulled, "fibrewise-naturality", (k, beta.table))
+    return rb.report()
+
+
+def transport_conv_by_instance(k, functor, ss: SubSlice) -> Report:
+    """The report of transport_conv, with one require per check."""
+    ss2 = fib.transported_subslice(k, functor, ss)
+    conv1, conv2 = fib.build_conv_fibration(ss), fib.build_conv_fibration(ss2)
+    endo1, endo2 = fib.build_endo_fibration(ss), fib.build_endo_fibration(ss2)
+    rb = ReportBuilder()
+
+    def move_conv(i, table):
+        return compose(functor.fm, k.arr(FinMap(ss.objects[i].a, ss.ic.m, table))).table
+
+    def move_endo(i, table):
+        moved_bar = compose(functor.fm, k.arr(fib._as_endo(ss, i, table).bar))
+        return fib._extended(ss2, (i, moved_bar.table))[1]
+
+    p_square, q_square = ("p-square-objects", "p-square-arrows"), ("q-square-objects", "q-square-arrows")
+    conv_map = functor_over_base_by_instance(rb, conv1, conv2, move_conv, "conv-transport-", p_square)
+    endo_map = functor_over_base_by_instance(rb, endo1, endo2, move_endo, "endo-transport-", q_square)
+    extended = [fib._extended(ss, key) for key in conv1.total.objects]
+    moved = [fib._extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
+    for x, key in enumerate(conv1.total.objects):
+        lhs = _at(endo_map.obj, endo1.total.object_id.get(extended[x]))
+        require(rb, lhs == endo2.total.object_id.get(moved[x], moved[x]), "intertwine-objects", key)
+    for f, key in enumerate(conv1.total.arrows):
+        lhs = _at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended)))
+        rhs = _image_arrow(conv1, f, moved)
+        require(rb, lhs == endo2.total.arrow_id.get(rhs, rhs), "intertwine-arrows", key)
+    return rb.report()
+
+
+def verify_adjunction_by_instance(conv_objects, end_objects, groupoid=None) -> Report:
+    """The report of verify_adjunction, with one require per pair and per element."""
+    rb = ReportBuilder()
+    for alpha in conv_objects:
+        hat, a_obj = feistel.extend(alpha), alpha.base
+        for beta in end_objects:
+            b_obj = beta.base
+            n_candidates = b_obj.a.size ** a_obj.a.size
+            budget(n_candidates * n_candidates, f"{n_candidates}^2 candidate morphisms")
+            slice_cells = [phi.table for phi in all_maps(a_obj.a, b_obj.a) if compose(b_obj.f, phi) == a_obj.f]
+            end_homset = [
+                (phi, psi)
+                for phi in slice_cells
+                for psi in slice_cells
+                if hat.plan.square_holds(beta.plan, hat.table, beta.table, phi, psi)
+            ]
+            bar = feistel.retrieve(beta).table
+            conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.table]
+            firsts = [phi for phi, _ in end_homset]
+            ok = len(firsts) == len(set(firsts)) and sorted(firsts) == sorted(conv_homset)
+            require(
+                rb,
+                ok,
+                "hom-bijection",
+                f"bases |A|={a_obj.a.size}, |B|={b_obj.a.size}: "
+                f"{len(end_homset)} endomorphism morphisms vs {len(conv_homset)} slice cells",
+            )
+    if groupoid is not None:
+        for alpha in conv_objects:
+            inverse = feistel.kleisli_inverse(feistel.extend(alpha))
+            require(rb, inverse is not None, "automorphism", f"extend of {alpha.table} has no two-sided inverse")
+    return rb.report()

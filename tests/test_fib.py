@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -24,6 +25,7 @@ from spanforge import (
     check_discrete_fibration,
     check_functor,
     check_internal_category,
+    check_internal_groupoid,
     compose,
     compose_intcat_morphisms,
     conv_element,
@@ -37,9 +39,11 @@ from spanforge import (
     identity_functor_data,
     identity_internal_functor,
     kleisli_compose,
+    kleisli_fibre,
     kleisli_unit,
     retrieve,
     transport_conv,
+    verify_adjunction,
 )
 from spanforge.catalog import (
     MONOIDS,
@@ -54,13 +58,19 @@ from spanforge.report import ReportBuilder
 
 from keyed import (
     base_category_by_keys,
+    cartesian_iso_by_instance,
+    check_discrete_fibration_by_instance,
+    check_functor_by_instance,
     check_functor_by_keys,
     conv_fibration_by_keys,
     endo_fibration_by_keys,
+    groupoid_report_by_index,
     keyed_maps,
+    transport_conv_by_instance,
+    verify_adjunction_by_instance,
 )
 from suites import point_base
-from util import all_slice_objects, loops_and_bridges
+from util import all_slice_objects, iota_mutants, loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
 
@@ -460,15 +470,15 @@ Z3 = one_object_groupoid(MONOIDS["z3"])
 REAL_EXTEND, REAL_AS_ENDO, REAL_RETRIEVE = fib.extend, fib._as_endo, fib.retrieve
 
 
-def inverting_extend(alpha):
+def inverting_extend(alpha, iota=Z3.iota):
     """extend after pointwise inversion: a bijection on each fibre, but not extend."""
-    return REAL_EXTEND(conv_element(alpha.base, alpha.target, compose(Z3.iota, alpha.map)))
+    return REAL_EXTEND(conv_element(alpha.base, alpha.target, compose(iota, alpha.map)))
 
 
-def inverting_endo(ss, i, table):
+def inverting_endo(ss, i, table, iota=Z3.iota):
     """Decodes an endomorphism key to the extension of its inverted arrow component."""
     endo = REAL_AS_ENDO(ss, i, table)
-    return REAL_EXTEND(conv_element(endo.base, endo.target, compose(Z3.iota, endo.bar)))
+    return REAL_EXTEND(conv_element(endo.base, endo.target, compose(iota, endo.bar)))
 
 
 def reversing_retrieve(endo):
@@ -482,6 +492,52 @@ def reversing_extend(alpha):
     """extend of the reversed table: objects land in the fibres, many arrows do not."""
     reversed_map = FinMap(alpha.map.dom, alpha.map.cod, alpha.map.table[::-1])
     return REAL_EXTEND(conv_element(alpha.base, alpha.target, reversed_map))
+
+
+def unit_retrieve(endo):
+    """retrieve to the unit: every endomorphism lands on one element of its fibre."""
+    return conv_unit(endo.base, endo.target)
+
+
+LOOPS = loops_and_bridges()
+# swaps the identity at object 1 with the involution s there, and fixes every other arrow
+LOOPS_SWAP = FinMap(LOOPS.m, LOOPS.m, (0, 1, 3, 2, 4, 5))
+
+
+def swapped_over_pairs(elem):
+    """elem after LOOPS_SWAP where its base has two points: not natural along the cells from one point."""
+    if elem.base.a.size < 2:
+        return elem
+    return conv_element(elem.base, elem.target, compose(LOOPS_SWAP, elem.map))
+
+
+def twisting_retrieve(endo):
+    """loops_and_bridges' reversing_retrieve: objects land in the fibres, some arrows do not."""
+    return swapped_over_pairs(REAL_RETRIEVE(endo))
+
+
+def twisting_extend(alpha):
+    """loops_and_bridges' reversing_extend: objects land in the fibres, some arrows do not."""
+    return REAL_EXTEND(swapped_over_pairs(alpha))
+
+
+# the five fault injections (module, name, corrupted) on Z3, and their like on loops_and_bridges
+FAULTS = {
+    "z3": [
+        (fib, "retrieve", unit_retrieve),
+        (fib, "extend", inverting_extend),
+        (fib, "extend", reversing_extend),
+        (fib, "retrieve", reversing_retrieve),
+        (fib, "_as_endo", inverting_endo),
+    ],
+    "loops_and_bridges": [
+        (fib, "retrieve", unit_retrieve),
+        (fib, "extend", partial(inverting_extend, iota=LOOPS_SWAP)),
+        (fib, "extend", twisting_extend),
+        (fib, "retrieve", twisting_retrieve),
+        (fib, "_as_endo", partial(inverting_endo, iota=LOOPS_SWAP)),
+    ],
+}
 
 
 def failed_laws(report):
@@ -828,3 +884,83 @@ class TestFibrationOnIds:
         assert len(fi.total.arrows) == 2817
         # 1.3 MB measured with CPython 3.11; the keyed comp dict alone held about 12.8 MB
         assert retained < 2_000_000
+
+
+def iso_reports(ss):
+    """(library, oracle) reports of cartesian_iso and of both unique-lift checks on ss."""
+    iso = cartesian_iso(ss)
+    yield iso.report, cartesian_iso_by_instance(ss)
+    for fibration in (iso.conv, iso.endo):
+        yield check_discrete_fibration(fibration), check_discrete_fibration_by_instance(fibration)
+
+
+def transport_reports(k, functor, ss):
+    yield transport_conv(k, functor, ss).report, transport_conv_by_instance(k, functor, ss)
+
+
+def z3_transport():
+    ss = default_subslice(Z3.cat)
+    k = identity_fragment_for(ss)
+    return k, identity_internal_functor(apply_lex_functor(k, Z3.cat)), ss
+
+
+def functor_reports():
+    """(library, oracle) reports of check_functor on z3's forward functor with one image changed at a time."""
+    fd = cartesian_iso(default_subslice(Z3.cat)).forward
+    n_obj, n_arr, unit = len(fd.target.objects), len(fd.target.arrows), fd.source.tables.ident[0]
+    changes = [
+        ("obj", 0, None), ("obj", 1, n_obj), ("obj", 2, -1), ("obj", 0, True), ("obj", 3, ("ghost",)),
+        ("arr", 5, None), ("arr", unit, None), ("arr", 1, n_arr), ("arr", 2, -1), ("arr", 3, ("ghost", 0, 0)),
+        ("arr", 4, 0),
+    ]
+    for which, at, value in changes:
+        obj, arr = list(fd.obj), list(fd.arr)
+        (obj if which == "obj" else arr)[at] = value
+        mutant = FunctorData(fd.source, fd.target, tuple(obj), tuple(arr))
+        yield check_functor(mutant), check_functor_by_instance(mutant)
+
+
+def groupoid_reports(entry):
+    for g in [entry.groupoid, *iota_mutants(entry.groupoid)]:
+        yield check_internal_groupoid(g), groupoid_report_by_index(g)
+
+
+def adjunction_reports():
+    """verify_adjunction over Z3, on every element and endomorphism over up to two points."""
+    ic = Z3.cat
+    conv_objs = [e for x in (0, 1, 2) for e in conv_fibre(point_base(ic, x), ic)]
+    end_objs = [u for x in (0, 1, 2) for u in kleisli_fibre(point_base(ic, x), ic)]
+    yield verify_adjunction(conv_objs, end_objs, Z3), verify_adjunction_by_instance(conv_objs, end_objs, Z3)
+
+
+def oracle_cases():
+    """(id, fault or None, reports) for every case that the checkers and their oracles must agree on."""
+    ss_cases = [(name, entry.category) for name, entry in CATALOG.items()] + [("loops_and_bridges", LOOPS)]
+    for name, ic in ss_cases:
+        yield f"iso-{name}", None, lambda ic=ic: iso_reports(default_subslice(ic))
+    yield "functor-mutants", None, functor_reports
+    for n, instance in enumerate(transport_instances()):
+        yield f"transport-{n}", None, lambda instance=instance: transport_reports(*instance)
+    for n, fault in enumerate(FAULTS["z3"]):
+        yield f"fault-{n}-{fault[1]}-iso-z3", fault, lambda: iso_reports(default_subslice(Z3.cat))
+        yield f"fault-{n}-{fault[1]}-transport-z3", fault, lambda: transport_reports(*z3_transport())
+    for n, fault in enumerate(FAULTS["loops_and_bridges"]):
+        yield f"fault-{n}-{fault[1]}-iso-loops_and_bridges", fault, lambda: iso_reports(default_subslice(LOOPS))
+    for name, entry in CATALOG.items():
+        if entry.iota is not None:
+            yield f"groupoid-{name}", None, lambda entry=entry: groupoid_reports(entry)
+    yield "adjunction-z3", None, adjunction_reports
+    yield "adjunction-z3-unit-retrieve", (feistel, "retrieve", unit_retrieve), adjunction_reports
+
+
+ORACLE_CASES = list(oracle_cases())
+
+
+@pytest.mark.parametrize("fault, reports", [case[1:] for case in ORACLE_CASES], ids=[case[0] for case in ORACLE_CASES])
+def test_checkers_match_their_per_instance_oracles(monkeypatch, fault, reports):
+    """Each checker records the failures (laws, witnesses, order) and the counts of one require per check."""
+    if fault is not None:
+        monkeypatch.setattr(*fault)
+    for got, expected in reports():
+        assert got.failures == expected.failures
+        assert got.checked == expected.checked

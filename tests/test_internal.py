@@ -49,10 +49,12 @@ from spanforge.catalog import (
     pair_groupoid,
 )
 from spanforge.feistel import module_plan
+from spanforge.fib import default_subslice
 from spanforge.finset import pair_position
 from spanforge.internal import FiniteCategory
-from spanforge.report import ReportBuilder
+from spanforge.span import identity_cell
 
+from keyed import category_report_by_index, groupoid_report_by_index, pair_index, then_by_index
 from util import extend_by_cells, iota_mutants, kleisli_compose_by_cells, loops_and_bridges, single_entry_mutants
 
 
@@ -241,17 +243,6 @@ class TestChecker:
         assert rejected == total
 
 
-def pair_index(pb):
-    """Each pair of a pullback -> its position, by a scan of elems."""
-    return {pair: i for i, pair in enumerate(pb.elems)}
-
-
-def then_by_index(ic, a, b):
-    """"a then b" read through an index of the composable pairs, or None off it."""
-    i = pair_index(ic.composable).get((a, b))
-    return None if i is None else ic.mu.table[i]
-
-
 def inverse_by_index(ic, m):
     """The two-sided inverse of m by a scan of M through an index of the composable pairs."""
     index, mu, eta = pair_index(ic.composable), ic.mu.table, ic.eta.table
@@ -320,62 +311,28 @@ class TestCompositionRows:
         assert str(info.value) == message
 
 
-def category_report_by_index(ic):
-    """The category laws walked one by one, "a then b" read through the pullback index.
-
-    The oracle for check_internal_category: the same laws, witnesses and order.
-    """
-    rb = ReportBuilder()
-    d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
-    pairs, arrows, label = ic.composable.elems, range(ic.m.size), ic.m.label
-    for o in range(ic.o.size):
-        rb.require(d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
-        rb.require(c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
-    for (a, b), ab in zip(pairs, mu):
-        rb.require(d[ab] == d[a], "composition-source", f"pair ({label(a)}, {label(b)})")
-        rb.require(c[ab] == c[b], "composition-target", f"pair ({label(a)}, {label(b)})")
-    for m in arrows:
-        left = then_by_index(ic, eta[d[m]], m)
-        if rb.require(left is not None, "left-unit", f"arrow {label(m)} not composable"):
-            rb.require(left == m, "left-unit", f"arrow {label(m)}")
-    for m in arrows:
-        right = then_by_index(ic, m, eta[c[m]])
-        if rb.require(right is not None, "right-unit", f"arrow {label(m)} not composable"):
-            rb.require(right == m, "right-unit", f"arrow {label(m)}")
-    for (a, b), ab in zip(pairs, mu):
-        for x in arrows:
-            bx = then_by_index(ic, b, x)
-            if bx is None:
-                continue
-            lhs, rhs = then_by_index(ic, ab, x), then_by_index(ic, a, bx)
-            witness = f"triple ({label(a)}, {label(b)}, {label(x)})"
-            if rb.require(lhs is not None and rhs is not None, "associativity", witness):
-                rb.require(lhs == rhs, "associativity", witness)
-    return rb.report()
+def id_lookups():
+    """Each public lookup that takes an id, as (one-argument call, number of ids)."""
+    ic = pair_groupoid(2).cat
+    ss = default_subslice(ic)
+    return {
+        "then": (lambda a: ic.then(a, a), ic.m.size),  # the last arrow is an identity
+        "inverse": (ic.inverse, ic.m.size),
+        "mult": (lambda a: MONOIDS["z3"].mult(a, 0), MONOIDS["z3"].size),
+        "FinMap": (ic.d, ic.m.size),
+        "TwoCell": (identity_cell(ic.mor_span), ic.m.size),
+        "arrow_endpoints": (ss.arrow_endpoints, len(ss.arrows)),
+    }
 
 
-def groupoid_report_by_index(g):
-    """The inversion laws walked one by one: the oracle for check_internal_groupoid."""
-    underlying = category_report_by_index(g.cat)
-    if not underlying.passed:
-        raise UnderlyingCategoryInvalid(underlying)
-    ic, rb = g.cat, ReportBuilder()
-    d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
-    for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
-        rb.require(c[iota[m]] == d[m], "inverse-flips-target", lab)
-        rb.require(d[iota[m]] == c[m], "inverse-flips-source", lab)
-    for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
-        right = then_by_index(ic, m, iota[m])
-        if rb.require(right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(right == eta[d[m]], "right-inverse-law", lab)
-        left = then_by_index(ic, iota[m], m)
-        if rb.require(left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
-            rb.require(left == eta[c[m]], "left-inverse-law", lab)
-    for m in range(ic.m.size):
-        rb.require(iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
-    return rb.report()
+@pytest.mark.parametrize("name", ["then", "inverse", "mult", "FinMap", "TwoCell", "arrow_endpoints"])
+@pytest.mark.parametrize("arg", [-1, True, 1.0, "size"])
+def test_no_lookup_wraps_round(name, arg):
+    """A negative id, a boolean, a float or one past the end is refused, not read off a table."""
+    lookup, size = id_lookups()[name]
+    lookup(size - 1)  # the last id is read
+    with pytest.raises(DomainMismatch):
+        lookup(size if arg == "size" else arg)
 
 
 def law_pass_instances():

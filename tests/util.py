@@ -5,7 +5,19 @@ from __future__ import annotations
 from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps
 from spanforge.catalog import loops_and_bridges  # re-exported: the suites import it from here
 from spanforge.internal import InternalCategory, InternalGroupoid, mu_cell
+from spanforge.report import ReportBuilder
 from spanforge.span import compose_cells, diagonal, identity_cell, pair_cells, reassociate, tensor_cells
+
+
+def require(rb: ReportBuilder, condition: bool, law: str, witness: object = None) -> bool:
+    """One check of law: count it, record a failure unless condition holds, and return condition.
+
+    The per-instance oracles record each check this way; the library counts each law once.
+    """
+    rb.count(law, 1)
+    if not condition:
+        rb.fail(law, witness)
+    return condition
 
 
 def finset(n: int) -> FinSet:
