@@ -176,7 +176,8 @@ def pair_groupoid(n: int) -> InternalGroupoid:
     c = FinMap(m, o, tuple(x % n for x in range(n * n)))
     eta = FinMap(o, m, tuple(a * n + a for a in range(n)))
     pb = pullback(c, d)
-    mu = FinMap(pb.apex, m, tuple((x // n) * n + (y % n) for x, y in pb.elems))
+    pairs = zip(pb.proj_left.table, pb.proj_right.table)
+    mu = FinMap(pb.apex, m, tuple((x // n) * n + (y % n) for x, y in pairs))
     iota = FinMap(m, m, tuple((x % n) * n + (x // n) for x in range(n * n)))
     return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
 
@@ -193,8 +194,9 @@ def action_groupoid_z2() -> InternalGroupoid:
     c = FinMap(m, o, tuple((x // 2) ^ (x % 2) for x in range(4)))
     eta = FinMap(o, m, (0, 2))
     pb = pullback(c, d)
+    pairs = zip(pb.proj_left.table, pb.proj_right.table)
     # (point, g) then (point', h) is (point, g xor h)
-    mu = FinMap(pb.apex, m, tuple((x // 2) * 2 + ((x ^ y) % 2) for x, y in pb.elems))
+    mu = FinMap(pb.apex, m, tuple((x // 2) * 2 + ((x ^ y) % 2) for x, y in pairs))
     iota = FinMap(m, m, tuple(((x // 2) ^ (x % 2)) * 2 + (x % 2) for x in range(4)))
     return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
 
@@ -221,7 +223,7 @@ def loops_and_bridges() -> InternalCategory:
         return table[(a, b)]
 
     pb = pullback(c, d)
-    mu = FinMap(pb.apex, m, tuple(then(a, b) for a, b in pb.elems))
+    mu = FinMap(pb.apex, m, tuple(map(then, pb.proj_left.table, pb.proj_right.table)))
     return InternalCategory(o, m, d, c, FinMap(o, m, (0, 2)), mu)
 
 

@@ -2,10 +2,11 @@
 
 Elements of a set of size n are the indices 0..n-1; labels are cosmetic.
 Every value is an immutable table, so equality anywhere downstream is
-exact table equality, and every pullback is materialized once as the
-lexicographically ordered list of matching pairs, with the layout of
-``group_by_value`` (the one grouping of a table's points by value).
-``pair_position`` is the one pair -> position lookup; every other module reads it.
+exact table equality.  A pullback is its two projections, which list the
+matching pairs in lexicographic order, plus the layout of ``group_by_value``
+(the one grouping of a table's points by value); pullbacks along one right
+leg share that leg's grouping.  ``pair_position`` is the one pair -> position
+lookup; every other module reads it.
 """
 
 from __future__ import annotations
@@ -130,16 +131,21 @@ def group_by_value(table: Sequence[int], size: int) -> tuple[tuple[tuple[int, ..
     return tuple(map(tuple, out)), tuple(pos)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def grouping(g: FinMap) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """g's points grouped by value, held once for every pullback along g."""
+    return group_by_value(g.table, g.cod.size)
+
+
 @dataclass(frozen=True)
 class PullbackResult:
-    """The canonical pullback: all matching pairs in lexicographic order.
+    """The canonical pullback: its projections list the matching pairs in lexicographic order.
 
     The derived layout stays out of equality: out and pos group the right foot
     by g, and a's run opens at start[a], so the pair (a, b) sits at start[a] + pos[b].
     """
 
     apex: FinSet
-    elems: tuple[tuple[int, int], ...]
     proj_left: FinMap
     proj_right: FinMap
     out: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -152,13 +158,14 @@ def pullback(f: FinMap, g: FinMap) -> PullbackResult:
     """Canonical pullback of f and g: pairs (a, b) with f(a) = g(b)."""
     if f.cod != g.cod:
         raise CodomainMismatch(f"pullback legs must share a codomain ({f.cod} vs {g.cod})")
-    out, pos = group_by_value(g.table, g.cod.size)  # g's fibres, so the work is linear in the pairs found
-    elems = tuple((a, b) for a, v in enumerate(f.table) for b in out[v])
-    start = tuple(itertools.accumulate((len(out[v]) for v in f.table), initial=0))
-    apex = FinSet(len(elems))
-    proj_left = FinMap(apex, f.dom, tuple(a for a, _ in elems))
-    proj_right = FinMap(apex, g.dom, tuple(b for _, b in elems))
-    return PullbackResult(apex, elems, proj_left, proj_right, out, pos, start)
+    out, pos = grouping(g)  # g's fibres, so the work is linear in the pairs found
+    runs = [out[v] for v in f.table]  # a's run: the b with f(a) = g(b)
+    start = tuple(itertools.accumulate(map(len, runs), initial=0))
+    apex = FinSet(start[-1])
+    left = itertools.chain.from_iterable(map(itertools.repeat, range(len(runs)), map(len, runs)))
+    proj_left = FinMap(apex, f.dom, tuple(left))
+    proj_right = FinMap(apex, g.dom, tuple(itertools.chain.from_iterable(runs)))
+    return PullbackResult(apex, proj_left, proj_right, out, pos, start)
 
 
 def mediating(pb: PullbackResult, u: FinMap, v: FinMap) -> FinMap:

@@ -36,7 +36,6 @@ from .finset import (
     invert,
     is_bijection,
     mediating,
-    pair_position,
     pullback,
 )
 from .report import Report, ReportBuilder
@@ -198,10 +197,10 @@ class InternalCategory:
 
     def then(self, a: int, b: int) -> int:
         """Compose the arrows a then b; DomainMismatch unless they are a composable pair."""
-        i = pair_position(self.composable, a, b)
-        if i is None:
+        ab = self.tables.then(a, b) if _ids((a, b), self.m.size) else None
+        if ab is None:
             raise DomainMismatch(f"arrows ({a!r}, {b!r}) are not a composable pair of M")
-        return self.mu.table[i]
+        return ab
 
     def inverse(self, m: int) -> int | None:
         """The two-sided inverse of arrow m, or None when M holds none; DomainMismatch unless m is an arrow."""
@@ -443,11 +442,12 @@ class InternalFunctor:
             raise NotInternalFunctor("target square does not commute")
         if compose(self.fm, self.src.eta) != compose(self.dst.eta, self.fo):
             raise NotInternalFunctor("unit square does not commute")
-        for i, (a, b) in enumerate(self.src.composable.elems):
-            lhs = self.fm.table[self.src.mu.table[i]]
-            rhs = self.dst.then(self.fm.table[a], self.fm.table[b])
-            if lhs != rhs:
-                raise NotInternalFunctor(f"composition square fails at pair ({a}, {b})")
+        # F(a then b) against F(a) then F(b), row by row: the composable pairs in lexicographic order
+        src, fm, then = self.src.tables, self.fm.table, self.dst.tables.then
+        for a, row in enumerate(src.rows):
+            for b, ab in zip(src.out[src.t[a]], row):
+                if fm[ab] != then(fm[a], fm[b]):
+                    raise NotInternalFunctor(f"composition square fails at pair ({a}, {b})")
 
 
 def identity_internal_functor(ic: InternalCategory) -> InternalFunctor:

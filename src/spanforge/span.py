@@ -10,8 +10,9 @@ Conventions, fixed once and relied on everywhere:
   ``tensor_cells(t, s)`` sends ``(a, b)`` to ``(t(a), s(b))``.
 * Multi-fold tensors are always bracketed explicitly; ``reassociate``
   supplies the canonical bijection when a law needs rebracketing.
-* ``tensor(x, m).pb`` is the pullback a tensor was glued along; cells into
-  a tensor find their pair positions in its layout through ``pair_position``.
+* ``tensor(x, m).pb`` is the pullback a tensor was glued along: its two
+  projections list the pairs, and cells into a tensor find their pair
+  positions in its layout through ``pair_position``.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def tensor_cells(t: TwoCell, s: TwoCell) -> TwoCell:
     src = tensor(t.src, s.src)
     dst = tensor(t.dst, s.dst)
     table = tuple(
-        pair_position(dst.pb, t.map.table[a], s.map.table[b]) for a, b in src.pb.elems
+        pair_position(dst.pb, t.map.table[a], s.map.table[b])
+        for a, b in zip(src.proj_left.table, src.proj_right.table)
     )
     return TwoCell(src.span, dst.span, FinMap(src.span.apex, dst.span.apex, table))
 
@@ -174,8 +176,8 @@ def reassociate(x: Span, y: Span, z: Span) -> TwoCell:
     yz = tensor(y, z)
     right_nested = tensor(x, yz.span)
     table = []
-    for p, c in left_nested.pb.elems:
-        a, b = xy.pb.elems[p]
+    for p, c in zip(left_nested.proj_left.table, left_nested.proj_right.table):
+        a, b = xy.proj_left.table[p], xy.proj_right.table[p]
         q = pair_position(yz.pb, b, c)
         table.append(pair_position(right_nested.pb, a, q))
     return TwoCell(

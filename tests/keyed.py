@@ -27,7 +27,7 @@ from spanforge.finset import FinMap, all_maps, compose
 from spanforge.internal import FiniteCategory, budget
 from spanforge.report import Report, ReportBuilder
 
-from util import require
+from util import pairs, require
 
 
 def keyed_maps(fd) -> tuple[dict, dict]:
@@ -151,8 +151,8 @@ def endo_fibration_by_keys(ss: SubSlice):
 
 
 def pair_index(pb):
-    """Each pair of a pullback -> its position, by a scan of elems."""
-    return {pair: i for i, pair in enumerate(pb.elems)}
+    """Each pair of a pullback -> its position, by a scan of its pairs."""
+    return {pair: i for i, pair in enumerate(pairs(pb))}
 
 
 def then_by_index(ic, a, b):
@@ -168,11 +168,11 @@ def category_report_by_index(ic):
     """
     rb = ReportBuilder()
     d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
-    pairs, arrows, label = ic.composable.elems, range(ic.m.size), ic.m.label
+    composable, arrows, label = pairs(ic.composable), range(ic.m.size), ic.m.label
     for o in range(ic.o.size):
         require(rb, d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
         require(rb, c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
-    for (a, b), ab in zip(pairs, mu):
+    for (a, b), ab in zip(composable, mu):
         require(rb, d[ab] == d[a], "composition-source", f"pair ({label(a)}, {label(b)})")
         require(rb, c[ab] == c[b], "composition-target", f"pair ({label(a)}, {label(b)})")
     for m in arrows:
@@ -183,7 +183,7 @@ def category_report_by_index(ic):
         right = then_by_index(ic, m, eta[c[m]])
         if require(rb, right is not None, "right-unit", f"arrow {label(m)} not composable"):
             require(rb, right == m, "right-unit", f"arrow {label(m)}")
-    for (a, b), ab in zip(pairs, mu):
+    for (a, b), ab in zip(composable, mu):
         for x in arrows:
             bx = then_by_index(ic, b, x)
             if bx is None:

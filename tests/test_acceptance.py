@@ -56,7 +56,7 @@ from suites import (
     inversion_suite,
     point_base,
 )
-from util import single_entry_mutants
+from util import pairs, single_entry_mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -93,7 +93,7 @@ def test_criterion_2_inversion_suite():
         # explicit non-fixed witness at |A| = |M| = 2
         fa = point_base(Z2, 2)
         pb = tensor(fa.span, Z2.mor_span).pb
-        index = {pair: i for i, pair in enumerate(pb.elems)}
+        index = {pair: i for i, pair in enumerate(pairs(pb))}
         apex = free_module(fa, Z2).span.apex
         witness = kleisli_endo(fa, Z2, FinMap(fa.a, apex, (index[(1, 0)], index[(0, 0)])))
         assert not is_simply_presented(witness)

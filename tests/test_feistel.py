@@ -63,7 +63,7 @@ from suites import (
     point_base,
     slice_objects,
 )
-from util import conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges
+from util import conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs
 
 Z2 = one_object_category(MONOIDS["z2"])
 AND2 = one_object_category(MONOIDS["and2"])
@@ -512,8 +512,8 @@ class TestExtendRetrieve:
         perm = module_endomorphism(image)
         pb = tensor(fa.span, Z2.mor_span).pb
         # oracle: (x, y) -> (x, x xor y) evaluated through the formula
-        for i, (x, y) in enumerate(pb.elems):
-            assert pb.elems[perm(i)] == (x, (0, 1)[x] ^ y)
+        for i, (x, y) in enumerate(pairs(pb)):
+            assert pairs(pb)[perm(i)] == (x, (0, 1)[x] ^ y)
 
     def test_extend_preserves_unit(self):
         for monoid in MONOIDS.values():
@@ -552,7 +552,7 @@ class TestExtendRetrieve:
         fa = point_base(Z2, 2)
         apex = free_module(fa, Z2).span.apex
         pb = tensor(fa.span, Z2.mor_span).pb
-        swap_idx = {pair: i for i, pair in enumerate(pb.elems)}
+        swap_idx = {pair: i for i, pair in enumerate(pairs(pb))}
         # carrier-swapping endomorphism: a -> (1 - a, 0)
         table = (swap_idx[(1, 0)], swap_idx[(0, 0)])
         endo = kleisli_endo(fa, Z2, FinMap(fa.a, apex, table))
@@ -679,9 +679,9 @@ class TestToffoli:
             perm = module_endomorphism(extend(conv_from_table(fa, ic, table)))
             pb = tensor(fa.span, ic.mor_span).pb
             encoded = {}
-            for i, (x, y) in enumerate(pb.elems):
+            for i, (x, y) in enumerate(pairs(pb)):
                 encoded[i] = (x << bits_n) | y
-            assert all(encoded[perm(i)] == direct[encoded[i]] for i in range(len(pb.elems)))
+            assert all(encoded[perm(i)] == direct[encoded[i]] for i in range(len(pairs(pb))))
 
     def test_malformed_tables_rejected(self):
         with pytest.raises(MalformedTables):

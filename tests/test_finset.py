@@ -1,6 +1,8 @@
+import gc
 import importlib
 import itertools
 import pkgutil
+import tracemalloc
 
 import pytest
 import spanforge
@@ -36,6 +38,8 @@ from spanforge.catalog import CATALOG, MONOIDS, loops_and_bridges, one_object_ca
 from spanforge.feistel import free_module, module_plan
 from spanforge.fib import default_subslice
 from spanforge.finset import CACHE_SIZE, constant, group_by_value, pair_position, terminal_map
+
+from util import pairs
 
 
 def sizes(upper):
@@ -113,11 +117,11 @@ class TestCompose:
 
 
 def off_pairs_by_scan(pb):
-    """pair_position equals a scan of elems on every pair of the feet, and is None past them.
+    """pair_position equals a scan of the pairs on every pair of the feet, and is None past them.
 
     Returns how many pairs of the feet are not pairs of pb.
     """
-    index = {pair: i for i, pair in enumerate(pb.elems)}
+    index = {pair: i for i, pair in enumerate(pairs(pb))}
     n_left, n_right = pb.proj_left.cod.size, pb.proj_right.cod.size
     for a in range(n_left):
         for b in range(n_right):
@@ -132,7 +136,7 @@ class TestPullback:
         two = FinSet(2)
         pb = pullback(identity(two), identity(two))
         assert pb.apex.size == 2
-        assert pb.elems == ((0, 0), (1, 1))
+        assert pairs(pb) == ((0, 0), (1, 1))
 
     def test_pullback_over_terminal_is_product(self):
         pb = pullback(terminal_map(FinSet(2)), terminal_map(FinSet(3)))
@@ -144,7 +148,7 @@ class TestPullback:
         pb = pullback(parity, identity(two))
         # oracle: enumerate matching pairs directly
         expected = tuple((a, b) for a in range(4) for b in range(2) if parity(a) == b)
-        assert pb.elems == expected
+        assert pairs(pb) == expected
         assert pb.apex.size == 4
 
     def test_codomain_mismatch(self):
@@ -155,7 +159,7 @@ class TestPullback:
         for a, b, c in itertools.product(sizes(3), sizes(3), sizes(2)):
             for f in all_maps(FinSet(a), FinSet(c)):
                 for g in all_maps(FinSet(b), FinSet(c)):
-                    elems = pullback(f, g).elems
+                    elems = pairs(pullback(f, g))
                     assert all(elems[i] < elems[i + 1] for i in range(len(elems) - 1))
 
     @settings(max_examples=200, deadline=None)
@@ -170,14 +174,39 @@ class TestPullback:
         g = FinMap(FinSet(len(right)), cod, tuple(right))
         expected = tuple((a, b) for a in range(len(left)) for b in range(len(right)) if left[a] == right[b])
         pb = pullback(f, g)
-        assert pb.elems == expected
+        assert pairs(pb) == expected
         assert (pb.proj_left.table, pb.proj_right.table) == (
             tuple(a for a, _ in expected), tuple(b for _, b in expected))
         off_pairs_by_scan(pb)
 
     def test_legs_with_disjoint_images_have_an_empty_pullback(self):
         cod = FinSet(4)
-        assert pullback(FinMap(FinSet(3), cod, (0, 1, 0)), FinMap(FinSet(2), cod, (2, 3))).elems == ()
+        assert pairs(pullback(FinMap(FinSet(3), cod, (0, 1, 0)), FinMap(FinSet(2), cod, (2, 3)))) == ()
+
+    def test_a_large_pullback_holds_only_its_projections_and_layout(self):
+        # the composable pairs of the pair groupoid on 40 objects, legs built here so no cache holds them
+        o, m = FinSet(40), FinSet(1600)
+        c = FinMap(m, o, tuple(x % 40 for x in range(1600)))
+        d = FinMap(m, o, tuple(x // 40 for x in range(1600)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pb = pullback(c, d)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pb.apex.size == 64_000
+        # 1.2 MB measured with CPython 3.11, d's grouping included; the list of pairs it replaced made it 5.3 MB
+        assert retained < 2_000_000
+
+    def test_pullbacks_along_one_right_leg_share_its_grouping(self):
+        cod = FinSet(3)
+        g = FinMap(FinSet(4), cod, (2, 0, 2, 1))
+        first = pullback(identity(cod), g)
+        second = pullback(FinMap(FinSet(2), cod, (1, 1)), FinMap(FinSet(4), cod, (2, 0, 2, 1)))
+        assert (first.out, first.pos) == group_by_value(g.table, 3)
+        assert second.out is first.out and second.pos is first.pos
 
     def test_square_commutes(self):
         four, two = FinSet(4), FinSet(2)
@@ -266,7 +295,7 @@ class TestProduct:
     def test_projections_recover_coordinates(self):
         pb = product(FinSet(2), FinSet(3))
         seen = set()
-        for i, (a, b) in enumerate(pb.elems):
+        for i, (a, b) in enumerate(pairs(pb)):
             assert pb.proj_left(i) == a
             assert pb.proj_right(i) == b
             seen.add((a, b))
@@ -295,6 +324,7 @@ class TestCaches:
                 if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                     caches[name] = obj.cache_info().maxsize
         assert set(caches) == {
+            "grouping",
             "pullback",
             "tensor",
             "identity_cell",

@@ -25,7 +25,7 @@ from spanforge import (
 )
 from spanforge.catalog import pair_groupoid
 
-from util import all_cells, all_spans, point_slice, slice_object
+from util import all_cells, all_spans, pairs, point_slice, slice_object
 
 ONE = FinSet(1)
 TWO = FinSet(2)
@@ -79,8 +79,8 @@ class TestTensorCells:
                 ts = tensor_cells(t, s)
                 src_pb = tensor(t.src, s.src).pb
                 dst_pb = tensor(t.dst, s.dst).pb
-                for i, (a, b) in enumerate(src_pb.elems):
-                    assert dst_pb.elems[ts.map.table[i]] == (t(a), s(b))
+                for i, (a, b) in enumerate(pairs(src_pb)):
+                    assert pairs(dst_pb)[ts.map.table[i]] == (t(a), s(b))
 
     def test_interchange_exhaustive_small(self):
         o = TWO
@@ -128,7 +128,7 @@ class TestDiagonal:
         delta = diagonal(fa)
         pb = tensor(fa.span, fa.span).pb
         for a in range(2):
-            assert pb.elems[delta(a)] == (a, a)
+            assert pairs(pb)[delta(a)] == (a, a)
 
     def test_projections_after_diagonal_are_identity(self):
         for table in itertools.product(range(2), repeat=2):
@@ -192,7 +192,7 @@ class TestPairCells:
             paired = pair_cells(identity_cell(fa.span), alpha)
             pb = tensor(fa.span, ic.mor_span).pb
             for a in range(fa.a.size):
-                assert pb.elems[paired(a)] == (a, alpha(a))
+                assert pairs(pb)[paired(a)] == (a, alpha(a))
 
     def test_equals_tensor_after_diagonal(self):
         o = TWO

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from spanforge import FinMap, FinSet, SliceObject, Span, TwoCell, all_maps
+from spanforge import FinMap, FinSet, PullbackResult, SliceObject, Span, TwoCell, all_maps
 from spanforge.catalog import loops_and_bridges  # re-exported: the suites import it from here
 from spanforge.internal import InternalCategory, InternalGroupoid, mu_cell
 from spanforge.report import ReportBuilder
@@ -18,6 +18,11 @@ def require(rb: ReportBuilder, condition: bool, law: str, witness: object = None
     if not condition:
         rb.fail(law, witness)
     return condition
+
+
+def pairs(pb: PullbackResult) -> tuple[tuple[int, int], ...]:
+    """The pairs of a pullback in apex order, read off its two projections."""
+    return tuple(zip(pb.proj_left.table, pb.proj_right.table))
 
 
 def finset(n: int) -> FinSet:
