@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .catalog import MonoidTable, monoid_from_flat
 from .errors import (
@@ -30,7 +31,7 @@ from .feistel import (
     toffoli_extend,
 )
 from .fib import SubSlice, cartesian_iso, check_discrete_fibration
-from .finset import FinMap, FinSet, pullback
+from .finset import FinMap, FinSet
 from .internal import (
     InternalCategory,
     InternalGroupoid,
@@ -132,8 +133,11 @@ def _internal_fields(doc: dict, path: str, groupoid: bool) -> tuple:
 def _build_internal(o_size, m_size, o_labels, m_labels, d, c, eta, mu, iota=None) -> Internal:
     o, m = FinSet(o_size, o_labels), FinSet(m_size, m_labels)
     d, c, eta = FinMap(m, o, d), FinMap(m, o, c), FinMap(o, m, eta)
-    # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order
-    cat = InternalCategory(o, m, d, c, eta, FinMap(pullback(c, d).apex, m, mu))
+    # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order; counting
+    # them refuses a mu of the wrong length before the pairs are listed
+    leaving = Counter(d.table)
+    pairs = FinSet(sum(leaving[x] for x in c.table))
+    cat = InternalCategory(o, m, d, c, eta, FinMap(pairs, m, mu))
     return cat if iota is None else InternalGroupoid(cat, FinMap(m, m, iota))
 
 

@@ -316,23 +316,16 @@ def endo_base_change(src: SliceObject, sigma: FinMap, endo: KleisliEndo) -> Klei
 
 def conv_fibre(fa: SliceObject, ic: InternalCategory) -> list[ConvElement]:
     """All convolution elements over fa, in lexicographic table order."""
-    # budgeted before the cache, so a fibre cached under a larger cap is refused too
-    count = math.prod(len(ch) for ch in _fibre_choices(fa, ic))
+    return _fibre(module_plan(fa, ic))
+
+
+def _fibre(plan: ModulePlan) -> list[ConvElement]:
+    """The convolution elements of plan: at each point, each endo-arrow at the object it lies over."""
+    d, c = plan.ic.d.table, plan.ic.c.table
+    choices = [[m for m in range(plan.ic.m.size) if d[m] == o == c[m]] for o in plan.base.f.table]
+    count = math.prod(len(ch) for ch in choices)
     budget(count, f"{count} fibre elements")
-    return list(_conv_fibre_cached(fa, ic))
-
-
-def _fibre_choices(fa: SliceObject, ic: InternalCategory) -> list[list[int]]:
-    """For each point of fa, the endo-arrows at the object it lies over."""
-    d, c = ic.d.table, ic.c.table
-    return [[m for m in range(ic.m.size) if d[m] == o == c[m]] for o in fa.f.table]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _conv_fibre_cached(fa: SliceObject, ic: InternalCategory) -> tuple[ConvElement, ...]:
-    plan = module_plan(fa, ic)
-    tables = itertools.product(*_fibre_choices(fa, ic))
-    return tuple(_conv(plan, table) for table in tables)
+    return [_conv(plan, table) for table in itertools.product(*choices)]
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:

@@ -28,8 +28,8 @@ from .internal import (
 from .feistel import (
     KleisliEndo,
     _conv,
+    _fibre,
     _wrap_endo,
-    conv_fibre,
     extend,
     module_plan,
     retrieve,
@@ -246,7 +246,7 @@ def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     Objects are pairs (slice object, element); an arrow over a base cell
     phi runs from the pullback of an element along phi to that element.
     """
-    keys = [[e.table for e in conv_fibre(obj, ss.ic)] for obj in ss.objects]
+    keys = [[e.table for e in _fibre(plan)] for plan in ss._plans]
     places = [{key: u for u, key in enumerate(fibre)} for fibre in keys]
 
     def lifts(k: int, i: int, j: int):
@@ -266,8 +266,8 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     square (sigma tensored with the arrow span) commutes; the equal
     components of such a morphism make a single cell suffice.
     """
-    keys = [[extend(alpha).table for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     plans = ss._plans
+    keys = [[extend(alpha).table for alpha in _fibre(plan)] for plan in plans]
 
     def lifts(k: int, i: int, j: int):
         budget(len(keys[i]) * len(keys[j]), f"{len(keys[i])}x{len(keys[j])} endomorphism pairs")
@@ -373,7 +373,7 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         back_arr = [_at(back.arr, a) for a in there.arr]
         _agree(rb, "mutual-inverse-arrows", there.source.arrows, back_arr, range(len(there.arr)))
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
-    fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
+    fibres = [_fibre(plan) for plan in ss._plans]
     keys, pulled_then_extended, extended_then_pulled = [], [], []
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatch,
@@ -297,12 +297,10 @@ class FiniteCategory:
     """An explicit category on ids; its keys are labels.
 
     ``tables`` is the category: object x is labelled ``objects[x]`` and arrow
-    f ``arrows[f]``, and the keys are read only for messages, witnesses and
-    the keyed views.  Construction refuses malformed tables, then checks the
+    f ``arrows[f]``.  Construction refuses malformed tables, then checks the
     laws by the pass that checks internal categories and raises the first
-    failure.  ``from_keys`` builds the category of keyed tables; ``src``,
-    ``dst``, ``ident``, ``comp``, ``hom``, ``object_id`` and ``arrow_id`` are
-    keyed views, built on first read.
+    failure, naming keys.  ``object_id`` and ``arrow_id`` map keys back to
+    ids, built on first read.
     """
 
     objects: tuple
@@ -334,67 +332,18 @@ class FiniteCategory:
             raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
         raise MalformedTables(f"associativity fails at ({names})")
 
-    @classmethod
-    def from_keys(
-        cls, objects, arrows, src: Mapping, dst: Mapping, ident: Mapping, comp: Mapping
-    ) -> FiniteCategory:
-        """The category of keyed tables, numbered in the order the keys are listed.
-
-        ``comp[(f, g)]`` is "f then g", defined for exactly the pairs with ``dst[f] == src[g]``;
-        the laws are checked on ids, so the first failure named is the first in id order.
-        """
-        oid = {x: i for i, x in enumerate(objects)}
-        if len(oid) != len(objects):
-            raise MalformedTables("duplicate object keys")
-        aid = {a: f for f, a in enumerate(arrows)}
-        if len(aid) != len(arrows):
-            raise MalformedTables("duplicate arrow keys")
-        s, t = [], []
-        for a in arrows:
-            x, y = oid.get(src[a]), oid.get(dst[a])
-            if x is None or y is None:
-                raise MalformedTables(f"arrow {a!r} has unknown endpoints")
-            s.append(x)
-            t.append(y)
-        out, pos = group_by_value(s, len(objects))
-        # a key that names no arrow and one that names an arrow with the wrong
-        # ends get one message, so each lookup tests the ends it reads
-        idents = []
-        for x, key in enumerate(objects):
-            e = aid.get(ident.get(key))
-            if e is None or s[e] != x or t[e] != x:
-                raise MalformedTables(f"object {key!r} lacks an identity arrow")
-            idents.append(e)
-        if len(comp) != sum(len(out[y]) for y in t):
-            raise MalformedTables("composition table keys must be exactly the composable pairs")
-        rows = [[0] * len(out[y]) for y in t]
-        for (f, g), h in comp.items():
-            fi, gi = aid.get(f), aid.get(g)
-            if fi is None or gi is None or t[fi] != s[gi]:
-                raise MalformedTables(f"({f!r}, {g!r}) is not a composable pair")
-            hi = aid.get(h)
-            if hi is None or s[hi] != s[fi] or t[hi] != t[gi]:
-                raise MalformedTables(f"composite of ({f!r}, {g!r}) has wrong endpoints")
-            rows[fi][pos[gi]] = hi
-        tables = CategoryTables(tuple(s), tuple(t), tuple(idents), out, pos, tuple(map(tuple, rows)))
-        return cls(tuple(objects), tuple(arrows), tables)
-
-    # the keyed views, each built on first read
-    src = cached_property(lambda self: dict(zip(self.arrows, (self.objects[x] for x in self.tables.s))))
-    dst = cached_property(lambda self: dict(zip(self.arrows, (self.objects[y] for y in self.tables.t))))
-    ident = cached_property(lambda self: dict(zip(self.objects, (self.arrows[e] for e in self.tables.ident))))
     object_id = cached_property(lambda self: {x: i for i, x in enumerate(self.objects)})
     arrow_id = cached_property(lambda self: {a: f for f, a in enumerate(self.arrows)})
 
     @cached_property
     def comp(self) -> dict:
-        """(f, g) -> "f then g", one entry per composable pair, row by row."""
+        """(f, g) -> "f then g", one entry per composable pair, row by row.
+
+        Kept only because perfbench/layertrace.py counts a category's pairs as
+        len(comp); it goes when that count reads the rows.
+        """
         a, cat = self.arrows, self.tables
         return {(a[f], a[g]): a[h] for f, row in enumerate(cat.rows) for g, h in zip(cat.out[cat.t[f]], row)}
-
-    def hom(self, x, y) -> tuple:
-        """The arrows from x to y, in id order."""
-        return tuple(a for a in self.arrows if self.src[a] == x and self.dst[a] == y)
 
 
 def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:

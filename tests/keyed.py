@@ -1,8 +1,12 @@
 """Oracles for the checkers, which run on ids and count each law once.
 
+Keyed tables: ``category_from_keys`` builds a FiniteCategory from keyed
+dicts, and ``KeyedViews`` reads one back as keyed ``src``, ``dst``, ``ident``
+and ``hom``.  The library builds categories on ids only.
+
 Keyed oracles: the keyed constructions the library used before it held total
 categories and functors on ids, that is fibrations built as tuple-keyed
-``comp`` dicts handed to ``FiniteCategory.from_keys``, and ``check_functor``
+``comp`` dicts handed to ``category_from_keys``, and ``check_functor``
 walking key-to-key maps through the keyed views.
 
 Per-instance oracles (``*_by_index``, ``*_by_instance``): the law checks
@@ -17,17 +21,78 @@ The tests compare the id tables and reports against them exactly.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Mapping
 
 import spanforge.feistel as feistel
 import spanforge.fib as fib
-from spanforge.errors import UnderlyingCategoryInvalid
+from spanforge.errors import MalformedTables, UnderlyingCategoryInvalid
 from spanforge.feistel import conv_fibre, extend
 from spanforge.fib import FunctorData, SubSlice, _at, _image_arrow
-from spanforge.finset import FinMap, all_maps, compose
-from spanforge.internal import FiniteCategory, budget
+from spanforge.finset import FinMap, all_maps, compose, group_by_value
+from spanforge.internal import CategoryTables, FiniteCategory, budget
 from spanforge.report import Report, ReportBuilder
 
 from util import pairs, require
+
+
+def category_from_keys(
+    objects, arrows, src: Mapping, dst: Mapping, ident: Mapping, comp: Mapping
+) -> FiniteCategory:
+    """The category of keyed tables, numbered in the order the keys are listed.
+
+    ``comp[(f, g)]`` is "f then g", defined for exactly the pairs with ``dst[f] == src[g]``;
+    the laws are checked on ids, so the first failure named is the first in id order.
+    """
+    oid = {x: i for i, x in enumerate(objects)}
+    if len(oid) != len(objects):
+        raise MalformedTables("duplicate object keys")
+    aid = {a: f for f, a in enumerate(arrows)}
+    if len(aid) != len(arrows):
+        raise MalformedTables("duplicate arrow keys")
+    s, t = [], []
+    for a in arrows:
+        x, y = oid.get(src[a]), oid.get(dst[a])
+        if x is None or y is None:
+            raise MalformedTables(f"arrow {a!r} has unknown endpoints")
+        s.append(x)
+        t.append(y)
+    out, pos = group_by_value(s, len(objects))
+    # a key that names no arrow and one that names an arrow with the wrong
+    # ends get one message, so each lookup tests the ends it reads
+    idents = []
+    for x, key in enumerate(objects):
+        e = aid.get(ident.get(key))
+        if e is None or s[e] != x or t[e] != x:
+            raise MalformedTables(f"object {key!r} lacks an identity arrow")
+        idents.append(e)
+    if len(comp) != sum(len(out[y]) for y in t):
+        raise MalformedTables("composition table keys must be exactly the composable pairs")
+    rows = [[0] * len(out[y]) for y in t]
+    for (f, g), h in comp.items():
+        fi, gi = aid.get(f), aid.get(g)
+        if fi is None or gi is None or t[fi] != s[gi]:
+            raise MalformedTables(f"({f!r}, {g!r}) is not a composable pair")
+        hi = aid.get(h)
+        if hi is None or s[hi] != s[fi] or t[hi] != t[gi]:
+            raise MalformedTables(f"composite of ({f!r}, {g!r}) has wrong endpoints")
+        rows[fi][pos[gi]] = hi
+    tables = CategoryTables(tuple(s), tuple(t), tuple(idents), out, pos, tuple(map(tuple, rows)))
+    return FiniteCategory(tuple(objects), tuple(arrows), tables)
+
+
+class KeyedViews:
+    """A FiniteCategory read by keys: ``src``, ``dst`` and ``ident`` dicts, and ``hom(x, y)``."""
+
+    def __init__(self, fc: FiniteCategory):
+        objects, arrows, cat = fc.objects, fc.arrows, fc.tables
+        self.arrows = arrows
+        self.src = dict(zip(arrows, (objects[x] for x in cat.s)))
+        self.dst = dict(zip(arrows, (objects[y] for y in cat.t)))
+        self.ident = dict(zip(objects, (arrows[e] for e in cat.ident)))
+
+    def hom(self, x, y) -> tuple:
+        """The arrows from x to y, in id order."""
+        return tuple(a for a in self.arrows if self.src[a] == x and self.dst[a] == y)
 
 
 def keyed_maps(fd) -> tuple[dict, dict]:
@@ -45,6 +110,7 @@ def check_functor_by_keys(source: FiniteCategory, target: FiniteCategory, object
     """check_functor as it read key-to-key maps."""
     rb = ReportBuilder()
     target_objects, target_arrows = set(target.objects), set(target.arrows)
+    source_views, target_views = KeyedViews(source), KeyedViews(target)
     for x in source.objects:
         if not require(rb, x in object_map, "object-map-total", x):
             continue
@@ -57,17 +123,17 @@ def check_functor_by_keys(source: FiniteCategory, target: FiniteCategory, object
             continue
         require(
             rb,
-            target.src[fa] == object_map.get(source.src[a])
-            and target.dst[fa] == object_map.get(source.dst[a]),
+            target_views.src[fa] == object_map.get(source_views.src[a])
+            and target_views.dst[fa] == object_map.get(source_views.dst[a]),
             "endpoints-preserved",
             a,
         )
     for x in source.objects:
-        if x in object_map and source.ident[x] in arrow_map:
+        if x in object_map and source_views.ident[x] in arrow_map:
             image = object_map[x]
             require(
                 rb,
-                image in target.ident and arrow_map[source.ident[x]] == target.ident[image],
+                image in target_views.ident and arrow_map[source_views.ident[x]] == target_views.ident[image],
                 "identities-preserved",
                 x,
             )
@@ -96,7 +162,7 @@ def base_category_by_keys(ss: SubSlice) -> FiniteCategory:
     ident = {i: index[(i, i, tuple(range(obj.a.size)))] for i, obj in enumerate(ss.objects)}
     src = {k: i for k, (i, _, _) in enumerate(cells)}
     dst = {k: j for k, (_, j, _) in enumerate(cells)}
-    return FiniteCategory.from_keys(range(len(ss.objects)), range(len(cells)), src, dst, ident, comp)
+    return category_from_keys(range(len(ss.objects)), range(len(cells)), src, dst, ident, comp)
 
 
 def fibration_by_keys(ss: SubSlice, keys: list, lifts) -> tuple[FiniteCategory, dict, dict]:
@@ -105,11 +171,12 @@ def fibration_by_keys(ss: SubSlice, keys: list, lifts) -> tuple[FiniteCategory, 
     ``lifts(k, i, j)`` yields (source key, target key) pairs over base arrow k.
     """
     base = base_category_by_keys(ss)
+    views = KeyedViews(base)
     objects = tuple((i, t) for i, fibre in enumerate(keys) for t in fibre)
-    arrows = tuple((k, s, t) for k in base.arrows for s, t in lifts(k, base.src[k], base.dst[k]))
-    src = {a: (base.src[a[0]], a[1]) for a in arrows}
-    dst = {a: (base.dst[a[0]], a[2]) for a in arrows}
-    ident = {(i, t): (base.ident[i], t, t) for i, t in objects}
+    arrows = tuple((k, s, t) for k in base.arrows for s, t in lifts(k, views.src[k], views.dst[k]))
+    src = {a: (views.src[a[0]], a[1]) for a in arrows}
+    dst = {a: (views.dst[a[0]], a[2]) for a in arrows}
+    ident = {(i, t): (views.ident[i], t, t) for i, t in objects}
     by_src: dict = {}
     for a in arrows:
         by_src.setdefault(src[a], []).append(a)
@@ -117,7 +184,7 @@ def fibration_by_keys(ss: SubSlice, keys: list, lifts) -> tuple[FiniteCategory, 
     for a1 in arrows:
         for a2 in by_src.get(dst[a1], ()):
             comp[(a1, a2)] = (base.comp[(a1[0], a2[0])], a1[1], a2[2])
-    total = FiniteCategory.from_keys(objects, arrows, src, dst, ident, comp)
+    total = category_from_keys(objects, arrows, src, dst, ident, comp)
     return total, {t: t[0] for t in objects}, {a: a[0] for a in arrows}
 
 

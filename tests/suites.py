@@ -27,6 +27,8 @@ from spanforge.catalog import one_object_category
 from spanforge.feistel import end_square_holds
 from spanforge.internal import InternalCategory
 
+from keyed import KeyedViews
+
 
 def point_base(ic: InternalCategory, x_size: int) -> SliceObject:
     x = FinSet(x_size)
@@ -104,12 +106,13 @@ def conv_external_agreement(entries, max_a: int = 2) -> int:
         for a_size in range(max_a + 1):
             carrier = FinSet(a_size)
             fc = external_category(ic, carrier)
+            views = KeyedViews(fc)
             for f_key in fc.objects:
                 fa = SliceObject(carrier, FinMap(carrier, ic.o, f_key))
                 fibre = conv_fibre(fa, ic)
-                assert sorted(e.map.table for e in fibre) == sorted(fc.hom(f_key, f_key))
+                assert sorted(e.map.table for e in fibre) == sorted(views.hom(f_key, f_key))
                 unit = conv_unit(fa, ic)
-                assert unit.map.table == fc.ident[f_key]
+                assert unit.map.table == views.ident[f_key]
                 for s in fibre:
                     for t in fibre:
                         assert conv_mult(s, t).map.table == fc.comp[(s.map.table, t.map.table)]

@@ -47,6 +47,7 @@ from spanforge.cli import main as cli_main
 from spanforge.feistel import conv_base_change, endo_base_change, free_module
 from spanforge.internal import apply_lex_functor
 
+from keyed import KeyedViews
 from suites import (
     conv_external_agreement,
     coreflection_suite,
@@ -164,8 +165,9 @@ def test_criterion_7_fibration_suite():
             iso = cartesian_iso(ss)
             assert iso.report.passed, (entry.name, iso.report.summary())
             base = ss.base_category
+            views = KeyedViews(base)
             for (k1, k2), k12 in base.comp.items():
-                i, j, l = base.src[k1], base.dst[k1], base.dst[k2]
+                i, j, l = views.src[k1], views.dst[k1], views.dst[k2]
                 for gamma in conv_fibre(ss.objects[l], ic):
                     direct = conv_base_change(ss.objects[i], ss.arrows[k12].map, gamma)
                     stepwise = conv_base_change(

@@ -95,7 +95,7 @@ def test_every_site_refuses_past_the_cap(site, monkeypatch):
 
 def test_cached_fibre_is_refused_after_the_cap_is_lowered(monkeypatch):
     fa = z2_point(3)
-    assert len(conv_fibre(fa, Z2)) == 8  # built and cached under the default cap
+    assert len(conv_fibre(fa, Z2)) == 8  # built, its elements memoised, under the default cap
     monkeypatch.setenv("SPANFORGE_SIZE_CAP", "4")
     with pytest.raises(SizeLimitExceeded, match="^enumeration of 8 fibre elements exceeds cap 4$"):
         conv_fibre(fa, Z2)

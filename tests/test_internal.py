@@ -55,7 +55,9 @@ from spanforge.finset import CACHE_SIZE, pair_position
 from spanforge.internal import FiniteCategory
 from spanforge.span import identity_cell
 
-from keyed import category_report_by_index, groupoid_report_by_index, pair_index, then_by_index
+from keyed import (
+    KeyedViews, category_from_keys, category_report_by_index, groupoid_report_by_index, pair_index, then_by_index,
+)
 from util import (
     extend_by_cells, iota_mutants, kleisli_compose_by_cells, loops_and_bridges, pairs, single_entry_mutants,
 )
@@ -548,7 +550,7 @@ class TestExternalCategory:
         fc = external_category(ic, FinSet(1))
         assert len(fc.objects) == 1
         (obj,) = fc.objects
-        assert len(fc.hom(obj, obj)) == 2
+        assert len(KeyedViews(fc).hom(obj, obj)) == 2
         z2 = MONOIDS["z2"]
         for a in range(2):
             for b in range(2):
@@ -558,15 +560,17 @@ class TestExternalCategory:
         ic = pair_groupoid(2).cat
         fc = external_category(ic, FinSet(1))
         assert len(fc.objects) == 2
+        views = KeyedViews(fc)
         for x in fc.objects:
             for y in fc.objects:
-                assert len(fc.hom(x, y)) == 1
+                assert len(views.hom(x, y)) == 1
 
     def test_identity_arrows_come_from_eta(self):
         ic = pair_groupoid(2).cat
         fc = external_category(ic, FinSet(1))
+        views = KeyedViews(fc)
         for obj in fc.objects:
-            assert fc.ident[obj] == tuple(ic.eta.table[v] for v in obj)
+            assert views.ident[obj] == tuple(ic.eta.table[v] for v in obj)
 
     def test_groupoid_input_gives_all_arrows_invertible(self):
         for groupoid in (pair_groupoid(2), one_object_groupoid(MONOIDS["z3"]), action_groupoid_z2()):
@@ -748,7 +752,7 @@ class TestFiniteCategoryMessages:
     )
     def test_message(self, fields, message):
         with pytest.raises(MalformedTables) as info:
-            FiniteCategory.from_keys(**fields)
+            category_from_keys(**fields)
         assert str(info.value) == message
 
     def test_left_identity_law_is_checked_at_every_arrow_first(self):
@@ -756,12 +760,12 @@ class TestFiniteCategoryMessages:
         # at every arrow before the right law, as check_internal_category walks them
         fields = magma_category({**Z3_PRODUCTS, ("a", "1"): "b", ("1", "b"): "a"})
         with pytest.raises(MalformedTables) as info:
-            FiniteCategory.from_keys(**fields)
+            category_from_keys(**fields)
         assert str(info.value) == "left identity law fails at 'b'"
 
     def test_well_formed_tables_pass(self):
-        FiniteCategory.from_keys(**arrow_category())
-        FiniteCategory.from_keys(**magma_category(Z3_PRODUCTS, reverse=True))
+        category_from_keys(**arrow_category())
+        category_from_keys(**magma_category(Z3_PRODUCTS, reverse=True))
 
 
 class TestFiniteCategoryOnIds:
@@ -797,14 +801,15 @@ class TestFiniteCategoryOnIds:
         categories = [monoid.category for monoid in MONOIDS.values()]
         categories += [external_category(pair_groupoid(2).cat, FinSet(2)), loops_and_bridges_category()]
         for fc in categories:
-            again = FiniteCategory.from_keys(fc.objects, fc.arrows, fc.src, fc.dst, fc.ident, fc.comp)
+            views = KeyedViews(fc)
+            again = category_from_keys(fc.objects, fc.arrows, views.src, views.dst, views.ident, fc.comp)
             assert (again.objects, again.arrows, again.tables) == (fc.objects, fc.arrows, fc.tables)
             assert len(fc.comp) == sum(map(len, fc.tables.rows))
             for x in fc.objects:
                 for y in fc.objects:
-                    expected = tuple(a for a in fc.arrows if (fc.src[a], fc.dst[a]) == (x, y))
-                    assert fc.hom(x, y) == expected
-            assert fc.hom("no such object", fc.objects[0]) == ()
+                    expected = tuple(a for a in fc.arrows if (views.src[a], views.dst[a]) == (x, y))
+                    assert views.hom(x, y) == expected
+            assert views.hom("no such object", fc.objects[0]) == ()
 
 
 def loops_and_bridges_category() -> FiniteCategory:
@@ -857,7 +862,7 @@ class TestFiniteCategoryAssociativityWitness:
     def assert_matches_replay(fields):
         expected = associativity_by_replay(fields)
         try:
-            FiniteCategory.from_keys(**fields)
+            category_from_keys(**fields)
         except MalformedTables as exc:
             assert str(exc) == expected
             return expected

@@ -30,6 +30,10 @@ expect 1 '' conv-table fixtures/pair_groupoid_bad_mu.json --slice 2 0,1
 tmp=$(mktemp)
 echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": "x", "mu": [0]}' > "$tmp"
 expect 2 '' check "$tmp"
+# mu's length is checked against the count of composable pairs before they are listed:
+# 2000 arrows on one object make 4 000 000 pairs, and an empty mu is refused at once
+"$PYTHON" -c 'import json, sys; n = 2000; json.dump({"kind": "internal-category", "o_size": 1, "m_size": n, "d": [0] * n, "c": [0] * n, "eta": [0], "mu": []}, sys.stdout)' > "$tmp"
+expect 1 $'fail table length 0 != domain size 4000000\n' check "$tmp"
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
 echo '{"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 3, "dst": 0, "map": [0]}]}' > "$tmp"
 expect 2 '' check "$tmp"
