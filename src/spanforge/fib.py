@@ -482,9 +482,7 @@ def compose_intcat_morphisms(
     """
     objects = {x: k2.objects[y] for x, y in k1.objects.items() if y in k2.objects}
     arrows = {f: k2.arrows[g] for f, g in k1.arrows.items() if g in k2.arrows}
-    composite = LexFunctorData(
-        objects, arrows, k1.pullback_witnesses, k1.terminal_witness
-    )
+    composite = LexFunctorData(objects, arrows, k1.squares, k1.terminal)
     src = apply_lex_functor(composite, ic)
     fo = compose(functor2.fo, k2.arr(functor1.fo))
     fm = compose(functor2.fm, k2.arr(functor1.fm))

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatch,
@@ -23,6 +23,7 @@ from .errors import (
     NotInternalFunctor,
     NotLex,
     SizeLimitExceeded,
+    SquareDoesNotCommute,
     UnderlyingCategoryInvalid,
 )
 from .finset import (
@@ -403,30 +404,20 @@ def identity_internal_functor(ic: InternalCategory) -> InternalFunctor:
     return InternalFunctor(ic, ic, identity(ic.o), identity(ic.m))
 
 
-@dataclass(frozen=True)
-class PullbackWitness:
-    """Declares that (apex, proj_left, proj_right) is a pullback of (left, right)."""
-
-    left: FinMap
-    right: FinMap
-    apex: FinSet
-    proj_left: FinMap
-    proj_right: FinMap
-
-
 @dataclass
 class LexFunctorData:
     """A finite-limit-preserving functor given on a finite fragment of maps.
 
-    The object and arrow tables are partial; preservation of the named
-    limits is certified by the witnesses, checked on both sides of the
-    functor in verify().
+    The object and arrow tables are partial.  squares lists the (left, right)
+    cospans whose canonical pullbacks the functor must preserve, and terminal
+    is a one-point set it must send to a one-point set, or None; verify()
+    checks both.
     """
 
     objects: dict[FinSet, FinSet]
     arrows: dict[FinMap, FinMap]
-    pullback_witnesses: tuple[PullbackWitness, ...] = ()
-    terminal_witness: FinSet | None = None
+    squares: tuple[tuple[FinMap, FinMap], ...] = ()
+    terminal: FinSet | None = None
 
     def obj(self, x: FinSet) -> FinSet:
         if x not in self.objects:
@@ -439,7 +430,7 @@ class LexFunctorData:
         return self.arrows[f]
 
     def verify(self) -> None:
-        """Check functoriality on the fragment and all preservation witnesses."""
+        """Check functoriality on the fragment, then the terminal object, then each square."""
         for f, kf in self.arrows.items():
             if kf.dom != self.obj(f.dom) or kf.cod != self.obj(f.cod):
                 raise NotLex("arrow image endpoints disagree with object images")
@@ -455,29 +446,26 @@ class LexFunctorData:
                 gf = compose(g, f)
                 if gf in self.arrows and self.arrows[gf] != compose(self.arr(g), self.arr(f)):
                     raise NotLex("composite map not sent to the composite of images")
-        if self.terminal_witness is not None:
-            if self.terminal_witness.size != 1:
+        if self.terminal is not None:
+            if self.terminal.size != 1:
                 raise NotLex("terminal witness must be a one-point set")
-            if self.obj(self.terminal_witness).size != 1:
+            if self.obj(self.terminal).size != 1:
                 raise NotLex("terminal object not preserved")
-        for w in self.pullback_witnesses:
-            canon = pullback(w.left, w.right)
-            med = mediating(canon, w.proj_left, w.proj_right)
-            if not is_bijection(med):
-                raise NotLex("witness cone is not a pullback in the source")
-            canon_img = pullback(self.arr(w.left), self.arr(w.right))
-            cmp_map = mediating(canon_img, self.arr(w.proj_left), self.arr(w.proj_right))
-            if not is_bijection(cmp_map):
-                raise NotLex("pullback not preserved: comparison map is not a bijection")
+        for left, right in self.squares:
+            self.comparison_iso(left, right)
 
     def comparison_iso(self, left: FinMap, right: FinMap) -> FinMap:
         """Canonical iso from the image pullback apex onto K(source apex)."""
-        for w in self.pullback_witnesses:
-            if w.left == left and w.right == right:
-                canon_img = pullback(self.arr(left), self.arr(right))
-                cmp_map = mediating(canon_img, self.arr(w.proj_left), self.arr(w.proj_right))
-                return invert(cmp_map)
-        raise NotLex("no pullback witness for the requested square")
+        if (left, right) not in self.squares:
+            raise NotLex("no pullback witness for the requested square")
+        pb, image = pullback(left, right), pullback(self.arr(left), self.arr(right))
+        try:
+            cmp_map = mediating(image, self.arr(pb.proj_left), self.arr(pb.proj_right))
+        except SquareDoesNotCommute as exc:
+            raise NotLex(f"pullback not preserved: {exc}") from exc
+        if not is_bijection(cmp_map):
+            raise NotLex("pullback not preserved: comparison map is not a bijection")
+        return invert(cmp_map)
 
 
 def apply_lex_functor(k: LexFunctorData, ic: InternalCategory) -> InternalCategory:
@@ -502,31 +490,28 @@ def _map_lex_index(table: Iterable[int], base: int) -> int:
     return idx
 
 
-def _close_fragment(
+def _fragment_data(
     sets: Iterable[FinSet],
     maps: Iterable[FinMap],
     squares: Iterable[tuple[FinMap, FinMap]],
-) -> tuple[list[FinSet], list[FinMap], tuple[PullbackWitness, ...]]:
-    """Add each square's canonical pullback and every map's ends to the fragment.
+    on_set: Callable[[FinSet], FinSet],
+    on_map: Callable[[FinMap, FinSet, FinSet], FinMap],
+) -> LexFunctorData:
+    """K tabulated on the fragment, closed under the squares' pullbacks and every map's ends.
 
-    Returns the closed sets, the closed maps and one pullback witness per square.
+    on_set(A) is K(A) and on_map(f, K(dom f), K(cod f)) is K(f); every set
+    also gets its identity, and the first one-point set is the terminal object.
     """
-    sets = list(dict.fromkeys(sets))
-    maps = list(dict.fromkeys(maps))
-    witnesses = []
-    for left, right in squares:
-        pb = pullback(left, right)
-        witnesses.append(PullbackWitness(left, right, pb.apex, pb.proj_left, pb.proj_right))
-        if pb.apex not in sets:
-            sets.append(pb.apex)
-        for extra_map in (pb.proj_left, pb.proj_right):
-            if extra_map not in maps:
-                maps.append(extra_map)
-    for f in maps:
-        for side in (f.dom, f.cod):
-            if side not in sets:
-                sets.append(side)
-    return sets, maps, tuple(witnesses)
+    squares = tuple(squares)
+    cones = [pullback(left, right) for left, right in squares]
+    maps = dict.fromkeys([*maps, *(p for pb in cones for p in (pb.proj_left, pb.proj_right))])
+    sets = dict.fromkeys([*sets, *(pb.apex for pb in cones), *(x for f in maps for x in (f.dom, f.cod))])
+    objects = {a: on_set(a) for a in sets}
+    arrows = {f: on_map(f, objects[f.dom], objects[f.cod]) for f in maps}
+    for a in sets:
+        arrows.setdefault(identity(a), identity(objects[a]))
+    terminal = next((a for a in sets if a.size == 1), None)
+    return LexFunctorData(objects, arrows, squares, terminal)
 
 
 def hom_functor_data(
@@ -538,26 +523,20 @@ def hom_functor_data(
     """The functor "maps out of s", tabulated on the given fragment.
 
     K(A) enumerates the maps s -> A in lexicographic order; K(f) is
-    postcomposition with f.  Pullback witnesses are generated for the
-    requested (left, right) squares using the canonical pullback data.
+    postcomposition with f.  The functor must preserve the canonical
+    pullbacks of the requested (left, right) squares.
     """
-    sets, maps, witnesses = _close_fragment(sets, maps, squares)
-    for a in sets:
+
+    def on_set(a: FinSet) -> FinSet:
         budget(a.size**s.size, f"{a.size}^{s.size} hom-functor images")
-    objects = {a: FinSet(a.size**s.size) for a in sets}
-    arrows = {}
-    for f in maps:
-        table = []
-        for u_table in itertools.product(range(f.dom.size), repeat=s.size):
-            image = tuple(f.table[v] for v in u_table)
-            table.append(_map_lex_index(image, f.cod.size) if f.cod.size else 0)
-        arrows[f] = FinMap(objects[f.dom], objects[f.cod], tuple(table))
-    for a in sets:
-        ia = identity(a)
-        if ia not in arrows:
-            arrows[ia] = identity(objects[a])
-    terminal = next((a for a in sets if a.size == 1), None)
-    return LexFunctorData(objects, arrows, witnesses, terminal)
+        return FinSet(a.size**s.size)
+
+    def on_map(f: FinMap, k_dom: FinSet, k_cod: FinSet) -> FinMap:
+        maps_out = itertools.product(range(f.dom.size), repeat=s.size)
+        table = (_map_lex_index(map(f.table.__getitem__, u), f.cod.size) for u in maps_out)
+        return FinMap(k_dom, k_cod, tuple(table))
+
+    return _fragment_data(sets, maps, squares, on_set, on_map)
 
 
 def identity_functor_data(
@@ -566,10 +545,4 @@ def identity_functor_data(
     squares: Iterable[tuple[FinMap, FinMap]] = (),
 ) -> LexFunctorData:
     """The identity functor tabulated on the given fragment."""
-    sets, maps, witnesses = _close_fragment(sets, maps, squares)
-    objects = {a: a for a in sets}
-    arrows = {f: f for f in maps}
-    for a in sets:
-        arrows.setdefault(identity(a), identity(a))
-    terminal = next((a for a in sets if a.size == 1), None)
-    return LexFunctorData(objects, arrows, witnesses, terminal)
+    return _fragment_data(sets, maps, squares, lambda a: a, lambda f, _dom, _cod: f)

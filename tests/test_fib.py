@@ -16,6 +16,7 @@ from spanforge import (
     FunctorData,
     MalformedTables,
     NotInternalFunctor,
+    NotLex,
     SliceObject,
     SubSlice,
     TwoCell,
@@ -43,6 +44,7 @@ from spanforge import (
     kleisli_unit,
     retrieve,
     transport_conv,
+    transported_subslice,
     verify_adjunction,
 )
 from spanforge.catalog import (
@@ -404,6 +406,15 @@ class TestTransport:
         functor = identity_internal_functor(apply_lex_functor(k, ic))
         result = transport_conv(k, functor, ss)
         assert result.report.passed
+
+    def test_fragment_that_moves_a_carrier_does_not_transport_the_subslice(self):
+        ss = default_subslice(Z2)
+        k = identity_fragment_for(ss)
+        carrier = ss.objects[0].a
+        k.objects[carrier] = FinSet(carrier.size + 1)
+        message = "functor fragment does not transport the sub-slice: slice map must start at the carrier"
+        with pytest.raises(NotLex, match=message):
+            transported_subslice(k, identity_internal_functor(Z2), ss)
 
     def test_functor_source_must_match(self):
         ss = default_subslice(Z2)

@@ -14,12 +14,14 @@ from spanforge import (
     InternalCategory,
     InternalFunctor,
     InternalGroupoid,
+    LexFunctorData,
     MalformedTables,
     NotAGroup,
     NotInternalFunctor,
     NotLex,
     SizeLimitExceeded,
     SliceObject,
+    SquareDoesNotCommute,
     UnderlyingCategoryInvalid,
     apply_lex_functor,
     check_internal_category,
@@ -625,6 +627,33 @@ class TestInternalFunctor:
         for entry in CATALOG.values():
             identity_internal_functor(entry.category)
 
+    def test_object_map_must_go_between_the_objects(self):
+        ic = pair_groupoid(2).cat
+        with pytest.raises(MalformedTables, match="object map must go between the objects objects"):
+            InternalFunctor(ic, ic, identity(ic.m), identity(ic.m))
+
+    def test_arrow_map_must_go_between_the_morphisms(self):
+        ic = pair_groupoid(2).cat
+        with pytest.raises(MalformedTables, match="arrow map must go between the morphisms objects"):
+            InternalFunctor(ic, ic, identity(ic.o), identity(ic.o))
+
+    def test_source_square(self):
+        # swapping the objects but keeping every arrow moves each arrow's source
+        ic = pair_groupoid(2).cat
+        with pytest.raises(NotInternalFunctor, match="source square does not commute"):
+            InternalFunctor(ic, ic, FinMap(ic.o, ic.o, (1, 0)), identity(ic.m))
+
+    def test_target_square(self):
+        # each arrow sent to the identity at its source keeps sources but not targets
+        ic = pair_groupoid(2).cat
+        with pytest.raises(NotInternalFunctor, match="target square does not commute"):
+            InternalFunctor(ic, ic, identity(ic.o), compose(ic.eta, ic.d))
+
+    def test_unit_square(self):
+        z2 = one_object_category(MONOIDS["z2"])
+        with pytest.raises(NotInternalFunctor, match="unit square does not commute"):
+            InternalFunctor(z2, z2, identity(z2.o), FinMap(z2.m, z2.m, (1, 0)))
+
 
 def lex_fragment_for(ic):
     sets = [ic.o, ic.m]
@@ -681,6 +710,78 @@ class TestLexTransport:
         k.arrows[ic.mu] = FinMap(squashed, ic.m, (0,))
         k.arrows[identity(pb.apex)] = identity(squashed)
         with pytest.raises(NotLex):
+            apply_lex_functor(k, ic)
+
+    def test_non_commuting_cone_is_not_lex(self):
+        # K(proj_left) shifted by one keeps its ends, so only the cone through the image pullback fails
+        ic = pair_groupoid(2).cat
+        k = identity_functor_data([ic.o, ic.m], [ic.d, ic.c, ic.eta, ic.mu], squares=[(ic.c, ic.d)])
+        left = pullback(ic.c, ic.d).proj_left
+        k.arrows[left] = FinMap(left.dom, left.cod, tuple((v + 1) % left.cod.size for v in left.table))
+        message = re.escape("pullback not preserved: cone does not commute at element 0: pair (1, 0)")
+        with pytest.raises(NotLex, match=message) as caught:
+            k.verify()
+        assert isinstance(caught.value.__cause__, SquareDoesNotCommute)
+        with pytest.raises(NotLex, match=message):
+            apply_lex_functor(k, ic)
+
+    def test_no_value_on_a_set(self):
+        point = identity(FinSet(1))
+        with pytest.raises(NotLex, match="functor fragment has no value on a set of size 1"):
+            LexFunctorData({}, {point: point}).verify()
+
+    def test_no_value_on_a_map(self):
+        ic = one_object_category(MONOIDS["z2"])
+        k = identity_functor_data([ic.o, ic.m], [ic.d, ic.c, ic.eta], squares=[(ic.c, ic.d)])
+        with pytest.raises(NotLex, match=re.escape(f"functor fragment has no value on a map {ic.mu.table}")):
+            apply_lex_functor(k, ic)
+
+    def test_arrow_image_endpoints(self):
+        ic = pair_groupoid(2).cat
+        sets, maps = lex_fragment_for(ic)
+        k = identity_functor_data(sets, maps, squares=[(ic.c, ic.d)])
+        k.arrows[ic.d] = identity(ic.m)
+        with pytest.raises(NotLex, match="arrow image endpoints disagree with object images"):
+            k.verify()
+
+    def test_identity_not_sent_to_an_identity(self):
+        ic = pair_groupoid(2).cat
+        sets, maps = lex_fragment_for(ic)
+        k = identity_functor_data(sets, maps, squares=[(ic.c, ic.d)])
+        k.arrows[identity(ic.o)] = FinMap(ic.o, ic.o, (1, 0))
+        with pytest.raises(NotLex, match="identity map not sent to an identity"):
+            k.verify()
+
+    def test_composite_not_sent_to_the_composite(self):
+        # d after eta is the identity on O, but K(d) after K(eta) is now constant
+        ic = pair_groupoid(2).cat
+        sets, maps = lex_fragment_for(ic)
+        k = identity_functor_data(sets, maps, squares=[(ic.c, ic.d)])
+        k.arrows[ic.d] = FinMap(ic.m, ic.o, (0,) * ic.m.size)
+        with pytest.raises(NotLex, match="composite map not sent to the composite of images"):
+            k.verify()
+
+    def test_terminal_witness_must_be_one_point(self):
+        with pytest.raises(NotLex, match="terminal witness must be a one-point set"):
+            LexFunctorData({}, {}, (), FinSet(2)).verify()
+
+    def test_terminal_object_not_preserved(self):
+        with pytest.raises(NotLex, match="terminal object not preserved"):
+            LexFunctorData({FinSet(1): FinSet(2)}, {}, (), FinSet(1)).verify()
+
+    def test_square_not_listed(self):
+        ic = pair_groupoid(2).cat
+        with pytest.raises(NotLex, match="no pullback witness for the requested square"):
+            LexFunctorData({}, {}).comparison_iso(ic.c, ic.d)
+
+    def test_transported_data_must_be_an_internal_category(self):
+        # K(mu) constant at the unit keeps its ends and every listed composite, but breaks both unit laws
+        ic = one_object_category(MONOIDS["z2"])
+        sets, maps = lex_fragment_for(ic)
+        k = identity_functor_data(sets, maps, squares=[(ic.c, ic.d)])
+        k.arrows[ic.mu] = FinMap(ic.mu.dom, ic.m, (0,) * ic.mu.dom.size)
+        message = "transported data is not an internal category: left-unit: arrow 1; right-unit: arrow 1"
+        with pytest.raises(NotLex, match=message):
             apply_lex_functor(k, ic)
 
 
