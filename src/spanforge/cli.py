@@ -50,10 +50,12 @@ KINDS = (
     "sub-slice",
     "round-config",
 )
+INTERNAL_KINDS = ("internal-category", "internal-groupoid")
 Internal = InternalCategory | InternalGroupoid  # what an internal-category or -groupoid document holds
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, kinds: tuple[str, ...] = KINDS, refusal: str = "") -> dict:
+    """The JSON object at path, whose kind is one of kinds; else ParseError, naming the refusal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -64,24 +66,21 @@ def load_document(path: str) -> dict:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"{path}: unknown kind {kind!r}")
+    if kind not in kinds:
+        raise ParseError(f"{path}: {refusal}")
     return doc
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; true and false are booleans, not 1 and 0."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_list(doc: dict, field: str, path: str) -> list[int]:
     value = doc.get(field)
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
         raise ParseError(f"{path}: field {field!r} must be an integer array")
     return value
 
 
 def _int_field(doc: dict, field: str, path: str) -> int:
     value = doc.get(field)
-    if not _is_int(value):
+    if type(value) is not int:  # true and false are booleans, not 1 and 0
         raise ParseError(f"{path}: field {field!r} must be an integer")
     return value
 
@@ -141,27 +140,21 @@ def _build_internal(o_size, m_size, o_labels, m_labels, d, c, eta, mu, iota=None
     return cat if iota is None else InternalGroupoid(cat, FinMap(m, m, iota))
 
 
-def internal_category_from_document(doc: dict, path: str) -> InternalCategory:
-    return _build_internal(*_internal_fields(doc, path, groupoid=False))
-
-
-def internal_groupoid_from_document(doc: dict, path: str) -> InternalGroupoid:
-    return _build_internal(*_internal_fields(doc, path, groupoid=True))
-
-
-def internal_from_document(doc: dict, path: str, command: str) -> Internal:
+def internal_category_from_document(doc: dict, path: str) -> Internal:
     """The category or groupoid of an internal-category or internal-groupoid document."""
-    if doc["kind"] == "internal-groupoid":
-        return internal_groupoid_from_document(doc, path)
-    if doc["kind"] == "internal-category":
-        return internal_category_from_document(doc, path)
-    raise ParseError(f"{path}: {command} needs an internal category file")
+    return _build_internal(*_internal_fields(doc, path, groupoid=doc["kind"] == "internal-groupoid"))
 
 
 def checked_category(internal: Internal) -> InternalCategory:
-    """The category of a structure read from input, once its axioms hold; else AxiomFails names the first."""
+    """The category of a structure read from input, once its axioms hold; else AxiomFails names the first.
+
+    A groupoid's category laws come before its inverse laws.
+    """
     groupoid = isinstance(internal, InternalGroupoid)
-    report = check_internal_groupoid(internal) if groupoid else check_internal_category(internal)
+    try:
+        report = check_internal_groupoid(internal) if groupoid else check_internal_category(internal)
+    except UnderlyingCategoryInvalid as exc:
+        report = exc.report
     if not report.passed:
         raise AxiomFails(str(report.first()))
     return internal.cat if groupoid else internal
@@ -195,7 +188,7 @@ def round_config_from_document(doc: dict, path: str) -> tuple[int, list[list[int
     rounds = _int_field(doc, "rounds", path)
     fns = doc.get("round_functions")
     if not isinstance(fns, list) or not all(
-        isinstance(fn, list) and all(_is_int(v) for v in fn) for fn in fns
+        isinstance(fn, list) and all(type(v) is int for v in fn) for fn in fns
     ):
         raise ParseError(f"{path}: field 'round_functions' must be an array of integer arrays")
     return rounds, fns
@@ -213,8 +206,8 @@ def cmd_check(args) -> int:
             monoid = monoid_from_document(doc, args.path)
             if kind == "group":
                 monoid.inverse_table()
-        elif kind in ("internal-category", "internal-groupoid"):
-            checked_category(internal_from_document(doc, args.path, "check"))
+        elif kind in INTERNAL_KINDS:
+            checked_category(internal_category_from_document(doc, args.path))
         elif kind == "sub-slice":
             subslice_from_document(doc, args.path)
         elif kind == "round-config":
@@ -224,13 +217,7 @@ def cmd_check(args) -> int:
             for fn in fns:
                 if len(fn) != len(fns[0]) or any(not 0 <= v < len(fn) for v in fn):
                     raise MalformedTables("round function entries must index the state set")
-    except (
-        AxiomFails,
-        MalformedTables,
-        NotAGroup,
-        KeyScheduleMismatch,
-        UnderlyingCategoryInvalid,
-    ) as exc:
+    except (AxiomFails, MalformedTables, NotAGroup, KeyScheduleMismatch) as exc:
         print(f"fail {exc}")
         return 1
     print("ok")
@@ -238,7 +225,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_conv_table(args) -> int:
-    ic = checked_category(internal_from_document(load_document(args.internal), args.internal, "conv-table"))
+    doc = load_document(args.internal, INTERNAL_KINDS, "conv-table needs an internal category file")
+    ic = checked_category(internal_category_from_document(doc, args.internal))
     size_text, table_text = args.slice
     try:
         a_size = int(size_text)
@@ -279,13 +267,9 @@ def cmd_toffoli(args) -> int:
 
 
 def cmd_feistel(args) -> int:
-    group_doc = load_document(args.group)
-    if group_doc["kind"] not in ("group", "monoid"):
-        raise ParseError(f"{args.group}: feistel needs a group file")
+    group_doc = load_document(args.group, ("group", "monoid"), "feistel needs a group file")
     group = monoid_from_document(group_doc, args.group)
-    keys_doc = load_document(args.keys)
-    if keys_doc["kind"] != "round-config":
-        raise ParseError(f"{args.keys}: feistel needs a round-config file")
+    keys_doc = load_document(args.keys, ("round-config",), "feistel needs a round-config file")
     rounds, fns = round_config_from_document(keys_doc, args.keys)
     if rounds != args.rounds:
         raise KeyScheduleMismatch(
@@ -306,24 +290,23 @@ def cmd_feistel(args) -> int:
 
 
 def cmd_fib_check(args) -> int:
-    internal = internal_from_document(load_document(args.internal), args.internal, "fib-check")
-    sub_doc = load_document(args.subslice)
-    if sub_doc["kind"] != "sub-slice":
-        raise ParseError(f"{args.subslice}: fib-check needs a sub-slice file")
+    doc = load_document(args.internal, INTERNAL_KINDS, "fib-check needs an internal category file")
+    internal = internal_category_from_document(doc, args.internal)
+    sub_doc = load_document(args.subslice, ("sub-slice",), "fib-check needs a sub-slice file")
     try:
         ss = subslice_from_document(sub_doc, args.subslice, internal)
     except MalformedTables as exc:
         print(f"sub-slice: fail ({exc})")
         return 1
-    failed = False
     iso = cartesian_iso(ss)
-    for name, fi in (("conv-fibration unique-lift", iso.conv), ("endo-fibration unique-lift", iso.endo)):
-        report = check_discrete_fibration(fi)
-        print(f"{name}: {'pass' if report.passed else 'fail (' + str(report.first()) + ')'}")
-        failed = failed or not report.passed
-    print(f"cartesian-iso: {'pass' if iso.report.passed else 'fail (' + str(iso.report.first()) + ')'}")
-    failed = failed or not iso.report.passed
-    return 1 if failed else 0
+    reports = (
+        ("conv-fibration unique-lift", check_discrete_fibration(iso.conv)),
+        ("endo-fibration unique-lift", check_discrete_fibration(iso.endo)),
+        ("cartesian-iso", iso.report),
+    )
+    for name, report in reports:
+        print(f"{name}: {'pass' if report.passed else f'fail ({report.first()})'}")
+    return 0 if all(report.passed for _, report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

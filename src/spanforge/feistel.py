@@ -399,8 +399,6 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
     for state in range(1 << width):
         x, y = state >> n_bits, state & mask
         perm.append((x << n_bits) | (table[x] ^ y))
-    if len(set(perm)) != len(perm):
-        raise MalformedTables("extension failed to be a bijection")
     return tuple(perm)
 
 
@@ -450,7 +448,8 @@ def verify_adjunction(
     endomorphism category correspond one-to-one, by dropping the second
     component, to slice cells phi with retrieve(beta) pulled back along
     phi equal to alpha.  With a groupoid, every extend(alpha) must also
-    have a two-sided Kleisli inverse.
+    have a two-sided Kleisli inverse, and the groupoid's category must be
+    the instances' internal category.
     """
     conv_objects = list(conv_objects)
     end_objects = list(end_objects)
@@ -458,6 +457,8 @@ def verify_adjunction(
     targets = {c.target for c in conv_objects} | {e.target for e in end_objects}
     if len(targets) > 1:
         raise BaseMismatch("all adjunction instances must share one internal category")
+    if groupoid is not None and targets - {groupoid.cat}:
+        raise BaseMismatch("the groupoid must be over the instances' internal category")
     for alpha in conv_objects:
         hat = extend(alpha)
         a_obj = alpha.base

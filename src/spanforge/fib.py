@@ -402,7 +402,7 @@ def transported_subslice(
             dst = objects[ss.span_index[cell.dst]]
             arrows.append(TwoCell(src.span, dst.span, k.arr(cell.map)))
         return SubSlice(functor.dst, objects, tuple(arrows))
-    except MalformedTables as exc:
+    except (MalformedTables, DomainMismatch) as exc:
         raise NotLex(f"functor fragment does not transport the sub-slice: {exc}") from exc
 
 

@@ -417,6 +417,8 @@ NON_ASSOCIATIVE = {
     "kind": "internal-category", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0],
     "eta": [0], "mu": [0, 1, 2, 1, 2, 2, 2, 1, 1],
 }
+# the same composition with an inversion map: the groupoid's category fails before its inverse laws are read
+NON_ASSOCIATIVE_GROUPOID = dict(NON_ASSOCIATIVE, kind="internal-groupoid", iota=[0, 2, 1])
 # z2 with an inversion map that sends 1 to the unit
 Z2_BAD_IOTA = {
     "kind": "internal-groupoid", "o_size": 1, "m_size": 2, "d": [0, 0], "c": [0, 0],
@@ -450,6 +452,10 @@ class TestCategoryCheckedOnEveryPath:
         (code, out, _), expected = self.check(capsys, tmp_path, NON_ASSOCIATIVE)
         assert (code, out, expected) == (1, "fail associativity: triple (1, 1, 1)\n", 1)
 
+    def test_check_on_a_groupoid_names_the_first_failed_law_of_its_category(self, capsys, tmp_path):
+        got, expected = self.check(capsys, tmp_path, NON_ASSOCIATIVE_GROUPOID)
+        assert (got, expected) == ((1, "fail associativity: triple (1, 1, 1)\n", ""), 1)
+
     def test_fib_check_on_the_bad_mu_fixture(self, capsys):
         got = run_cli(
             capsys,
@@ -470,6 +476,7 @@ class TestCategoryCheckedOnEveryPath:
         [
             (NON_ASSOCIATIVE, "associativity: triple (1, 1, 1)"),
             (Z2_BAD_IOTA, "right-inverse-law: arrow 1"),
+            (NON_ASSOCIATIVE_GROUPOID, "associativity: triple (1, 1, 1)"),
         ],
     )
     def test_conv_table_prints_no_table(self, capsys, tmp_path, doc, message):
@@ -585,6 +592,64 @@ class TestSubsliceReadOrder:
         code, out, _ = run_cli(capsys, "check", write_doc(tmp_path, "in.json", doc))
         assert (code, out) == (1, "fail object map [2] must send 1 points to the 2 objects\n")
         assert oracle.check(json.dumps(doc))[0] == 1
+
+
+MONOID = {"kind": "monoid", "size": 2, "table": [0, 1, 1, 0]}
+KEYS = {"kind": "round-config", "rounds": 1, "round_functions": [[1, 0]]}
+
+
+class TestRefusals:
+    """Each refusal of a document's shape or kind: its exit code and its one stderr or stdout line."""
+
+    def test_top_level_must_be_an_object(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "list.json", [MONOID])
+        assert run_cli(capsys, "check", path) == (2, "", f"error: {path}: top level must be an object\n")
+
+    def test_labels_name_the_witness(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "in.json", dict(NON_ASSOCIATIVE, o_labels=["x"], m_labels=["e", "a", "b"]))
+        assert run_cli(capsys, "check", path) == (1, "fail associativity: triple (a, a, a)\n", "")
+
+    @pytest.mark.parametrize("field", ["o_labels", "m_labels"])
+    def test_a_label_must_be_a_string(self, capsys, tmp_path, field):
+        path = write_doc(tmp_path, "in.json", dict(PAIR_CATEGORY, **{field: ["x", 1]}))
+        assert run_cli(capsys, "check", path) == (2, "", f"error: {path}: field {field!r} must be a string array\n")
+
+    @pytest.mark.parametrize(
+        "round_functions", [[[0, "x"]], [0], "x"], ids=["string entry", "integer function", "string"]
+    )
+    def test_round_functions_must_be_integer_arrays(self, capsys, tmp_path, round_functions):
+        path = write_doc(tmp_path, "keys.json", dict(KEYS, round_functions=round_functions))
+        message = f"error: {path}: field 'round_functions' must be an array of integer arrays\n"
+        assert run_cli(capsys, "check", path) == (2, "", message)
+
+    @pytest.mark.parametrize("round_functions", [[[0, 2]], [[0, -1]], [[0, 1], [0]]])
+    def test_round_function_entries_must_index_the_state_set(self, capsys, tmp_path, round_functions):
+        doc = dict(KEYS, rounds=len(round_functions), round_functions=round_functions)
+        path = write_doc(tmp_path, "keys.json", doc)
+        assert run_cli(capsys, "check", path) == (1, "fail round function entries must index the state set\n", "")
+
+    def test_conv_table_needs_an_internal_category(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "monoid.json", MONOID)
+        message = f"error: {path}: conv-table needs an internal category file\n"
+        assert run_cli(capsys, "conv-table", path, "--slice", "1", "0") == (2, "", message)
+
+    def test_fib_check_needs_an_internal_category(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "monoid.json", MONOID)
+        got = run_cli(capsys, "fib-check", "--internal", path, "--subslice", str(FIXTURES / "subslice_pair2.json"))
+        assert got == (2, "", f"error: {path}: fib-check needs an internal category file\n")
+
+    def test_fib_check_needs_a_subslice(self, capsys):
+        internal = str(FIXTURES / "pair_groupoid.json")
+        got = run_cli(capsys, "fib-check", "--internal", internal, "--subslice", internal)
+        assert got == (2, "", f"error: {internal}: fib-check needs a sub-slice file\n")
+
+    def test_feistel_needs_a_group_then_a_round_config(self, capsys, tmp_path):
+        group, keys = write_doc(tmp_path, "group.json", MONOID), write_doc(tmp_path, "keys.json", KEYS)
+        # one file for both options: a round-config is refused as --group, a group as --keys
+        for path, needed in ((keys, "a group"), (group, "a round-config")):
+            argv = ("feistel", "encrypt", "--group", path, "--rounds", "1", "--keys", path, "--input", "0")
+            got = run_cli(capsys, *argv)
+            assert got == (2, "", f"error: {path}: feistel needs {needed} file\n")
 
 
 class TestEntryPoint:

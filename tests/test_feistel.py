@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from spanforge import (
     BaseMismatch,
     FinMap,
     FinSet,
+    InternalGroupoid,
     KeyScheduleMismatch,
     MalformedTables,
     NotAGroup,
@@ -52,7 +54,7 @@ from spanforge import feistel
 from spanforge.feistel import ModulePlan, free_module, module_plan
 from spanforge.finset import CACHE_SIZE
 from spanforge.internal import check_internal_category, eta_cell
-from spanforge.span import compose_cells
+from spanforge.span import compose_cells, identity_cell
 
 from suites import (
     conv_external_agreement,
@@ -770,6 +772,52 @@ def test_a_boolean_or_float_is_not_an_int(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonoidTable("m", 2, (0, 1, 1), 0), "Cayley table for m must have 4 entries"),
+        (lambda: MonoidTable("m", 2, (0, 1, 1, 2), 0), "Cayley table for m has out-of-range entries"),
+        (lambda: MonoidTable("m", 2, (0, 1, 1, 0), 2), "unit of m out of range"),
+        (lambda: monoid_from_flat("m", 2, (0, 1, 1)), "m: flat Cayley table must have 4 entries"),
+    ],
+    ids=["table length", "table entry", "unit", "flat table length"],
+)
+def test_catalog_refusals(build, message):
+    with pytest.raises(MalformedTables, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: feistel.ConvElement(module_plan(point_base(Z2, 1), Z2), identity_cell(point_base(Z2, 1).span)),
+            BaseMismatch,
+            "cell endpoints must be the slice span and the arrow span",
+        ),
+        (
+            lambda: conv_element(point_base(Z2, 1), Z2, FinMap(FinSet(2), Z2.m, (0, 0))),
+            MalformedTables,
+            "cell map must go from source apex to target apex",
+        ),
+        (
+            lambda: kleisli_endo(point_base(Z2, 1), Z2, FinMap(FinSet(1), FinSet(1), (0,))),
+            MalformedTables,
+            "cell map must go from source apex to target apex",
+        ),
+        (
+            lambda: feistel.KleisliEndo(module_plan(point_base(Z2, 1), Z2), identity_cell(point_base(Z2, 1).span)),
+            BaseMismatch,
+            "cell endpoints must be the slice span and its free module",
+        ),
+    ],
+    ids=["conv cell ends", "conv map ends", "endo map ends", "endo cell ends"],
+)
+def test_feistel_refusals(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
 class TestAdjunction:
     def test_singleton_instances(self):
         fa = point_base(Z2, 1)
@@ -797,3 +845,18 @@ class TestAdjunction:
         other = point_base(AND2, 1)
         with pytest.raises(BaseMismatch):
             verify_adjunction([conv_unit(fa, Z2)], [kleisli_unit(other, AND2)])
+
+    @pytest.mark.parametrize(
+        "name, groupoid",
+        [("and2", one_object_groupoid(MONOIDS["z3"])), ("z3", pair_groupoid(2))],
+    )
+    def test_groupoid_over_another_category_rejected(self, name, groupoid):
+        ic = one_object_category(MONOIDS[name])
+        conv_objs = conv_fibre(point_base(ic, 1), ic)
+        with pytest.raises(BaseMismatch, match="the groupoid must be over the instances' internal category"):
+            verify_adjunction(conv_objs, [kleisli_unit(point_base(ic, 1), ic)], groupoid=groupoid)
+
+    def test_non_invertible_extension_is_no_automorphism(self):
+        conv_objs = conv_fibre(point_base(AND2, 1), AND2)
+        report = verify_adjunction(conv_objs, [], groupoid=InternalGroupoid(AND2, identity(AND2.m)))
+        assert str(report.first()) == "automorphism: extend of (0,) has no two-sided inverse"

@@ -57,6 +57,7 @@ from spanforge.catalog import (
 from spanforge.feistel import conv_base_change, endo_base_change
 from spanforge.internal import apply_lex_functor
 from spanforge.report import ReportBuilder
+from spanforge.span import identity_cell
 
 from keyed import (
     KeyedViews,
@@ -413,6 +414,15 @@ class TestTransport:
         carrier = ss.objects[0].a
         k.objects[carrier] = FinSet(carrier.size + 1)
         message = "functor fragment does not transport the sub-slice: slice map must start at the carrier"
+        with pytest.raises(NotLex, match=message):
+            transported_subslice(k, identity_internal_functor(Z2), ss)
+
+    def test_fragment_whose_images_do_not_compose_does_not_transport_the_subslice(self):
+        ss = default_subslice(Z2)
+        k = identity_fragment_for(ss)
+        f = ss.objects[0].f
+        k.arrows[f] = FinMap(f.dom, FinSet(2), (0,) * f.dom.size)
+        message = "functor fragment does not transport the sub-slice: cannot compose: middle objects differ"
         with pytest.raises(NotLex, match=message):
             transported_subslice(k, identity_internal_functor(Z2), ss)
 
@@ -970,3 +980,28 @@ def test_checkers_match_their_per_instance_oracles(monkeypatch, fault, reports):
     for got, expected in reports():
         assert got.failures == expected.failures
         assert got.checked == expected.checked
+
+
+ONE_ARROW = category_from_keys(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})
+POINT = point_base(Z2, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SubSlice(Z2, (point_base(pair_groupoid(2).cat, 1),), ()), "sub-slice object over the wrong base"),
+        (lambda: SubSlice(Z2, (POINT,), (identity_cell(POINT.span),) * 2), "sub-slice arrows must be distinct"),
+        (
+            lambda: SubSlice(Z2, (POINT,), (identity_cell(point_base(Z2, 2).span),)),
+            "sub-slice arrow endpoints must be listed objects",
+        ),
+        (
+            lambda: FibrationInstance(ONE_ARROW, ONE_ARROW, FunctorData(ONE_ARROW, ONE_ARROW, ("y",), ("ghost",))),
+            "projection is not a functor: ",
+        ),
+    ],
+    ids=["object base", "duplicate arrows", "arrow endpoints", "projection"],
+)
+def test_fib_refusals(build, message):
+    with pytest.raises(MalformedTables, match=message):
+        build()

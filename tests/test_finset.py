@@ -368,3 +368,20 @@ class TestCaches:
             fresh = KleisliEndo(plan, TwoCell(fa.span, plan.fm.span, FinMap(fa.a, apex, tuple(table))))
             assert kleisli_compose(endos[100], alpha) == fresh
         assert len(plan.endos) == CACHE_SIZE
+
+
+ID1, ID2 = identity(FinSet(1)), identity(FinSet(2))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: constant(FinSet(2), FinSet(1), 1), MalformedTables, "constant value 1 not below 1"),
+        (lambda: mediating(pullback(ID1, ID1), ID1, ID2), DomainMismatch, "cone legs must share a domain"),
+        (lambda: mediating(pullback(ID1, ID1), ID2, ID2), CodomainMismatch, "cone legs must target the pullback feet"),
+    ],
+    ids=["constant value", "cone domains", "cone feet"],
+)
+def test_finset_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

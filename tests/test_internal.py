@@ -999,3 +999,21 @@ class TestFiniteCategoryAssociativityWitness:
                 rng.shuffle(items)
                 failing += self.assert_matches_replay(dict(fields, comp=dict(items))) is not None
         assert failing > 0
+
+
+Z2_CAT = one_object_category(MONOIDS["z2"])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(Z2_CAT, d=identity(Z2_CAT.m)), "source map must go M -> O"),
+        (lambda: dataclasses.replace(Z2_CAT, c=identity(Z2_CAT.m)), "target map must go M -> O"),
+        (lambda: dataclasses.replace(Z2_CAT, eta=identity(Z2_CAT.m)), "unit map must go O -> M"),
+        (lambda: InternalGroupoid(Z2_CAT, Z2_CAT.d), "inversion map must go M -> M"),
+    ],
+    ids=["source", "target", "unit", "inversion"],
+)
+def test_internal_refusals(build, message):
+    with pytest.raises(MalformedTables, match=message):
+        build()

@@ -5,6 +5,7 @@ import pytest
 from spanforge import (
     BaseMismatch,
     ConditionFails,
+    DomainMismatch,
     FinMap,
     FinSet,
     MalformedTables,
@@ -324,3 +325,37 @@ class TestTwoCellValidation:
         dst = Span(o, ONE, FinMap(ONE, o, (1,)), FinMap(ONE, o, (1,)))
         with pytest.raises(MalformedTables):
             TwoCell(src, dst, identity(ONE))
+
+
+OVER_TWO = Span(TWO, ONE, FinMap(ONE, TWO, (0,)), FinMap(ONE, TWO, (0,)))
+OVER_TWO_TWISTED = Span(TWO, ONE, FinMap(ONE, TWO, (0,)), FinMap(ONE, TWO, (1,)))
+TWO_POINTS = Span(ONE, TWO, FinMap(TWO, ONE, (0, 0)), FinMap(TWO, ONE, (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Span(ONE, TWO, identity(ONE), FinMap(TWO, ONE, (0, 0))), MalformedTables,
+         "span legs must share the apex as domain"),
+        (lambda: Span(ONE, ONE, FinMap(ONE, TWO, (0,)), identity(ONE)), MalformedTables,
+         "span legs must land in the base object"),
+        (lambda: TwoCell(unit_span(ONE), unit_span(ONE), FinMap(TWO, ONE, (0, 0))), MalformedTables,
+         "cell map must go from source apex to target apex"),
+        (lambda: TwoCell(unit_span(ONE), OVER_TWO, identity(ONE)), BaseMismatch,
+         "cells only exist between spans over the same base"),
+        (lambda: TwoCell(OVER_TWO, OVER_TWO_TWISTED, identity(ONE)), MalformedTables,
+         "right triangle does not commute"),
+        (lambda: compose_cells(identity_cell(unit_span(ONE)), identity_cell(TWO_POINTS)), DomainMismatch,
+         "cells do not meet: target of first != source of second"),
+        (lambda: tensor_cells(identity_cell(unit_span(ONE)), identity_cell(unit_span(TWO))), BaseMismatch,
+         "cell tensor factors must share the base object"),
+        (lambda: pair_cells(identity_cell(unit_span(ONE)), identity_cell(TWO_POINTS)), DomainMismatch,
+         "paired cells must share a source span"),
+        (lambda: reassociate(unit_span(ONE), unit_span(ONE), unit_span(TWO)), BaseMismatch,
+         "reassociation factors must share the base object"),
+    ],
+    ids=["apex", "base", "cell ends", "cell base", "right triangle", "compose", "tensor", "pair", "reassociate"],
+)
+def test_span_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

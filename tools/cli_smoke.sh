@@ -44,6 +44,9 @@ echo '{"kind": "monoid", "size": 3, "table": [0, 1, 2, 1, 2, 2, 2, 1, 1]}' > "$t
 expect 1 $'fail monoid: associativity fails at (1, 1, 1)\n' check "$tmp"
 echo '{"kind": "internal-category", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0], "eta": [0], "mu": [0, 1, 2, 1, 2, 2, 2, 1, 1]}' > "$tmp"
 expect 1 $'fail associativity: triple (1, 1, 1)\n' check "$tmp"
+# the same composition in a groupoid file: its category laws come first, so the same first law
+echo '{"kind": "internal-groupoid", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0], "eta": [0], "mu": [0, 1, 2, 1, 2, 2, 2, 1, 1], "iota": [0, 2, 1]}' > "$tmp"
+expect 1 $'fail associativity: triple (1, 1, 1)\n' check "$tmp"
 # the groupoid checker names its first failure: an inverse law, then an inverse's endpoint
 echo '{"kind": "internal-groupoid", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0], "eta": [0], "mu": [0, 1, 2, 1, 2, 0, 2, 0, 1], "iota": [0, 1, 2]}' > "$tmp"
 expect 1 $'fail right-inverse-law: arrow 1\n' check "$tmp"
