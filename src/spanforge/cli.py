@@ -21,7 +21,6 @@ from .errors import (
     NotAGroup,
     ParseError,
     SpanforgeError,
-    UnderlyingCategoryInvalid,
 )
 from .feistel import (
     conv_fibre,
@@ -151,10 +150,7 @@ def checked_category(internal: Internal) -> InternalCategory:
     A groupoid's category laws come before its inverse laws.
     """
     groupoid = isinstance(internal, InternalGroupoid)
-    try:
-        report = check_internal_groupoid(internal) if groupoid else check_internal_category(internal)
-    except UnderlyingCategoryInvalid as exc:
-        report = exc.report
+    report = check_internal_groupoid(internal) if groupoid else check_internal_category(internal)
     if not report.passed:
         raise AxiomFails(str(report.first()))
     return internal.cat if groupoid else internal

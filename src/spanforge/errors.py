@@ -29,14 +29,6 @@ class MalformedTables(SpanforgeError):
     """Raw tables do not have the shape the structure requires, or hold out-of-range entries."""
 
 
-class UnderlyingCategoryInvalid(SpanforgeError):
-    """A groupoid check was run on data whose category axioms already fail."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"underlying category invalid: {report.summary()}")
-
-
 class AxiomFails(SpanforgeError):
     """An internal category or groupoid read from input fails an axiom; the message names the first."""
 

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
-from .finset import CACHE_SIZE, FinMap, FinSet, all_maps, compose
+from .finset import CACHE_SIZE, FinMap, FinSet, compose, group_by_value
 from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap
 from .report import Report, ReportBuilder
 from .span import SliceObject, TensorResult, TwoCell, tensor
@@ -319,11 +319,17 @@ def conv_fibre(fa: SliceObject, ic: InternalCategory) -> list[ConvElement]:
     return _fibre(module_plan(fa, ic))
 
 
+def _choices(plan: ModulePlan) -> list[list[int]]:
+    """At each point of plan.base, the endo-arrows at the object it lies over; their product is the fibre."""
+    cat = plan.ic.tables
+    loops = [[m for m in leaving if cat.t[m] == x] for x, leaving in enumerate(cat.out)]
+    return [loops[o] for o in plan.base.f.table]
+
+
 def _fibre(plan: ModulePlan) -> list[ConvElement]:
     """The convolution elements of plan: at each point, each endo-arrow at the object it lies over."""
-    d, c = plan.ic.d.table, plan.ic.c.table
-    choices = [[m for m in range(plan.ic.m.size) if d[m] == o == c[m]] for o in plan.base.f.table]
-    count = math.prod(len(ch) for ch in choices)
+    choices = _choices(plan)
+    count = math.prod(map(len, choices))
     budget(count, f"{count} fibre elements")
     return [_conv(plan, table) for table in itertools.product(*choices)]
 
@@ -437,6 +443,13 @@ def feistel_network(
     return tuple(perm), tuple(inv_perm)
 
 
+def slice_cells(src: SliceObject, dst: SliceObject) -> list[tuple[int, ...]]:
+    """The tables of the slice cells src -> dst, the maps phi with dst.f . phi = src.f, in lexicographic order."""
+    budget(dst.a.size**src.a.size, f"{dst.a.size}^{src.a.size} slice cells")
+    over, _ = group_by_value(dst.f.table, dst.o.size)  # the points of B over each object
+    return list(itertools.product(*(over[x] for x in src.f.table))) if src.o == dst.o else []
+
+
 def verify_adjunction(
     conv_objects: Iterable[ConvElement],
     end_objects: Iterable[KleisliEndo],
@@ -453,7 +466,7 @@ def verify_adjunction(
     """
     conv_objects = list(conv_objects)
     end_objects = list(end_objects)
-    rb = ReportBuilder()
+    rb, cells = ReportBuilder(), {}  # the slice cells of each pair of bases, listed once
     targets = {c.target for c in conv_objects} | {e.target for e in end_objects}
     if len(targets) > 1:
         raise BaseMismatch("all adjunction instances must share one internal category")
@@ -466,21 +479,16 @@ def verify_adjunction(
             b_obj = beta.base
             n_candidates = b_obj.a.size ** a_obj.a.size
             budget(n_candidates * n_candidates, f"{n_candidates}^2 candidate morphisms")
-            slice_cells = [
-                phi.table
-                for phi in all_maps(a_obj.a, b_obj.a)
-                if compose(b_obj.f, phi) == a_obj.f
-            ]
+            phis = cells.get((a_obj, b_obj))
+            if phis is None:
+                phis = cells[a_obj, b_obj] = slice_cells(a_obj, b_obj)
             src_plan, dst_plan = hat.plan, beta.plan
             u, v = hat.table, beta.table
             end_homset = [
-                (phi, psi)
-                for phi in slice_cells
-                for psi in slice_cells
-                if src_plan.square_holds(dst_plan, u, v, phi, psi)
+                (phi, psi) for phi in phis for psi in phis if src_plan.square_holds(dst_plan, u, v, phi, psi)
             ]
             bar = retrieve(beta).table
-            conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.table]
+            conv_homset = [phi for phi in phis if tuple(bar[v] for v in phi) == alpha.table]
             firsts = [phi for phi, _ in end_homset]
             if len(firsts) != len(set(firsts)) or sorted(firsts) != sorted(conv_homset):
                 sizes = f"{len(end_homset)} endomorphism morphisms vs {len(conv_homset)} slice cells"

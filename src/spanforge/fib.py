@@ -10,12 +10,13 @@ evidence at any size.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainMismatch, MalformedTables, NotInternalFunctor, NotLex
-from .finset import FinMap, FinSet, all_maps, compose, group_by_value
+from .finset import FinMap, FinSet, compose, group_by_value
 from .internal import (
     CategoryTables,
     FiniteCategory,
@@ -27,12 +28,14 @@ from .internal import (
 )
 from .feistel import (
     KleisliEndo,
+    _choices,
     _conv,
     _fibre,
     _wrap_endo,
     extend,
     module_plan,
     retrieve,
+    slice_cells,
 )
 from .report import Report, ReportBuilder
 from .span import SliceObject, TwoCell
@@ -100,14 +103,8 @@ class SubSlice:
 def full_subslice(ic: InternalCategory, objects) -> SubSlice:
     """The full sub-slice on the given objects: every slice cell between them."""
     objects = tuple(objects)
-    arrows = []
-    for src in objects:
-        for dst in objects:
-            budget(dst.a.size**src.a.size, f"{dst.a.size}^{src.a.size} slice cells")
-            for phi in all_maps(src.a, dst.a):
-                if compose(dst.f, phi) == src.f:
-                    arrows.append(TwoCell(src.span, dst.span, phi))
-    return SubSlice(ic, objects, tuple(arrows))
+    cells = [(src, dst, phi) for src in objects for dst in objects for phi in slice_cells(src, dst)]
+    return SubSlice(ic, objects, tuple(TwoCell(x.span, y.span, FinMap(x.a, y.a, phi)) for x, y, phi in cells))
 
 
 def default_subslice(ic: InternalCategory) -> SubSlice:
@@ -191,7 +188,7 @@ class FibrationInstance:
     def __post_init__(self) -> None:
         result = check_functor(self.proj)
         if not result.passed:
-            raise MalformedTables(f"projection is not a functor: {result.summary()}")
+            raise MalformedTables(f"projection is not a functor: {result.first()}")
 
 
 def check_discrete_fibration(fi: FibrationInstance) -> Report:
@@ -267,10 +264,15 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     components of such a morphism make a single cell suffice.
     """
     plans = ss._plans
+    sizes = [math.prod(map(len, _choices(plan))) for plan in plans]
+    for n in sizes:  # every fibre, then the pairs over every base arrow, before any fibre is listed
+        budget(n, f"{n} fibre elements")
+    base = ss.base_category.tables
+    for i, j in zip(base.s, base.t):
+        budget(sizes[i] * sizes[j], f"{sizes[i]}x{sizes[j]} endomorphism pairs")
     keys = [[extend(alpha).table for alpha in _fibre(plan)] for plan in plans]
 
     def lifts(k: int, i: int, j: int):
-        budget(len(keys[i]) * len(keys[j]), f"{len(keys[i])}x{len(keys[j])} endomorphism pairs")
         sig = ss.arrows[k].map.table
         for u, u_table in enumerate(keys[i]):
             for v, v_table in enumerate(keys[j]):
@@ -354,8 +356,8 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     Checks functoriality of both directions, mutual inversion, commutation
     with both projections, and fibrewise naturality of the family.
     """
+    endo = build_endo_fibration(ss)  # first: it refuses an oversized sub-slice before any fibre is listed
     conv = build_conv_fibration(ss)
-    endo = build_endo_fibration(ss)
     rb = ReportBuilder()
 
     def extended(i: int, table: tuple) -> tuple:
@@ -433,10 +435,10 @@ def transport_conv(
     if functor.src != transported:
         raise NotInternalFunctor("internal functor must start at the transported category")
     ss2 = transported_subslice(k, functor, ss)
+    endo1 = build_endo_fibration(ss)  # first, as in cartesian_iso
+    endo2 = build_endo_fibration(ss2)
     conv1 = build_conv_fibration(ss)
     conv2 = build_conv_fibration(ss2)
-    endo1 = build_endo_fibration(ss)
-    endo2 = build_endo_fibration(ss2)
     rb = ReportBuilder()
 
     def move_conv(i: int, table: tuple) -> tuple:

@@ -24,7 +24,6 @@ from .errors import (
     NotLex,
     SizeLimitExceeded,
     SquareDoesNotCommute,
-    UnderlyingCategoryInvalid,
 )
 from .finset import (
     CACHE_SIZE,
@@ -259,10 +258,10 @@ def check_internal_category(ic: InternalCategory) -> Report:
 
 
 def check_internal_groupoid(g: InternalGroupoid) -> Report:
-    """Verify the inversion laws; requires the underlying category to pass."""
+    """Verify the inversion laws; where the underlying category fails, its report is returned instead."""
     underlying = check_internal_category(g.cat)
     if not underlying.passed:
-        raise UnderlyingCategoryInvalid(underlying)
+        return underlying
     ic, rb, arrows = g.cat, ReportBuilder(), range(g.cat.m.size)
     d, c, eta, iota, then = ic.d.table, ic.c.table, ic.eta.table, g.iota.table, ic.tables.then
     for m in arrows:
@@ -478,7 +477,7 @@ def apply_lex_functor(k: LexFunctorData, ic: InternalCategory) -> InternalCatego
     )
     result = check_internal_category(out)
     if not result.passed:
-        raise NotLex(f"transported data is not an internal category: {result.summary()}")
+        raise NotLex(f"transported data is not an internal category: {result.first()}")
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import spanforge.feistel as feistel
 import spanforge.fib as fib
-from spanforge.errors import MalformedTables, UnderlyingCategoryInvalid
+from spanforge.errors import MalformedTables
 from spanforge.feistel import conv_fibre, extend
 from spanforge.fib import FunctorData, SubSlice, _at, _image_arrow
 from spanforge.finset import FinMap, all_maps, compose, group_by_value
@@ -263,10 +263,11 @@ def category_report_by_index(ic):
 
 
 def groupoid_report_by_index(g):
-    """The inversion laws walked one by one: the oracle for check_internal_groupoid."""
+    """The inversion laws walked one by one, or the category's report where it fails: the oracle for
+    check_internal_groupoid."""
     underlying = category_report_by_index(g.cat)
     if not underlying.passed:
-        raise UnderlyingCategoryInvalid(underlying)
+        return underlying
     ic, rb = g.cat, ReportBuilder()
     d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
     for m in range(ic.m.size):

@@ -15,6 +15,7 @@ from spanforge import (
     coreflect,
     extend,
     external_category,
+    hom_functor_data,
     identity,
     is_simply_presented,
     kleisli_compose,
@@ -33,6 +34,20 @@ from keyed import KeyedViews
 def point_base(ic: InternalCategory, x_size: int) -> SliceObject:
     x = FinSet(x_size)
     return SliceObject(x, FinMap(x, ic.o, (0,) * x_size))
+
+
+def hom_fragment_for(ss, s_size=2, extra_sets=(), extra_maps=()):
+    """Hom-functor data covering everything a transport of ss touches."""
+    ic = ss.ic
+    sets = [ic.o, ic.m, *(obj.a for obj in ss.objects), *extra_sets]
+    maps = [ic.d, ic.c, ic.eta, ic.mu]
+    maps += [obj.f for obj in ss.objects]
+    maps += [cell.map for cell in ss.arrows]
+    for obj in ss.objects:
+        for elem in conv_fibre(obj, ic):
+            maps.append(elem.map)
+    maps += list(extra_maps)
+    return hom_functor_data(FinSet(s_size), sets, maps, squares=[(ic.c, ic.d)])
 
 
 def slice_objects(ic: InternalCategory, x_size: int):

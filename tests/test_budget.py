@@ -1,6 +1,9 @@
 """Every exponential enumeration goes through internal.budget: each call site refuses past the cap."""
 
+import json
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,21 +18,25 @@ from spanforge import (
     check_internal_category,
     conv_fibre,
     conv_unit,
+    default_subslice,
     external_category,
     full_subslice,
     hom_functor_data,
     identity,
     identity_functor_data,
+    identity_internal_functor,
     kleisli_fibre,
     kleisli_inverse,
     kleisli_unit,
     toffoli_extend,
+    transport_conv,
     verify_adjunction,
 )
-from spanforge.catalog import MONOIDS, one_object_category, pair_groupoid
-from spanforge.cli import build_parser
+from spanforge.catalog import CATALOG, MONOIDS, one_object_category, pair_groupoid
+from spanforge.cli import build_parser, main
+from spanforge.internal import apply_lex_functor
 
-from suites import point_base
+from suites import hom_fragment_for, point_base
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -120,3 +127,49 @@ def test_polynomial_checks_run_under_any_cap(monkeypatch):
     identity_functor_data([Z2.o, Z2.m], [Z2.d, Z2.c, Z2.eta]).verify()
     unit = kleisli_unit(z2_point(3), Z2)
     assert kleisli_inverse(unit).cell.map == unit.cell.map
+
+
+class TestRefusedBeforeTheWork:
+    """An oversized fibration pass is refused from the fibre sizes, before any fibre is listed."""
+
+    def test_fib_check_with_a_large_fibre(self, tmp_path, capsys, monkeypatch):
+        # klein4 on one object, and one object of |A| = 8 points with its identity cell: a fibre
+        # of 4^8 = 65536 elements, under the cap, whose endomorphism pairs are not
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        klein4 = {
+            "kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0],
+            "mu": [a ^ b for a in range(4) for b in range(4)],
+        }
+        sub = {
+            "kind": "sub-slice", "objects": [{"size": 8, "map": [0] * 8}],
+            "arrows": [{"src": 0, "dst": 0, "map": list(range(8))}],
+        }
+        (tmp_path / "klein4.json").write_text(json.dumps(klein4))
+        (tmp_path / "sub.json").write_text(json.dumps(sub))
+        argv = ["fib-check", "--internal", str(tmp_path / "klein4.json"), "--subslice", str(tmp_path / "sub.json")]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: enumeration of 65536x65536 endomorphism pairs exceeds cap 1000000\n"
+        assert elapsed < 1.0  # the listing and the convolution fibration took seconds
+
+    def test_transport_to_a_large_fibre(self, monkeypatch):
+        # hom(2, -) sends the pair object of default_subslice(klein4) to 4 points over 16 arrows,
+        # a fibre of 16^4 = 65536, and the point to a fibre of 16
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        ss = default_subslice(CATALOG["klein4"].category)
+        k = hom_fragment_for(ss)
+        functor = identity_internal_functor(apply_lex_functor(k, ss.ic))
+        message = "enumeration of 16x65536 endomorphism pairs exceeds cap 1000000"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+                transport_conv(k, functor, ss)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0  # the transported convolution fibration took tens of seconds
+        assert peak < 5 * 10**6  # and hundreds of MB

@@ -35,7 +35,6 @@ from spanforge import (
     default_subslice,
     extend,
     full_subslice,
-    hom_functor_data,
     identity,
     identity_functor_data,
     identity_internal_functor,
@@ -74,7 +73,7 @@ from keyed import (
     transport_conv_by_instance,
     verify_adjunction_by_instance,
 )
-from suites import point_base
+from suites import hom_fragment_for, point_base
 from util import all_slice_objects, iota_mutants, loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
@@ -351,20 +350,6 @@ class TestCartesianIso:
         iso = cartesian_iso(default_subslice(CATALOG["action2"].category))
         assert check_functor(iso.forward).passed
         assert check_functor(iso.backward).passed
-
-
-def hom_fragment_for(ss, s_size=2, extra_sets=(), extra_maps=()):
-    """Hom-functor data covering everything a transport of ss touches."""
-    ic = ss.ic
-    sets = [ic.o, ic.m, *(obj.a for obj in ss.objects), *extra_sets]
-    maps = [ic.d, ic.c, ic.eta, ic.mu]
-    maps += [obj.f for obj in ss.objects]
-    maps += [cell.map for cell in ss.arrows]
-    for obj in ss.objects:
-        for elem in conv_fibre(obj, ic):
-            maps.append(elem.map)
-    maps += list(extra_maps)
-    return hom_functor_data(FinSet(s_size), sets, maps, squares=[(ic.c, ic.d)])
 
 
 def identity_fragment_for(ss):
@@ -746,6 +731,16 @@ class TestNoLawPassesVacuously:
         }
         for entry in CATALOG.values():
             self.assert_every_law_checked(check_internal_category(entry.category), laws)
+
+    def test_internal_groupoid(self):
+        laws = {
+            "inverse-flips-target", "inverse-flips-source", "right-inverse-law", "left-inverse-law",
+            "inverse-involutive",
+        }
+        groupoids = [entry.groupoid for entry in CATALOG.values() if entry.iota is not None]
+        assert len(groupoids) == 5
+        for g in groupoids:
+            self.assert_every_law_checked(check_internal_groupoid(g), laws)
 
 
 class TestSubSlicePlans:

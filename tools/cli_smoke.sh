@@ -34,6 +34,10 @@ expect 2 '' check "$tmp"
 # 2000 arrows on one object make 4 000 000 pairs, and an empty mu is refused at once
 "$PYTHON" -c 'import json, sys; n = 2000; json.dump({"kind": "internal-category", "o_size": 1, "m_size": n, "d": [0] * n, "c": [0] * n, "eta": [0], "mu": []}, sys.stdout)' > "$tmp"
 expect 1 $'fail table length 0 != domain size 4000000\n' check "$tmp"
+# an oversized fibration pass is refused from its fibre sizes, before any fibre is listed: klein4 on one
+# object and an |A| = 8 point object make a 65536-element fibre, and 65536x65536 endomorphism pairs
+"$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0], "mu": [a ^ b for a in range(4) for b in range(4)]}, sys.stdout)' > "$tmp"
+expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 8, "map": [0] * 8}], "arrows": [{"src": 0, "dst": 0, "map": list(range(8))}]}, sys.stdout)')
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
 echo '{"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 3, "dst": 0, "map": [0]}]}' > "$tmp"
 expect 2 '' check "$tmp"
