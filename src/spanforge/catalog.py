@@ -134,18 +134,22 @@ MONOIDS: dict[str, MonoidTable] = {
 GROUPS: dict[str, MonoidTable] = {name: m for name, m in MONOIDS.items() if m.is_group()}
 
 
-def one_object_category(monoid: MonoidTable) -> InternalCategory:
-    """A monoid presented as an internal category on one object.
+def _from_rule(o: FinSet, m: FinSet, d, c, eta, then) -> InternalCategory:
+    """The internal category with these source, target and unit tables, composing by then.
 
-    Over one object every pair of arrows is composable, so the composition
-    table is the Cayley table flattened in lexicographic pair order.
+    mu sends each composable pair (a, b), in the pullback's lexicographic
+    order, to then(a, b), the arrow "a then b".
     """
-    o = FinSet(1)
-    m = FinSet(monoid.size)
-    to_o = FinMap(m, o, (0,) * monoid.size)
-    eta = FinMap(o, m, (monoid.unit,))
-    mu = FinMap(pullback(to_o, to_o).apex, m, monoid.table)
-    return InternalCategory(o, m, to_o, to_o, eta, mu)
+    d, c = FinMap(m, o, d), FinMap(m, o, c)
+    pb = pullback(c, d)
+    mu = FinMap(pb.apex, m, tuple(map(then, pb.proj_left.table, pb.proj_right.table)))
+    return InternalCategory(o, m, d, c, FinMap(o, m, eta), mu)
+
+
+def one_object_category(monoid: MonoidTable) -> InternalCategory:
+    """A monoid presented as an internal category on one object, composing by its table."""
+    ends = (0,) * monoid.size
+    return _from_rule(FinSet(1), FinSet(monoid.size), ends, ends, (monoid.unit,), monoid.mult)
 
 
 def one_object_groupoid(group: MonoidTable) -> InternalGroupoid:
@@ -158,8 +162,7 @@ def discrete_category(n: int, labels: tuple[str, ...] | None = None) -> Internal
     """Only identity arrows: M = O, all structure maps identities."""
     o = FinSet(n, labels)
     ident = identity(o)
-    mu = FinMap(pullback(ident, ident).apex, o, tuple(range(n)))  # only (x, x) pairs
-    cat = InternalCategory(o, o, ident, ident, ident, mu)
+    cat = _from_rule(o, o, ident.table, ident.table, ident.table, lambda x, _y: x)  # only (x, x) pairs
     return InternalGroupoid(cat, ident)
 
 
@@ -170,16 +173,10 @@ def pair_groupoid(n: int) -> InternalGroupoid:
     (a, b) then (b, c) = (a, c), units are the diagonal pairs and the
     inverse of (a, b) is (b, a).
     """
-    o = FinSet(n)
-    m = FinSet(n * n)
-    d = FinMap(m, o, tuple(x // n for x in range(n * n)))
-    c = FinMap(m, o, tuple(x % n for x in range(n * n)))
-    eta = FinMap(o, m, tuple(a * n + a for a in range(n)))
-    pb = pullback(c, d)
-    pairs = zip(pb.proj_left.table, pb.proj_right.table)
-    mu = FinMap(pb.apex, m, tuple((x // n) * n + (y % n) for x, y in pairs))
-    iota = FinMap(m, m, tuple((x % n) * n + (x // n) for x in range(n * n)))
-    return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
+    o, m, arrows = FinSet(n), FinSet(n * n), range(n * n)
+    d, c = [x // n for x in arrows], [x % n for x in arrows]
+    cat = _from_rule(o, m, d, c, [a * n + a for a in range(n)], lambda x, y: (x // n) * n + y % n)
+    return InternalGroupoid(cat, FinMap(m, m, tuple(b * n + a for a, b in zip(d, c))))
 
 
 def action_groupoid_z2() -> InternalGroupoid:
@@ -188,17 +185,12 @@ def action_groupoid_z2() -> InternalGroupoid:
     Objects are the two points; arrows are pairs (point, group element)
     encoded as point * 2 + g, running from the point to its image.
     """
-    o = FinSet(2)
-    m = FinSet(4)
-    d = FinMap(m, o, tuple(x // 2 for x in range(4)))
-    c = FinMap(m, o, tuple((x // 2) ^ (x % 2) for x in range(4)))
-    eta = FinMap(o, m, (0, 2))
-    pb = pullback(c, d)
-    pairs = zip(pb.proj_left.table, pb.proj_right.table)
+    o, m, arrows = FinSet(2), FinSet(4), range(4)
+    d, c = [x // 2 for x in arrows], [(x // 2) ^ (x % 2) for x in arrows]
     # (point, g) then (point', h) is (point, g xor h)
-    mu = FinMap(pb.apex, m, tuple((x // 2) * 2 + ((x ^ y) % 2) for x, y in pairs))
-    iota = FinMap(m, m, tuple(((x // 2) ^ (x % 2)) * 2 + (x % 2) for x in range(4)))
-    return InternalGroupoid(InternalCategory(o, m, d, c, eta, mu), iota)
+    cat = _from_rule(o, m, d, c, [0, 2], lambda x, y: (x // 2) * 2 + ((x ^ y) % 2))
+    # the inverse of (point, g) is (its image, g)
+    return InternalGroupoid(cat, FinMap(m, m, tuple(y * 2 + x % 2 for x, y in zip(arrows, c))))
 
 
 def loops_and_bridges() -> InternalCategory:
@@ -210,9 +202,6 @@ def loops_and_bridges() -> InternalCategory:
     whose six instances the sweeps and count pins range over, and
     ``fixtures/loops_and_bridges.json`` holds it as a document.
     """
-    o, m = FinSet(2), FinSet(6)
-    d = FinMap(m, o, (0, 0, 1, 1, 0, 0))
-    c = FinMap(m, o, (0, 0, 1, 1, 1, 1))
     table = {(1, 1): 1, (1, 4): 4, (1, 5): 4, (3, 3): 2, (4, 3): 4, (5, 3): 5}
 
     def then(a: int, b: int) -> int:
@@ -222,9 +211,7 @@ def loops_and_bridges() -> InternalCategory:
             return a
         return table[(a, b)]
 
-    pb = pullback(c, d)
-    mu = FinMap(pb.apex, m, tuple(map(then, pb.proj_left.table, pb.proj_right.table)))
-    return InternalCategory(o, m, d, c, FinMap(o, m, (0, 2)), mu)
+    return _from_rule(FinSet(2), FinSet(6), (0, 0, 1, 1, 0, 0), (0, 0, 1, 1, 1, 1), (0, 2), then)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,8 @@ class FibrationInstance:
     proj: FunctorData
 
     def __post_init__(self) -> None:
+        if self.proj.source is not self.total or self.proj.target is not self.base:
+            raise MalformedTables("projection must run from the total category to the base")
         result = check_functor(self.proj)
         if not result.passed:
             raise MalformedTables(f"projection is not a functor: {result.first()}")

@@ -5,11 +5,21 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from spanforge import cli, fib
-from spanforge.catalog import loops_and_bridges
+from spanforge.catalog import (
+    MONOIDS,
+    action_groupoid_z2,
+    discrete_category,
+    loops_and_bridges,
+    one_object_category,
+    one_object_groupoid,
+    pair_groupoid,
+)
+from spanforge.internal import InternalCategory, InternalGroupoid
 from spanforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +29,25 @@ FIXTURES = ROOT / "fixtures"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
+
+
+def catalog_document(instance: InternalCategory | InternalGroupoid) -> dict:
+    """A catalog instance as the JSON document that the fixtures and the benchmark write."""
+    ic = instance.cat if isinstance(instance, InternalGroupoid) else instance
+    doc = {"kind": "internal-category", "o_size": ic.o.size, "m_size": ic.m.size}
+    doc.update((k, list(getattr(ic, k).table)) for k in ("d", "c", "eta", "mu"))
+    if isinstance(instance, InternalGroupoid):
+        doc.update(kind="internal-groupoid", iota=list(instance.iota.table))
+    return doc
+
+
+# each internal fixture, by file stem, and the catalog instance it writes out
+FIXTURE_INSTANCES = {
+    "loops_and_bridges": loops_and_bridges,
+    "pair_groupoid": lambda: pair_groupoid(2),
+    "z2_internal": lambda: one_object_category(MONOIDS["z2"]),
+    "and2_internal": lambda: one_object_category(MONOIDS["and2"]),
+}
 
 
 def run_cli(capsys, *argv):
@@ -149,13 +178,14 @@ class TestConvTable:
         assert "fibre size: 1" in out
         assert "group: yes" in out
 
-    def test_loops_and_bridges_fixture_is_the_catalog_instance(self, capsys):
-        path = FIXTURES / "loops_and_bridges.json"
-        doc, ic = json.loads(path.read_text()), loops_and_bridges()
-        assert (doc["kind"], doc["o_size"], doc["m_size"]) == ("internal-category", ic.o.size, ic.m.size)
-        assert [tuple(doc[k]) for k in ("d", "c", "eta", "mu")] == [ic.d.table, ic.c.table, ic.eta.table, ic.mu.table]
+    @pytest.mark.parametrize("name", FIXTURE_INSTANCES)
+    def test_fixture_is_the_catalog_instance(self, capsys, name):
+        path = FIXTURES / f"{name}.json"
+        doc = json.loads(path.read_text())
+        assert doc == catalog_document(FIXTURE_INSTANCES[name]())
         assert run_cli(capsys, "check", str(path)) == (0, "ok\n", "")
-        for a_size, f_text in (("1", "1"), ("2", "0,1"), ("3", "1,0,1")):
+        for f in ((1,), (0, 1), (1, 0, 1)):
+            a_size, f_text = str(len(f)), ",".join(str(x % doc["o_size"]) for x in f)
             got = run_cli(capsys, "conv-table", str(path), "--slice", a_size, f_text)[:2]
             assert got == oracle.conv_table(path.read_text(), a_size, f_text)
 
@@ -164,6 +194,19 @@ class TestConvTable:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+def test_benchmark_documents_are_the_catalog_instances():
+    """perfbench/inputs.py writes each structure from its textbook definition; the catalog must agree."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    # inputs imports the oracle by its plain name, and its dataclasses look their module up
+    with patch.dict(sys.modules, {"oracle": oracle, spec.name: inputs}):
+        spec.loader.exec_module(inputs)
+    monoids = [one_object_groupoid(m) if m.is_group() else one_object_category(m) for m in MONOIDS.values()]
+    groupoids = [pair_groupoid(1), pair_groupoid(2), pair_groupoid(3), discrete_category(2), discrete_category(3)]
+    instances = monoids + groupoids + [action_groupoid_z2()]
+    assert inputs.catalog() == [catalog_document(instance) for instance in instances]
 
 
 class TestToffoli:
@@ -650,6 +693,20 @@ class TestRefusals:
             argv = ("feistel", "encrypt", "--group", path, "--rounds", "1", "--keys", path, "--input", "0")
             got = run_cli(capsys, *argv)
             assert got == (2, "", f"error: {path}: feistel needs {needed} file\n")
+
+    def test_rounds_must_match_the_round_functions(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "keys.json", dict(KEYS, rounds=3, round_functions=[[0, 1], [1, 0]]))
+        assert run_cli(capsys, "check", path) == (1, "fail 3 rounds but 2 round functions\n", "")
+
+    def test_toffoli_truth_table_must_be_integers(self, capsys):
+        message = "error: bad --f truth table: invalid literal for int() with base 10: 'x'\n"
+        assert run_cli(capsys, "toffoli", "--m", "1", "--n", "1", "--f", "0,x") == (2, "", message)
+
+    def test_feistel_input_must_be_hex(self, capsys):
+        group, keys = str(FIXTURES / "z2_4_group.json"), str(FIXTURES / "feistel_keys.json")
+        argv = ("feistel", "encrypt", "--group", group, "--rounds", "4", "--keys", keys, "--input", "zz")
+        message = "error: bad --input hex value: invalid literal for int() with base 16: 'zz'\n"
+        assert run_cli(capsys, *argv) == (2, "", message)
 
 
 class TestEntryPoint:

@@ -65,7 +65,9 @@ from suites import (
     point_base,
     slice_objects,
 )
-from util import conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs
+from util import (
+    conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs, single_entry_mutants,
+)
 
 Z2 = one_object_category(MONOIDS["z2"])
 AND2 = one_object_category(MONOIDS["and2"])
@@ -640,6 +642,29 @@ class TestKleisliInverse:
                         compared += 1
                         invertible += found is not None
         assert (compared, invertible) == (323, 162)
+
+    def test_inverse_composes_to_the_unit_over_mutants(self):
+        """Over categories that fail their laws too, each inverse found composes to the unit both ways."""
+        endos = inverses = 0
+        for ic in (pair_groupoid(2).cat, loops_and_bridges()):
+            for _, build in single_entry_mutants(ic):
+                try:
+                    mutant = build()
+                    fibres = [kleisli_fibre(fa, mutant) for x in range(3) for fa in slice_objects(mutant, x)]
+                except MalformedTables:
+                    continue
+                eta = mutant.eta.table
+                for fibre in fibres:
+                    for endo in fibre:
+                        plan, found = endo.plan, kleisli_inverse(endo)
+                        endos += 1
+                        if found is None:
+                            continue
+                        inverses += 1
+                        unit = tuple(plan.start[a] + plan.pos[eta[o]] for a, o in enumerate(plan.base.f.table))
+                        assert plan.compose(found.table, endo.table) == unit
+                        assert plan.compose(endo.table, found.table) == unit
+        assert (endos, inverses) == (4576, 1695)
 
 
 class TestToffoli:

@@ -981,6 +981,15 @@ ONE_ARROW = category_from_keys(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": 
 POINT = point_base(Z2, 1)
 
 
+def klein4_fibration_refitted(ends: str) -> FibrationInstance:
+    """klein4's convolution fibration with its base and total swapped, or with z2's projection."""
+    k4 = build_conv_fibration(default_subslice(CATALOG["klein4"].category))
+    if ends == "swapped":
+        return FibrationInstance(k4.base, k4.total, k4.proj)
+    z2 = build_conv_fibration(default_subslice(CATALOG["z2"].category))
+    return FibrationInstance(k4.total, k4.base, z2.proj)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -994,8 +1003,10 @@ POINT = point_base(Z2, 1)
             lambda: FibrationInstance(ONE_ARROW, ONE_ARROW, FunctorData(ONE_ARROW, ONE_ARROW, ("y",), ("ghost",))),
             "projection is not a functor: ",
         ),
+        (partial(klein4_fibration_refitted, "foreign"), "^projection must run from the total category to the base$"),
+        (partial(klein4_fibration_refitted, "swapped"), "^projection must run from the total category to the base$"),
     ],
-    ids=["object base", "duplicate arrows", "arrow endpoints", "projection"],
+    ids=["object base", "duplicate arrows", "arrow endpoints", "projection", "foreign projection", "swapped ends"],
 )
 def test_fib_refusals(build, message):
     with pytest.raises(MalformedTables, match=message):

@@ -66,6 +66,10 @@ class TestFinSetAndMap:
         with pytest.raises(MalformedTables, match="^entry True at index 0 not below 2$"):
             FinMap(FinSet(2), FinSet(2), (True, False))
 
+    def test_iterates_over_its_elements(self):
+        assert list(FinSet(3)) == [0, 1, 2]
+        assert list(FinSet(2, ("a", "b"))) == [0, 1]
+
     def test_empty_sets_allowed(self):
         empty = FinSet(0)
         f = FinMap(empty, FinSet(3), ())

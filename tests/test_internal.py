@@ -54,6 +54,7 @@ from spanforge.feistel import module_plan
 from spanforge.fib import default_subslice
 from spanforge.finset import CACHE_SIZE, pair_position
 from spanforge.internal import FiniteCategory
+from spanforge.report import Failure, Report
 from spanforge.span import identity_cell
 
 from keyed import (
@@ -79,6 +80,10 @@ class TestMonoidCatalog:
 
     def test_groups_are_exactly_the_invertible_ones(self):
         assert set(GROUPS) == {"trivial", "z2", "z3", "z4", "klein4"}
+
+    def test_a_monoid_entry_has_no_groupoid(self):
+        assert CATALOG["and2"].groupoid is None
+        assert CATALOG["z2"].groupoid == one_object_groupoid(MONOIDS["z2"])
 
     def test_left_zero_is_noncommutative(self):
         m = MONOIDS["leftzero3"]
@@ -202,6 +207,14 @@ class TestMonoidTableAgainstLoops:
             assert monoid_verdict(n, table, unit) == expected
             kinds.add(expected[0])
         assert kinds == {"ok", "unit", "associativity"}
+
+
+class TestReport:
+    def test_summary_names_every_failure_in_order(self):
+        assert Report().summary() == "pass"
+        report = Report((Failure("left-unit", "arrow 1"), Failure("law")))
+        assert report.summary() == "left-unit: arrow 1; law"
+        assert str(Failure("law")) == "law"
 
 
 class TestChecker:

@@ -56,6 +56,9 @@ echo '{"kind": "internal-groupoid", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c
 expect 1 $'fail right-inverse-law: arrow 1\n' check "$tmp"
 echo '{"kind": "internal-groupoid", "o_size": 2, "m_size": 4, "d": [0, 0, 1, 1], "c": [0, 1, 0, 1], "eta": [0, 3], "mu": [0, 1, 0, 1, 2, 3, 2, 3], "iota": [0, 1, 2, 3]}' > "$tmp"
 expect 1 $'fail inverse-flips-target: arrow 1\n' check "$tmp"
+# a round-config declares as many rounds as it lists round functions
+echo '{"kind": "round-config", "rounds": 3, "round_functions": [[0, 1], [1, 0]]}' > "$tmp"
+expect 1 $'fail 3 rounds but 2 round functions\n' check "$tmp"
 expect 0 $'ok\n' check fixtures/z2_4_group.json
 # the one fixture whose runs of arrows differ in length between objects
 expect 0 $'ok\n' check fixtures/loops_and_bridges.json
