@@ -158,9 +158,9 @@ def one_object_groupoid(group: MonoidTable) -> InternalGroupoid:
     return InternalGroupoid(cat, iota)
 
 
-def discrete_category(n: int, labels: tuple[str, ...] | None = None) -> InternalGroupoid:
+def discrete_category(n: int) -> InternalGroupoid:
     """Only identity arrows: M = O, all structure maps identities."""
-    o = FinSet(n, labels)
+    o = FinSet(n)
     ident = identity(o)
     cat = _from_rule(o, o, ident.table, ident.table, ident.table, lambda x, _y: x)  # only (x, x) pairs
     return InternalGroupoid(cat, ident)

@@ -100,18 +100,8 @@ def _entries(doc: dict, field: str, path: str) -> list[dict]:
 
 
 def finmap_from_document(doc: dict, path: str) -> FinMap:
-    dom = FinSet(_int_field(doc, "dom", path), _labels(doc, "dom_labels", path))
-    cod = FinSet(_int_field(doc, "cod", path), _labels(doc, "cod_labels", path))
+    dom, cod = FinSet(_int_field(doc, "dom", path)), FinSet(_int_field(doc, "cod", path))
     return FinMap(dom, cod, tuple(_int_list(doc, "table", path)))
-
-
-def _labels(doc: dict, field: str, path: str):
-    value = doc.get(field)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ParseError(f"{path}: field {field!r} must be a string array")
-    return tuple(value)
 
 
 def monoid_from_document(doc: dict, path: str) -> MonoidTable:
@@ -125,11 +115,11 @@ def _internal_fields(doc: dict, path: str, groupoid: bool) -> tuple:
     o_size, m_size = _int_field(doc, "o_size", path), _int_field(doc, "m_size", path)
     names = ("d", "c", "eta", "mu", "iota") if groupoid else ("d", "c", "eta", "mu")
     tables = [tuple(_int_list(doc, name, path)) for name in names]
-    return o_size, m_size, _labels(doc, "o_labels", path), _labels(doc, "m_labels", path), *tables
+    return o_size, m_size, *tables
 
 
-def _build_internal(o_size, m_size, o_labels, m_labels, d, c, eta, mu, iota=None) -> Internal:
-    o, m = FinSet(o_size, o_labels), FinSet(m_size, m_labels)
+def _build_internal(o_size, m_size, d, c, eta, mu, iota=None) -> Internal:
+    o, m = FinSet(o_size), FinSet(m_size)
     d, c, eta = FinMap(m, o, d), FinMap(m, o, c), FinMap(o, m, eta)
     # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order; counting
     # them refuses a mu of the wrong length before the pairs are listed

@@ -20,7 +20,6 @@ construction and Feistel ciphers are the one-object instances.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -29,7 +28,7 @@ from typing import Iterable, Sequence
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
 from .finset import CACHE_SIZE, FinMap, FinSet, compose, group_by_value
-from .internal import InternalCategory, InternalGroupoid, budget, enumeration_cap
+from .internal import InternalCategory, InternalGroupoid, budget, capped_product, count_name, enumeration_cap
 from .report import Report, ReportBuilder
 from .span import SliceObject, TensorResult, TwoCell, tensor
 
@@ -329,18 +328,20 @@ def _choices(plan: ModulePlan) -> list[list[int]]:
 def _fibre(plan: ModulePlan) -> list[ConvElement]:
     """The convolution elements of plan: at each point, each endo-arrow at the object it lies over."""
     choices = _choices(plan)
-    count = math.prod(map(len, choices))
-    budget(count, f"{count} fibre elements")
+    count = capped_product(map(len, choices))
+    budget(count, f"{count_name(count)} fibre elements")
     return [_conv(plan, table) for table in itertools.product(*choices)]
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
     plan = module_plan(fa, ic)
-    f, c = fa.f.table, ic.c.table
-    choices = [[s for s, (x, m) in enumerate(zip(plan.carrier, plan.arrow)) if f[x] == o == c[m]] for o in f]
-    count = math.prod(len(ch) for ch in choices)
-    budget(count, f"{count} free-module endomorphisms")
+    f, c, n = fa.f.table, ic.c.table, ic.o.size
+    # a point over o may go to each generator (x, m) with x over o and m a loop at o: one list per object
+    at, _ = group_by_value([c[m] if f[x] == c[m] else n for x, m in zip(plan.carrier, plan.arrow)], n + 1)
+    choices = [at[o] for o in f]
+    count = capped_product(map(len, choices))
+    budget(count, f"{count_name(count)} free-module endomorphisms")
     return [_wrap_endo(plan, table) for table in itertools.product(*choices)]
 
 
@@ -473,8 +474,9 @@ def verify_adjunction(
         a_obj = alpha.base
         for beta in end_objects:
             b_obj = beta.base
-            n_candidates = b_obj.a.size ** a_obj.a.size
-            budget(n_candidates * n_candidates, f"{n_candidates}^2 candidate morphisms")
+            n_candidates = capped_product(itertools.repeat(b_obj.a.size, a_obj.a.size))  # |B|^|A|
+            square = f"{n_candidates}^2" if n_candidates <= 10**18 else count_name(n_candidates)
+            budget(n_candidates * n_candidates, f"{square} candidate morphisms")
             phis = cells.get((a_obj, b_obj))
             if phis is None:
                 phis = cells[a_obj, b_obj] = slice_cells(a_obj, b_obj)

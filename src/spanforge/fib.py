@@ -10,7 +10,6 @@ evidence at any size.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,8 @@ from .internal import (
     LexFunctorData,
     apply_lex_functor,
     budget,
+    capped_product,
+    count_name,
 )
 from .feistel import (
     KleisliEndo,
@@ -266,12 +267,12 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     components of such a morphism make a single cell suffice.
     """
     plans = ss._plans
-    sizes = [math.prod(map(len, _choices(plan))) for plan in plans]
+    sizes = [capped_product(map(len, _choices(plan))) for plan in plans]
     for n in sizes:  # every fibre, then the pairs over every base arrow, before any fibre is listed
-        budget(n, f"{n} fibre elements")
+        budget(n, f"{count_name(n)} fibre elements")
     base = ss.base_category.tables
     for i, j in zip(base.s, base.t):
-        budget(sizes[i] * sizes[j], f"{sizes[i]}x{sizes[j]} endomorphism pairs")
+        budget(sizes[i] * sizes[j], f"{count_name(sizes[i])}x{count_name(sizes[j])} endomorphism pairs")
     keys = [[extend(alpha).table for alpha in _fibre(plan)] for plan in plans]
 
     def lifts(k: int, i: int, j: int):

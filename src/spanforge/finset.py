@@ -1,6 +1,6 @@
 """Finite sets, finite functions, and their canonical limits.
 
-Elements of a set of size n are the indices 0..n-1; labels are cosmetic.
+Elements of a set of size n are the indices 0..n-1, so a set is its size.
 Every value is an immutable table, so equality anywhere downstream is
 exact table equality.  A pullback is its two projections, which list the
 matching pairs in lexicographic order, plus the layout of ``group_by_value``
@@ -30,24 +30,13 @@ CACHE_SIZE = 512
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite set with elements 0..size-1 and optional display labels."""
+    """A finite set with elements 0..size-1."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
         if type(self.size) is not int or self.size < 0:
             raise MalformedTables(f"set size must be a non-negative int, got {self.size!r}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise MalformedTables("label list length must equal size")
-            if len(set(self.labels)) != self.size:
-                raise MalformedTables("labels must be pairwise distinct")
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.size))

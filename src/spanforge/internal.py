@@ -65,6 +65,22 @@ def budget(count: int, what: str) -> None:
         raise SizeLimitExceeded(f"enumeration of {what} exceeds cap {cap}")
 
 
+def count_name(n: int) -> str:
+    """n in decimal up to 10^18, and past that without its digits, so no refusal spells out a huge count."""
+    return str(n) if n <= 10**18 else "more than 10^18"
+
+
+def capped_product(factors: Iterable[int]) -> int:
+    """The product of factors, multiplied out only until it passes both the cap and 10^18: budget
+    refuses the part multiplied out, and count_name names it, as they would the whole product."""
+    bound, count, factors = max(enumeration_cap(), 10**18), 1, iter(factors)
+    for n in factors:
+        count *= n
+        if count > bound:
+            return count if all(factors) else 0  # a later zero still empties the product
+    return count
+
+
 @dataclass(frozen=True)
 class CategoryTables:
     """A finite category on ids: the one composition format of the package.
@@ -237,9 +253,9 @@ def check_internal_category(ic: InternalCategory) -> Report:
     rb, cat, missing = ReportBuilder(), ic.tables, Counter()
     for law, ids, defined in law_failures(cat):
         if law.startswith("identity"):
-            rb.fail(law, f"object {ic.o.label(ids[0])}")
+            rb.fail(law, f"object {ids[0]}")
             continue
-        names = ", ".join(map(ic.m.label, ids))
+        names = ", ".join(map(str, ids))
         witness = (f"arrow {names}", f"pair ({names})", f"triple ({names})")[len(ids) - 1]
         rb.fail(law, f"{witness} not composable" if law.endswith("unit") and not defined else witness)
         missing[law] += not defined
@@ -266,19 +282,19 @@ def check_internal_groupoid(g: InternalGroupoid) -> Report:
     d, c, eta, iota, then = ic.d.table, ic.c.table, ic.eta.table, g.iota.table, ic.tables.then
     for m in arrows:
         if c[iota[m]] != d[m]:
-            rb.fail("inverse-flips-target", f"arrow {ic.m.label(m)}")
+            rb.fail("inverse-flips-target", f"arrow {m}")
         if d[iota[m]] != c[m]:
-            rb.fail("inverse-flips-source", f"arrow {ic.m.label(m)}")
+            rb.fail("inverse-flips-source", f"arrow {m}")
     right, left = [then(m, iota[m]) for m in arrows], [then(iota[m], m) for m in arrows]
     for m in arrows:
         laws = (("right-inverse-law", right[m], eta[d[m]]), ("left-inverse-law", left[m], eta[c[m]]))
         for law, composite, unit in laws:
             if composite != unit:
                 missing = " not composable with inverse" if composite is None else ""
-                rb.fail(law, f"arrow {ic.m.label(m)}{missing}")
+                rb.fail(law, f"arrow {m}{missing}")
     for m in arrows:
         if iota[iota[m]] != m:
-            rb.fail("inverse-involutive", f"arrow {ic.m.label(m)}")
+            rb.fail("inverse-involutive", f"arrow {m}")
     for law in ("inverse-flips-target", "inverse-flips-source", "inverse-involutive"):
         rb.count(law, len(arrows))
     # an inverse law is two checks, that the composite exists and is the identity, or one where it is missing
@@ -294,10 +310,10 @@ def _ids(values: Sequence, bound: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class FiniteCategory:
-    """An explicit category on ids; its keys are labels.
+    """An explicit category on ids, whose keys name them in messages.
 
-    ``tables`` is the category: object x is labelled ``objects[x]`` and arrow
-    f ``arrows[f]``.  Construction refuses malformed tables, then checks the
+    ``tables`` is the category: object x has the key ``objects[x]`` and arrow
+    f the key ``arrows[f]``.  Construction refuses malformed tables, then checks the
     laws by the pass that checks internal categories and raises the first
     failure, naming keys.  ``object_id`` and ``arrow_id`` map keys back to
     ids, built on first read.

@@ -235,28 +235,28 @@ def category_report_by_index(ic):
     """
     rb = ReportBuilder()
     d, c, eta, mu = ic.d.table, ic.c.table, ic.eta.table, ic.mu.table
-    composable, arrows, label = pairs(ic.composable), range(ic.m.size), ic.m.label
+    composable, arrows = pairs(ic.composable), range(ic.m.size)
     for o in range(ic.o.size):
-        require(rb, d[eta[o]] == o, "identity-source", f"object {ic.o.label(o)}")
-        require(rb, c[eta[o]] == o, "identity-target", f"object {ic.o.label(o)}")
+        require(rb, d[eta[o]] == o, "identity-source", f"object {o}")
+        require(rb, c[eta[o]] == o, "identity-target", f"object {o}")
     for (a, b), ab in zip(composable, mu):
-        require(rb, d[ab] == d[a], "composition-source", f"pair ({label(a)}, {label(b)})")
-        require(rb, c[ab] == c[b], "composition-target", f"pair ({label(a)}, {label(b)})")
+        require(rb, d[ab] == d[a], "composition-source", f"pair ({a}, {b})")
+        require(rb, c[ab] == c[b], "composition-target", f"pair ({a}, {b})")
     for m in arrows:
         left = then_by_index(ic, eta[d[m]], m)
-        if require(rb, left is not None, "left-unit", f"arrow {label(m)} not composable"):
-            require(rb, left == m, "left-unit", f"arrow {label(m)}")
+        if require(rb, left is not None, "left-unit", f"arrow {m} not composable"):
+            require(rb, left == m, "left-unit", f"arrow {m}")
     for m in arrows:
         right = then_by_index(ic, m, eta[c[m]])
-        if require(rb, right is not None, "right-unit", f"arrow {label(m)} not composable"):
-            require(rb, right == m, "right-unit", f"arrow {label(m)}")
+        if require(rb, right is not None, "right-unit", f"arrow {m} not composable"):
+            require(rb, right == m, "right-unit", f"arrow {m}")
     for (a, b), ab in zip(composable, mu):
         for x in arrows:
             bx = then_by_index(ic, b, x)
             if bx is None:
                 continue
             lhs, rhs = then_by_index(ic, ab, x), then_by_index(ic, a, bx)
-            witness = f"triple ({label(a)}, {label(b)}, {label(x)})"
+            witness = f"triple ({a}, {b}, {x})"
             if require(rb, lhs is not None and rhs is not None, "associativity", witness):
                 require(rb, lhs == rhs, "associativity", witness)
     return rb.report()
@@ -271,11 +271,11 @@ def groupoid_report_by_index(g):
     ic, rb = g.cat, ReportBuilder()
     d, c, eta, iota = ic.d.table, ic.c.table, ic.eta.table, g.iota.table
     for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
+        lab = f"arrow {m}"
         require(rb, c[iota[m]] == d[m], "inverse-flips-target", lab)
         require(rb, d[iota[m]] == c[m], "inverse-flips-source", lab)
     for m in range(ic.m.size):
-        lab = f"arrow {ic.m.label(m)}"
+        lab = f"arrow {m}"
         right = then_by_index(ic, m, iota[m])
         if require(rb, right is not None, "right-inverse-law", f"{lab} not composable with inverse"):
             require(rb, right == eta[d[m]], "right-inverse-law", lab)
@@ -283,7 +283,7 @@ def groupoid_report_by_index(g):
         if require(rb, left is not None, "left-inverse-law", f"{lab} not composable with inverse"):
             require(rb, left == eta[c[m]], "left-inverse-law", lab)
     for m in range(ic.m.size):
-        require(rb, iota[iota[m]] == m, "inverse-involutive", f"arrow {ic.m.label(m)}")
+        require(rb, iota[iota[m]] == m, "inverse-involutive", f"arrow {m}")
     return rb.report()
 
 

@@ -34,7 +34,8 @@ from spanforge import (
 )
 from spanforge.catalog import CATALOG, MONOIDS, one_object_category, pair_groupoid
 from spanforge.cli import build_parser, main
-from spanforge.internal import apply_lex_functor
+from spanforge.feistel import module_plan
+from spanforge.internal import apply_lex_functor, capped_product
 
 from suites import hom_fragment_for, point_base
 
@@ -44,8 +45,22 @@ Z2 = one_object_category(MONOIDS["z2"])
 AND2 = one_object_category(MONOIDS["and2"])
 
 
+KLEIN4 = {  # klein4 on one object
+    "kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0],
+    "mu": [a ^ b for a in range(4) for b in range(4)],
+}
+
+
 def z2_point(size):
     return point_base(Z2, size)
+
+
+def point_subslice(size):
+    """A sub-slice document: one object of size points over object 0, and its identity cell."""
+    return {
+        "kind": "sub-slice", "objects": [{"size": size, "map": [0] * size}],
+        "arrows": [{"src": 0, "dst": 0, "map": list(range(size))}],
+    }
 
 
 def conv_table(*argv):
@@ -136,16 +151,8 @@ class TestRefusedBeforeTheWork:
         # klein4 on one object, and one object of |A| = 8 points with its identity cell: a fibre
         # of 4^8 = 65536 elements, under the cap, whose endomorphism pairs are not
         monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
-        klein4 = {
-            "kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0],
-            "mu": [a ^ b for a in range(4) for b in range(4)],
-        }
-        sub = {
-            "kind": "sub-slice", "objects": [{"size": 8, "map": [0] * 8}],
-            "arrows": [{"src": 0, "dst": 0, "map": list(range(8))}],
-        }
-        (tmp_path / "klein4.json").write_text(json.dumps(klein4))
-        (tmp_path / "sub.json").write_text(json.dumps(sub))
+        (tmp_path / "klein4.json").write_text(json.dumps(KLEIN4))
+        (tmp_path / "sub.json").write_text(json.dumps(point_subslice(8)))
         argv = ["fib-check", "--internal", str(tmp_path / "klein4.json"), "--subslice", str(tmp_path / "sub.json")]
         start = time.perf_counter()
         code = main(argv)
@@ -173,3 +180,62 @@ class TestRefusedBeforeTheWork:
             tracemalloc.stop()
         assert elapsed < 1.0  # the transported convolution fibration took tens of seconds
         assert peak < 5 * 10**6  # and hundreds of MB
+
+
+class TestCountsPastEighteenDigits:
+    """A count is named in decimal up to 10^18; past that, no refusal multiplies it out or spells it."""
+
+    def test_the_name_changes_past_10_to_the_18(self, monkeypatch):
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        with pytest.raises(SizeLimitExceeded, match=f"^enumeration of {2**59} fibre elements exceeds cap 1000000$"):
+            conv_fibre(z2_point(59), Z2)
+        message = "enumeration of more than 10^18 fibre elements exceeds cap 1000000"
+        with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+            conv_fibre(z2_point(60), Z2)
+
+    def test_a_zero_after_the_bound_still_empties_the_product(self):
+        assert capped_product([10**10, 10**10, 0]) == 0
+        assert capped_product([2, 3, 4]) == 24
+
+    @pytest.mark.parametrize("command", ["fib-check", "conv-table"])
+    def test_a_command_over_a_count_of_thousands_of_digits(self, tmp_path, capsys, monkeypatch, command):
+        # klein4 and one object of |A| = 7200 points: a fibre of 4^7200, a count of 4 335 digits
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        internal, sub = tmp_path / "klein4.json", tmp_path / "sub.json"
+        internal.write_text(json.dumps(KLEIN4))
+        sub.write_text(json.dumps(point_subslice(7200)))
+        argv = {
+            "fib-check": ["fib-check", "--internal", str(internal), "--subslice", str(sub)],
+            "conv-table": ["conv-table", str(internal), "--slice", "7200", ",".join(["0"] * 7200)],
+        }[command]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: enumeration of more than 10^18 fibre elements exceeds cap 1000000\n"
+        assert elapsed < 1.0
+
+    def test_verify_adjunction_over_a_power_of_thousands_of_digits(self, monkeypatch):
+        # |B|^|A| = 2000^2000 candidate cells, a count of 6 602 digits
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        alpha, beta = conv_unit(z2_point(2000), Z2), kleisli_unit(z2_point(2000), Z2)
+        message = "enumeration of more than 10^18 candidate morphisms exceeds cap 1000000"
+        with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+            verify_adjunction([alpha], [beta])
+
+    def test_kleisli_fibre_shares_one_choice_list_per_object(self, monkeypatch):
+        # klein4 and a point object of |A| = 400: 1 600 generators, each a choice at every point
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        ic = CATALOG["klein4"].category
+        fa = point_base(ic, 400)
+        module_plan(fa, ic)  # built first, so only the refusal is measured
+        message = "enumeration of more than 10^18 free-module endomorphisms exceeds cap 1000000"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+                kleisli_fibre(fa, ic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6  # a list of choices per point took 19.8 MB

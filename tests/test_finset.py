@@ -47,12 +47,6 @@ def sizes(upper):
 
 
 class TestFinSetAndMap:
-    def test_labels_must_match_size(self):
-        with pytest.raises(MalformedTables):
-            FinSet(2, ("a",))
-        with pytest.raises(MalformedTables):
-            FinSet(2, ("a", "a"))
-
     def test_table_entries_bounded(self):
         with pytest.raises(MalformedTables):
             FinMap(FinSet(1), FinSet(1), (1,))
@@ -68,7 +62,7 @@ class TestFinSetAndMap:
 
     def test_iterates_over_its_elements(self):
         assert list(FinSet(3)) == [0, 1, 2]
-        assert list(FinSet(2, ("a", "b"))) == [0, 1]
+        assert list(FinSet(2)) == [0, 1]
 
     def test_empty_sets_allowed(self):
         empty = FinSet(0)

@@ -38,6 +38,8 @@ expect 1 $'fail table length 0 != domain size 4000000\n' check "$tmp"
 # object and an |A| = 8 point object make a 65536-element fibre, and 65536x65536 endomorphism pairs
 "$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0], "mu": [a ^ b for a in range(4) for b in range(4)]}, sys.stdout)' > "$tmp"
 expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 8, "map": [0] * 8}], "arrows": [{"src": 0, "dst": 0, "map": list(range(8))}]}, sys.stdout)')
+# a fibre of 4^7200 over an |A| = 7200 point object: a count of 4 335 digits, refused without spelling it out
+expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; n = 7200; json.dump({"kind": "sub-slice", "objects": [{"size": n, "map": [0] * n}], "arrows": [{"src": 0, "dst": 0, "map": list(range(n))}]}, sys.stdout)')
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
 echo '{"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 3, "dst": 0, "map": [0]}]}' > "$tmp"
 expect 2 '' check "$tmp"
@@ -60,6 +62,9 @@ expect 1 $'fail inverse-flips-target: arrow 1\n' check "$tmp"
 echo '{"kind": "round-config", "rounds": 3, "round_functions": [[0, 1], [1, 0]]}' > "$tmp"
 expect 1 $'fail 3 rounds but 2 round functions\n' check "$tmp"
 expect 0 $'ok\n' check fixtures/z2_4_group.json
+# a field that the format does not name is ignored, as perfbench/oracle.py ignores it
+echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0], "o_labels": ["x", "y"]}' > "$tmp"
+expect 0 $'ok\n' check "$tmp"
 # the one fixture whose runs of arrows differ in length between objects
 expect 0 $'ok\n' check fixtures/loops_and_bridges.json
 expect 0 $'fibre size: 4\n  0: [0, 2]\n  1: [0, 3]\n  2: [1, 2]\n  3: [1, 3]\nunit: 0\nmultiplication table:\n  0 1 2 3\n  1 0 3 2\n  2 3 2 3\n  3 2 3 2\ngroup: no\n' \
