@@ -58,7 +58,7 @@ def load_document(path: str, kinds: tuple[str, ...] = KINDS, refusal: str = "") 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past 4300 digits
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

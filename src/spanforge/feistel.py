@@ -38,13 +38,15 @@ class ModulePlan:
     """The convolution monoid of a slice object base valued in ic, as flat tables.
 
     ``fm`` is the free module f_A . M.  Generator s is the pair (carrier[s],
-    arrow[s]); the generator (x, m) sits at start[x] + pos[m], fm.pb's layout.
+    arrow[s]); the generator (x, m) sits at start[x] + pos[m], fm.pb's layout,
+    and ``lead[s]`` is start[carrier[s]], so s - lead[s] is pos[arrow[s]].
     ``rows`` and ``pos`` are ic.tables': rows[a][pos[b]] is "a then b", one
-    entry per composable pair.  The kernels below index these tuples by
-    position, with no tuple key or dict lookup; a checked element composes
-    only composable pairs and places only generators.  The cell calculus
-    (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is their
-    specification; the tests compare exactly.
+    entry per composable pair; ``steps`` is ic.steps, the same rows as
+    places: steps[a][pos[b]] is pos["a then b"].  The kernels index these
+    tuples by position, with no tuple key or dict lookup; a checked element
+    composes only composable pairs and places only generators.  The cell
+    calculus (diagonal, tensor_cells, pair_cells, reassociate, mu_cell) is
+    their specification; the tests compare exactly.
 
     Every element carries its plan, so products never look one up.  A plan
     compares and hashes by (base, ic) alone: a plan rebuilt after the cache
@@ -52,7 +54,8 @@ class ModulePlan:
 
     ``convs`` and ``endos`` memoise the checked element of each raw table,
     so an equal product is the same object; each holds at most CACHE_SIZE
-    entries and is left out of pickles.
+    entries and is left out of pickles.  A product reads its memo itself
+    and builds through ``_conv`` or ``_wrap_endo`` only on a miss.
     """
 
     base: SliceObject
@@ -63,19 +66,14 @@ class ModulePlan:
     start: tuple[int, ...] = field(compare=False, repr=False)
     carrier: tuple[int, ...] = field(compare=False, repr=False)
     arrow: tuple[int, ...] = field(compare=False, repr=False)
+    lead: tuple[int, ...] = field(compare=False, repr=False)
+    steps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     convs: dict[tuple, ConvElement] = field(default_factory=dict, compare=False, repr=False)
     endos: dict[tuple, KleisliEndo] = field(default_factory=dict, compare=False, repr=False)
 
     def __reduce__(self):
-        tables = (self.fm, self.rows, self.pos, self.start, self.carrier, self.arrow)
+        tables = (self.fm, self.rows, self.pos, self.start, self.carrier, self.arrow, self.lead, self.steps)
         return ModulePlan, (self.base, self.ic, *tables)
-
-    def conv(self, s: tuple, t: tuple) -> tuple:
-        """Convolution product: s(a) then t(a) at every generator a."""
-        rows, pos, out = self.rows, self.pos, []
-        for m, n in zip(s, t):
-            out.append(rows[m][pos[n]])
-        return tuple(out)
 
     def extend(self, alpha: tuple) -> tuple:
         """The simply presented endomorphism a -> (a, alpha(a))."""
@@ -83,11 +81,11 @@ class ModulePlan:
 
     def compose(self, beta: tuple, alpha: tuple) -> tuple:
         """Kleisli composite: alpha, then beta on the carrier, then compose arrows."""
-        start, carrier, arrow, rows, pos = self.start, self.carrier, self.arrow, self.rows, self.pos
+        carrier, arrow, lead, steps = self.carrier, self.arrow, self.lead, self.steps
         out = []
         for s1 in alpha:
             s2 = beta[carrier[s1]]
-            out.append(start[carrier[s2]] + pos[rows[arrow[s2]][pos[arrow[s1]]]])
+            out.append(lead[s2] + steps[arrow[s2]][s1 - lead[s1]])  # (carrier[s2], arrow[s2] then arrow[s1])
         return tuple(out)
 
     def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
@@ -109,8 +107,9 @@ def module_plan(base: SliceObject, ic: InternalCategory) -> ModulePlan:
     if base.o != ic.o:
         raise BaseMismatch("slice object and internal category live over different bases")
     fm = tensor(base.span, ic.mor_span)
-    cat = ic.tables
-    return ModulePlan(base, ic, fm, cat.rows, cat.pos, fm.pb.start, fm.proj_left.table, fm.proj_right.table)
+    cat, start, carrier = ic.tables, fm.pb.start, fm.proj_left.table
+    lead = tuple(map(start.__getitem__, carrier))
+    return ModulePlan(base, ic, fm, cat.rows, cat.pos, start, carrier, fm.proj_right.table, lead, ic.steps)
 
 
 def free_module(base: SliceObject, ic: InternalCategory) -> TensorResult:
@@ -238,7 +237,12 @@ def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
     plan = alpha.plan
     if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("convolution factors must share base and target")
-    return _conv(plan, plan.conv(alpha.table, beta.table))
+    rows, pos, out = plan.rows, plan.pos, []
+    for m, n in zip(alpha.table, beta.table):
+        out.append(rows[m][pos[n]])  # alpha(a) then beta(a) at each generator a
+    table = tuple(out)
+    elem = plan.convs.get(table)
+    return _conv(plan, table) if elem is None else elem
 
 
 def extend(alpha: ConvElement) -> KleisliEndo:
@@ -273,7 +277,9 @@ def kleisli_compose(beta: KleisliEndo, alpha: KleisliEndo) -> KleisliEndo:
     plan = alpha.plan
     if beta.plan is not plan and beta.plan != plan:
         raise BaseMismatch("Kleisli factors must share base and target")
-    return _wrap_endo(plan, plan.compose(beta.table, alpha.table))
+    table = plan.compose(beta.table, alpha.table)
+    endo = plan.endos.get(table)
+    return _wrap_endo(plan, table) if endo is None else endo
 
 
 def is_simply_presented(endo: KleisliEndo) -> bool:

@@ -54,7 +54,8 @@ def enumeration_cap() -> int:
     except ValueError:
         cap = -1
     if cap < 0:
-        raise MalformedTables(f"SPANFORGE_SIZE_CAP must be a non-negative int, got {raw!r}")
+        shown = repr(raw) if len(raw) <= 40 else f"{len(raw)} characters starting {raw[:20]!r}"
+        raise MalformedTables(f"SPANFORGE_SIZE_CAP must be a non-negative int, got {shown}")
     return cap
 
 
@@ -169,6 +170,7 @@ class InternalCategory:
     ``rows[a]`` is the run of mu that holds the composites of a, one entry
     for each arrow leaving c(a), in id order.  ``then`` and ``inverse``, the
     law pass, ``external_category`` and the product kernels all read it.
+    ``steps`` holds the same rows as places, for the Kleisli kernel.
     """
 
     o: FinSet
@@ -210,6 +212,12 @@ class InternalCategory:
         pb = self.composable
         rows = tuple(self.mu.table[i:j] for i, j in zip(pb.start, pb.start[1:]))
         return CategoryTables(self.d.table, self.c.table, self.eta.table, pb.out, pb.pos, rows)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as places: steps[a][pos[b]] is pos["a then b"], read by every plan's Kleisli kernel."""
+        cat = self.tables
+        return tuple(tuple(map(cat.pos.__getitem__, row)) for row in cat.rows)
 
     def then(self, a: int, b: int) -> int:
         """Compose the arrows a then b; DomainMismatch unless they are a composable pair."""

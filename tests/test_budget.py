@@ -133,6 +133,16 @@ def test_malformed_cap_is_refused(raw, monkeypatch):
         conv_fibre(z2_point(1), Z2)
 
 
+def test_a_long_cap_is_named_by_its_length(monkeypatch, capsys):
+    # int() refuses a value past 4300 digits; the refusal quotes its first 20 characters, not all 5000
+    monkeypatch.setenv("SPANFORGE_SIZE_CAP", "9" * 5000)
+    message = f"SPANFORGE_SIZE_CAP must be a non-negative int, got 5000 characters starting {'9' * 20!r}"
+    with pytest.raises(MalformedTables, match=f"^{re.escape(message)}$"):
+        conv_fibre(z2_point(1), Z2)
+    assert main(["conv-table", str(FIXTURES / "z2_internal.json"), "--slice", "2", "0,0"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_polynomial_checks_run_under_any_cap(monkeypatch):
     """The loops over tables already built stay unbudgeted, as the README lists them."""
     fa = z2_point(2)

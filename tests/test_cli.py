@@ -84,6 +84,22 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"kind": "monoid", "size": ' + b"9" * 5000 + b', "table": []}', "Exceeds the limit (4300 digits)"),
+            (b'{"kind": "monoid", "size": 1, "table": [0], "note": "\xff\xfe"}', "'utf-8' codec can't decode"),
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["int-past-4300-digits", "not-utf-8", "nested-200000-deep"],
+    )
+    def test_unreadable_document_is_refused_as_unreadable(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: {reason}") and err.count("\n") == 1
+
     def test_unknown_kind_is_exit_two(self, capsys, tmp_path):
         path = write_doc(tmp_path, "weird.json", {"kind": "mystery"})
         code, _, _ = run_cli(capsys, "check", path)

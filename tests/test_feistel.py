@@ -241,13 +241,17 @@ class TestKleisli:
         assert swept == 1 + 2 * 2**2 + 4 * 4**2  # |A| = 0, 1, 2
 
     def test_module_endomorphism_turns_kleisli_into_composition(self):
-        fa = point_base(Z2, 2)
-        endos = kleisli_fibre(fa, Z2)
-        for x in endos:
-            for y in endos:
-                assert module_endomorphism(kleisli_compose(x, y)) == compose(
-                    module_endomorphism(x), module_endomorphism(y)
-                )
+        swept = 0
+        for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
+            for a_size in range(3):
+                for fa in slice_objects(ic, a_size):
+                    endos = kleisli_fibre(fa, ic)
+                    maps = [module_endomorphism(x) for x in endos]
+                    for x, x_map in zip(endos, maps):
+                        for y, y_map in zip(endos, maps):
+                            assert module_endomorphism(kleisli_compose(x, y)) == compose(x_map, y_map)
+                    swept += len(endos) ** 2
+        assert swept == 5299  # klein4 with |A| = 2 alone gives 64^2 pairs
 
 
 class TestModulePlan:
@@ -318,9 +322,10 @@ class TestModulePlan:
         copy = copies[0].plan
         assert copy is not plan and all(e.plan is copy for e in copies)
         assert copy.convs == {} and copy.endos == {}
-        for name in ("rows", "pos", "start", "carrier", "arrow"):
+        for name in ("rows", "pos", "start", "carrier", "arrow", "lead", "steps"):
             assert getattr(copy, name) == getattr(plan, name)
         assert copy.arrow == plan.fm.proj_right.table
+        assert copy.lead == tuple(plan.start[x] for x in plan.carrier) and copy.steps == ic.steps
         for s, s_copy in zip(fibre, copies):
             assert extend(s_copy).cell == extend(s).cell
             for t, t_copy in zip(fibre, copies):
@@ -363,8 +368,14 @@ class TestModulePlan:
     @pytest.mark.parametrize(
         "kernel, bad, message",
         [
-            ("conv", lambda s, t: (4,) + s[1:], "^entry 4 at index 0 not below 4$"),
-            ("conv", lambda s, t: s[::-1], "^left triangle does not commute$"),
+            # conv_mult runs its kernel inline: these replace the rows it reads at the unit's arrows e,
+            # so the unit times itself reads (4, e[1]) and then e reversed
+            ("conv", lambda rows, e: {e[0]: (4,) * len(rows[e[0]])}, "^entry 4 at index 0 not below 4$"),
+            (
+                "conv",
+                lambda rows, e: {e[0]: (e[1],) * len(rows[e[0]]), e[1]: (e[0],) * len(rows[e[1]])},
+                "^left triangle does not commute$",
+            ),
             ("compose", lambda beta, alpha: (4,) + alpha[1:], "^entry 4 at index 0 not below 4$"),
             ("compose", lambda beta, alpha: alpha[::-1], "^left triangle does not commute$"),
         ],
@@ -377,7 +388,11 @@ class TestModulePlan:
         factor = unit if kernel == "conv" else extend(unit)
         product = conv_mult if kernel == "conv" else kleisli_compose
         memos = dict(plan.convs), dict(plan.endos)
-        monkeypatch.setattr(ModulePlan, kernel, lambda self, x, y: bad(x, y))
+        if kernel == "conv":
+            patch = bad(plan.rows, unit.table)
+            monkeypatch.setitem(vars(plan), "rows", tuple(patch.get(m, row) for m, row in enumerate(plan.rows)))
+        else:
+            monkeypatch.setattr(ModulePlan, kernel, lambda self, x, y: bad(x, y))
         for _ in range(2):
             with pytest.raises(MalformedTables, match=message):
                 product(factor, factor)

@@ -302,6 +302,14 @@ class TestCompositionRows:
             for b in range(ic.m.size):
                 assert cat.out[ic.d.table[b]][cat.pos[b]] == b
 
+    def test_steps_are_the_rows_as_places(self):
+        for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
+            cat, steps = ic.tables, ic.steps
+            assert [len(row) for row in steps] == [len(row) for row in cat.rows]
+            for a, b in pairs(ic.composable):
+                assert steps[a][cat.pos[b]] == cat.pos[ic.then(a, b)]
+            assert ic.steps is steps
+
     @pytest.mark.parametrize(
         "a, b", [(0, 3), (3, 0), (0, -1), (-1, 0), (0, 4), (4, 0), (True, 0), (0, False)]
     )

@@ -65,6 +65,14 @@ expect 0 $'ok\n' check fixtures/z2_4_group.json
 # a field that the format does not name is ignored, as perfbench/oracle.py ignores it
 echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0], "o_labels": ["x", "y"]}' > "$tmp"
 expect 0 $'ok\n' check "$tmp"
+# a document json cannot read is refused as unreadable: an int past 4300 digits, bytes that are not
+# UTF-8, and arrays nested 200 000 deep
+"$PYTHON" -c 'import sys; sys.stdout.write("{\"kind\": \"monoid\", \"size\": " + "9" * 5000 + ", \"table\": []}")' > "$tmp"
+expect 2 '' check "$tmp"
+"$PYTHON" -c 'import sys; sys.stdout.buffer.write(b"{\"kind\": \"monoid\", \"size\": 1, \"table\": [0], \"note\": \"\xff\xfe\"}")' > "$tmp"
+expect 2 '' check "$tmp"
+"$PYTHON" -c 'import sys; sys.stdout.write("[" * 200000)' > "$tmp"
+expect 2 '' check "$tmp"
 # the one fixture whose runs of arrows differ in length between objects
 expect 0 $'ok\n' check fixtures/loops_and_bridges.json
 expect 0 $'fibre size: 4\n  0: [0, 2]\n  1: [0, 3]\n  2: [1, 2]\n  3: [1, 3]\nunit: 0\nmultiplication table:\n  0 1 2 3\n  1 0 3 2\n  2 3 2 3\n  3 2 3 2\ngroup: no\n' \
