@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .catalog import MonoidTable, monoid_from_flat
 from .errors import (
@@ -121,11 +120,7 @@ def _internal_fields(doc: dict, path: str, groupoid: bool) -> tuple:
 def _build_internal(o_size, m_size, d, c, eta, mu, iota=None) -> Internal:
     o, m = FinSet(o_size), FinSet(m_size)
     d, c, eta = FinMap(m, o, d), FinMap(m, o, c), FinMap(o, m, eta)
-    # mu is indexed by the composable pairs (a, b) with c(a) = d(b) in lexicographic order; counting
-    # them refuses a mu of the wrong length before the pairs are listed
-    leaving = Counter(d.table)
-    pairs = FinSet(sum(leaving[x] for x in c.table))
-    cat = InternalCategory(o, m, d, c, eta, FinMap(pairs, m, mu))
+    cat = InternalCategory(o, m, d, c, eta, FinMap(FinSet(len(mu)), m, mu))
     return cat if iota is None else InternalGroupoid(cat, FinMap(m, m, iota))
 
 

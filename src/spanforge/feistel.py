@@ -23,14 +23,14 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
-from .finset import CACHE_SIZE, FinMap, FinSet, compose, group_by_value
+from .finset import CACHE_SIZE, FinMap, FinSet, compose
 from .internal import InternalCategory, InternalGroupoid, budget, capped_product, count_name, enumeration_cap
 from .report import Report, ReportBuilder
-from .span import SliceObject, TensorResult, TwoCell, tensor
+from .span import SliceObject, Span, TensorResult, TwoCell, cell_choices, tensor
 
 
 @dataclass(frozen=True)
@@ -163,15 +163,18 @@ def _check_ends(cell_map: FinMap, src: FinSet, dst: FinSet) -> None:
         raise MalformedTables("cell map must go from source apex to target apex")
 
 
-def _conv(plan: ModulePlan, table: tuple) -> ConvElement:
-    """The element with this arrow table, built and checked once per plan."""
-    elem = plan.convs.get(table)
+def _wrap(plan: ModulePlan, memo: dict, kind: type, span: Span, table: tuple):
+    """The kind of element whose cell plan.base.span => span has this table, built and checked once per memo."""
+    elem = memo.get(table)
     if elem is None:
-        cell = TwoCell(plan.base.span, plan.ic.mor_span, FinMap(plan.base.a, plan.ic.m, table))
-        elem = ConvElement(plan, cell)
-        if len(plan.convs) < CACHE_SIZE:
-            plan.convs[table] = elem
+        elem = kind(plan, TwoCell(plan.base.span, span, FinMap(plan.base.a, span.apex, table)))
+        if len(memo) < CACHE_SIZE:
+            memo[table] = elem
     return elem
+
+
+def _conv(plan: ModulePlan, table: tuple) -> ConvElement:
+    return _wrap(plan, plan.convs, ConvElement, plan.ic.mor_span, table)
 
 
 @dataclass(frozen=True)
@@ -213,23 +216,12 @@ def kleisli_endo(base: SliceObject, ic: InternalCategory, apex_map: FinMap) -> K
 
 
 def _wrap_endo(plan: ModulePlan, table: tuple) -> KleisliEndo:
-    """The endomorphism with this apex table, built and checked once per plan."""
-    endo = plan.endos.get(table)
-    if endo is None:
-        span = plan.fm.span
-        endo = KleisliEndo(plan, TwoCell(plan.base.span, span, FinMap(plan.base.a, span.apex, table)))
-        if len(plan.endos) < CACHE_SIZE:
-            plan.endos[table] = endo
-    return endo
+    return _wrap(plan, plan.endos, KleisliEndo, plan.fm.span, table)
 
 
 def conv_unit(fa: SliceObject, ic: InternalCategory) -> ConvElement:
     """The unit of the convolution monoid: the identity family eta after f."""
-    return _unit(module_plan(fa, ic))
-
-
-def _unit(plan: ModulePlan) -> ConvElement:
-    return _conv(plan, compose(plan.ic.eta, plan.base.f).table)
+    return _conv(module_plan(fa, ic), compose(ic.eta, fa.f).table)
 
 
 def conv_mult(alpha: ConvElement, beta: ConvElement) -> ConvElement:
@@ -324,31 +316,23 @@ def conv_fibre(fa: SliceObject, ic: InternalCategory) -> list[ConvElement]:
     return _fibre(module_plan(fa, ic))
 
 
-def _choices(plan: ModulePlan) -> list[list[int]]:
-    """At each point of plan.base, the endo-arrows at the object it lies over; their product is the fibre."""
-    cat = plan.ic.tables
-    loops = [[m for m in leaving if cat.t[m] == x] for x, leaving in enumerate(cat.out)]
-    return [loops[o] for o in plan.base.f.table]
+def _cells(src: Span, dst: Span, noun: str) -> Iterator[tuple[int, ...]]:
+    """The tables of the cells src => dst in lexicographic order, counted under noun against the cap first."""
+    choices = cell_choices(src, dst)
+    count = capped_product(map(len, choices))
+    budget(count, f"{count_name(count)} {noun}")
+    return itertools.product(*choices)
 
 
 def _fibre(plan: ModulePlan) -> list[ConvElement]:
     """The convolution elements of plan: at each point, each endo-arrow at the object it lies over."""
-    choices = _choices(plan)
-    count = capped_product(map(len, choices))
-    budget(count, f"{count_name(count)} fibre elements")
-    return [_conv(plan, table) for table in itertools.product(*choices)]
+    return [_conv(plan, table) for table in _cells(plan.base.span, plan.ic.mor_span, "fibre elements")]
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:
     """All free-module endomorphisms over fa, in lexicographic table order."""
     plan = module_plan(fa, ic)
-    f, c, n = fa.f.table, ic.c.table, ic.o.size
-    # a point over o may go to each generator (x, m) with x over o and m a loop at o: one list per object
-    at, _ = group_by_value([c[m] if f[x] == c[m] else n for x, m in zip(plan.carrier, plan.arrow)], n + 1)
-    choices = [at[o] for o in f]
-    count = capped_product(map(len, choices))
-    budget(count, f"{count_name(count)} free-module endomorphisms")
-    return [_wrap_endo(plan, table) for table in itertools.product(*choices)]
+    return [_wrap_endo(plan, table) for table in _cells(fa.span, plan.fm.span, "free-module endomorphisms")]
 
 
 def module_endomorphism(endo: KleisliEndo) -> FinMap:
@@ -448,9 +432,7 @@ def feistel_network(
 
 def slice_cells(src: SliceObject, dst: SliceObject) -> list[tuple[int, ...]]:
     """The tables of the slice cells src -> dst, the maps phi with dst.f . phi = src.f, in lexicographic order."""
-    budget(dst.a.size**src.a.size, f"{dst.a.size}^{src.a.size} slice cells")
-    over, _ = group_by_value(dst.f.table, dst.o.size)  # the points of B over each object
-    return list(itertools.product(*(over[x] for x in src.f.table))) if src.o == dst.o else []
+    return list(_cells(src.span, dst.span, "slice cells"))
 
 
 def verify_adjunction(
@@ -480,12 +462,13 @@ def verify_adjunction(
         a_obj = alpha.base
         for beta in end_objects:
             b_obj = beta.base
-            n_candidates = capped_product(itertools.repeat(b_obj.a.size, a_obj.a.size))  # |B|^|A|
-            square = f"{n_candidates}^2" if n_candidates <= 10**18 else count_name(n_candidates)
-            budget(n_candidates * n_candidates, f"{square} candidate morphisms")
             phis = cells.get((a_obj, b_obj))
-            if phis is None:
-                phis = cells[a_obj, b_obj] = slice_cells(a_obj, b_obj)
+            if phis is None:  # a candidate morphism is a pair of slice cells, counted before any is listed
+                choices = cell_choices(a_obj.span, b_obj.span)
+                n = capped_product(map(len, choices))
+                square = f"{n}^2" if n <= 10**18 else count_name(n)
+                budget(n * n, f"{square} candidate morphisms")
+                phis = cells[a_obj, b_obj] = list(itertools.product(*choices))
             src_plan, dst_plan = hat.plan, beta.plan
             u, v = hat.table, beta.table
             end_homset = [

@@ -29,7 +29,6 @@ from .internal import (
 )
 from .feistel import (
     KleisliEndo,
-    _choices,
     _conv,
     _fibre,
     _wrap_endo,
@@ -39,7 +38,7 @@ from .feistel import (
     slice_cells,
 )
 from .report import Report, ReportBuilder
-from .span import SliceObject, TwoCell
+from .span import SliceObject, TwoCell, cell_choices
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     components of such a morphism make a single cell suffice.
     """
     plans = ss._plans
-    sizes = [capped_product(map(len, _choices(plan))) for plan in plans]
+    sizes = [capped_product(map(len, cell_choices(plan.base.span, plan.ic.mor_span))) for plan in plans]
     for n in sizes:  # every fibre, then the pairs over every base arrow, before any fibre is listed
         budget(n, f"{count_name(n)} fibre elements")
     base = ss.base_category.tables

@@ -187,11 +187,10 @@ class InternalCategory:
             raise MalformedTables("target map must go M -> O")
         if self.eta.dom != self.o or self.eta.cod != self.m:
             raise MalformedTables("unit map must go O -> M")
-        pb = self.composable
-        if self.mu.dom != pb.apex or self.mu.cod != self.m:
-            raise MalformedTables(
-                f"composition table must map the {pb.apex.size} composable pairs into M"
-            )
+        leaving = Counter(self.d.table)  # the composable pairs (a, b) with c(a) = d(b), counted, not listed
+        pairs = sum(leaving[x] for x in self.c.table)
+        if self.mu.dom.size != pairs or self.mu.cod != self.m:
+            raise MalformedTables(f"composition table must map the {pairs} composable pairs into M")
 
     @cached_property
     def composable(self):

@@ -88,6 +88,20 @@ class TwoCell:
         return self.map(i)
 
 
+def cell_choices(src: Span, dst: Span) -> list[list[int]]:
+    """At each point of src's apex, the points of dst's apex with the same two legs, in id order.
+
+    The cells src => dst are exactly the product of these choices.  Points
+    with the same pair of legs share one list.
+    """
+    if src.o != dst.o:
+        raise BaseMismatch("cells only exist between spans over the same base")
+    over: dict[tuple[int, int], list[int]] = {}
+    for p, legs in enumerate(zip(dst.left.table, dst.right.table)):
+        over.setdefault(legs, []).append(p)
+    return [over.setdefault(legs, []) for legs in zip(src.left.table, src.right.table)]
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def identity_cell(s: Span) -> TwoCell:
     return TwoCell(s, s, identity(s.apex))

@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from spanforge import (
+    FinMap,
     FinSet,
+    InternalCategory,
     MalformedTables,
+    SliceObject,
     SizeLimitExceeded,
     SubSlice,
     TwoCell,
@@ -34,7 +37,7 @@ from spanforge import (
 )
 from spanforge.catalog import CATALOG, MONOIDS, one_object_category, pair_groupoid
 from spanforge.cli import build_parser, main
-from spanforge.feistel import module_plan
+from spanforge.feistel import module_plan, slice_cells
 from spanforge.internal import apply_lex_functor, capped_product
 
 from suites import hom_fragment_for, point_base
@@ -94,7 +97,7 @@ SITES = {
     ),
     "toffoli": (lambda: toffoli_extend(1, 4, (0, 0)), "2^5 Toffoli states"),
     "conv-table": (lambda: conv_table("--slice", "3", "0,0,0"), "8^2 conv-table products"),
-    "full_subslice": (lambda: full_subslice(Z2, [z2_point(3), z2_point(4)]), "3^3 slice cells"),
+    "full_subslice": (lambda: full_subslice(Z2, [z2_point(3), z2_point(4)]), "27 slice cells"),
     "hom_functor_data": (
         lambda: hom_functor_data(FinSet(3), [FinSet(4)], []),
         "4^3 hom-functor images",
@@ -249,3 +252,40 @@ class TestCountsPastEighteenDigits:
         finally:
             tracemalloc.stop()
         assert peak < 10**6  # a list of choices per point took 19.8 MB
+
+
+class TestCountsWhatIsListed:
+    """A budget counts the cells its loop lists, not every map between the apexes."""
+
+    PAIR2 = pair_groupoid(2).cat
+
+    def over(self, *objects):
+        a = FinSet(len(objects))
+        return SliceObject(a, FinMap(a, self.PAIR2.o, objects))
+
+    def test_slice_cells_into_the_pair_object(self, monkeypatch):
+        # 2^20 maps into the (0, 1) object, but one slice cell: every point goes to the point over 0
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        assert slice_cells(self.over(*[0] * 20), self.over(0, 1)) == [(0,) * 20]
+
+    def test_adjunction_with_one_candidate_cell(self, monkeypatch):
+        # 11^3 = 1331 maps from |A| = 3 into |B| = 11, but one slice cell: B has one point over object 0
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        fa, gb = self.over(0, 0, 0), self.over(0, *[1] * 10)
+        report = verify_adjunction([conv_unit(fa, self.PAIR2)], [kleisli_unit(gb, self.PAIR2)])
+        assert report.passed and report.checked == {"hom-bijection": 1}
+
+    def test_wrong_mu_length_is_refused_on_the_count_of_pairs(self):
+        # 2000 arrows on one object make 4 000 000 composable pairs, counted and never listed
+        o, m = FinSet(1), FinSet(2000)
+        legs = FinMap(m, o, (0,) * m.size)
+        eta, mu = FinMap(o, m, (0,)), FinMap(FinSet(0), m, ())
+        message = "composition table must map the 4000000 composable pairs into M"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedTables, match=f"^{message}$"):
+                InternalCategory(o, m, legs, legs, eta, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # listing the pairs took 62 MB

@@ -151,7 +151,7 @@ class TestCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (code, out) == (1, "fail table length 0 != domain size 2250000\n")
+        assert (code, out) == (1, "fail composition table must map the 2250000 composable pairs into M\n")
         assert peak < 5 * 2**20
 
     def test_subslice_kind(self, capsys, tmp_path):

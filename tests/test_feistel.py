@@ -51,7 +51,7 @@ from spanforge.catalog import (
     xor_group,
 )
 from spanforge import feistel
-from spanforge.feistel import ModulePlan, free_module, module_plan
+from spanforge.feistel import ModulePlan, free_module, module_plan, slice_cells
 from spanforge.finset import CACHE_SIZE
 from spanforge.internal import check_internal_category, eta_cell
 from spanforge.span import compose_cells, identity_cell
@@ -66,7 +66,8 @@ from suites import (
     slice_objects,
 )
 from util import (
-    conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs, single_entry_mutants,
+    all_cells, conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs,
+    single_entry_mutants,
 )
 
 Z2 = one_object_category(MONOIDS["z2"])
@@ -98,6 +99,18 @@ def assert_kernels_match(fa, ic, with_all_endos):
             for y in endos:
                 assert kleisli_compose(x, y).cell.map.table == kleisli_compose_by_cells(x, y)
     return len(fibre) ** 2
+
+
+def test_every_lister_of_cells_is_a_filter_of_all_maps():
+    """conv_fibre, kleisli_fibre and slice_cells list, in order, the maps into the target apex that keep both legs."""
+    for ic in [*(entry.category for entry in CATALOG.values()), loops_and_bridges()]:
+        objects = [fa for size in range(3) for fa in slice_objects(ic, size)]
+        for fa in objects:
+            fm = module_plan(fa, ic).fm.span
+            assert [e.table for e in conv_fibre(fa, ic)] == [c.map.table for c in all_cells(fa.span, ic.mor_span)]
+            assert [e.table for e in kleisli_fibre(fa, ic)] == [c.map.table for c in all_cells(fa.span, fm)]
+            for gb in objects:
+                assert slice_cells(fa, gb) == [c.map.table for c in all_cells(fa.span, gb.span)]
 
 
 class TestConvUnit:

@@ -25,6 +25,7 @@ from spanforge import (
     tensor_cells,
 )
 from spanforge.catalog import pair_groupoid
+from spanforge.span import cell_choices
 
 from util import all_cells, all_spans, pairs, point_slice, slice_object
 
@@ -326,6 +327,12 @@ class TestTwoCellValidation:
         with pytest.raises(MalformedTables):
             TwoCell(src, dst, identity(ONE))
 
+    def test_cell_choices_multiply_out_to_every_cell(self):
+        spans = list(all_spans(TWO, 2))
+        for src, dst in itertools.product(spans, spans):
+            cells = [cell.map.table for cell in all_cells(src, dst)]
+            assert list(itertools.product(*cell_choices(src, dst))) == cells
+
 
 OVER_TWO = Span(TWO, ONE, FinMap(ONE, TWO, (0,)), FinMap(ONE, TWO, (0,)))
 OVER_TWO_TWISTED = Span(TWO, ONE, FinMap(ONE, TWO, (0,)), FinMap(ONE, TWO, (1,)))
@@ -343,6 +350,8 @@ TWO_POINTS = Span(ONE, TWO, FinMap(TWO, ONE, (0, 0)), FinMap(TWO, ONE, (0, 0)))
          "cell map must go from source apex to target apex"),
         (lambda: TwoCell(unit_span(ONE), OVER_TWO, identity(ONE)), BaseMismatch,
          "cells only exist between spans over the same base"),
+        (lambda: cell_choices(unit_span(ONE), OVER_TWO), BaseMismatch,
+         "cells only exist between spans over the same base"),
         (lambda: TwoCell(OVER_TWO, OVER_TWO_TWISTED, identity(ONE)), MalformedTables,
          "right triangle does not commute"),
         (lambda: compose_cells(identity_cell(unit_span(ONE)), identity_cell(TWO_POINTS)), DomainMismatch,
@@ -354,7 +363,7 @@ TWO_POINTS = Span(ONE, TWO, FinMap(TWO, ONE, (0, 0)), FinMap(TWO, ONE, (0, 0)))
         (lambda: reassociate(unit_span(ONE), unit_span(ONE), unit_span(TWO)), BaseMismatch,
          "reassociation factors must share the base object"),
     ],
-    ids=["apex", "base", "cell ends", "cell base", "right triangle", "compose", "tensor", "pair", "reassociate"],
+    ids=["apex", "base", "cell ends", "cell base", "choices base", "right triangle", "compose", "tensor", "pair", "reassociate"],
 )
 def test_span_refusals(build, error, message):
     with pytest.raises(error, match=message):

@@ -33,7 +33,10 @@ expect 2 '' check "$tmp"
 # mu's length is checked against the count of composable pairs before they are listed:
 # 2000 arrows on one object make 4 000 000 pairs, and an empty mu is refused at once
 "$PYTHON" -c 'import json, sys; n = 2000; json.dump({"kind": "internal-category", "o_size": 1, "m_size": n, "d": [0] * n, "c": [0] * n, "eta": [0], "mu": []}, sys.stdout)' > "$tmp"
-expect 1 $'fail table length 0 != domain size 4000000\n' check "$tmp"
+expect 1 $'fail composition table must map the 4000000 composable pairs into M\n' check "$tmp"
+# and a mu one entry too long with the same message
+echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0, 0]}' > "$tmp"
+expect 1 $'fail composition table must map the 1 composable pairs into M\n' check "$tmp"
 # an oversized fibration pass is refused from its fibre sizes, before any fibre is listed: klein4 on one
 # object and an |A| = 8 point object make a 65536-element fibre, and 65536x65536 endomorphism pairs
 "$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0], "mu": [a ^ b for a in range(4) for b in range(4)]}, sys.stdout)' > "$tmp"
