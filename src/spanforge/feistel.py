@@ -20,6 +20,7 @@ construction and Feistel ciphers are the one-object instances.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
-from .finset import CACHE_SIZE, FinMap, FinSet, compose
+from .finset import CACHE_SIZE, FinMap, FinSet, compose, pair_position
 from .internal import InternalCategory, InternalGroupoid, budget, capped_product, count_name, enumeration_cap
 from .report import Report, ReportBuilder
 from .span import SliceObject, Span, TensorResult, TwoCell, cell_choices, tensor
@@ -88,17 +89,13 @@ class ModulePlan:
             out.append(lead[s2] + steps[arrow[s2]][s1 - lead[s1]])  # (carrier[s2], arrow[s2] then arrow[s1])
         return tuple(out)
 
-    def square_holds(self, dst: ModulePlan, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
-        """The square of an endomorphism morphism (sigma, tau): u here -> v over dst.
+    def push(self, dst: ModulePlan, u: tuple, tau: tuple) -> tuple:
+        """u with its carrier moved along tau: (tau(x), m) where u(a) = (x, m), as a generator of dst or None.
 
-        Holds when v(sigma(a)) = (tau(x), m) for every generator a with u(a) = (x, m).
+        The square of an endomorphism morphism (sigma, tau): u here -> v over dst holds exactly when this is v . sigma.
         """
-        carrier, arrow, dst_carrier, dst_arrow = self.carrier, self.arrow, dst.carrier, dst.arrow
-        for a, s in enumerate(u):
-            t = v[sigma[a]]
-            if dst_carrier[t] != tau[carrier[s]] or dst_arrow[t] != arrow[s]:
-                return False
-        return True
+        pb, carrier, arrow = dst.fm.pb, self.carrier, self.arrow
+        return tuple(pair_position(pb, tau[carrier[s]], arrow[s]) for s in u)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -290,11 +287,9 @@ def coreflect(endo: KleisliEndo) -> tuple[KleisliEndo, FinMap]:
     return obj, endo.prime
 
 
-def end_square_holds(
-    src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap
-) -> bool:
-    """Elementwise test of the endomorphism-morphism square."""
-    return src.plan.square_holds(dst.plan, src.table, dst.table, sigma.table, tau.table)
+def end_square_holds(src: KleisliEndo, dst: KleisliEndo, sigma: FinMap, tau: FinMap) -> bool:
+    """The square of the endomorphism morphism (sigma, tau): src -> dst commutes."""
+    return src.plan.push(dst.plan, src.table, tau.table) == tuple(map(dst.table.__getitem__, sigma.table))
 
 
 def conv_base_change(src: SliceObject, sigma: FinMap, elem: ConvElement) -> ConvElement:
@@ -451,35 +446,29 @@ def verify_adjunction(
     """
     conv_objects = list(conv_objects)
     end_objects = list(end_objects)
-    rb, cells = ReportBuilder(), {}  # the slice cells of each pair of bases, listed once
+    rb = ReportBuilder()
     targets = {c.target for c in conv_objects} | {e.target for e in end_objects}
     if len(targets) > 1:
         raise BaseMismatch("all adjunction instances must share one internal category")
     if groupoid is not None and targets - {groupoid.cat}:
         raise BaseMismatch("the groupoid must be over the instances' internal category")
+    # each pair (alpha, beta) pushes and looks up every slice cell between their bases: all counted first
+    conv_bases, end_bases = Counter(c.base for c in conv_objects), Counter(e.base for e in end_objects)
+    choices = {(a, b): cell_choices(a.span, b.span) for a in conv_bases for b in end_bases}
+    count = sum(capped_product(map(len, c)) * conv_bases[a] * end_bases[b] for (a, b), c in choices.items())
+    budget(count, f"{count_name(count)} candidate cells")
+    cells = {bases: list(itertools.product(*c)) for bases, c in choices.items()}
     for alpha in conv_objects:
         hat = extend(alpha)
-        a_obj = alpha.base
         for beta in end_objects:
-            b_obj = beta.base
-            phis = cells.get((a_obj, b_obj))
-            if phis is None:  # a candidate morphism is a pair of slice cells, counted before any is listed
-                choices = cell_choices(a_obj.span, b_obj.span)
-                n = capped_product(map(len, choices))
-                square = f"{n}^2" if n <= 10**18 else count_name(n)
-                budget(n * n, f"{square} candidate morphisms")
-                phis = cells[a_obj, b_obj] = list(itertools.product(*choices))
-            src_plan, dst_plan = hat.plan, beta.plan
-            u, v = hat.table, beta.table
-            end_homset = [
-                (phi, psi) for phi in phis for psi in phis if src_plan.square_holds(dst_plan, u, v, phi, psi)
-            ]
-            bar = retrieve(beta).table
-            conv_homset = [phi for phi in phis if tuple(bar[v] for v in phi) == alpha.table]
-            firsts = [phi for phi, _ in end_homset]
-            if len(firsts) != len(set(firsts)) or sorted(firsts) != sorted(conv_homset):
-                sizes = f"{len(end_homset)} endomorphism morphisms vs {len(conv_homset)} slice cells"
-                rb.fail("hom-bijection", f"bases |A|={a_obj.a.size}, |B|={b_obj.a.size}: {sizes}")
+            phis, v, bar = cells[alpha.base, beta.base], beta.table, retrieve(beta).table
+            # the morphisms (phi, psi): hat -> beta, found by one join on the faces of psi
+            faces = Counter(hat.plan.push(beta.plan, hat.table, psi) for psi in phis)
+            lifts = [faces[tuple(map(v.__getitem__, phi))] for phi in phis]
+            in_conv = [tuple(map(bar.__getitem__, phi)) == alpha.table for phi in phis]
+            if lifts != in_conv:  # one psi for each cell of the conv hom-set, none for any other cell
+                sizes = f"{sum(lifts)} endomorphism morphisms vs {sum(in_conv)} slice cells"
+                rb.fail("hom-bijection", f"bases |A|={alpha.base.a.size}, |B|={beta.base.a.size}: {sizes}")
     rb.count("hom-bijection", len(conv_objects) * len(end_objects))
     if groupoid is not None:
         for alpha in conv_objects:

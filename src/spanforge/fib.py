@@ -207,24 +207,50 @@ def check_discrete_fibration(fi: FibrationInstance) -> Report:
     return rb.report()
 
 
-def _fibration(ss: SubSlice, keys: list, lifts) -> FibrationInstance:
+def _fibres(ss: SubSlice, noun: str) -> list:
+    """The cell choices of each fibre over ss, once every count is under the cap: each fibre's elements,
+    the faces over every base arrow, and the total category's composable pairs if lifts are unique, that
+    is the far fibre over each composable base pair."""
+    choices = [cell_choices(plan.base.span, plan.ic.mor_span) for plan in ss._plans]
+    sizes = [capped_product(map(len, c)) for c in choices]
+    for n in sizes:
+        budget(n, f"{count_name(n)} fibre elements")
+    base = ss.base_category.tables
+    faces = sum(sizes[i] + sizes[j] for i, j in zip(base.s, base.t))
+    budget(faces, f"{count_name(faces)} {noun} faces")
+    pairs = sum(sizes[base.t[g]] for j in base.t for g in base.out[j])
+    budget(pairs, f"{count_name(pairs)} {noun} composites")
+    return choices
+
+
+def _fibration(ss: SubSlice, keys: list, pushed) -> FibrationInstance:
     """The total category over the sub-slice, with its projection.
 
-    Objects are (i, key) for each key of fibre i, numbered fibre by fibre.  ``lifts(k, i, j)``
-    yields the places (u, v) in fibres i and j of each arrow (k, keys[i][u], keys[j][v]) over
-    base arrow k.  A composite lies over the composite base arrow and keeps the outer ends,
-    so the total rows are read off the base rows.
+    Objects are (i, key) for each key of fibre i, numbered fibre by fibre.  Over base arrow k: i -> j
+    with map phi, ``pushed(k, i, j)`` gives the face of each u in fibre i; an arrow (k, keys[i][u],
+    keys[j][v]) runs to each v whose v . phi is u's face, listed in v order.  A composite lies over the composite
+    base arrow and keeps the outer ends, so the total rows are read off the base rows.
     """
     base = ss.base_category.tables
     start = list(itertools.accumulate(map(len, keys), initial=0))
     objects = tuple((i, key) for i, fibre in enumerate(keys) for key in fibre)
-    arrows, over, s, t = [], [], [], []
+    found = []  # over each base arrow, the u lifting each v
     for k, (i, j) in enumerate(zip(base.s, base.t)):
-        for u, v in lifts(k, i, j):
-            arrows.append((k, keys[i][u], keys[j][v]))
-            over.append(k)
-            s.append(start[i] + u)
-            t.append(start[j] + v)
+        faces: dict[tuple, list[int]] = {}
+        for u, face in enumerate(pushed(k, i, j)):
+            faces.setdefault(face, []).append(u)
+        phi = ss.arrows[k].map.table
+        found.append([faces.get(tuple(map(v.__getitem__, phi)), ()) for v in keys[j]])
+    n = sum(len(us) for lifts in found for us in lifts)
+    budget(n, f"{count_name(n)} lifts")  # past the faces only if a defective instance lifts an element twice
+    arrows, over, s, t = [], [], [], []
+    for k, (i, j, lifts) in enumerate(zip(base.s, base.t, found)):
+        for v, us in enumerate(lifts):
+            for u in us:
+                arrows.append((k, keys[i][u], keys[j][v]))
+                over.append(k)
+                s.append(start[i] + u)
+                t.append(start[j] + v)
     # a missing identity or composite is None, which FiniteCategory refuses
     lift = {ends: a for a, ends in enumerate(zip(over, s, t))}
     ident = tuple(lift.get((base.ident[i], x, x)) for x, (i, _) in enumerate(objects))
@@ -245,17 +271,8 @@ def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     Objects are pairs (slice object, element); an arrow over a base cell
     phi runs from the pullback of an element along phi to that element.
     """
-    keys = [[e.table for e in _fibre(plan)] for plan in ss._plans]
-    places = [{key: u for u, key in enumerate(fibre)} for fibre in keys]
-
-    def lifts(k: int, i: int, j: int):
-        phi = ss.arrows[k].map.table
-        for v, beta in enumerate(keys[j]):
-            u = places[i].get(tuple(beta[x] for x in phi))
-            if u is not None:
-                yield u, v
-
-    return _fibration(ss, keys, lifts)
+    keys = [list(itertools.product(*choices)) for choices in _fibres(ss, "convolution")]
+    return _fibration(ss, keys, lambda k, i, j: keys[i])
 
 
 def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
@@ -266,22 +283,14 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     components of such a morphism make a single cell suffice.
     """
     plans = ss._plans
-    sizes = [capped_product(map(len, cell_choices(plan.base.span, plan.ic.mor_span))) for plan in plans]
-    for n in sizes:  # every fibre, then the pairs over every base arrow, before any fibre is listed
-        budget(n, f"{count_name(n)} fibre elements")
-    base = ss.base_category.tables
-    for i, j in zip(base.s, base.t):
-        budget(sizes[i] * sizes[j], f"{count_name(sizes[i])}x{count_name(sizes[j])} endomorphism pairs")
-    keys = [[extend(alpha).table for alpha in _fibre(plan)] for plan in plans]
+    fibres = zip(plans, _fibres(ss, "endomorphism"))
+    keys = [[extend(_conv(plan, table)).table for table in itertools.product(*choices)] for plan, choices in fibres]
 
-    def lifts(k: int, i: int, j: int):
-        sig = ss.arrows[k].map.table
-        for u, u_table in enumerate(keys[i]):
-            for v, v_table in enumerate(keys[j]):
-                if plans[i].square_holds(plans[j], u_table, v_table, sig, sig):
-                    yield u, v
+    def pushed(k: int, i: int, j: int) -> list:
+        sigma = ss.arrows[k].map.table
+        return [plans[i].push(plans[j], u, sigma) for u in keys[i]]
 
-    return _fibration(ss, keys, lifts)
+    return _fibration(ss, keys, pushed)
 
 
 def _as_endo(ss: SubSlice, i: int, table: tuple) -> KleisliEndo:

@@ -379,13 +379,13 @@ def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     n_obj, n_arr = ic.o.size**c_obj.size, ic.m.size**c_obj.size
     budget(n_obj, f"{ic.o.size}^{c_obj.size} external-category objects")
     budget(n_arr, f"{ic.m.size}^{c_obj.size} external-category arrows")
+    budget(ic.mu.dom.size**c_obj.size, f"{ic.mu.dom.size}^{c_obj.size} external-category composites")
     objects = tuple(f.table for f in all_maps(c_obj, ic.o))
     arrows = tuple(a.table for a in all_maps(c_obj, ic.m))
     cat, n_o, n_m = ic.tables, ic.o.size, ic.m.size
     s = tuple(_map_lex_index(map(cat.s.__getitem__, a), n_o) for a in arrows)
     t = tuple(_map_lex_index(map(cat.t.__getitem__, a), n_o) for a in arrows)
     ident = tuple(_map_lex_index(map(cat.ident.__getitem__, x), n_m) for x in objects)
-    budget(n_arr * n_arr, f"{n_arr}^2 external-category composites")
     out, pos = group_by_value(s, n_obj)
     # pointwise composites: the ends of a then b agree at every point
     rows = tuple(

@@ -9,6 +9,10 @@ categories and functors on ids, that is fibrations built as tuple-keyed
 ``comp`` dicts handed to ``category_from_keys``, and ``check_functor``
 walking key-to-key maps through the keyed views.
 
+The pairwise square: ``square_holds`` tests an endomorphism morphism's square
+generator by generator, as the library did for every pair before it found
+squares by one face join.
+
 Per-instance oracles (``*_by_index``, ``*_by_instance``): the law checks
 walked one instance at a time, with one ``require`` per check, as the
 checkers were written before they recorded failures only.  They read
@@ -202,6 +206,18 @@ def conv_fibration_by_keys(ss: SubSlice):
     return fibration_by_keys(ss, keys, lifts)
 
 
+def square_holds(src, dst, u: tuple, v: tuple, sigma: tuple, tau: tuple) -> bool:
+    """The square of an endomorphism morphism (sigma, tau): u over plan src -> v over plan dst, pair by pair.
+
+    Holds when v(sigma(a)) = (tau(x), m) for every generator a with u(a) = (x, m).
+    """
+    for a, s in enumerate(u):
+        t = v[sigma[a]]
+        if dst.carrier[t] != tau[src.carrier[s]] or dst.arrow[t] != src.arrow[s]:
+            return False
+    return True
+
+
 def endo_fibration_by_keys(ss: SubSlice):
     keys = [[extend(alpha).cell.map.table for alpha in conv_fibre(obj, ss.ic)] for obj in ss.objects]
     plans = ss._plans
@@ -209,9 +225,9 @@ def endo_fibration_by_keys(ss: SubSlice):
     def lifts(k: int, i: int, j: int):
         budget(len(keys[i]) * len(keys[j]), f"{len(keys[i])}x{len(keys[j])} endomorphism pairs")
         sig = ss.arrows[k].map.table
-        for u_table in keys[i]:
-            for v_table in keys[j]:
-                if plans[i].square_holds(plans[j], u_table, v_table, sig, sig):
+        for v_table in keys[j]:  # v-major, the order the library lists the arrows in
+            for u_table in keys[i]:
+                if square_holds(plans[i], plans[j], u_table, v_table, sig, sig):
                     yield u_table, v_table
 
     return fibration_by_keys(ss, keys, lifts)
@@ -430,7 +446,7 @@ def verify_adjunction_by_instance(conv_objects, end_objects, groupoid=None) -> R
                 (phi, psi)
                 for phi in slice_cells
                 for psi in slice_cells
-                if hat.plan.square_holds(beta.plan, hat.table, beta.table, phi, psi)
+                if square_holds(hat.plan, beta.plan, hat.table, beta.table, phi, psi)
             ]
             bar = feistel.retrieve(beta).table
             conv_homset = [phi for phi in slice_cells if tuple(bar[v] for v in phi) == alpha.table]

@@ -36,6 +36,7 @@ from spanforge import (
     verify_adjunction,
 )
 from spanforge.catalog import CATALOG, MONOIDS, one_object_category, pair_groupoid
+from spanforge import fib
 from spanforge.cli import build_parser, main
 from spanforge.feistel import module_plan, slice_cells
 from spanforge.internal import apply_lex_functor, capped_product
@@ -58,11 +59,11 @@ def z2_point(size):
     return point_base(Z2, size)
 
 
-def point_subslice(size):
-    """A sub-slice document: one object of size points over object 0, and its identity cell."""
+def point_subslice(size, *maps):
+    """A sub-slice document: one object of size points over object 0, its identity cell and a cell per map."""
     return {
         "kind": "sub-slice", "objects": [{"size": size, "map": [0] * size}],
-        "arrows": [{"src": 0, "dst": 0, "map": list(range(size))}],
+        "arrows": [{"src": 0, "dst": 0, "map": list(phi)} for phi in (range(size), *maps)],
     }
 
 
@@ -80,8 +81,8 @@ SITES = {
     "conv_fibre": (lambda: conv_fibre(z2_point(5), Z2), "32 fibre elements"),
     "kleisli_fibre": (lambda: kleisli_fibre(z2_point(3), Z2), "216 free-module endomorphisms"),
     "verify_adjunction": (
-        lambda: verify_adjunction([conv_unit(z2_point(3), Z2)], [kleisli_unit(z2_point(2), Z2)]),
-        "8^2 candidate morphisms",
+        lambda: verify_adjunction([conv_unit(z2_point(5), Z2)], [kleisli_unit(z2_point(2), Z2)]),
+        "32 candidate cells",
     ),
     "external_category objects": (
         lambda: external_category(pair_groupoid(2).cat, FinSet(5)),
@@ -93,7 +94,7 @@ SITES = {
     ),
     "external_category composites": (
         lambda: external_category(AND2, FinSet(3)),
-        "8^2 external-category composites",
+        "4^3 external-category composites",
     ),
     "toffoli": (lambda: toffoli_extend(1, 4, (0, 0)), "2^5 Toffoli states"),
     "conv-table": (lambda: conv_table("--slice", "3", "0,0,0"), "8^2 conv-table products"),
@@ -103,8 +104,8 @@ SITES = {
         "4^3 hom-functor images",
     ),
     "build_endo_fibration": (
-        lambda: build_endo_fibration(lone_object_subslice(z2_point(3))),
-        "8x8 endomorphism pairs",
+        lambda: build_endo_fibration(lone_object_subslice(z2_point(4))),
+        "32 endomorphism faces",
     ),
 }
 
@@ -161,28 +162,29 @@ class TestRefusedBeforeTheWork:
     """An oversized fibration pass is refused from the fibre sizes, before any fibre is listed."""
 
     def test_fib_check_with_a_large_fibre(self, tmp_path, capsys, monkeypatch):
-        # klein4 on one object, and one object of |A| = 8 points with its identity cell: a fibre
-        # of 4^8 = 65536 elements, under the cap, whose endomorphism pairs are not
+        # klein4 on one object, and one object of |A| = 9 points with its identity and its constant-0 cell:
+        # a fibre of 4^9 = 262144 elements, under the cap, whose faces over the two cells are not
         monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
         (tmp_path / "klein4.json").write_text(json.dumps(KLEIN4))
-        (tmp_path / "sub.json").write_text(json.dumps(point_subslice(8)))
+        (tmp_path / "sub.json").write_text(json.dumps(point_subslice(9, [0] * 9)))
         argv = ["fib-check", "--internal", str(tmp_path / "klein4.json"), "--subslice", str(tmp_path / "sub.json")]
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
-        assert err == "error: enumeration of 65536x65536 endomorphism pairs exceeds cap 1000000\n"
+        assert err == "error: enumeration of 1048576 endomorphism faces exceeds cap 1000000\n"
         assert elapsed < 1.0  # the listing and the convolution fibration took seconds
 
     def test_transport_to_a_large_fibre(self, monkeypatch):
         # hom(2, -) sends the pair object of default_subslice(klein4) to 4 points over 16 arrows,
-        # a fibre of 16^4 = 65536, and the point to a fibre of 16
+        # a fibre of 16^4 = 65536, and the point to a fibre of 16; each total category would hold
+        # 2 293 937 composable pairs
         monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
         ss = default_subslice(CATALOG["klein4"].category)
         k = hom_fragment_for(ss)
         functor = identity_internal_functor(apply_lex_functor(k, ss.ic))
-        message = "enumeration of 16x65536 endomorphism pairs exceeds cap 1000000"
+        message = "enumeration of 2293937 endomorphism composites exceeds cap 1000000"
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -233,7 +235,7 @@ class TestCountsPastEighteenDigits:
         # |B|^|A| = 2000^2000 candidate cells, a count of 6 602 digits
         monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
         alpha, beta = conv_unit(z2_point(2000), Z2), kleisli_unit(z2_point(2000), Z2)
-        message = "enumeration of more than 10^18 candidate morphisms exceeds cap 1000000"
+        message = "enumeration of more than 10^18 candidate cells exceeds cap 1000000"
         with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
             verify_adjunction([alpha], [beta])
 
@@ -289,3 +291,60 @@ class TestCountsWhatIsListed:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # listing the pairs took 62 MB
+
+
+class TestTheJoinIsBudgeted:
+    """A fibration or adjunction budget counts the faces its join pushes and looks up, not the pairs it skips."""
+
+    def test_external_category_counts_its_composable_pairs(self, monkeypatch):
+        # pair2 with |C| = 5: 1024^2 pairs of arrows, but 8^5 = 32768 composable ones, each composed once
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        ext = external_category(pair_groupoid(2).cat, FinSet(5))
+        assert (len(ext.objects), len(ext.arrows)) == (32, 1024)
+        assert sum(map(len, ext.tables.rows)) == 8**5
+
+    def test_adjunction_over_a_thousand_cells(self, monkeypatch):
+        # 2^10 slice cells from |A| = 10 into |B| = 2: 1024 faces and 1024 lookups, not 1024^2 squares
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        report = verify_adjunction([conv_unit(z2_point(10), Z2)], [kleisli_unit(z2_point(2), Z2)])
+        assert report.passed and report.checked == {"hom-bijection": 1}
+
+    def test_adjunction_is_counted_for_the_whole_call(self, monkeypatch):
+        # 4 conv elements x 16 endomorphisms, each pair over 2^2 slice cells: 256 cells in all
+        conv, ends = conv_fibre(z2_point(2), Z2), kleisli_fibre(z2_point(2), Z2)
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "100")
+        with pytest.raises(SizeLimitExceeded, match="^enumeration of 256 candidate cells exceeds cap 100$"):
+            verify_adjunction(conv, ends)
+
+    def test_a_large_adjunction_is_refused_at_once(self, monkeypatch):
+        # 16 conv elements x 4096 endomorphisms over |A| = |B| = 4, each pair over 4^4 slice cells: the
+        # candidates of each pair, 256^2, are under the cap, and the pairwise search ran for minutes
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        conv, ends = conv_fibre(z2_point(4), Z2), kleisli_fibre(z2_point(4), Z2)
+        message = f"enumeration of {16 * 4096 * 256} candidate cells exceeds cap 1000000"
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match=f"^{message}$"):
+            verify_adjunction(conv, ends)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_defective_join_is_refused_on_its_lifts(self, monkeypatch):
+        # |A| = 2 points with their identity and constant-0 cells: the 4 z2 elements lift 8 times in all;
+        # given every element the face (0, 0), they lift 4 + 2 x 4 = 12 times, counted before any is listed
+        fa = z2_point(2)
+        cells = tuple(TwoCell(fa.span, fa.span, FinMap(fa.a, fa.a, phi)) for phi in ((0, 1), (0, 0)))
+        ss = SubSlice(Z2, (fa,), cells)
+        keys = [[e.table for e in conv_fibre(fa, Z2)]]
+        monkeypatch.setenv("SPANFORGE_SIZE_CAP", "8")
+        assert len(fib._fibration(ss, keys, lambda k, i, j: keys[i]).total.arrows) == 8
+        with pytest.raises(SizeLimitExceeded, match="^enumeration of 12 lifts exceeds cap 8$"):
+            fib._fibration(ss, keys, lambda k, i, j: [(0, 0)] * 4)
+
+    def test_fib_check_under_the_cap_in_every_count(self, tmp_path, capsys, monkeypatch):
+        # klein4 and one object of |A| = 5 points: 1024 elements per fibre, 2048 faces, 1024 composable pairs
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        (tmp_path / "klein4.json").write_text(json.dumps(KLEIN4))
+        (tmp_path / "sub.json").write_text(json.dumps(point_subslice(5)))
+        argv = ["fib-check", "--internal", str(tmp_path / "klein4.json"), "--subslice", str(tmp_path / "sub.json")]
+        assert main(argv) == 0
+        passes = "conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n"
+        assert capsys.readouterr() == (passes, "")

@@ -51,11 +51,12 @@ from spanforge.catalog import (
     xor_group,
 )
 from spanforge import feistel
-from spanforge.feistel import ModulePlan, free_module, module_plan, slice_cells
+from spanforge.feistel import ModulePlan, end_square_holds, free_module, module_plan, slice_cells
 from spanforge.finset import CACHE_SIZE
 from spanforge.internal import check_internal_category, eta_cell
 from spanforge.span import compose_cells, identity_cell
 
+from keyed import square_holds
 from suites import (
     conv_external_agreement,
     coreflection_suite,
@@ -111,6 +112,28 @@ def test_every_lister_of_cells_is_a_filter_of_all_maps():
             assert [e.table for e in kleisli_fibre(fa, ic)] == [c.map.table for c in all_cells(fa.span, fm)]
             for gb in objects:
                 assert slice_cells(fa, gb) == [c.map.table for c in all_cells(fa.span, gb.span)]
+
+
+def test_the_square_is_the_pairwise_oracle():
+    """end_square_holds, one comparison of pushed tables, agrees with the square tested generator by generator.
+
+    Over every pair of endomorphisms, simply presented or not, and every pair of maps between their
+    bases: the slice cells, and the maps that push a generator onto a pair that is no generator.
+    """
+    off_the_module = 0
+    for ic in [*(entry.category for entry in CATALOG.values()), loops_and_bridges()]:
+        objects = [fa for size in range(3) for fa in slice_objects(ic, size)]
+        for fa in objects:
+            for gb in objects:
+                maps = list(all_maps(fa.a, gb.a))
+                for u in kleisli_fibre(fa, ic):
+                    for v in kleisli_fibre(gb, ic):
+                        for sigma in maps:
+                            for tau in maps:
+                                expected = square_holds(u.plan, v.plan, u.table, v.table, sigma.table, tau.table)
+                                assert end_square_holds(u, v, sigma, tau) == expected
+                            off_the_module += None in u.plan.push(v.plan, u.table, sigma.table)
+    assert off_the_module > 0
 
 
 class TestConvUnit:

@@ -616,10 +616,10 @@ class TestExternalCategory:
             external_category(ic, FinSet(1))
 
     def test_size_cap_bounds_composites(self, monkeypatch):
-        # 1 object and 8 arrows fit under the cap; the 64 arrow pairs do not
+        # 1 object and 8 arrows fit under the cap; the 4^3 = 64 pointwise composable pairs do not
         ic = one_object_category(MONOIDS["and2"])
         monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
-        with pytest.raises(SizeLimitExceeded, match="8\\^2 external-category composites exceeds cap 16"):
+        with pytest.raises(SizeLimitExceeded, match="4\\^3 external-category composites exceeds cap 16"):
             external_category(ic, FinSet(3))
 
 

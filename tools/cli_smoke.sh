@@ -38,9 +38,13 @@ expect 1 $'fail composition table must map the 4000000 composable pairs into M\n
 echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0, 0]}' > "$tmp"
 expect 1 $'fail composition table must map the 1 composable pairs into M\n' check "$tmp"
 # an oversized fibration pass is refused from its fibre sizes, before any fibre is listed: klein4 on one
-# object and an |A| = 8 point object make a 65536-element fibre, and 65536x65536 endomorphism pairs
+# object and an |A| = 9 point object with its identity and constant-0 cells make a 262144-element fibre,
+# and 1048576 endomorphism faces
 "$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0], "mu": [a ^ b for a in range(4) for b in range(4)]}, sys.stdout)' > "$tmp"
-expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 8, "map": [0] * 8}], "arrows": [{"src": 0, "dst": 0, "map": list(range(8))}]}, sys.stdout)')
+expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 9, "map": [0] * 9}], "arrows": [{"src": 0, "dst": 0, "map": list(range(9))}, {"src": 0, "dst": 0, "map": [0] * 9}]}, sys.stdout)')
+# and one under the cap in every count passes: an |A| = 5 point object, 1024 elements per fibre
+expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n' \
+  fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 5, "map": [0] * 5}], "arrows": [{"src": 0, "dst": 0, "map": list(range(5))}]}, sys.stdout)')
 # a fibre of 4^7200 over an |A| = 7200 point object: a count of 4 335 digits, refused without spelling it out
 expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; n = 7200; json.dump({"kind": "sub-slice", "objects": [{"size": n, "map": [0] * n}], "arrows": [{"src": 0, "dst": 0, "map": list(range(n))}]}, sys.stdout)')
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
