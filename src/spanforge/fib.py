@@ -304,16 +304,6 @@ def _extended(ss: SubSlice, key: tuple) -> tuple:
     return i, extend(_conv(ss._plans[i], table)).table
 
 
-def _at(table: tuple, y) -> object:
-    """table[y] for an id y; None for an image outside the target."""
-    return table[y] if type(y) is int else None
-
-
-def _image_arrow(fi: FibrationInstance, f: int, ends: list) -> tuple:
-    """The key of the arrow over the base arrow of f from ends[s[f]] to ends[t[f]], given as object keys."""
-    return (fi.proj.arr[f], ends[fi.total.tables.s[f]][1], ends[fi.total.tables.t[f]][1])
-
-
 def _agree(rb: ReportBuilder, law: str, keys, got, expected) -> None:
     """Check that got equals expected at each key, in order: one check per key, a failure where they differ."""
     for key, value, want in zip(keys, got, expected):
@@ -322,34 +312,27 @@ def _agree(rb: ReportBuilder, law: str, keys, got, expected) -> None:
     rb.count(law, len(keys))
 
 
-def _functor_over_base(
-    rb: ReportBuilder,
-    source: FibrationInstance,
-    target: FibrationInstance,
-    move,
-    prefix: str,
-    over_base: tuple[str, str],
-) -> FunctorData:
-    """Tabulate the functor (i, t) -> (i, move(i, t)) between total categories and check it.
+def _fibre_map(rb: ReportBuilder, source: FibrationInstance, target: FibrationInstance, move, law: str) -> FunctorData:
+    """The map (i, t) -> (i, move(i, t)) of each fibre of source into the same fibre of target.
 
-    Arrows go to the arrow over the same base arrow between the images of
-    their ends.  Checks, in order: every image exists (``<prefix>welldefined``),
-    check_functor's laws (prefixed), and that the functor lies over the base,
-    on objects and on arrows (the two ``over_base`` laws).
+    An arrow goes to the arrow over the same base arrow between the images of its ends.  Checks, in
+    order: each object's image is an object of target (``<law>-lands``), and each arrow's image is an
+    arrow of target (``<law>-natural``).  Both total categories hold one arrow per lift, whose identities
+    and composites are the lifts of the base's, so once every image is found the map is a functor over
+    the base.  An image that is not found is held as its key.
     """
-    tgt = target.total
-    images = [(key[0], move(*key)) for key in source.total.objects]
-    obj = tuple(tgt.object_id.get(image, image) for image in images)
-    arrow_images = [_image_arrow(source, f, images) for f in range(len(source.total.arrows))]
-    arr = tuple(tgt.arrow_id.get(image, image) for image in arrow_images)
-    _agree(rb, f"{prefix}welldefined", source.total.objects, map(type, obj), itertools.repeat(int))
-    _agree(rb, f"{prefix}welldefined", source.total.arrows, map(type, arr), itertools.repeat(int))
-    fd = FunctorData(source.total, tgt, obj, arr)
-    rb.merge(check_functor(fd), prefix)
-    objects_law, arrows_law = over_base
-    _agree(rb, objects_law, source.total.objects, [_at(target.proj.obj, y) for y in obj], source.proj.obj)
-    _agree(rb, arrows_law, source.total.arrows, [_at(target.proj.arr, a) for a in arr], source.proj.arr)
-    return fd
+    src, tgt = source.total, target.total
+    object_ids = {key: y for y, key in enumerate(tgt.objects)}
+    lifts = {ends: a for a, ends in enumerate(zip(target.proj.arr, tgt.tables.s, tgt.tables.t))}
+    images = [(i, move(i, t)) for i, t in src.objects]
+    obj = tuple(object_ids.get(image, image) for image in images)
+    arr = []
+    for k, x, y in zip(source.proj.arr, src.tables.s, src.tables.t):
+        a = lifts.get((k, obj[x], obj[y]))
+        arr.append((k, images[x][1], images[y][1]) if a is None else a)
+    _agree(rb, f"{law}-lands", src.objects, map(type, obj), itertools.repeat(int))
+    _agree(rb, f"{law}-natural", src.arrows, map(type, arr), itertools.repeat(int))
+    return FunctorData(src, tgt, obj, tuple(arr))
 
 
 @dataclass
@@ -364,8 +347,9 @@ class CartesianIso:
 def cartesian_iso(ss: SubSlice) -> CartesianIso:
     """The extension/retrieval pair as mutually inverse functors over the base.
 
-    Checks functoriality of both directions, mutual inversion, commutation
-    with both projections, and fibrewise naturality of the family.
+    Checks that both directions land in the other fibration and are natural
+    (``_fibre_map``), that they are mutually inverse on objects, and the
+    fibrewise naturality of the family.
     """
     endo = build_endo_fibration(ss)  # first: it refuses an oversized sub-slice before any fibre is listed
     conv = build_conv_fibration(ss)
@@ -377,14 +361,12 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     def retrieved(i: int, table: tuple) -> tuple:
         return retrieve(_as_endo(ss, i, table)).table
 
-    triangle = ("projection-triangle", "projection-triangle")
-    forward = _functor_over_base(rb, conv, endo, extended, "forward-", triangle)
-    backward = _functor_over_base(rb, endo, conv, retrieved, "backward-", triangle)
+    forward = _fibre_map(rb, conv, endo, extended, "forward")
+    backward = _fibre_map(rb, endo, conv, retrieved, "backward")
+    # inverse on objects is inverse on arrows: an arrow's image is the one lift between its ends' images
     for there, back in ((forward, backward), (backward, forward)):
-        back_obj = [_at(back.obj, y) for y in there.obj]
-        _agree(rb, "mutual-inverse-objects", there.source.objects, back_obj, range(len(there.obj)))
-        back_arr = [_at(back.arr, a) for a in there.arr]
-        _agree(rb, "mutual-inverse-arrows", there.source.arrows, back_arr, range(len(there.arr)))
+        back_obj = [back.obj[y] if type(y) is int else None for y in there.obj]
+        _agree(rb, "mutual-inverse", there.source.objects, back_obj, range(len(there.obj)))
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
     fibres = [_fibre(plan) for plan in ss._plans]
     keys, pulled_then_extended, extended_then_pulled = [], [], []
@@ -438,9 +420,9 @@ def transport_conv(
 
     Builds the image sub-slice, maps every convolution element by
     "arrow map after K", every simply presented endomorphism through its
-    arrow component, and checks: both transports are functors, both
-    projection squares commute, and the extension family intertwines the
-    two transports.
+    arrow component, and checks: both transports land in the transported
+    fibrations and are natural (``_fibre_map``), and the extension family
+    intertwines the two transports on objects.
     """
     transported = apply_lex_functor(k, ss.ic)
     if functor.src != transported:
@@ -460,22 +442,13 @@ def transport_conv(
         moved_bar = compose(functor.fm, k.arr(_as_endo(ss, i, table).bar))
         return _extended(ss2, (i, moved_bar.table))[1]
 
-    conv_map = _functor_over_base(
-        rb, conv1, conv2, move_conv, "conv-transport-", ("p-square-objects", "p-square-arrows")
-    )
-    endo_map = _functor_over_base(
-        rb, endo1, endo2, move_endo, "endo-transport-", ("q-square-objects", "q-square-arrows")
-    )
-    # both sides as images in endo2: an id, or the key of an image outside it
-    extended = [_extended(ss, key) for key in conv1.total.objects]
-    moved = [_extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
-    lhs = [_at(endo_map.obj, endo1.total.object_id.get(x)) for x in extended]
-    rhs = [endo2.total.object_id.get(y, y) for y in moved]
-    _agree(rb, "intertwine-objects", conv1.total.objects, lhs, rhs)
-    arrows = range(len(conv1.total.arrows))
-    lhs = [_at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended))) for f in arrows]
-    rhs = [endo2.total.arrow_id.get(a, a) for a in (_image_arrow(conv1, f, moved) for f in arrows)]
-    _agree(rb, "intertwine-arrows", conv1.total.arrows, lhs, rhs)
+    conv_map = _fibre_map(rb, conv1, conv2, move_conv, "conv-transport")
+    endo_map = _fibre_map(rb, endo1, endo2, move_endo, "endo-transport")
+    # both ways round from conv1 to endo2, as keys; where extension is natural (cartesian_iso checks it)
+    # both ways are maps over the base, so they agree on arrows once they agree on objects
+    lhs = [(i, move_endo(*_extended(ss, (i, table)))) for i, table in conv1.total.objects]
+    rhs = [_extended(ss2, (i, move_conv(i, table))) for i, table in conv1.total.objects]
+    _agree(rb, "intertwine", conv1.total.objects, lhs, rhs)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)
 
 

@@ -322,8 +322,7 @@ class FiniteCategory:
     ``tables`` is the category: object x has the key ``objects[x]`` and arrow
     f the key ``arrows[f]``.  Construction refuses malformed tables, then checks the
     laws by the pass that checks internal categories and raises the first
-    failure, naming keys.  ``object_id`` and ``arrow_id`` map keys back to
-    ids, built on first read.
+    failure, naming keys.
     """
 
     objects: tuple
@@ -354,9 +353,6 @@ class FiniteCategory:
         if law != "associativity":
             raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
         raise MalformedTables(f"associativity fails at ({names})")
-
-    object_id = cached_property(lambda self: {x: i for i, x in enumerate(self.objects)})
-    arrow_id = cached_property(lambda self: {a: f for f, a in enumerate(self.arrows)})
 
     @cached_property
     def comp(self) -> dict:

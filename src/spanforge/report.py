@@ -54,11 +54,5 @@ class ReportBuilder:
         if n:
             self._checked[law] = self._checked.get(law, 0) + n
 
-    def merge(self, other: Report, prefix: str = "") -> None:
-        """Take over other's failures and counts under prefixed laws, without counting its checks again."""
-        self._failures += (Failure(f"{prefix}{f.law}", f.witness) for f in other.failures)
-        for law, n in other.checked.items():
-            self._checked[prefix + law] = self._checked.get(prefix + law, 0) + n
-
     def report(self) -> Report:
         return Report(tuple(self._failures), dict(self._checked))

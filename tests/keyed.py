@@ -20,6 +20,12 @@ checkers were written before they recorded failures only.  They read
 at call time, so a fault injected there reaches both sides.
 
 The tests compare the id tables and reports against them exactly.
+
+Functor forms (``*_by_functors``): ``cartesian_iso`` and ``transport_conv``
+as they checked each map of fibrations before they checked only its fibre
+maps, that is as a functor between total categories, with the functor laws,
+both projection squares, and inverses and intertwining on arrows too.  The
+tests require the same verdicts from both forms.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import spanforge.feistel as feistel
 import spanforge.fib as fib
 from spanforge.errors import MalformedTables
 from spanforge.feistel import conv_fibre, extend
-from spanforge.fib import FunctorData, SubSlice, _at, _image_arrow
+from spanforge.fib import FunctorData, SubSlice
 from spanforge.finset import FinMap, all_maps, compose, group_by_value
 from spanforge.internal import CategoryTables, FiniteCategory, budget
 from spanforge.report import Report, ReportBuilder
@@ -348,48 +354,26 @@ def check_discrete_fibration_by_instance(fi) -> Report:
     return rb.report()
 
 
-def functor_over_base_by_instance(rb, source, target, move, prefix, over_base) -> FunctorData:
-    """fib._functor_over_base with one require per object or arrow."""
-    tgt = target.total
+def fibre_map_by_instance(rb, source, target, move, law) -> FunctorData:
+    """fib._fibre_map with one require per object or arrow."""
+    object_ids = {key: y for y, key in enumerate(target.total.objects)}
+    arrows = list(zip(target.proj.arr, target.total.tables.s, target.total.tables.t))
     images, obj = [], []
-    for key in source.total.objects:
-        images.append((key[0], move(*key)))
-        obj.append(tgt.object_id.get(images[-1], images[-1]))
-        require(rb, type(obj[-1]) is int, f"{prefix}welldefined", key)
-    arr = []
+    for i, table in source.total.objects:
+        images.append((i, move(i, table)))
+        obj.append(object_ids.get(images[-1], images[-1]))
+        require(rb, type(obj[-1]) is int, f"{law}-lands", (i, table))
+    arr, src = [], source.total.tables
     for f, key in enumerate(source.total.arrows):
-        image = _image_arrow(source, f, images)
-        arr.append(tgt.arrow_id.get(image, image))
-        require(rb, type(arr[-1]) is int, f"{prefix}welldefined", key)
-    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
-    rb.merge(check_functor_by_instance(fd), prefix)
-    objects_law, arrows_law = over_base
-    for x, key in enumerate(source.total.objects):
-        require(rb, _at(target.proj.obj, obj[x]) == source.proj.obj[x], objects_law, key)
-    for f, key in enumerate(source.total.arrows):
-        require(rb, _at(target.proj.arr, arr[f]) == source.proj.arr[f], arrows_law, key)
-    return fd
+        k, x, y = source.proj.arr[f], src.s[f], src.t[f]
+        found = [a for a, ends in enumerate(arrows) if ends == (k, obj[x], obj[y])]
+        arr.append(found[-1] if found else (k, images[x][1], images[y][1]))
+        require(rb, bool(found), f"{law}-natural", key)
+    return FunctorData(source.total, target.total, tuple(obj), tuple(arr))
 
 
-def cartesian_iso_by_instance(ss: SubSlice) -> Report:
-    """The report of cartesian_iso, with one require per check."""
-    conv, endo = fib.build_conv_fibration(ss), fib.build_endo_fibration(ss)
-    rb = ReportBuilder()
-
-    def extended(i, table):
-        return fib._extended(ss, (i, table))[1]
-
-    def retrieved(i, table):
-        return fib.retrieve(fib._as_endo(ss, i, table)).table
-
-    triangle = ("projection-triangle", "projection-triangle")
-    forward = functor_over_base_by_instance(rb, conv, endo, extended, "forward-", triangle)
-    backward = functor_over_base_by_instance(rb, endo, conv, retrieved, "backward-", triangle)
-    for there, back in ((forward, backward), (backward, forward)):
-        for x, key in enumerate(there.source.objects):
-            require(rb, _at(back.obj, there.obj[x]) == x, "mutual-inverse-objects", key)
-        for f, key in enumerate(there.source.arrows):
-            require(rb, _at(back.arr, there.arr[f]) == f, "mutual-inverse-arrows", key)
+def fibrewise_naturality_by_instance(rb, ss: SubSlice) -> None:
+    """cartesian_iso's fibrewise naturality: conv_base_change then extend is extend then endo_base_change."""
     fibres = [conv_fibre(obj, ss.ic) for obj in ss.objects]
     for k, cell in enumerate(ss.arrows):
         i, j = ss.arrow_endpoints(k)
@@ -400,15 +384,38 @@ def cartesian_iso_by_instance(ss: SubSlice) -> Report:
             hat = fib.extend(beta).table
             extended_then_pulled = plan.extend(tuple(arrow[hat[v]] for v in sigma))
             require(rb, pulled_then_extended == extended_then_pulled, "fibrewise-naturality", (k, beta.table))
+
+
+def iso_directions(ss: SubSlice):
+    """cartesian_iso's extension and retrieval on element keys, read through fib at call time."""
+
+    def extended(i, table):
+        return fib._extended(ss, (i, table))[1]
+
+    def retrieved(i, table):
+        return fib.retrieve(fib._as_endo(ss, i, table)).table
+
+    return extended, retrieved
+
+
+def cartesian_iso_by_instance(ss: SubSlice) -> Report:
+    """The report of cartesian_iso, with one require per check."""
+    conv, endo = fib.build_conv_fibration(ss), fib.build_endo_fibration(ss)
+    rb = ReportBuilder()
+    extended, retrieved = iso_directions(ss)
+    forward = fibre_map_by_instance(rb, conv, endo, extended, "forward")
+    backward = fibre_map_by_instance(rb, endo, conv, retrieved, "backward")
+    for there, back in ((forward, backward), (backward, forward)):
+        for x, key in enumerate(there.source.objects):
+            y = there.obj[x]
+            require(rb, type(y) is int and back.obj[y] == x, "mutual-inverse", key)
+    fibrewise_naturality_by_instance(rb, ss)
     return rb.report()
 
 
-def transport_conv_by_instance(k, functor, ss: SubSlice) -> Report:
-    """The report of transport_conv, with one require per check."""
+def transport_moves(k, functor, ss: SubSlice):
+    """transport_conv's maps on convolution and endomorphism keys, read through fib at call time."""
     ss2 = fib.transported_subslice(k, functor, ss)
-    conv1, conv2 = fib.build_conv_fibration(ss), fib.build_conv_fibration(ss2)
-    endo1, endo2 = fib.build_endo_fibration(ss), fib.build_endo_fibration(ss2)
-    rb = ReportBuilder()
 
     def move_conv(i, table):
         return compose(functor.fm, k.arr(FinMap(ss.objects[i].a, ss.ic.m, table))).table
@@ -417,18 +424,104 @@ def transport_conv_by_instance(k, functor, ss: SubSlice) -> Report:
         moved_bar = compose(functor.fm, k.arr(fib._as_endo(ss, i, table).bar))
         return fib._extended(ss2, (i, moved_bar.table))[1]
 
+    return ss2, move_conv, move_endo
+
+
+def transport_conv_by_instance(k, functor, ss: SubSlice) -> Report:
+    """The report of transport_conv, with one require per check."""
+    ss2, move_conv, move_endo = transport_moves(k, functor, ss)
+    conv1, conv2 = fib.build_conv_fibration(ss), fib.build_conv_fibration(ss2)
+    endo1, endo2 = fib.build_endo_fibration(ss), fib.build_endo_fibration(ss2)
+    rb = ReportBuilder()
+    fibre_map_by_instance(rb, conv1, conv2, move_conv, "conv-transport")
+    fibre_map_by_instance(rb, endo1, endo2, move_endo, "endo-transport")
+    for i, table in conv1.total.objects:
+        lhs = (i, move_endo(*fib._extended(ss, (i, table))))
+        require(rb, lhs == fib._extended(ss2, (i, move_conv(i, table))), "intertwine", (i, table))
+    return rb.report()
+
+
+def functor_over_base_by_functors(rb, source, target, move, prefix, over_base) -> FunctorData:
+    """The map of fibrations as a functor between total categories, as cartesian_iso and transport_conv
+    checked it before they checked only fibre maps: every image exists (``<prefix>welldefined``), the
+    functor laws (prefixed), and that the functor lies over the base, on objects and on arrows."""
+    tgt = target.total
+    object_ids = {key: y for y, key in enumerate(tgt.objects)}
+    arrow_ids = {key: a for a, key in enumerate(tgt.arrows)}
+    images, obj = [], []
+    for key in source.total.objects:
+        images.append((key[0], move(*key)))
+        obj.append(object_ids.get(images[-1], images[-1]))
+        require(rb, type(obj[-1]) is int, f"{prefix}welldefined", key)
+    arr, src = [], source.total.tables
+    for f, key in enumerate(source.total.arrows):
+        image = (source.proj.arr[f], images[src.s[f]][1], images[src.t[f]][1])
+        arr.append(arrow_ids.get(image, image))
+        require(rb, type(arr[-1]) is int, f"{prefix}welldefined", key)
+    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
+    functor = check_functor_by_instance(fd)
+    for failure in functor.failures:
+        rb.fail(prefix + failure.law, failure.witness)
+    for law, n in functor.checked.items():
+        rb.count(prefix + law, n)
+    objects_law, arrows_law = over_base
+    for x, key in enumerate(source.total.objects):
+        y = obj[x]
+        require(rb, type(y) is int and target.proj.obj[y] == source.proj.obj[x], objects_law, key)
+    for f, key in enumerate(source.total.arrows):
+        a = arr[f]
+        require(rb, type(a) is int and target.proj.arr[a] == source.proj.arr[f], arrows_law, key)
+    return fd
+
+
+def cartesian_iso_by_functors(ss: SubSlice) -> Report:
+    """cartesian_iso's report as it read both directions as functors, with their inverses on arrows too."""
+    conv, endo = fib.build_conv_fibration(ss), fib.build_endo_fibration(ss)
+    rb = ReportBuilder()
+    extended, retrieved = iso_directions(ss)
+    triangle = ("projection-triangle", "projection-triangle")
+    forward = functor_over_base_by_functors(rb, conv, endo, extended, "forward-", triangle)
+    backward = functor_over_base_by_functors(rb, endo, conv, retrieved, "backward-", triangle)
+    for there, back in ((forward, backward), (backward, forward)):
+        for x, key in enumerate(there.source.objects):
+            y = there.obj[x]
+            require(rb, type(y) is int and back.obj[y] == x, "mutual-inverse-objects", key)
+        for f, key in enumerate(there.source.arrows):
+            a = there.arr[f]
+            require(rb, type(a) is int and back.arr[a] == f, "mutual-inverse-arrows", key)
+    fibrewise_naturality_by_instance(rb, ss)
+    return rb.report()
+
+
+def transport_conv_by_functors(k, functor, ss: SubSlice) -> Report:
+    """transport_conv's report as it read both transports as functors, with both projection squares and
+    the intertwining on arrows too."""
+    ss2, move_conv, move_endo = transport_moves(k, functor, ss)
+    conv1, conv2 = fib.build_conv_fibration(ss), fib.build_conv_fibration(ss2)
+    endo1, endo2 = fib.build_endo_fibration(ss), fib.build_endo_fibration(ss2)
+    rb = ReportBuilder()
     p_square, q_square = ("p-square-objects", "p-square-arrows"), ("q-square-objects", "q-square-arrows")
-    conv_map = functor_over_base_by_instance(rb, conv1, conv2, move_conv, "conv-transport-", p_square)
-    endo_map = functor_over_base_by_instance(rb, endo1, endo2, move_endo, "endo-transport-", q_square)
+    conv_map = functor_over_base_by_functors(rb, conv1, conv2, move_conv, "conv-transport-", p_square)
+    endo_map = functor_over_base_by_functors(rb, endo1, endo2, move_endo, "endo-transport-", q_square)
+    endo1_objects = {key: y for y, key in enumerate(endo1.total.objects)}
+    endo1_arrows = {key: a for a, key in enumerate(endo1.total.arrows)}
+    endo2_objects = {key: y for y, key in enumerate(endo2.total.objects)}
+    endo2_arrows = {key: a for a, key in enumerate(endo2.total.arrows)}
+
+    def image(table, y):  # table[y] for an id y; None for an image outside the target
+        return table[y] if type(y) is int else None
+
     extended = [fib._extended(ss, key) for key in conv1.total.objects]
     moved = [fib._extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
     for x, key in enumerate(conv1.total.objects):
-        lhs = _at(endo_map.obj, endo1.total.object_id.get(extended[x]))
-        require(rb, lhs == endo2.total.object_id.get(moved[x], moved[x]), "intertwine-objects", key)
+        lhs = image(endo_map.obj, endo1_objects.get(extended[x]))
+        require(rb, lhs == endo2_objects.get(moved[x], moved[x]), "intertwine-objects", key)
+    src = conv1.total.tables
     for f, key in enumerate(conv1.total.arrows):
-        lhs = _at(endo_map.arr, endo1.total.arrow_id.get(_image_arrow(conv1, f, extended)))
-        rhs = _image_arrow(conv1, f, moved)
-        require(rb, lhs == endo2.total.arrow_id.get(rhs, rhs), "intertwine-arrows", key)
+        over, x, y = conv1.proj.arr[f], src.s[f], src.t[f]
+        lhs = image(endo_map.arr, endo1_arrows.get((over, extended[x][1], extended[y][1])))
+        rhs = (over, moved[x][1], moved[y][1])
+        require(rb, lhs == endo2_arrows.get(rhs, rhs), "intertwine-arrows", key)
     return rb.report()
 
 

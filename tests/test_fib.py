@@ -61,6 +61,7 @@ from spanforge.span import identity_cell
 from keyed import (
     KeyedViews,
     base_category_by_keys,
+    cartesian_iso_by_functors,
     cartesian_iso_by_instance,
     category_from_keys,
     check_discrete_fibration_by_instance,
@@ -70,6 +71,7 @@ from keyed import (
     endo_fibration_by_keys,
     groupoid_report_by_index,
     keyed_maps,
+    transport_conv_by_functors,
     transport_conv_by_instance,
     verify_adjunction_by_instance,
 )
@@ -346,10 +348,24 @@ class TestCartesianIso:
         assert cartesian_iso(ss).report.passed
         assert len(built) <= 54
 
+    def test_one_arrow_per_lift(self):
+        """The premise of checking maps of fibrations on their fibres: no two arrows share a base arrow and ends."""
+        for ss in fibre_map_subslices():
+            iso = cartesian_iso(ss)
+            for fi in (iso.conv, iso.endo):
+                lifts = Counter(zip(fi.proj.arr, fi.total.tables.s, fi.total.tables.t))
+                assert set(lifts.values()) == {1}
+
     def test_forward_and_backward_are_functors(self):
-        iso = cartesian_iso(default_subslice(CATALOG["action2"].category))
-        assert check_functor(iso.forward).passed
-        assert check_functor(iso.backward).passed
+        """The functor laws that the fibre-map checks no longer run hold wherever those checks pass."""
+        for ss in fibre_map_subslices():
+            iso = cartesian_iso(ss)
+            assert iso.report.passed
+            assert check_functor(iso.forward).passed and check_functor(iso.backward).passed
+        for k, functor, ss in transport_instances():
+            result = transport_conv(k, functor, ss)
+            assert result.report.passed
+            assert check_functor(result.conv_map).passed and check_functor(result.endo_map).passed
 
 
 def identity_fragment_for(ss):
@@ -461,10 +477,7 @@ def transport_instances():
 
 
 def count_laws(monkeypatch):
-    """Count every check that a ReportBuilder records, by law name, from now on.
-
-    A merged report's counts are not counted again, so check_functor's laws count unprefixed.
-    """
+    """Count every check that a ReportBuilder records, by law name, from now on."""
     counts = Counter()
     count = ReportBuilder.count
 
@@ -555,7 +568,10 @@ def failed_laws(report):
 
 
 class TestCheckerGuards:
-    """Pins what the functor-over-base checks run, and shows that they can fail."""
+    """Pins what the fibre-map checks run, and shows that they can fail.
+
+    The unprefixed functor laws are the two projections' checks, run as each fibration is built.
+    """
 
     def test_cartesian_iso_law_counts(self, monkeypatch):
         subslices = [default_subslice(entry.category) for entry in CATALOG.values()]
@@ -563,19 +579,19 @@ class TestCheckerGuards:
         for ss in subslices:
             assert cartesian_iso(ss).report.passed
         assert dict(counts) == {
-            "arrow-map-lands": 888,
-            "arrow-map-total": 888,
-            "backward-welldefined": 269,
-            "composition-preserved": 3916,
-            "endpoints-preserved": 888,
+            "arrow-map-lands": 444,
+            "arrow-map-total": 444,
+            "backward-lands": 47,
+            "backward-natural": 222,
+            "composition-preserved": 1958,
+            "endpoints-preserved": 444,
             "fibrewise-naturality": 222,
-            "forward-welldefined": 269,
-            "identities-preserved": 188,
-            "mutual-inverse-arrows": 444,
-            "mutual-inverse-objects": 94,
-            "object-map-lands": 188,
-            "object-map-total": 188,
-            "projection-triangle": 538,
+            "forward-lands": 47,
+            "forward-natural": 222,
+            "identities-preserved": 94,
+            "mutual-inverse": 94,
+            "object-map-lands": 94,
+            "object-map-total": 94,
         }
 
     def test_transport_law_counts(self, monkeypatch):
@@ -584,27 +600,24 @@ class TestCheckerGuards:
         for k, functor, ss in instances:
             assert transport_conv(k, functor, ss).report.passed
         assert dict(counts) == {
-            "arrow-map-lands": 3966,
-            "arrow-map-total": 3966,
+            "arrow-map-lands": 3824,
+            "arrow-map-total": 3824,
             "associativity": 656,
-            "composition-preserved": 19646,
+            "composition-preserved": 18992,
             "composition-source": 84,
             "composition-target": 84,
-            "conv-transport-welldefined": 86,
-            "endo-transport-welldefined": 86,
-            "endpoints-preserved": 3966,
-            "identities-preserved": 598,
+            "conv-transport-lands": 15,
+            "conv-transport-natural": 71,
+            "endo-transport-lands": 15,
+            "endo-transport-natural": 71,
+            "endpoints-preserved": 3824,
+            "identities-preserved": 568,
             "identity-source": 6,
             "identity-target": 6,
-            "intertwine-arrows": 71,
-            "intertwine-objects": 15,
+            "intertwine": 15,
             "left-unit": 44,
-            "object-map-lands": 598,
-            "object-map-total": 598,
-            "p-square-arrows": 71,
-            "p-square-objects": 15,
-            "q-square-arrows": 71,
-            "q-square-objects": 15,
+            "object-map-lands": 568,
+            "object-map-total": 568,
             "right-unit": 44,
         }
 
@@ -618,23 +631,13 @@ class TestCheckerGuards:
     def test_cartesian_iso_reports_a_corrupted_direction(self, monkeypatch, name, corrupted):
         monkeypatch.setattr(fib, name, corrupted)
         report = cartesian_iso(default_subslice(Z3.cat)).report
-        assert failed_laws(report) == (["mutual-inverse-arrows", "mutual-inverse-objects"], 144)
+        assert failed_laws(report) == (["mutual-inverse"], 20)
 
     def test_cartesian_iso_reports_images_outside_the_target(self, monkeypatch):
         monkeypatch.setattr(fib, "retrieve", reversing_retrieve)
         report = cartesian_iso(default_subslice(Z3.cat)).report
-        assert report.first().law == "backward-welldefined"
-        assert failed_laws(report) == (
-            [
-                "backward-arrow-map-lands",
-                "backward-composition-preserved",
-                "backward-welldefined",
-                "mutual-inverse-arrows",
-                "mutual-inverse-objects",
-                "projection-triangle",
-            ],
-            336,
-        )
+        assert report.first().law == "backward-natural"
+        assert failed_laws(report) == (["backward-natural", "mutual-inverse"], 36)
 
     def test_fibrewise_naturality_failures_match_the_base_change_oracle(self, monkeypatch):
         ss = default_subslice(Z3.cat)
@@ -662,7 +665,7 @@ class TestCheckerGuards:
         assert transport_conv(k, functor, ss).report.passed
         monkeypatch.setattr(fib, name, corrupted)
         report = transport_conv(k, functor, ss).report
-        assert failed_laws(report) == (["intertwine-arrows", "intertwine-objects"], 72)
+        assert failed_laws(report) == (["intertwine"], 10)
 
     def test_transport_reports_images_outside_the_target(self, monkeypatch):
         ss = default_subslice(Z3.cat)
@@ -670,27 +673,8 @@ class TestCheckerGuards:
         functor = identity_internal_functor(apply_lex_functor(k, Z3.cat))
         monkeypatch.setattr(fib, "extend", reversing_extend)
         report = transport_conv(k, functor, ss).report
-        assert failed_laws(report) == (
-            [
-                "endo-transport-arrow-map-lands",
-                "endo-transport-composition-preserved",
-                "endo-transport-welldefined",
-                "intertwine-arrows",
-                "intertwine-objects",
-                "q-square-arrows",
-            ],
-            288,
-        )
-
-
-FUNCTOR_LAWS = (
-    "object-map-total", "object-map-lands", "arrow-map-total", "arrow-map-lands",
-    "endpoints-preserved", "identities-preserved", "composition-preserved",
-)
-
-
-def functor_laws(*prefixes):
-    return {prefix + law for prefix in prefixes for law in FUNCTOR_LAWS}
+        assert report.first().law == "endo-transport-natural"
+        assert failed_laws(report) == (["endo-transport-natural", "intertwine"], 30)
 
 
 class TestNoLawPassesVacuously:
@@ -703,11 +687,10 @@ class TestNoLawPassesVacuously:
         assert all(report.checked[law] > 0 for law in laws)
 
     def test_cartesian_iso_and_unique_lifts(self):
-        laws = functor_laws("forward-", "backward-") | {
-            "forward-welldefined", "backward-welldefined", "projection-triangle",
-            "mutual-inverse-objects", "mutual-inverse-arrows", "fibrewise-naturality",
+        laws = {
+            "forward-lands", "forward-natural", "backward-lands", "backward-natural", "mutual-inverse",
+            "fibrewise-naturality",
         }
-        assert len(laws) == 20
         for ic in [entry.category for entry in CATALOG.values()] + [loops_and_bridges()]:
             iso = cartesian_iso(default_subslice(ic))
             self.assert_every_law_checked(iso.report, laws)
@@ -715,12 +698,10 @@ class TestNoLawPassesVacuously:
                 self.assert_every_law_checked(check_discrete_fibration(fibration), {"unique-lift"})
 
     def test_transport(self):
-        laws = functor_laws("conv-transport-", "endo-transport-") | {
-            "conv-transport-welldefined", "endo-transport-welldefined", "p-square-objects",
-            "p-square-arrows", "q-square-objects", "q-square-arrows", "intertwine-objects",
-            "intertwine-arrows",
+        laws = {
+            "conv-transport-lands", "conv-transport-natural", "endo-transport-lands", "endo-transport-natural",
+            "intertwine",
         }
-        assert len(laws) == 22
         for k, functor, ss in transport_instances():
             self.assert_every_law_checked(transport_conv(k, functor, ss).report, laws)
 
@@ -789,6 +770,11 @@ def oracle_subslices():
     ic = loops_and_bridges()
     full = full_subslice(ic, [obj for a in range(3) for obj in all_slice_objects(a, ic.o)])
     return [default_subslice(entry.category) for entry in CATALOG.values()] + [full]
+
+
+def fibre_map_subslices():
+    """The oracle sub-slices and loops_and_bridges' default sub-slice."""
+    return oracle_subslices() + [default_subslice(LOOPS)]
 
 
 def assert_same_report(fd):
@@ -975,6 +961,49 @@ def test_checkers_match_their_per_instance_oracles(monkeypatch, fault, reports):
     for got, expected in reports():
         assert got.failures == expected.failures
         assert got.checked == expected.checked
+
+
+def iso_forms(ss):
+    return cartesian_iso(ss).report, cartesian_iso_by_functors(ss)
+
+
+def transport_forms(k, functor, ss):
+    return transport_conv(k, functor, ss).report, transport_conv_by_functors(k, functor, ss)
+
+
+def functor_form_cases():
+    """(id, fault or None, forms, passes) for every instance and injection on which the fibre maps and the
+    functors between total categories must give one verdict, passes; forms() gives the library's report and
+    the functor form's.  Transport reads no retrieve, so it passes under a corrupted one."""
+    for n, ss in enumerate(fibre_map_subslices()):
+        yield f"iso-{n}", None, lambda ss=ss: iso_forms(ss), True
+    for n, instance in enumerate(transport_instances()):
+        yield f"transport-{n}", None, lambda instance=instance: transport_forms(*instance), True
+    for n, fault in enumerate(FAULTS["z3"]):
+        name = f"fault-{n}-{fault[1]}"
+        yield f"{name}-iso-z3", fault, lambda: iso_forms(default_subslice(Z3.cat)), False
+        yield f"{name}-transport-z3", fault, lambda: transport_forms(*z3_transport()), fault[1] == "retrieve"
+    for n, fault in enumerate(FAULTS["loops_and_bridges"]):
+        name = f"fault-{n}-{fault[1]}"
+        yield f"{name}-iso-loops_and_bridges", fault, lambda: iso_forms(default_subslice(LOOPS)), False
+
+
+FUNCTOR_FORM_CASES = list(functor_form_cases())
+
+
+@pytest.mark.parametrize(
+    "fault, forms, passes", [case[1:] for case in FUNCTOR_FORM_CASES], ids=[case[0] for case in FUNCTOR_FORM_CASES]
+)
+def test_fibre_maps_give_the_verdict_of_the_functors(monkeypatch, fault, forms, passes):
+    """Checking each map of fibrations on its fibres passes exactly where checking it as a functor does, with
+    the functor laws, both projection squares, and inverses and intertwining on arrows."""
+    if fault is not None:
+        monkeypatch.setattr(*fault)
+    new, old = forms()
+    assert new.passed == old.passed == passes
+    for law in set(new.checked) & set(old.checked):
+        assert new.checked[law] == old.checked[law]
+        assert [f for f in new.failures if f.law == law] == [f for f in old.failures if f.law == law]
 
 
 ONE_ARROW = category_from_keys(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})

@@ -82,6 +82,9 @@ expect 2 '' check "$tmp"
 expect 2 '' check "$tmp"
 # the one fixture whose runs of arrows differ in length between objects
 expect 0 $'ok\n' check fixtures/loops_and_bridges.json
+# and its fibrations over the full sub-slice of one point over each object, with their identity cells
+expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n' \
+  fib-check --internal fixtures/loops_and_bridges.json --subslice <(echo '{"kind": "sub-slice", "objects": [{"size": 1, "map": [0]}, {"size": 1, "map": [1]}], "arrows": [{"src": 0, "dst": 0, "map": [0]}, {"src": 1, "dst": 1, "map": [0]}]}')
 expect 0 $'fibre size: 4\n  0: [0, 2]\n  1: [0, 3]\n  2: [1, 2]\n  3: [1, 3]\nunit: 0\nmultiplication table:\n  0 1 2 3\n  1 0 3 2\n  2 3 2 3\n  3 2 3 2\ngroup: no\n' \
   conv-table fixtures/loops_and_bridges.json --slice 2 0,1
 keys=(--group fixtures/z2_4_group.json --rounds 4 --keys fixtures/feistel_keys.json)
