@@ -82,14 +82,12 @@ from .feistel import (
 from .fib import (
     CartesianIso,
     FibrationInstance,
-    FunctorData,
     SubSlice,
     TransportResult,
     build_conv_fibration,
     build_endo_fibration,
     cartesian_iso,
     check_discrete_fibration,
-    check_functor,
     compose_intcat_morphisms,
     default_subslice,
     full_subslice,

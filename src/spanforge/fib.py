@@ -4,15 +4,16 @@ The base category is always a finite, explicitly listed sub-slice: a set
 of slice objects together with a set of slice cells closed under
 composition and containing all identities.  Unique-lift statements are
 local per base arrow, so verifying them over such sub-slices is sound
-evidence at any size.
+evidence at any size.  A discrete fibration is held as its presheaf: a
+fibre of keys per base object and the lifts over each base arrow.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainMismatch, MalformedTables, NotInternalFunctor, NotLex
 from .finset import FinMap, FinSet, compose, group_by_value
@@ -121,96 +122,106 @@ def default_subslice(ic: InternalCategory) -> SubSlice:
     return full_subslice(ic, objects)
 
 
-@dataclass
-class FunctorData:
-    """Tabular functor between finite categories: ``obj[x]`` and ``arr[f]`` are target ids.
+class TotalKeys(NamedTuple):
+    """A fibration's total category as keys only, with no tables and no law pass."""
 
-    None is no image.  An image outside the target is held as its key, which is no id: it
-    fails every law that reads it, and two such images compare by their keys.
-    """
-
-    source: FiniteCategory
-    target: FiniteCategory
-    obj: tuple
-    arr: tuple
-
-
-def check_functor(fd: FunctorData) -> Report:
-    """Check the functor laws on ids, one check per object, arrow or composable pair; witnesses are keys."""
-    rb = ReportBuilder()
-    src, tgt = fd.source.tables, fd.target.tables
-    n_obj, n_arr = len(src.ident), len(src.s)
-    obj = (tuple(fd.obj) + (None,) * n_obj)[:n_obj]  # padded with no image, and cut to the source
-    arr = (tuple(fd.arr) + (None,) * n_arr)[:n_arr]
-    lands_obj = [type(y) is int and 0 <= y < len(tgt.ident) for y in obj]
-    lands_arr = [type(a) is int and 0 <= a < len(tgt.s) for a in arr]
-    for x, key in enumerate(fd.source.objects):
-        if not lands_obj[x]:
-            rb.fail("object-map-total" if obj[x] is None else "object-map-lands", key)
-    for f, key in enumerate(fd.source.arrows):
-        if not lands_arr[f]:
-            rb.fail("arrow-map-total" if arr[f] is None else "arrow-map-lands", key)
-        elif (tgt.s[arr[f]], tgt.t[arr[f]]) != (obj[src.s[f]], obj[src.t[f]]):
-            rb.fail("endpoints-preserved", key)
-    # an image outside the target has no identity or composite there, which fails the law
-    units = [x for x in range(n_obj) if obj[x] is not None and arr[src.ident[x]] is not None]
-    for x in units:
-        if not (lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]]):
-            rb.fail("identities-preserved", fd.source.objects[x])
-    # a row at a time: "f then g" is read off the row of f's image, when g's image leaves its target
-    keys, t_s, t_pos, pairs = fd.source.arrows, tgt.s, tgt.pos, 0
-    for f, row in enumerate(src.rows):
-        if arr[f] is None:
-            continue
-        image_row, image_t = (tgt.rows[arr[f]], tgt.t[arr[f]]) if lands_arr[f] else ((), None)
-        for g, h in zip(src.out[src.t[f]], row):
-            if arr[g] is not None and arr[h] is not None:
-                pairs += 1
-                if not (lands_arr[g] and t_s[arr[g]] == image_t and image_row[t_pos[arr[g]]] == arr[h]):
-                    rb.fail("composition-preserved", (keys[f], keys[g]))
-    for law, n in (
-        ("object-map-total", n_obj), ("object-map-lands", n_obj - obj.count(None)), ("arrow-map-total", n_arr),
-        ("arrow-map-lands", n_arr - arr.count(None)), ("endpoints-preserved", sum(lands_arr)),
-        ("identities-preserved", len(units)), ("composition-preserved", pairs),
-    ):
-        rb.count(law, n)
-    return rb.report()
+    objects: tuple
+    arrows: tuple
 
 
 @dataclass
 class FibrationInstance:
-    """A functor presented by tables, meant to be a discrete fibration."""
+    """A discrete fibration over a base category, held as its presheaf.
 
-    total: FiniteCategory
+    ``fibres[i]`` lists the element keys over base object i.  Over base arrow k: i -> j, ``lifts[k][v]``
+    lists the positions u in fibres[i] of the lifts of element v of fibres[j]: one for a discrete
+    fibration, and then v -> u is the reindexing F_j -> F_i along k.  Construction checks the shape only.
+    """
+
     base: FiniteCategory
-    proj: FunctorData
+    fibres: tuple
+    lifts: tuple
 
     def __post_init__(self) -> None:
-        if self.proj.source is not self.total or self.proj.target is not self.base:
-            raise MalformedTables("projection must run from the total category to the base")
-        result = check_functor(self.proj)
-        if not result.passed:
-            raise MalformedTables(f"projection is not a functor: {result.first()}")
+        base, fibres = self.base.tables, self.fibres
+        if len(fibres) != len(base.ident):
+            raise MalformedTables(f"one fibre per base object: got {len(fibres)} for {len(base.ident)}")
+        if len(self.lifts) != len(base.s):
+            raise MalformedTables(f"one row of lifts per base arrow: got {len(self.lifts)} for {len(base.s)}")
+        for k, (i, j, row) in enumerate(zip(base.s, base.t, self.lifts)):
+            over = f"over base arrow {self.base.arrows[k]!r}"
+            if len(row) != len(fibres[j]):
+                got = f"got {len(row)} for {len(fibres[j])}"
+                raise MalformedTables(f"one lift list per element of the target fibre {over}: {got}")
+            for u in itertools.chain.from_iterable(row):
+                if type(u) is not int or not 0 <= u < len(fibres[i]):
+                    raise MalformedTables(f"lift {u!r} {over} is no position in its source fibre")
+
+    @cached_property
+    def total(self) -> TotalKeys:
+        """The keys of the total category: objects (i, key) fibre by fibre, and one arrow (k, key_u, key_v) per
+        lift, over each base arrow in v order; built on first read, for readers that count them."""
+        return TotalKeys(tuple(_object_keys(self)), tuple(_lift_keys(self)))
+
+
+def _object_keys(fi: FibrationInstance):
+    """The key (i, key) of each element, fibre by fibre."""
+    return ((i, key) for i, fibre in enumerate(fi.fibres) for key in fibre)
+
+
+def _lift_keys(fi: FibrationInstance):
+    """The key (k, key_u, key_v) of each lift u of v over each base arrow k, in the order of fi.lifts."""
+    base, fibres = fi.base.tables, fi.fibres
+    for k, (i, j, row) in enumerate(zip(base.s, base.t, fi.lifts)):
+        for v, us in enumerate(row):
+            yield from ((fi.base.arrows[k], fibres[i][u], fibres[j][v]) for u in us)
 
 
 def check_discrete_fibration(fi: FibrationInstance) -> Report:
-    """Unique lifting: one arrow over each base arrow into each fibre object."""
+    """Unique lifting, then the reindexing's functor laws; these are the total category's laws.
+
+    ``unique-lift``: each element of each fibre has one lift over each base arrow into its object.
+    ``reindex-identity``: over its object's identity, each element lifts to itself alone.
+    ``reindex-composite``: over each composable base pair (k, g) and at each element w of the far fibre,
+    the lifts of w over "k then g" are the lifts over k of its lifts over g, counted with repeats.
+    """
     rb = ReportBuilder()
-    lifts = Counter(zip(fi.proj.arr, fi.total.tables.t))
-    into, _ = group_by_value(fi.base.tables.t, len(fi.base.objects))  # the base arrows into each object
-    for y, over in enumerate(fi.proj.obj):
-        for k in into[over]:
-            if lifts[(k, y)] != 1:
-                where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
-                rb.fail("unique-lift", f"{where}, lifts {lifts[(k, y)]}")
-    rb.count("unique-lift", sum(len(into[over]) for over in fi.proj.obj))
+    base, fibres, lifts, names = fi.base.tables, fi.fibres, fi.lifts, fi.base.arrows
+    into, _ = group_by_value(base.t, len(fibres))  # the base arrows into each object
+    for j, fibre in enumerate(fibres):
+        for v, key in enumerate(fibre):
+            for k in into[j]:
+                if len(lifts[k][v]) != 1:
+                    where = f"base arrow {names[k]!r}, fibre object {(j, key)!r}"
+                    rb.fail("unique-lift", f"{where}, lifts {len(lifts[k][v])}")
+    rb.count("unique-lift", sum(len(into[j]) * len(fibre) for j, fibre in enumerate(fibres)))
+    for i, fibre in enumerate(fibres):
+        row = lifts[base.ident[i]]
+        for u, key in enumerate(fibre):
+            if row[u] != (u,):
+                rb.fail("reindex-identity", (i, key))
+    rb.count("reindex-identity", sum(map(len, fibres)))
+    # a row whose every lift is unique is a map, and a composite of maps is compared whole
+    maps = [tuple(us[0] for us in row) if all(len(us) == 1 for us in row) else None for row in lifts]
+    pairs = 0
+    for k, (j, row) in enumerate(zip(base.t, base.rows)):
+        for g, h in zip(base.out[j], row):
+            far = fibres[base.t[g]]
+            pairs += len(far)
+            if None not in (maps[k], maps[g], maps[h]) and maps[h] == tuple(map(maps[k].__getitem__, maps[g])):
+                continue
+            over_k, over_g, over_h = lifts[k], lifts[g], lifts[h]
+            for w, key in enumerate(far):
+                if sorted(over_h[w]) != sorted(u for v in over_g[w] for u in over_k[v]):
+                    rb.fail("reindex-composite", (names[k], names[g], (base.t[g], key)))
+    rb.count("reindex-composite", pairs)
     return rb.report()
 
 
 def _fibres(ss: SubSlice, noun: str) -> list:
     """The cell choices of each fibre over ss, once every count is under the cap: each fibre's elements,
-    the faces over every base arrow, and the total category's composable pairs if lifts are unique, that
-    is the far fibre over each composable base pair."""
+    the faces over every base arrow, and the reindexing's composites, that is the far fibre over each
+    composable base pair."""
     choices = [cell_choices(plan.base.span, plan.ic.mor_span) for plan in ss._plans]
     sizes = [capped_product(map(len, c)) for c in choices]
     for n in sizes:
@@ -224,63 +235,41 @@ def _fibres(ss: SubSlice, noun: str) -> list:
 
 
 def _fibration(ss: SubSlice, keys: list, pushed) -> FibrationInstance:
-    """The total category over the sub-slice, with its projection.
+    """The presheaf over the sub-slice with the given fibres of keys.
 
-    Objects are (i, key) for each key of fibre i, numbered fibre by fibre.  Over base arrow k: i -> j
-    with map phi, ``pushed(k, i, j)`` gives the face of each u in fibre i; an arrow (k, keys[i][u],
-    keys[j][v]) runs to each v whose v . phi is u's face, listed in v order.  A composite lies over the composite
-    base arrow and keeps the outer ends, so the total rows are read off the base rows.
+    Over base arrow k: i -> j with map phi, ``pushed(k, i, j)`` gives the face of each u in fibre i, and
+    the lifts of each v in fibre j are the u, in order, whose face is v . phi.
     """
     base = ss.base_category.tables
-    start = list(itertools.accumulate(map(len, keys), initial=0))
-    objects = tuple((i, key) for i, fibre in enumerate(keys) for key in fibre)
-    found = []  # over each base arrow, the u lifting each v
+    found = []
     for k, (i, j) in enumerate(zip(base.s, base.t)):
         faces: dict[tuple, list[int]] = {}
         for u, face in enumerate(pushed(k, i, j)):
             faces.setdefault(face, []).append(u)
+        lifts = {face: tuple(us) for face, us in faces.items()}
         phi = ss.arrows[k].map.table
-        found.append([faces.get(tuple(map(v.__getitem__, phi)), ()) for v in keys[j]])
-    n = sum(len(us) for lifts in found for us in lifts)
+        found.append(tuple(lifts.get(tuple(map(v.__getitem__, phi)), ()) for v in keys[j]))
+    n = sum(len(us) for row in found for us in row)
     budget(n, f"{count_name(n)} lifts")  # past the faces only if a defective instance lifts an element twice
-    arrows, over, s, t = [], [], [], []
-    for k, (i, j, lifts) in enumerate(zip(base.s, base.t, found)):
-        for v, us in enumerate(lifts):
-            for u in us:
-                arrows.append((k, keys[i][u], keys[j][v]))
-                over.append(k)
-                s.append(start[i] + u)
-                t.append(start[j] + v)
-    # a missing identity or composite is None, which FiniteCategory refuses
-    lift = {ends: a for a, ends in enumerate(zip(over, s, t))}
-    ident = tuple(lift.get((base.ident[i], x, x)) for x, (i, _) in enumerate(objects))
-    out, pos = group_by_value(s, len(objects))
-    over_pos = [base.pos[k] for k in over]
-    rows = tuple(
-        tuple(lift.get((base_row[over_pos[g]], x, t[g])) for g in out[y])
-        for base_row, x, y in zip(map(base.rows.__getitem__, over), s, t)
-    )
-    total = FiniteCategory(objects, tuple(arrows), CategoryTables(tuple(s), tuple(t), ident, out, pos, rows))
-    proj = FunctorData(total, ss.base_category, tuple(i for i, _ in objects), tuple(over))
-    return FibrationInstance(total, ss.base_category, proj)
+    return FibrationInstance(ss.base_category, tuple(map(tuple, keys)), tuple(found))
 
 
 def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
-    """Category of convolution elements over the sub-slice, with its projection.
+    """The presheaf of convolution elements over the sub-slice.
 
-    Objects are pairs (slice object, element); an arrow over a base cell
-    phi runs from the pullback of an element along phi to that element.
+    The fibre over a slice object is its convolution elements; over a base
+    cell phi, an element lifts to its pullback along phi.
     """
     keys = [list(itertools.product(*choices)) for choices in _fibres(ss, "convolution")]
     return _fibration(ss, keys, lambda k, i, j: keys[i])
 
 
 def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
-    """Category of simply presented endomorphisms over the sub-slice.
+    """The presheaf of simply presented endomorphisms over the sub-slice.
 
-    An arrow over a base cell sigma is a pair of endomorphisms whose
-    square (sigma tensored with the arrow span) commutes; the equal
-    components of such a morphism make a single cell suffice.
+    Over a base cell sigma, v lifts to each u whose square (sigma tensored
+    with the arrow span) commutes; the equal components of such a morphism
+    make a single cell suffice.
     """
     plans = ss._plans
     fibres = zip(plans, _fibres(ss, "endomorphism"))
@@ -306,49 +295,52 @@ def _extended(ss: SubSlice, key: tuple) -> tuple:
 
 def _agree(rb: ReportBuilder, law: str, keys, got, expected) -> None:
     """Check that got equals expected at each key, in order: one check per key, a failure where they differ."""
-    for key, value, want in zip(keys, got, expected):
+    n = 0
+    for n, (key, value, want) in enumerate(zip(keys, got, expected), 1):
         if value != want:
             rb.fail(law, key)
-    rb.count(law, len(keys))
+    rb.count(law, n)
 
 
-def _fibre_map(rb: ReportBuilder, source: FibrationInstance, target: FibrationInstance, move, law: str) -> FunctorData:
-    """The map (i, t) -> (i, move(i, t)) of each fibre of source into the same fibre of target.
+def _fibre_map(rb: ReportBuilder, source: FibrationInstance, target: FibrationInstance, move, law: str) -> tuple:
+    """The map key -> move(i, key) of each fibre i of source into fibre i of target, as ``images[i][u]``: the
+    position of u's image in its target fibre, or the image itself where it is not there.
 
-    An arrow goes to the arrow over the same base arrow between the images of its ends.  Checks, in
-    order: each object's image is an object of target (``<law>-lands``), and each arrow's image is an
-    arrow of target (``<law>-natural``).  Both total categories hold one arrow per lift, whose identities
-    and composites are the lifts of the base's, so once every image is found the map is a functor over
-    the base.  An image that is not found is held as its key.
+    Checks, in order: each element's image is in its fibre of target (``<law>-lands``), and at each lift u
+    of v over base arrow k, the image of u is target's one lift over k of the image of v (``<law>-natural``).
+    A map indexed by the base objects lies over the base, and natural at every lift it is a functor
+    between the total categories.
     """
-    src, tgt = source.total, target.total
-    object_ids = {key: y for y, key in enumerate(tgt.objects)}
-    lifts = {ends: a for a, ends in enumerate(zip(target.proj.arr, tgt.tables.s, tgt.tables.t))}
-    images = [(i, move(i, t)) for i, t in src.objects]
-    obj = tuple(object_ids.get(image, image) for image in images)
-    arr = []
-    for k, x, y in zip(source.proj.arr, src.tables.s, src.tables.t):
-        a = lifts.get((k, obj[x], obj[y]))
-        arr.append((k, images[x][1], images[y][1]) if a is None else a)
-    _agree(rb, f"{law}-lands", src.objects, map(type, obj), itertools.repeat(int))
-    _agree(rb, f"{law}-natural", src.arrows, map(type, arr), itertools.repeat(int))
-    return FunctorData(src, tgt, obj, tuple(arr))
+    images = []
+    for i, fibre in enumerate(source.fibres):
+        position = {key: y for y, key in enumerate(target.fibres[i])}
+        images.append(tuple(position.get(image, image) for image in (move(i, key) for key in fibre)))
+    lands = (type(y) for row in images for y in row)
+    _agree(rb, f"{law}-lands", _object_keys(source), lands, itertools.repeat(int))
+    base, natural = source.base.tables, []
+    for k, (i, j, row) in enumerate(zip(base.s, base.t, source.lifts)):
+        over = target.lifts[k]
+        for v, us in enumerate(row):
+            lift = over[images[j][v]] if type(images[j][v]) is int else None
+            natural.extend(lift == (images[i][u],) for u in us)
+    _agree(rb, f"{law}-natural", _lift_keys(source), natural, itertools.repeat(True))
+    return tuple(images)
 
 
 @dataclass
 class CartesianIso:
-    forward: FunctorData
-    backward: FunctorData
+    forward: tuple
+    backward: tuple
     report: Report
     conv: FibrationInstance
     endo: FibrationInstance
 
 
 def cartesian_iso(ss: SubSlice) -> CartesianIso:
-    """The extension/retrieval pair as mutually inverse functors over the base.
+    """The extension/retrieval pair as mutually inverse maps of presheaves over the base.
 
     Checks that both directions land in the other fibration and are natural
-    (``_fibre_map``), that they are mutually inverse on objects, and the
+    (``_fibre_map``), that they are mutually inverse at each element, and the
     fibrewise naturality of the family.
     """
     endo = build_endo_fibration(ss)  # first: it refuses an oversized sub-slice before any fibre is listed
@@ -363,10 +355,10 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
 
     forward = _fibre_map(rb, conv, endo, extended, "forward")
     backward = _fibre_map(rb, endo, conv, retrieved, "backward")
-    # inverse on objects is inverse on arrows: an arrow's image is the one lift between its ends' images
-    for there, back in ((forward, backward), (backward, forward)):
-        back_obj = [back.obj[y] if type(y) is int else None for y in there.obj]
-        _agree(rb, "mutual-inverse", there.source.objects, back_obj, range(len(there.obj)))
+    # inverse at each element is inverse on the total categories: an arrow's image is the one lift there
+    for source, there, back in ((conv, forward, backward), (endo, backward, forward)):
+        got = (back[i][y] if type(y) is int else None for i, row in enumerate(there) for y in row)
+        _agree(rb, "mutual-inverse", _object_keys(source), got, (u for row in there for u in range(len(row))))
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
     fibres = [_fibre(plan) for plan in ss._plans]
     keys, pulled_then_extended, extended_then_pulled = [], [], []
@@ -407,8 +399,8 @@ class TransportResult:
 
     report: Report
     transported: SubSlice
-    conv_map: FunctorData
-    endo_map: FunctorData
+    conv_map: tuple
+    endo_map: tuple
 
 
 def transport_conv(
@@ -422,7 +414,7 @@ def transport_conv(
     "arrow map after K", every simply presented endomorphism through its
     arrow component, and checks: both transports land in the transported
     fibrations and are natural (``_fibre_map``), and the extension family
-    intertwines the two transports on objects.
+    intertwines the two transports at each element.
     """
     transported = apply_lex_functor(k, ss.ic)
     if functor.src != transported:
@@ -445,10 +437,11 @@ def transport_conv(
     conv_map = _fibre_map(rb, conv1, conv2, move_conv, "conv-transport")
     endo_map = _fibre_map(rb, endo1, endo2, move_endo, "endo-transport")
     # both ways round from conv1 to endo2, as keys; where extension is natural (cartesian_iso checks it)
-    # both ways are maps over the base, so they agree on arrows once they agree on objects
-    lhs = [(i, move_endo(*_extended(ss, (i, table)))) for i, table in conv1.total.objects]
-    rhs = [_extended(ss2, (i, move_conv(i, table))) for i, table in conv1.total.objects]
-    _agree(rb, "intertwine", conv1.total.objects, lhs, rhs)
+    # both ways are maps of presheaves, so they agree on the total categories once they agree at each element
+    objects = list(_object_keys(conv1))
+    lhs = [(i, move_endo(*_extended(ss, (i, table)))) for i, table in objects]
+    rhs = [_extended(ss2, (i, move_conv(i, table))) for i, table in objects]
+    _agree(rb, "intertwine", objects, lhs, rhs)
     return TransportResult(rb.report(), ss2, conv_map, endo_map)
 
 

@@ -9,6 +9,13 @@ categories and functors on ids, that is fibrations built as tuple-keyed
 ``comp`` dicts handed to ``category_from_keys``, and ``check_functor``
 walking key-to-key maps through the keyed views.
 
+Total categories: ``total_category`` builds a presheaf's total category and
+projection on ids, law-checked by ``FiniteCategory`` and ``check_functor``, as
+the library built each fibration before it held it as its presheaf;
+``discrete_fibration_by_total`` is the verdict of that path, and
+``fibre_map_functor`` reads a map of fibres as the functor between total
+categories that it was.
+
 The pairwise square: ``square_holds`` tests an endomorphism morphism's square
 generator by generator, as the library did for every pair before it found
 squares by one face join.
@@ -31,13 +38,15 @@ tests require the same verdicts from both forms.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import spanforge.feistel as feistel
 import spanforge.fib as fib
 from spanforge.errors import MalformedTables
 from spanforge.feistel import conv_fibre, extend
-from spanforge.fib import FunctorData, SubSlice
+from spanforge.fib import SubSlice
 from spanforge.finset import FinMap, all_maps, compose, group_by_value
 from spanforge.internal import CategoryTables, FiniteCategory, budget
 from spanforge.report import Report, ReportBuilder
@@ -88,6 +97,140 @@ def category_from_keys(
         rows[fi][pos[gi]] = hi
     tables = CategoryTables(tuple(s), tuple(t), tuple(idents), out, pos, tuple(map(tuple, rows)))
     return FiniteCategory(tuple(objects), tuple(arrows), tables)
+
+
+@dataclass
+class FunctorData:
+    """Tabular functor between finite categories: ``obj[x]`` and ``arr[f]`` are target ids.
+
+    None is no image.  An image outside the target is held as its key, which is no id: it
+    fails every law that reads it, and two such images compare by their keys.
+    """
+
+    source: FiniteCategory
+    target: FiniteCategory
+    obj: tuple
+    arr: tuple
+
+
+def check_functor(fd: FunctorData) -> Report:
+    """Check the functor laws on ids, one check per object, arrow or composable pair; witnesses are keys."""
+    rb = ReportBuilder()
+    src, tgt = fd.source.tables, fd.target.tables
+    n_obj, n_arr = len(src.ident), len(src.s)
+    obj = (tuple(fd.obj) + (None,) * n_obj)[:n_obj]  # padded with no image, and cut to the source
+    arr = (tuple(fd.arr) + (None,) * n_arr)[:n_arr]
+    lands_obj = [type(y) is int and 0 <= y < len(tgt.ident) for y in obj]
+    lands_arr = [type(a) is int and 0 <= a < len(tgt.s) for a in arr]
+    for x, key in enumerate(fd.source.objects):
+        if not lands_obj[x]:
+            rb.fail("object-map-total" if obj[x] is None else "object-map-lands", key)
+    for f, key in enumerate(fd.source.arrows):
+        if not lands_arr[f]:
+            rb.fail("arrow-map-total" if arr[f] is None else "arrow-map-lands", key)
+        elif (tgt.s[arr[f]], tgt.t[arr[f]]) != (obj[src.s[f]], obj[src.t[f]]):
+            rb.fail("endpoints-preserved", key)
+    # an image outside the target has no identity or composite there, which fails the law
+    units = [x for x in range(n_obj) if obj[x] is not None and arr[src.ident[x]] is not None]
+    for x in units:
+        if not (lands_obj[x] and arr[src.ident[x]] == tgt.ident[obj[x]]):
+            rb.fail("identities-preserved", fd.source.objects[x])
+    # a row at a time: "f then g" is read off the row of f's image, when g's image leaves its target
+    keys, t_s, t_pos, pairs = fd.source.arrows, tgt.s, tgt.pos, 0
+    for f, row in enumerate(src.rows):
+        if arr[f] is None:
+            continue
+        image_row, image_t = (tgt.rows[arr[f]], tgt.t[arr[f]]) if lands_arr[f] else ((), None)
+        for g, h in zip(src.out[src.t[f]], row):
+            if arr[g] is not None and arr[h] is not None:
+                pairs += 1
+                if not (lands_arr[g] and t_s[arr[g]] == image_t and image_row[t_pos[arr[g]]] == arr[h]):
+                    rb.fail("composition-preserved", (keys[f], keys[g]))
+    for law, n in (
+        ("object-map-total", n_obj), ("object-map-lands", n_obj - obj.count(None)), ("arrow-map-total", n_arr),
+        ("arrow-map-lands", n_arr - arr.count(None)), ("endpoints-preserved", sum(lands_arr)),
+        ("identities-preserved", len(units)), ("composition-preserved", pairs),
+    ):
+        rb.count(law, n)
+    return rb.report()
+
+
+def total_tables(fi):
+    """(objects, arrows, over, tables) of a presheaf's total category on ids, unchecked.
+
+    Objects are (i, key) fibre by fibre; an arrow (k, key_u, key_v) runs to each element v from each of
+    its lifts u over base arrow k, listed as in ``fi.lifts``, and ``over[a]`` is its base arrow.  An
+    identity or composite is the lift of the base's between the same ends, and None where there is none.
+    """
+    base, fibres = fi.base.tables, fi.fibres
+    start = list(accumulate(map(len, fibres), initial=0))
+    objects = tuple((i, key) for i, fibre in enumerate(fibres) for key in fibre)
+    arrows, over, s, t = [], [], [], []
+    for k, (i, j, row) in enumerate(zip(base.s, base.t, fi.lifts)):
+        for v, us in enumerate(row):
+            for u in us:
+                arrows.append((fi.base.arrows[k], fibres[i][u], fibres[j][v]))
+                over.append(k)
+                s.append(start[i] + u)
+                t.append(start[j] + v)
+    lift = {ends: a for a, ends in enumerate(zip(over, s, t))}
+    ident = tuple(lift.get((base.ident[i], x, x)) for x, (i, _) in enumerate(objects))
+    out, pos = group_by_value(s, len(objects))
+    over_pos = [base.pos[k] for k in over]
+    rows = tuple(
+        tuple(lift.get((base_row[over_pos[g]], x, t[g])) for g in out[y])
+        for base_row, x, y in zip(map(base.rows.__getitem__, over), s, t)
+    )
+    return objects, tuple(arrows), tuple(over), CategoryTables(tuple(s), tuple(t), ident, out, pos, rows)
+
+
+def total_category(fi) -> tuple[FiniteCategory, FunctorData]:
+    """The total category and projection of a presheaf, refused as the library refused them: a missing
+    identity or composite or a failed law by FiniteCategory, and a projection that is no functor."""
+    objects, arrows, over, tables = total_tables(fi)
+    total = FiniteCategory(objects, arrows, tables)
+    proj = FunctorData(total, fi.base, tuple(i for i, _ in objects), over)
+    report = check_functor(proj)
+    if not report.passed:
+        raise MalformedTables(f"projection is not a functor: {report.first()}")
+    return total, proj
+
+
+def discrete_fibration_by_total(fi) -> Report:
+    """The verdict of the total-category path on a presheaf: ``unique-lift`` counted over the total
+    category's arrows, one require per base arrow into each object's base object, then ``total-category``,
+    one require that the total category and its projection are built, witnessed by the refusal."""
+    rb = ReportBuilder()
+    objects, _, over, tables = total_tables(fi)
+    lifts, base_t = Counter(zip(over, tables.t)), fi.base.tables.t
+    for y, (j, key) in enumerate(objects):
+        for k in (k for k, z in enumerate(base_t) if z == j):
+            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {(j, key)!r}"
+            require(rb, lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
+    refusal = None
+    try:
+        total_category(fi)
+    except MalformedTables as exc:
+        refusal = str(exc)
+    require(rb, refusal is None, "total-category", refusal)
+    return rb.report()
+
+
+def fibre_map_functor(source, target, images) -> FunctorData:
+    """A map of fibres, ``images[i][u]`` a position in target's fibre i or an image not there, as the functor
+    between total categories that it is: an arrow goes to the one over its base arrow between its ends'
+    images, and an object or arrow whose image is not in the target to that image's key."""
+    src, src_proj = total_category(source)
+    tgt, tgt_proj = total_category(target)
+    start = list(accumulate(map(len, target.fibres), initial=0))
+    image_keys = [target.fibres[i][y] if type(y) is int else y for i, row in enumerate(images) for y in row]
+    obj = tuple(start[i] + y if type(y) is int else (i, y) for i, row in enumerate(images) for y in row)
+    lifts = {ends: a for a, ends in enumerate(zip(tgt_proj.arr, tgt.tables.s, tgt.tables.t))}
+    arr = []
+    for k, x, y in zip(src_proj.arr, src.tables.s, src.tables.t):
+        a = lifts.get((k, obj[x], obj[y]))
+        arr.append((k, image_keys[x], image_keys[y]) if a is None else a)
+    return FunctorData(src, tgt, obj, tuple(arr))
 
 
 class KeyedViews:
@@ -344,32 +487,48 @@ def check_functor_by_instance(fd: FunctorData) -> Report:
 
 
 def check_discrete_fibration_by_instance(fi) -> Report:
-    """check_discrete_fibration with one require per base arrow into each fibre object's base object."""
+    """check_discrete_fibration with one require per base arrow into each element's object, per element, and
+    per composable base pair and element of the far fibre."""
     rb = ReportBuilder()
-    lifts = Counter(zip(fi.proj.arr, fi.total.tables.t))
-    for y, over in enumerate(fi.proj.obj):
-        for k in (k for k, z in enumerate(fi.base.tables.t) if z == over):
-            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {fi.total.objects[y]!r}"
-            require(rb, lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
+    base, names, lifts = fi.base.tables, fi.base.arrows, fi.lifts
+    arrows = range(len(base.s))
+    for j, fibre in enumerate(fi.fibres):
+        for v, key in enumerate(fibre):
+            for k in (k for k in arrows if base.t[k] == j):
+                where = f"base arrow {names[k]!r}, fibre object {(j, key)!r}"
+                require(rb, len(lifts[k][v]) == 1, "unique-lift", f"{where}, lifts {len(lifts[k][v])}")
+    for i, fibre in enumerate(fi.fibres):
+        for u, key in enumerate(fibre):
+            require(rb, lifts[base.ident[i]][u] == (u,), "reindex-identity", (i, key))
+    for k in arrows:
+        for g in (g for g in arrows if base.s[g] == base.t[k]):
+            h, far = base.then(k, g), base.t[g]
+            for w, key in enumerate(fi.fibres[far]):
+                composite = [u for v in lifts[g][w] for u in lifts[k][v]]
+                witness = (names[k], names[g], (far, key))
+                require(rb, sorted(lifts[h][w]) == sorted(composite), "reindex-composite", witness)
     return rb.report()
 
 
-def fibre_map_by_instance(rb, source, target, move, law) -> FunctorData:
-    """fib._fibre_map with one require per object or arrow."""
-    object_ids = {key: y for y, key in enumerate(target.total.objects)}
-    arrows = list(zip(target.proj.arr, target.total.tables.s, target.total.tables.t))
-    images, obj = [], []
-    for i, table in source.total.objects:
-        images.append((i, move(i, table)))
-        obj.append(object_ids.get(images[-1], images[-1]))
-        require(rb, type(obj[-1]) is int, f"{law}-lands", (i, table))
-    arr, src = [], source.total.tables
-    for f, key in enumerate(source.total.arrows):
-        k, x, y = source.proj.arr[f], src.s[f], src.t[f]
-        found = [a for a, ends in enumerate(arrows) if ends == (k, obj[x], obj[y])]
-        arr.append(found[-1] if found else (k, images[x][1], images[y][1]))
-        require(rb, bool(found), f"{law}-natural", key)
-    return FunctorData(source.total, target.total, tuple(obj), tuple(arr))
+def fibre_map_by_instance(rb, source, target, move, law) -> tuple:
+    """fib._fibre_map with one require per element or lift."""
+    images = []
+    for i, fibre in enumerate(source.fibres):
+        images.append([])
+        for key in fibre:
+            image = move(i, key)
+            found = [y for y, other in enumerate(target.fibres[i]) if other == image]
+            images[-1].append(found[0] if found else image)
+            require(rb, bool(found), f"{law}-lands", (i, key))
+    base = source.base.tables
+    for k, row in enumerate(source.lifts):
+        i, j = base.s[k], base.t[k]
+        for v, us in enumerate(row):
+            for u in us:
+                x, y = images[i][u], images[j][v]
+                witness = (source.base.arrows[k], source.fibres[i][u], source.fibres[j][v])
+                require(rb, type(y) is int and target.lifts[k][y] == (x,), f"{law}-natural", witness)
+    return tuple(map(tuple, images))
 
 
 def fibrewise_naturality_by_instance(rb, ss: SubSlice) -> None:
@@ -405,10 +564,10 @@ def cartesian_iso_by_instance(ss: SubSlice) -> Report:
     extended, retrieved = iso_directions(ss)
     forward = fibre_map_by_instance(rb, conv, endo, extended, "forward")
     backward = fibre_map_by_instance(rb, endo, conv, retrieved, "backward")
-    for there, back in ((forward, backward), (backward, forward)):
-        for x, key in enumerate(there.source.objects):
-            y = there.obj[x]
-            require(rb, type(y) is int and back.obj[y] == x, "mutual-inverse", key)
+    for source, there, back in ((conv, forward, backward), (endo, backward, forward)):
+        for i, row in enumerate(there):
+            for u, y in enumerate(row):
+                require(rb, type(y) is int and back[i][y] == u, "mutual-inverse", (i, source.fibres[i][u]))
     fibrewise_naturality_by_instance(rb, ss)
     return rb.report()
 
@@ -435,7 +594,7 @@ def transport_conv_by_instance(k, functor, ss: SubSlice) -> Report:
     rb = ReportBuilder()
     fibre_map_by_instance(rb, conv1, conv2, move_conv, "conv-transport")
     fibre_map_by_instance(rb, endo1, endo2, move_endo, "endo-transport")
-    for i, table in conv1.total.objects:
+    for i, table in ((i, table) for i, fibre in enumerate(conv1.fibres) for table in fibre):
         lhs = (i, move_endo(*fib._extended(ss, (i, table))))
         require(rb, lhs == fib._extended(ss2, (i, move_conv(i, table))), "intertwine", (i, table))
     return rb.report()
@@ -445,32 +604,32 @@ def functor_over_base_by_functors(rb, source, target, move, prefix, over_base) -
     """The map of fibrations as a functor between total categories, as cartesian_iso and transport_conv
     checked it before they checked only fibre maps: every image exists (``<prefix>welldefined``), the
     functor laws (prefixed), and that the functor lies over the base, on objects and on arrows."""
-    tgt = target.total
+    (source_total, source_proj), (tgt, target_proj) = total_category(source), total_category(target)
     object_ids = {key: y for y, key in enumerate(tgt.objects)}
     arrow_ids = {key: a for a, key in enumerate(tgt.arrows)}
     images, obj = [], []
-    for key in source.total.objects:
+    for key in source_total.objects:
         images.append((key[0], move(*key)))
         obj.append(object_ids.get(images[-1], images[-1]))
         require(rb, type(obj[-1]) is int, f"{prefix}welldefined", key)
-    arr, src = [], source.total.tables
-    for f, key in enumerate(source.total.arrows):
-        image = (source.proj.arr[f], images[src.s[f]][1], images[src.t[f]][1])
+    arr, src = [], source_total.tables
+    for f, key in enumerate(source_total.arrows):
+        image = (source_proj.arr[f], images[src.s[f]][1], images[src.t[f]][1])
         arr.append(arrow_ids.get(image, image))
         require(rb, type(arr[-1]) is int, f"{prefix}welldefined", key)
-    fd = FunctorData(source.total, tgt, tuple(obj), tuple(arr))
+    fd = FunctorData(source_total, tgt, tuple(obj), tuple(arr))
     functor = check_functor_by_instance(fd)
     for failure in functor.failures:
         rb.fail(prefix + failure.law, failure.witness)
     for law, n in functor.checked.items():
         rb.count(prefix + law, n)
     objects_law, arrows_law = over_base
-    for x, key in enumerate(source.total.objects):
+    for x, key in enumerate(source_total.objects):
         y = obj[x]
-        require(rb, type(y) is int and target.proj.obj[y] == source.proj.obj[x], objects_law, key)
-    for f, key in enumerate(source.total.arrows):
+        require(rb, type(y) is int and target_proj.obj[y] == source_proj.obj[x], objects_law, key)
+    for f, key in enumerate(source_total.arrows):
         a = arr[f]
-        require(rb, type(a) is int and target.proj.arr[a] == source.proj.arr[f], arrows_law, key)
+        require(rb, type(a) is int and target_proj.arr[a] == source_proj.arr[f], arrows_law, key)
     return fd
 
 
@@ -503,22 +662,23 @@ def transport_conv_by_functors(k, functor, ss: SubSlice) -> Report:
     p_square, q_square = ("p-square-objects", "p-square-arrows"), ("q-square-objects", "q-square-arrows")
     conv_map = functor_over_base_by_functors(rb, conv1, conv2, move_conv, "conv-transport-", p_square)
     endo_map = functor_over_base_by_functors(rb, endo1, endo2, move_endo, "endo-transport-", q_square)
-    endo1_objects = {key: y for y, key in enumerate(endo1.total.objects)}
-    endo1_arrows = {key: a for a, key in enumerate(endo1.total.arrows)}
-    endo2_objects = {key: y for y, key in enumerate(endo2.total.objects)}
-    endo2_arrows = {key: a for a, key in enumerate(endo2.total.arrows)}
+    conv1_total, conv2_total = conv_map.source, conv_map.target
+    endo1_objects = {key: y for y, key in enumerate(endo_map.source.objects)}
+    endo1_arrows = {key: a for a, key in enumerate(endo_map.source.arrows)}
+    endo2_objects = {key: y for y, key in enumerate(endo_map.target.objects)}
+    endo2_arrows = {key: a for a, key in enumerate(endo_map.target.arrows)}
 
     def image(table, y):  # table[y] for an id y; None for an image outside the target
         return table[y] if type(y) is int else None
 
-    extended = [fib._extended(ss, key) for key in conv1.total.objects]
-    moved = [fib._extended(ss2, conv2.total.objects[y] if type(y) is int else y) for y in conv_map.obj]
-    for x, key in enumerate(conv1.total.objects):
+    extended = [fib._extended(ss, key) for key in conv1_total.objects]
+    moved = [fib._extended(ss2, conv2_total.objects[y] if type(y) is int else y) for y in conv_map.obj]
+    for x, key in enumerate(conv1_total.objects):
         lhs = image(endo_map.obj, endo1_objects.get(extended[x]))
         require(rb, lhs == endo2_objects.get(moved[x], moved[x]), "intertwine-objects", key)
-    src = conv1.total.tables
-    for f, key in enumerate(conv1.total.arrows):
-        over, x, y = conv1.proj.arr[f], src.s[f], src.t[f]
+    src = conv1_total.tables
+    for f, key in enumerate(conv1_total.arrows):
+        over, x, y = key[0], src.s[f], src.t[f]
         lhs = image(endo_map.arr, endo1_arrows.get((over, extended[x][1], extended[y][1])))
         rhs = (over, moved[x][1], moved[y][1])
         require(rb, lhs == endo2_arrows.get(rhs, rhs), "intertwine-arrows", key)

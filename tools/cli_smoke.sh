@@ -47,6 +47,10 @@ expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\nc
   fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 5, "map": [0] * 5}], "arrows": [{"src": 0, "dst": 0, "map": list(range(5))}]}, sys.stdout)')
 # a fibre of 4^7200 over an |A| = 7200 point object: a count of 4 335 digits, refused without spelling it out
 expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; n = 7200; json.dump({"kind": "sub-slice", "objects": [{"size": n, "map": [0] * n}], "arrows": [{"src": 0, "dst": 0, "map": list(range(n))}]}, sys.stdout)')
+# klein4 over the point objects with |A| = 0..3 and every slice cell between them: 4 objects and 60 arrows,
+# fibres of 85 elements in all, each reindexed along every cell
+expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n' \
+  fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import itertools, json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": a, "map": [0] * a} for a in range(4)], "arrows": [{"src": a, "dst": b, "map": list(phi)} for a in range(4) for b in range(4) for phi in itertools.product(range(b), repeat=a)]}, sys.stdout)')
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
 echo '{"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 3, "dst": 0, "map": [0]}]}' > "$tmp"
 expect 2 '' check "$tmp"
