@@ -307,8 +307,10 @@ def endo_base_change(src: SliceObject, sigma: FinMap, endo: KleisliEndo) -> Klei
 
 
 def conv_fibre(fa: SliceObject, ic: InternalCategory) -> list[ConvElement]:
-    """All convolution elements over fa, in lexicographic table order."""
-    return _fibre(module_plan(fa, ic))
+    """All convolution elements over fa, in lexicographic table order: at each point, each endo-arrow at the
+    object it lies over."""
+    plan = module_plan(fa, ic)
+    return [_conv(plan, table) for table in _cells(fa.span, ic.mor_span, "fibre elements")]
 
 
 def _cells(src: Span, dst: Span, noun: str) -> Iterator[tuple[int, ...]]:
@@ -317,11 +319,6 @@ def _cells(src: Span, dst: Span, noun: str) -> Iterator[tuple[int, ...]]:
     count = capped_product(map(len, choices))
     budget(count, f"{count_name(count)} {noun}")
     return itertools.product(*choices)
-
-
-def _fibre(plan: ModulePlan) -> list[ConvElement]:
-    """The convolution elements of plan: at each point, each endo-arrow at the object it lies over."""
-    return [_conv(plan, table) for table in _cells(plan.base.span, plan.ic.mor_span, "fibre elements")]
 
 
 def kleisli_fibre(fa: SliceObject, ic: InternalCategory) -> list[KleisliEndo]:

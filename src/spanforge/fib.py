@@ -19,7 +19,6 @@ from .errors import DomainMismatch, MalformedTables, NotInternalFunctor, NotLex
 from .finset import FinMap, FinSet, compose, group_by_value
 from .internal import (
     CategoryTables,
-    FiniteCategory,
     InternalCategory,
     InternalFunctor,
     LexFunctorData,
@@ -31,7 +30,6 @@ from .internal import (
 from .feistel import (
     KleisliEndo,
     _conv,
-    _fibre,
     _wrap_endo,
     extend,
     module_plan,
@@ -44,7 +42,12 @@ from .span import SliceObject, TwoCell, cell_choices
 
 @dataclass(frozen=True)
 class SubSlice:
-    """A finite subcategory of the slice over the category's base object."""
+    """A finite subcategory of the slice over the category's base object.
+
+    ``cells[k]`` is arrow k read once, as (source id, target id, map table): the arrows are checked on it
+    and nothing after reads a Span or a TwoCell.  ``base`` is the category on ids whose arrow k composes
+    as its map; ``fibres`` lists each object's convolution tables once every fibration count is budgeted.
+    """
 
     ic: InternalCategory
     objects: tuple[SliceObject, ...]
@@ -53,17 +56,7 @@ class SubSlice:
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "arrows", tuple(self.arrows))
-        if len(set(self.objects)) != len(self.objects):
-            raise MalformedTables("sub-slice objects must be distinct")
-        for obj in self.objects:
-            if obj.o != self.ic.o:
-                raise MalformedTables("sub-slice object over the wrong base")
-        if len(set(self.arrows)) != len(self.arrows):
-            raise MalformedTables("sub-slice arrows must be distinct")
-        for cell in self.arrows:
-            if cell.src not in self.span_index or cell.dst not in self.span_index:
-                raise MalformedTables("sub-slice arrow endpoints must be listed objects")
-        self.base_category  # checks the identities and closure under composition
+        self.base  # checks the arrows, the identities and closure under composition
 
     @cached_property
     def _plans(self) -> tuple:
@@ -71,34 +64,65 @@ class SubSlice:
         return tuple(module_plan(obj, self.ic) for obj in self.objects)
 
     @cached_property
-    def span_index(self) -> dict:
-        return {obj.span: i for i, obj in enumerate(self.objects)}
+    def cells(self) -> tuple[tuple[int, int, tuple], ...]:
+        """Each arrow as (source id, target id, map table), checked with the objects its ids index; a cell is
+        known by these, so they must be distinct."""
+        ids = {obj.span: i for i, obj in enumerate(self.objects)}
+        if len(ids) != len(self.objects):
+            raise MalformedTables("sub-slice objects must be distinct")
+        if any(obj.o != self.ic.o for obj in self.objects):
+            raise MalformedTables("sub-slice object over the wrong base")
+        cells = tuple((ids.get(cell.src), ids.get(cell.dst), cell.map.table) for cell in self.arrows)
+        if any(i is None or j is None for i, j, _ in cells):
+            raise MalformedTables("sub-slice arrow endpoints must be listed objects")
+        if len(set(cells)) != len(cells):
+            raise MalformedTables("sub-slice arrows must be distinct")
+        return cells
 
     def arrow_endpoints(self, k: int) -> tuple[int, int]:
         """The object ids at the ends of arrow k; DomainMismatch unless k is an arrow."""
         if type(k) is not int or not 0 <= k < len(self.arrows):
             raise DomainMismatch(f"{k!r} is not an arrow of the sub-slice")
-        cell = self.arrows[k]
-        return self.span_index[cell.src], self.span_index[cell.dst]
+        return self.cells[k][:2]
 
     @cached_property
-    def base_category(self) -> FiniteCategory:
-        # a listed cell is known by its ends and its map's table, so lookups build no cells
-        cells = [(*self.arrow_endpoints(k), cell.map.table) for k, cell in enumerate(self.arrows)]
-        cell_index = {cell: k for k, cell in enumerate(cells)}
-        ident = tuple(cell_index.get((i, i, tuple(range(obj.a.size)))) for i, obj in enumerate(self.objects))
+    def base(self) -> CategoryTables:
+        """The base category on ids.  Cells compose as maps and each identity and composite is looked up by
+        its (source, target, table), so no endpoint, unit or associativity law can fail; a missing identity
+        or composite is refused, once the composable pairs are under the cap."""
+        cells = self.cells
+        index = {cell: k for k, cell in enumerate(cells)}
+        ident = tuple(index.get((i, i, tuple(range(obj.a.size)))) for i, obj in enumerate(self.objects))
         if None in ident:
             missing = self.objects[ident.index(None)]
             raise MalformedTables(f"identity missing for object with |A|={missing.a.size}")
         s, t = tuple(i for i, _, _ in cells), tuple(j for _, j, _ in cells)
         out, pos = group_by_value(s, len(self.objects))
+        pairs = sum(len(out[j]) for j in t)
+        budget(pairs, f"{pairs} sub-slice composites")
         rows = []
         for i, j, phi in cells:
-            rows.append(tuple(cell_index.get((i, t[k], tuple(cells[k][2][v] for v in phi))) for k in out[j]))
+            rows.append(tuple(index.get((i, t[g], tuple(map(cells[g][2].__getitem__, phi)))) for g in out[j]))
             if None in rows[-1]:
                 raise MalformedTables("sub-slice not closed under composition")
-        tables = CategoryTables(s, t, ident, out, pos, tuple(rows))
-        return FiniteCategory(tuple(range(len(self.objects))), tuple(range(len(self.arrows))), tables)
+        return CategoryTables(s, t, ident, out, pos, tuple(rows))
+
+    @cached_property
+    def fibres(self) -> tuple:
+        """The convolution tables over each object in lexicographic order, listed once every count is under
+        the cap: each fibre's elements, the faces over every base arrow, and the reindexing's composites,
+        that is the far fibre over each composable base pair."""
+        choices = [cell_choices(obj.span, self.ic.mor_span) for obj in self.objects]
+        sizes = [capped_product(map(len, c)) for c in choices]
+        for n in sizes:
+            budget(n, f"{count_name(n)} fibre elements")
+        base = self.base
+        faces = sum(sizes[i] + sizes[j] for i, j in zip(base.s, base.t))
+        budget(faces, f"{count_name(faces)} fibration faces")
+        far = [sum(sizes[base.t[g]] for g in row) for row in base.out]  # far fibres past each object
+        pairs = sum(far[j] for j in base.t)
+        budget(pairs, f"{count_name(pairs)} fibration composites")
+        return tuple(tuple(itertools.product(*c)) for c in choices)
 
 
 def full_subslice(ic: InternalCategory, objects) -> SubSlice:
@@ -131,25 +155,25 @@ class TotalKeys(NamedTuple):
 
 @dataclass
 class FibrationInstance:
-    """A discrete fibration over a base category, held as its presheaf.
+    """A discrete fibration over a base category on ids, held as its presheaf.
 
     ``fibres[i]`` lists the element keys over base object i.  Over base arrow k: i -> j, ``lifts[k][v]``
     lists the positions u in fibres[i] of the lifts of element v of fibres[j]: one for a discrete
     fibration, and then v -> u is the reindexing F_j -> F_i along k.  Construction checks the shape only.
     """
 
-    base: FiniteCategory
+    base: CategoryTables
     fibres: tuple
     lifts: tuple
 
     def __post_init__(self) -> None:
-        base, fibres = self.base.tables, self.fibres
+        base, fibres = self.base, self.fibres
         if len(fibres) != len(base.ident):
             raise MalformedTables(f"one fibre per base object: got {len(fibres)} for {len(base.ident)}")
         if len(self.lifts) != len(base.s):
             raise MalformedTables(f"one row of lifts per base arrow: got {len(self.lifts)} for {len(base.s)}")
         for k, (i, j, row) in enumerate(zip(base.s, base.t, self.lifts)):
-            over = f"over base arrow {self.base.arrows[k]!r}"
+            over = f"over base arrow {k}"
             if len(row) != len(fibres[j]):
                 got = f"got {len(row)} for {len(fibres[j])}"
                 raise MalformedTables(f"one lift list per element of the target fibre {over}: {got}")
@@ -171,10 +195,10 @@ def _object_keys(fi: FibrationInstance):
 
 def _lift_keys(fi: FibrationInstance):
     """The key (k, key_u, key_v) of each lift u of v over each base arrow k, in the order of fi.lifts."""
-    base, fibres = fi.base.tables, fi.fibres
+    base, fibres = fi.base, fi.fibres
     for k, (i, j, row) in enumerate(zip(base.s, base.t, fi.lifts)):
         for v, us in enumerate(row):
-            yield from ((fi.base.arrows[k], fibres[i][u], fibres[j][v]) for u in us)
+            yield from ((k, fibres[i][u], fibres[j][v]) for u in us)
 
 
 def check_discrete_fibration(fi: FibrationInstance) -> Report:
@@ -186,13 +210,13 @@ def check_discrete_fibration(fi: FibrationInstance) -> Report:
     the lifts of w over "k then g" are the lifts over k of its lifts over g, counted with repeats.
     """
     rb = ReportBuilder()
-    base, fibres, lifts, names = fi.base.tables, fi.fibres, fi.lifts, fi.base.arrows
+    base, fibres, lifts = fi.base, fi.fibres, fi.lifts
     into, _ = group_by_value(base.t, len(fibres))  # the base arrows into each object
     for j, fibre in enumerate(fibres):
         for v, key in enumerate(fibre):
             for k in into[j]:
                 if len(lifts[k][v]) != 1:
-                    where = f"base arrow {names[k]!r}, fibre object {(j, key)!r}"
+                    where = f"base arrow {k}, fibre object {(j, key)!r}"
                     rb.fail("unique-lift", f"{where}, lifts {len(lifts[k][v])}")
     rb.count("unique-lift", sum(len(into[j]) * len(fibre) for j, fibre in enumerate(fibres)))
     for i, fibre in enumerate(fibres):
@@ -213,25 +237,9 @@ def check_discrete_fibration(fi: FibrationInstance) -> Report:
             over_k, over_g, over_h = lifts[k], lifts[g], lifts[h]
             for w, key in enumerate(far):
                 if sorted(over_h[w]) != sorted(u for v in over_g[w] for u in over_k[v]):
-                    rb.fail("reindex-composite", (names[k], names[g], (base.t[g], key)))
+                    rb.fail("reindex-composite", (k, g, (base.t[g], key)))
     rb.count("reindex-composite", pairs)
     return rb.report()
-
-
-def _fibres(ss: SubSlice, noun: str) -> list:
-    """The cell choices of each fibre over ss, once every count is under the cap: each fibre's elements,
-    the faces over every base arrow, and the reindexing's composites, that is the far fibre over each
-    composable base pair."""
-    choices = [cell_choices(plan.base.span, plan.ic.mor_span) for plan in ss._plans]
-    sizes = [capped_product(map(len, c)) for c in choices]
-    for n in sizes:
-        budget(n, f"{count_name(n)} fibre elements")
-    base = ss.base_category.tables
-    faces = sum(sizes[i] + sizes[j] for i, j in zip(base.s, base.t))
-    budget(faces, f"{count_name(faces)} {noun} faces")
-    pairs = sum(sizes[base.t[g]] for j in base.t for g in base.out[j])
-    budget(pairs, f"{count_name(pairs)} {noun} composites")
-    return choices
 
 
 def _fibration(ss: SubSlice, keys: list, pushed) -> FibrationInstance:
@@ -240,18 +248,16 @@ def _fibration(ss: SubSlice, keys: list, pushed) -> FibrationInstance:
     Over base arrow k: i -> j with map phi, ``pushed(k, i, j)`` gives the face of each u in fibre i, and
     the lifts of each v in fibre j are the u, in order, whose face is v . phi.
     """
-    base = ss.base_category.tables
     found = []
-    for k, (i, j) in enumerate(zip(base.s, base.t)):
+    for k, (i, j, phi) in enumerate(ss.cells):
         faces: dict[tuple, list[int]] = {}
         for u, face in enumerate(pushed(k, i, j)):
             faces.setdefault(face, []).append(u)
         lifts = {face: tuple(us) for face, us in faces.items()}
-        phi = ss.arrows[k].map.table
         found.append(tuple(lifts.get(tuple(map(v.__getitem__, phi)), ()) for v in keys[j]))
     n = sum(len(us) for row in found for us in row)
     budget(n, f"{count_name(n)} lifts")  # past the faces only if a defective instance lifts an element twice
-    return FibrationInstance(ss.base_category, tuple(map(tuple, keys)), tuple(found))
+    return FibrationInstance(ss.base, tuple(map(tuple, keys)), tuple(found))
 
 
 def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
@@ -260,8 +266,7 @@ def build_conv_fibration(ss: SubSlice) -> FibrationInstance:
     The fibre over a slice object is its convolution elements; over a base
     cell phi, an element lifts to its pullback along phi.
     """
-    keys = [list(itertools.product(*choices)) for choices in _fibres(ss, "convolution")]
-    return _fibration(ss, keys, lambda k, i, j: keys[i])
+    return _fibration(ss, ss.fibres, lambda k, i, j: ss.fibres[i])
 
 
 def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
@@ -272,11 +277,10 @@ def build_endo_fibration(ss: SubSlice) -> FibrationInstance:
     make a single cell suffice.
     """
     plans = ss._plans
-    fibres = zip(plans, _fibres(ss, "endomorphism"))
-    keys = [[extend(_conv(plan, table)).table for table in itertools.product(*choices)] for plan, choices in fibres]
+    keys = [[extend(_conv(plan, table)).table for table in fibre] for plan, fibre in zip(plans, ss.fibres)]
 
     def pushed(k: int, i: int, j: int) -> list:
-        sigma = ss.arrows[k].map.table
+        sigma = ss.cells[k][2]
         return [plans[i].push(plans[j], u, sigma) for u in keys[i]]
 
     return _fibration(ss, keys, pushed)
@@ -317,7 +321,7 @@ def _fibre_map(rb: ReportBuilder, source: FibrationInstance, target: FibrationIn
         images.append(tuple(position.get(image, image) for image in (move(i, key) for key in fibre)))
     lands = (type(y) for row in images for y in row)
     _agree(rb, f"{law}-lands", _object_keys(source), lands, itertools.repeat(int))
-    base, natural = source.base.tables, []
+    base, natural = source.base, []
     for k, (i, j, row) in enumerate(zip(base.s, base.t, source.lifts)):
         over = target.lifts[k]
         for v, us in enumerate(row):
@@ -343,7 +347,7 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
     (``_fibre_map``), that they are mutually inverse at each element, and the
     fibrewise naturality of the family.
     """
-    endo = build_endo_fibration(ss)  # first: it refuses an oversized sub-slice before any fibre is listed
+    endo = build_endo_fibration(ss)
     conv = build_conv_fibration(ss)
     rb = ReportBuilder()
 
@@ -360,15 +364,13 @@ def cartesian_iso(ss: SubSlice) -> CartesianIso:
         got = (back[i][y] if type(y) is int else None for i, row in enumerate(there) for y in row)
         _agree(rb, "mutual-inverse", _object_keys(source), got, (u for row in there for u in range(len(row))))
     # conv_base_change and endo_base_change, computed on the sub-slice's plans
-    fibres = [_fibre(plan) for plan in ss._plans]
     keys, pulled_then_extended, extended_then_pulled = [], [], []
-    for k, cell in enumerate(ss.arrows):
-        i, j = ss.arrow_endpoints(k)
-        plan, arrow, sigma = ss._plans[i], ss._plans[j].arrow, cell.map.table
-        for beta in fibres[j]:
-            keys.append((k, beta.table))
-            pulled_then_extended.append(extend(_conv(plan, tuple(beta.table[v] for v in sigma))).table)
-            hat = extend(beta).table
+    for k, (i, j, sigma) in enumerate(ss.cells):
+        plan, arrow = ss._plans[i], ss._plans[j].arrow
+        for beta in ss.fibres[j]:
+            keys.append((k, beta))
+            pulled_then_extended.append(extended(i, tuple(beta[v] for v in sigma)))
+            hat = extended(j, beta)
             extended_then_pulled.append(plan.extend(tuple(arrow[hat[v]] for v in sigma)))
     _agree(rb, "fibrewise-naturality", keys, pulled_then_extended, extended_then_pulled)
     return CartesianIso(forward, backward, rb.report(), conv, endo)
@@ -383,12 +385,11 @@ def transported_subslice(
             SliceObject(k.obj(obj.a), compose(functor.fo, k.arr(obj.f)))
             for obj in ss.objects
         )
-        arrows = []
-        for cell in ss.arrows:
-            src = objects[ss.span_index[cell.src]]
-            dst = objects[ss.span_index[cell.dst]]
-            arrows.append(TwoCell(src.span, dst.span, k.arr(cell.map)))
-        return SubSlice(functor.dst, objects, tuple(arrows))
+        arrows = tuple(
+            TwoCell(objects[i].span, objects[j].span, k.arr(cell.map))
+            for (i, j, _), cell in zip(ss.cells, ss.arrows)
+        )
+        return SubSlice(functor.dst, objects, arrows)
     except (MalformedTables, DomainMismatch) as exc:
         raise NotLex(f"functor fragment does not transport the sub-slice: {exc}") from exc
 
@@ -420,7 +421,7 @@ def transport_conv(
     if functor.src != transported:
         raise NotInternalFunctor("internal functor must start at the transported category")
     ss2 = transported_subslice(k, functor, ss)
-    endo1 = build_endo_fibration(ss)  # first, as in cartesian_iso
+    endo1 = build_endo_fibration(ss)
     endo2 = build_endo_fibration(ss2)
     conv1 = build_conv_fibration(ss)
     conv2 = build_conv_fibration(ss2)

@@ -11,7 +11,8 @@ walking key-to-key maps through the keyed views.
 
 Total categories: ``total_category`` builds a presheaf's total category and
 projection on ids, law-checked by ``FiniteCategory`` and ``check_functor``, as
-the library built each fibration before it held it as its presheaf;
+the library built each fibration before it held it as its presheaf; the base
+on ids is keyed by its ids (``keyed_base``), so its law pass runs here too;
 ``discrete_fibration_by_total`` is the verdict of that path, and
 ``fibre_map_functor`` reads a map of fibres as the functor between total
 categories that it was.
@@ -162,14 +163,14 @@ def total_tables(fi):
     its lifts u over base arrow k, listed as in ``fi.lifts``, and ``over[a]`` is its base arrow.  An
     identity or composite is the lift of the base's between the same ends, and None where there is none.
     """
-    base, fibres = fi.base.tables, fi.fibres
+    base, fibres = fi.base, fi.fibres
     start = list(accumulate(map(len, fibres), initial=0))
     objects = tuple((i, key) for i, fibre in enumerate(fibres) for key in fibre)
     arrows, over, s, t = [], [], [], []
     for k, (i, j, row) in enumerate(zip(base.s, base.t, fi.lifts)):
         for v, us in enumerate(row):
             for u in us:
-                arrows.append((fi.base.arrows[k], fibres[i][u], fibres[j][v]))
+                arrows.append((k, fibres[i][u], fibres[j][v]))
                 over.append(k)
                 s.append(start[i] + u)
                 t.append(start[j] + v)
@@ -184,12 +185,17 @@ def total_tables(fi):
     return objects, tuple(arrows), tuple(over), CategoryTables(tuple(s), tuple(t), ident, out, pos, rows)
 
 
+def keyed_base(base: CategoryTables) -> FiniteCategory:
+    """A base category on ids as a FiniteCategory keyed by its ids, so the law pass the library skips runs."""
+    return FiniteCategory(tuple(range(len(base.ident))), tuple(range(len(base.s))), base)
+
+
 def total_category(fi) -> tuple[FiniteCategory, FunctorData]:
     """The total category and projection of a presheaf, refused as the library refused them: a missing
     identity or composite or a failed law by FiniteCategory, and a projection that is no functor."""
     objects, arrows, over, tables = total_tables(fi)
     total = FiniteCategory(objects, arrows, tables)
-    proj = FunctorData(total, fi.base, tuple(i for i, _ in objects), over)
+    proj = FunctorData(total, keyed_base(fi.base), tuple(i for i, _ in objects), over)
     report = check_functor(proj)
     if not report.passed:
         raise MalformedTables(f"projection is not a functor: {report.first()}")
@@ -202,10 +208,10 @@ def discrete_fibration_by_total(fi) -> Report:
     one require that the total category and its projection are built, witnessed by the refusal."""
     rb = ReportBuilder()
     objects, _, over, tables = total_tables(fi)
-    lifts, base_t = Counter(zip(over, tables.t)), fi.base.tables.t
+    lifts, base_t = Counter(zip(over, tables.t)), fi.base.t
     for y, (j, key) in enumerate(objects):
         for k in (k for k, z in enumerate(base_t) if z == j):
-            where = f"base arrow {fi.base.arrows[k]!r}, fibre object {(j, key)!r}"
+            where = f"base arrow {k}, fibre object {(j, key)!r}"
             require(rb, lifts[(k, y)] == 1, "unique-lift", f"{where}, lifts {lifts[(k, y)]}")
     refusal = None
     try:
@@ -490,12 +496,12 @@ def check_discrete_fibration_by_instance(fi) -> Report:
     """check_discrete_fibration with one require per base arrow into each element's object, per element, and
     per composable base pair and element of the far fibre."""
     rb = ReportBuilder()
-    base, names, lifts = fi.base.tables, fi.base.arrows, fi.lifts
+    base, lifts = fi.base, fi.lifts
     arrows = range(len(base.s))
     for j, fibre in enumerate(fi.fibres):
         for v, key in enumerate(fibre):
             for k in (k for k in arrows if base.t[k] == j):
-                where = f"base arrow {names[k]!r}, fibre object {(j, key)!r}"
+                where = f"base arrow {k}, fibre object {(j, key)!r}"
                 require(rb, len(lifts[k][v]) == 1, "unique-lift", f"{where}, lifts {len(lifts[k][v])}")
     for i, fibre in enumerate(fi.fibres):
         for u, key in enumerate(fibre):
@@ -505,7 +511,7 @@ def check_discrete_fibration_by_instance(fi) -> Report:
             h, far = base.then(k, g), base.t[g]
             for w, key in enumerate(fi.fibres[far]):
                 composite = [u for v in lifts[g][w] for u in lifts[k][v]]
-                witness = (names[k], names[g], (far, key))
+                witness = (k, g, (far, key))
                 require(rb, sorted(lifts[h][w]) == sorted(composite), "reindex-composite", witness)
     return rb.report()
 
@@ -520,13 +526,13 @@ def fibre_map_by_instance(rb, source, target, move, law) -> tuple:
             found = [y for y, other in enumerate(target.fibres[i]) if other == image]
             images[-1].append(found[0] if found else image)
             require(rb, bool(found), f"{law}-lands", (i, key))
-    base = source.base.tables
+    base = source.base
     for k, row in enumerate(source.lifts):
         i, j = base.s[k], base.t[k]
         for v, us in enumerate(row):
             for u in us:
                 x, y = images[i][u], images[j][v]
-                witness = (source.base.arrows[k], source.fibres[i][u], source.fibres[j][v])
+                witness = (k, source.fibres[i][u], source.fibres[j][v])
                 require(rb, type(y) is int and target.lifts[k][y] == (x,), f"{law}-natural", witness)
     return tuple(map(tuple, images))
 

@@ -15,6 +15,7 @@ from spanforge import (
     coreflect,
     extend,
     external_category,
+    full_subslice,
     hom_functor_data,
     identity,
     is_simply_presented,
@@ -24,7 +25,7 @@ from spanforge import (
     kleisli_unit,
     retrieve,
 )
-from spanforge.catalog import one_object_category
+from spanforge.catalog import CATALOG, loops_and_bridges, one_object_category
 from spanforge.feistel import end_square_holds
 from spanforge.internal import InternalCategory
 
@@ -54,6 +55,20 @@ def slice_objects(ic: InternalCategory, x_size: int):
     x = FinSet(x_size)
     for f in all_maps(x, ic.o):
         yield SliceObject(x, f)
+
+
+def every_slice_object_subslices(max_a: int):
+    """(name, the full sub-slice on every slice object with |A| <= max_a) for each CATALOG instance and
+    loops_and_bridges(): the instances of acceptance criterion 11."""
+    cases = [(name, entry.category) for name, entry in CATALOG.items()] + [("loops_and_bridges", loops_and_bridges())]
+    for name, ic in cases:
+        yield name, full_subslice(ic, [obj for a in range(max_a + 1) for obj in slice_objects(ic, a)])
+
+
+def composable_base_pairs(ss):
+    """(k1, k2, "k1 then k2") for each composable pair of the sub-slice's base arrows, row by row."""
+    base = ss.base
+    return [(k1, k2, k12) for k1, row in enumerate(base.rows) for k2, k12 in zip(base.out[base.t[k1]], row)]
 
 
 def homomorphism_suite(monoids, max_x: int = 3) -> int:

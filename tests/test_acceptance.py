@@ -47,12 +47,14 @@ from spanforge.cli import main as cli_main
 from spanforge.feistel import conv_base_change, endo_base_change, free_module
 from spanforge.internal import apply_lex_functor
 
-from keyed import KeyedViews
 from suites import (
+    composable_base_pairs,
     conv_external_agreement,
     coreflection_suite,
     equal_components_suite,
+    every_slice_object_subslices,
     groupoid_inverse_suite,
+    hom_fragment_for,
     homomorphism_suite,
     inversion_suite,
     point_base,
@@ -164,10 +166,8 @@ def test_criterion_7_fibration_suite():
             assert check_discrete_fibration(endo).passed, entry.name
             iso = cartesian_iso(ss)
             assert iso.report.passed, (entry.name, iso.report.summary())
-            base = ss.base_category
-            views = KeyedViews(base)
-            for (k1, k2), k12 in base.comp.items():
-                i, j, l = views.src[k1], views.dst[k1], views.dst[k2]
+            for k1, k2, k12 in composable_base_pairs(ss):
+                i, j, l = ss.base.s[k1], ss.base.t[k1], ss.base.t[k2]
                 for gamma in conv_fibre(ss.objects[l], ic):
                     direct = conv_base_change(ss.objects[i], ss.arrows[k12].map, gamma)
                     stepwise = conv_base_change(
@@ -247,3 +247,25 @@ def test_criterion_10_feistel_roundtrip(capsys):
         for key in fns:
             l, r = key[l] ^ r, l
         assert out == f"0x{(l << 4) | r:02x}\n"
+
+
+def test_criterion_11_multi_object_fibrations():
+    with criterion(11, "the isomorphism over every slice object of the multi-object instances", 3.0):
+        # klein4 and loops_and_bridges have 85 elements over |A| <= 3 and the others 15; the one-object
+        # instances have 4 slice objects and 60 cells, the two-object ones 15 and 389
+        for name, ss in every_slice_object_subslices(3):
+            one_object = name in ("z2", "klein4", "and2")
+            elements, lifts = (85, 2817) if name in ("klein4", "loops_and_bridges") else (15, 389)
+            assert (len(ss.objects), len(ss.arrows)) == ((4, 60) if one_object else (15, 389)), name
+            iso = cartesian_iso(ss)
+            reports = [check_discrete_fibration(fi) for fi in (iso.conv, iso.endo)]
+            assert iso.report.passed and all(r.passed for r in reports), (name, iso.report.summary())
+            assert sum(map(len, iso.conv.fibres)) == sum(map(len, iso.endo.fibres)) == elements, name
+            assert [r.checked["unique-lift"] for r in reports] == [lifts, lifts], name
+            assert iso.report.checked["fibrewise-naturality"] == lifts, name
+        for name, ss in every_slice_object_subslices(1):
+            k = hom_fragment_for(ss)
+            result = transport_conv(k, identity_internal_functor(apply_lex_functor(k, ss.ic)), ss)
+            assert result.report.passed, (name, result.report.summary())
+            checks = 33 if name in ("klein4", "loops_and_bridges") else 19
+            assert sum(result.report.checked.values()) == checks, name

@@ -36,6 +36,7 @@ from spanforge import (
     identity,
     identity_functor_data,
     identity_internal_functor,
+    is_simply_presented,
     kleisli_compose,
     kleisli_fibre,
     kleisli_unit,
@@ -52,13 +53,12 @@ from spanforge.catalog import (
     pair_groupoid,
 )
 from spanforge.feistel import conv_base_change, endo_base_change
-from spanforge.internal import apply_lex_functor
+from spanforge.internal import CategoryTables, apply_lex_functor
 from spanforge.report import ReportBuilder
 from spanforge.span import identity_cell
 
 from keyed import (
     FunctorData,
-    KeyedViews,
     base_category_by_keys,
     cartesian_iso_by_functors,
     cartesian_iso_by_instance,
@@ -78,10 +78,12 @@ from keyed import (
     transport_conv_by_instance,
     verify_adjunction_by_instance,
 )
-from suites import hom_fragment_for, point_base
+from suites import composable_base_pairs, every_slice_object_subslices, hom_fragment_for, point_base
 from util import all_slice_objects, iota_mutants, loops_and_bridges
 
 Z2 = one_object_category(MONOIDS["z2"])
+# the one-arrow category on ids
+ONE_ARROW = category_from_keys(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}).tables
 
 
 def single_object_subslice(ic, fa):
@@ -124,7 +126,7 @@ class TestSubSlice:
 
         monkeypatch.setattr(TwoCell, "__post_init__", counted)
         ss = SubSlice(ic, full.objects, full.arrows)
-        assert len(ss.base_category.arrows) == 60
+        assert len(ss.base.s) == 60
         assert built == []
 
     def test_base_category_of_default_subslice(self):
@@ -132,8 +134,7 @@ class TestSubSlice:
             ss = default_subslice(CATALOG[name].category)
             assert len(ss.objects) <= 5
             assert len(ss.arrows) <= 12
-            fc = ss.base_category
-            assert len(fc.objects) == len(ss.objects)
+            assert len(ss.base.ident) == len(ss.objects)
 
 
 class TestConvFibration:
@@ -160,8 +161,7 @@ class TestConvFibration:
         assert len(fi.total.objects) == 2
         assert check_discrete_fibration(fi).passed
         # no cross arrows in the base between the two points
-        views = KeyedViews(fi.base)
-        assert all(views.src[k] == views.dst[k] for k in fi.base.arrows)
+        assert fi.base.s == fi.base.t
 
     def test_fibre_monoids_are_groups_over_groupoids(self):
         from spanforge import conv_mult, conv_unit
@@ -185,12 +185,8 @@ class TestConvFibration:
         for name in ("z2", "pair2", "and2"):
             ic = CATALOG[name].category
             ss = default_subslice(ic)
-            base = ss.base_category
-            views = KeyedViews(base)
-            for (k1, k2), k12 in base.comp.items():
-                i = views.src[k1]
-                j = views.dst[k1]
-                l = views.dst[k2]
+            for k1, k2, k12 in composable_base_pairs(ss):
+                i, j, l = ss.base.s[k1], ss.base.t[k1], ss.base.t[k2]
                 phi, psi = ss.arrows[k1], ss.arrows[k2]
                 composite = ss.arrows[k12]
                 for gamma in conv_fibre(ss.objects[l], ic):
@@ -222,10 +218,20 @@ class TestEndoFibration:
             ss = default_subslice(entry.category)
             assert check_discrete_fibration(build_endo_fibration(ss)).passed
 
+    def test_fibres_are_the_simply_presented_endomorphisms(self):
+        # the fibres are listed as the extensions of the convolution fibres, which makes cartesian_iso's
+        # forward-lands hold by construction; so each must be, in order, every simply presented endomorphism
+        elements = 0
+        for ss in catalog_and_criterion_11_subslices():
+            for obj, fibre in zip(ss.objects, build_endo_fibration(ss).fibres):
+                assert fibre == tuple(u.table for u in kleisli_fibre(obj, ss.ic) if is_simply_presented(u))
+                elements += len(fibre)
+        assert elements == 301
+
     def test_identity_base_arrow_lifts_to_identity(self):
         ss = default_subslice(Z2)
         fi = build_endo_fibration(ss)
-        for fibre, e in zip(fi.fibres, fi.base.tables.ident):
+        for fibre, e in zip(fi.fibres, fi.base.ident):
             assert fi.lifts[e] == tuple((u,) for u in range(len(fibre)))
 
     def test_base_change_is_a_monoid_homomorphism(self):
@@ -253,10 +259,8 @@ class TestEndoFibration:
     def test_endo_base_change_contravariant(self):
         ic = CATALOG["pair2"].category
         ss = default_subslice(ic)
-        base = ss.base_category
-        views = KeyedViews(base)
-        for (k1, k2), k12 in base.comp.items():
-            i, j, l = views.src[k1], views.dst[k1], views.dst[k2]
+        for k1, k2, k12 in composable_base_pairs(ss):
+            i, j, l = ss.base.s[k1], ss.base.t[k1], ss.base.t[k2]
             for elem in conv_fibre(ss.objects[l], ic):
                 u = extend(elem)
                 direct = endo_base_change(ss.objects[i], ss.arrows[k12].map, u)
@@ -271,10 +275,7 @@ class TestEndoFibration:
 class TestDiscreteFibrationChecker:
     def test_identity_functor_on_one_object_category_passes(self):
         # the one-element presheaf on the one-arrow category: its total category is the base itself
-        fc = category_from_keys(
-            ("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"}
-        )
-        fi = FibrationInstance(fc, (("x",),), (((0,),),))
+        fi = FibrationInstance(ONE_ARROW, (("x",),), (((0,),),))
         assert check_discrete_fibration(fi).passed
 
     def test_images_outside_the_target_fail_their_laws(self):
@@ -302,7 +303,7 @@ class TestDiscreteFibrationChecker:
             },
         )
         # one element over each object, and element b of y lifts twice along u, both times to a
-        fi = FibrationInstance(base, (("a",), ("b",)), (((0,),), ((0,),), ((0, 0),)))
+        fi = FibrationInstance(base.tables, (("a",), ("b",)), (((0,),), ((0,),), ((0, 0),)))
         report = check_discrete_fibration(fi)
         assert not report.passed
         assert "lifts 2" in str(report.first())
@@ -746,6 +747,13 @@ def oracle_subslices():
     return [default_subslice(entry.category) for entry in CATALOG.values()] + [full]
 
 
+def catalog_and_criterion_11_subslices():
+    """Every CATALOG default sub-slice, loops_and_bridges' default sub-slice, and the full sub-slices of
+    acceptance criterion 11."""
+    defaults = [default_subslice(ic) for ic in [*(entry.category for entry in CATALOG.values()), LOOPS]]
+    return defaults + [ss for _, ss in every_slice_object_subslices(3)]
+
+
 def fibre_map_subslices():
     """The oracle sub-slices and loops_and_bridges' default sub-slice."""
     return oracle_subslices() + [default_subslice(LOOPS)]
@@ -779,8 +787,7 @@ class TestIdsAgainstKeyedOracles:
     def test_total_categories_match_the_keyed_build(self):
         """Each presheaf's total category, and its record of keys, is the keyed build's."""
         for ss in oracle_subslices():
-            base = base_category_by_keys(ss)
-            assert (ss.base_category.arrows, ss.base_category.tables) == (base.arrows, base.tables)
+            assert ss.base == base_category_by_keys(ss).tables
             for build, oracle in (
                 (build_conv_fibration, conv_fibration_by_keys),
                 (build_endo_fibration, endo_fibration_by_keys),
@@ -792,6 +799,11 @@ class TestIdsAgainstKeyedOracles:
                 assert got.tables == total.tables
                 assert proj.obj == tuple(object_map[x] for x in total.objects)
                 assert proj.arr == tuple(arrow_map[a] for a in total.arrows)
+
+    def test_base_tables_match_the_keyed_build(self):
+        """Each base on ids is the one built from a keyed comp dict, which FiniteCategory law-checks."""
+        for ss in catalog_and_criterion_11_subslices():
+            assert ss.base == base_category_by_keys(ss).tables
 
     def test_check_functor_on_real_functors(self):
         for ss in oracle_subslices():
@@ -856,7 +868,7 @@ class TestFibrationOnIds:
         for report in lifts:
             assert report.checked == {"unique-lift": 2817, "reindex-identity": 85, "reindex-composite": 85057}
         assert (len(iso.conv.total.objects), len(iso.conv.total.arrows)) == (85, 2817)
-        assert "comp" not in vars(ss.base_category)
+        assert type(ss.base) is CategoryTables  # ids only: no keys and no comp dict
         for fi in (iso.conv, iso.endo):
             assert fi.total._fields == ("objects", "arrows")  # keys only: no tables
 
@@ -1000,7 +1012,6 @@ def test_fibre_maps_give_the_verdict_of_the_functors(monkeypatch, fault, forms, 
         assert [f for f in new.failures if f.law == law] == [f for f in old.failures if f.law == law]
 
 
-ONE_ARROW = category_from_keys(("x",), ("id",), {"id": "x"}, {"id": "x"}, {"x": "id"}, {("id", "id"): "id"})
 POINT = point_base(Z2, 1)
 
 
@@ -1017,19 +1028,19 @@ POINT = point_base(Z2, 1)
         (lambda: FibrationInstance(ONE_ARROW, (("x",),), ()), "^one row of lifts per base arrow: got 0 for 1$"),
         (
             lambda: FibrationInstance(ONE_ARROW, (("x",),), (((0,), (0,)),)),
-            "^one lift list per element of the target fibre over base arrow 'id': got 2 for 1$",
+            "^one lift list per element of the target fibre over base arrow 0: got 2 for 1$",
         ),
         (
             lambda: FibrationInstance(ONE_ARROW, (("x",),), (((1,),),)),
-            "^lift 1 over base arrow 'id' is no position in its source fibre$",
+            "^lift 1 over base arrow 0 is no position in its source fibre$",
         ),
         (
             lambda: FibrationInstance(ONE_ARROW, (("x",),), (((-1,),),)),
-            "^lift -1 over base arrow 'id' is no position in its source fibre$",
+            "^lift -1 over base arrow 0 is no position in its source fibre$",
         ),
         (
             lambda: FibrationInstance(ONE_ARROW, (("x",),), (((False,),),)),
-            "^lift False over base arrow 'id' is no position in its source fibre$",
+            "^lift False over base arrow 0 is no position in its source fibre$",
         ),
     ],
     ids=[
@@ -1046,7 +1057,7 @@ def test_fib_refusals(build, message):
 Z2_ARROWS = category_from_keys(
     ("x",), ("1", "s"), {"1": "x", "s": "x"}, {"1": "x", "s": "x"}, {"x": "1"},
     {("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"},
-)
+).tables
 # the lifts of a and b over "1" and over "s" in a presheaf of two elements over Z2_ARROWS, and the failures
 FIXED, SWAPPED = ((0,), (1,)), ((1,), (0,))
 Z2_PRESHEAFS = {

@@ -39,7 +39,7 @@ echo '{"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0]
 expect 1 $'fail composition table must map the 1 composable pairs into M\n' check "$tmp"
 # an oversized fibration pass is refused from its fibre sizes, before any fibre is listed: klein4 on one
 # object and an |A| = 9 point object with its identity and constant-0 cells make a 262144-element fibre,
-# and 1048576 endomorphism faces
+# and 1048576 fibration faces
 "$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 4, "d": [0] * 4, "c": [0] * 4, "eta": [0], "mu": [a ^ b for a in range(4) for b in range(4)]}, sys.stdout)' > "$tmp"
 expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 9, "map": [0] * 9}], "arrows": [{"src": 0, "dst": 0, "map": list(range(9))}, {"src": 0, "dst": 0, "map": [0] * 9}]}, sys.stdout)')
 # and one under the cap in every count passes: an |A| = 5 point object, 1024 elements per fibre
@@ -51,6 +51,18 @@ expect 1 '' fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import json, 
 # fibres of 85 elements in all, each reindexed along every cell
 expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n' \
   fib-check --internal "$tmp" --subslice <("$PYTHON" -c 'import itertools, json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": a, "map": [0] * a} for a in range(4)], "arrows": [{"src": a, "dst": b, "map": list(phi)} for a in range(4) for b in range(4) for phi in itertools.product(range(b), repeat=a)]}, sys.stdout)')
+# a sub-slice's base is built on ids, with no law pass: one 5-point object over the one-arrow category and
+# the 625 maps that fix point 4 make 390 625 composable pairs, under the cap
+"$PYTHON" -c 'import itertools, json, sys; json.dump({"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 5, "map": [0] * 5}], "arrows": [{"src": 0, "dst": 0, "map": [*phi, 4]} for phi in itertools.product(range(5), repeat=4)]}, sys.stdout)' > "$tmp"
+expect 0 $'ok\n' check "$tmp"
+expect 0 $'conv-fibration unique-lift: pass\nendo-fibration unique-lift: pass\ncartesian-iso: pass\n' \
+  fib-check --internal <("$PYTHON" -c 'import json, sys; json.dump({"kind": "internal-category", "o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0]}, sys.stdout)') --subslice "$tmp"
+# and all 3 125 maps of the 5 points make 9 765 625 pairs, refused before any composite is looked up
+"$PYTHON" -c 'import itertools, json, sys; json.dump({"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [0], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 5, "map": [0] * 5}], "arrows": [{"src": 0, "dst": 0, "map": list(phi)} for phi in itertools.product(range(5), repeat=5)]}, sys.stdout)' > "$tmp"
+expect 1 '' check "$tmp"
+# a cell listed twice is refused by name
+expect 1 $'sub-slice: fail (sub-slice arrows must be distinct)\n' \
+  fib-check --internal fixtures/z2_internal.json --subslice <("$PYTHON" -c 'import json, sys; json.dump({"kind": "sub-slice", "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 0, "dst": 0, "map": [0]}] * 2}, sys.stdout)')
 # a sub-slice is read whole first: its arrow's missing object exits 2, not its category's bad d 1
 echo '{"kind": "sub-slice", "internal_category": {"o_size": 1, "m_size": 1, "d": [5], "c": [0], "eta": [0], "mu": [0]}, "objects": [{"size": 1, "map": [0]}], "arrows": [{"src": 3, "dst": 0, "map": [0]}]}' > "$tmp"
 expect 2 '' check "$tmp"
