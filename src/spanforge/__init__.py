@@ -44,7 +44,6 @@ from .span import (
     tensor_cells,
 )
 from .internal import (
-    FiniteCategory,
     InternalCategory,
     InternalFunctor,
     InternalGroupoid,

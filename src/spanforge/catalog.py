@@ -3,9 +3,9 @@
 Multiplication tables are row-major and diagrammatic: ``table[i][j]`` is
 "i then j", matching the composition convention of the engine.  Every
 table is re-verified at construction, so the catalog is self-certifying: a
-monoid is checked as a one-object FiniteCategory, whose construction
-verifies the unit and associativity laws, and its inverses are that
-category's two-sided inverses.
+monoid is held as the tables of a category on one object, whose unit and
+associativity laws the law pass of internal categories checks, and its
+inverses are that category's two-sided inverses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import DomainMismatch, MalformedTables, NotAGroup
 from .finset import FinMap, FinSet, identity, pullback
-from .internal import CategoryTables, FiniteCategory, InternalCategory, InternalGroupoid
+from .internal import CategoryTables, InternalCategory, InternalGroupoid, law_failures
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,22 @@ class MonoidTable:
             raise MalformedTables(f"Cayley table for {self.name} has out-of-range entries")
         if type(self.unit) is not int or not 0 <= self.unit < n:
             raise MalformedTables(f"unit of {self.name} out of range")
-        try:
-            self.category  # checks the unit and associativity
-        except MalformedTables as exc:
-            raise MalformedTables(f"{self.name}: {exc}") from None
+        # on one object only the unit laws and associativity can fail
+        failure = next(law_failures(self.tables), None)
+        if failure is not None:
+            law, ids, _ = failure
+            names = ", ".join(map(str, ids))
+            if law == "associativity":
+                raise MalformedTables(f"{self.name}: associativity fails at ({names})")
+            raise MalformedTables(f"{self.name}: {law.removesuffix('-unit')} identity law fails at {names}")
 
     @cached_property
-    def category(self) -> FiniteCategory:
+    def tables(self) -> CategoryTables:
         """The monoid as a category on one object, 0, whose arrows are its elements."""
         n, elements = self.size, tuple(range(self.size))
         rows = tuple(self.table[i * n : (i + 1) * n] for i in elements)  # the table is row-major
         ends = (0,) * n
-        tables = CategoryTables(ends, ends, (self.unit,), (elements,), elements, rows)
-        return FiniteCategory((0,), elements, tables)
+        return CategoryTables(ends, ends, (self.unit,), (elements,), elements, rows)
 
     def mult(self, i: int, j: int) -> int:
         """i then j; DomainMismatch unless both are elements."""
@@ -61,13 +64,13 @@ class MonoidTable:
 
     def inverse_table(self) -> tuple[int, ...]:
         """Two-sided inverses for every element; NotAGroup if any is missing."""
-        inv = tuple(self.category.tables.inverse(a) for a in range(self.size))
+        inv = tuple(self.tables.inverse(a) for a in range(self.size))
         if None in inv:
             raise NotAGroup(f"{self.name}: element {inv.index(None)} has no two-sided inverse")
         return inv
 
     def is_group(self) -> bool:
-        return all(self.category.tables.inverse(a) is not None for a in range(self.size))
+        return all(self.tables.inverse(a) is not None for a in range(self.size))
 
 
 def monoid_from_flat(name: str, size: int, flat) -> MonoidTable:

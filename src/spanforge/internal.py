@@ -315,62 +315,15 @@ def _ids(values: Sequence, bound: int) -> bool:
     return set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < bound)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteCategory:
-    """An explicit category on ids, whose keys name them in messages.
-
-    ``tables`` is the category: object x has the key ``objects[x]`` and arrow
-    f the key ``arrows[f]``.  Construction refuses malformed tables, then checks the
-    laws by the pass that checks internal categories and raises the first
-    failure, naming keys.
-    """
-
-    objects: tuple
-    arrows: tuple
-    tables: CategoryTables
-
-    def __post_init__(self) -> None:
-        objects, arrows, cat = self.objects, self.arrows, self.tables
-        n, m = len(objects), len(arrows)
-        if len(cat.ident) != n or not len(cat.s) == len(cat.t) == len(cat.rows) == m:
-            raise MalformedTables("tables must hold one identity per object and one row per arrow")
-        if not (_ids(cat.s, n) and _ids(cat.t, n) and _ids(cat.ident, m)):
-            raise MalformedTables("endpoints must be object ids and identities arrow ids")
-        if (cat.out, cat.pos) != group_by_value(cat.s, n):
-            raise MalformedTables("out and pos must list the arrows leaving each object in id order")
-        for f, row in enumerate(cat.rows):
-            if len(row) != len(cat.out[cat.t[f]]) or not _ids(row, m):
-                raise MalformedTables(f"row of {arrows[f]!r} must hold an arrow id per arrow leaving its end")
-        failure = next(law_failures(cat), None)
-        if failure is None:
-            return
-        law, ids, _ = failure
-        if law.startswith("identity"):
-            raise MalformedTables(f"object {objects[ids[0]]!r} lacks an identity arrow")
-        names = ", ".join(repr(arrows[f]) for f in ids)
-        if law.startswith("composition"):
-            raise MalformedTables(f"composite of ({names}) has wrong endpoints")
-        if law != "associativity":
-            raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
-        raise MalformedTables(f"associativity fails at ({names})")
-
-    @cached_property
-    def comp(self) -> dict:
-        """(f, g) -> "f then g", one entry per composable pair, row by row.
-
-        Kept only because perfbench/layertrace.py counts a category's pairs as
-        len(comp); it goes when that count reads the rows.
-        """
-        a, cat = self.arrows, self.tables
-        return {(a[f], a[g]): a[h] for f, row in enumerate(cat.rows) for g, h in zip(cat.out[cat.t[f]], row)}
-
-
-def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
-    """The category of maps from c_obj: objects are maps into O, arrows maps into M.
+def external_category(ic: InternalCategory, c_obj: FinSet) -> CategoryTables:
+    """The category of maps from c_obj, on ids: objects are maps into O, arrows maps into M.
 
     An arrow alpha: C -> M runs from d.alpha to c.alpha; the identity at f
     is eta.f and composition is pointwise composition of arrows.  Maps are
     listed in lexicographic order, so a map's id is its lexicographic index.
+    A pointwise law fails only where it fails in ic, so, like every other
+    construction on ic, it assumes check_internal_category passed and runs
+    no law pass of its own.
     """
     n_obj, n_arr = ic.o.size**c_obj.size, ic.m.size**c_obj.size
     budget(n_obj, f"{ic.o.size}^{c_obj.size} external-category objects")
@@ -387,7 +340,7 @@ def external_category(ic: InternalCategory, c_obj: FinSet) -> FiniteCategory:
     rows = tuple(
         tuple(_map_lex_index(map(cat.then, a, arrows[g]), n_m) for g in out[y]) for a, y in zip(arrows, t)
     )
-    return FiniteCategory(objects, arrows, CategoryTables(s, t, ident, out, pos, rows))
+    return CategoryTables(s, t, ident, out, pos, rows)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Oracles for the checkers, which run on ids and count each law once.
 
-Keyed tables: ``category_from_keys`` builds a FiniteCategory from keyed
-dicts, and ``KeyedViews`` reads one back as keyed ``src``, ``dst``, ``ident``
-and ``hom``.  The library builds categories on ids only.
+Keyed categories: ``FiniteCategory`` labels a category on ids with keys,
+refuses malformed tables and runs the law pass at construction, raising the
+first failure by key, as the library did before it held every category as
+its tables alone.  ``category_from_keys`` builds one from keyed dicts,
+``external_by_keys`` keys ``external_category`` by its map tables, and
+``KeyedViews`` reads one back as keyed ``src``, ``dst``, ``ident`` and
+``hom``.  The library builds categories on ids only.
 
 Keyed oracles: the keyed constructions the library used before it held total
 categories and functors on ids, that is fibrations built as tuple-keyed
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
@@ -49,10 +54,65 @@ from spanforge.errors import MalformedTables
 from spanforge.feistel import conv_fibre, extend
 from spanforge.fib import SubSlice
 from spanforge.finset import FinMap, all_maps, compose, group_by_value
-from spanforge.internal import CategoryTables, FiniteCategory, budget
+from spanforge.internal import CategoryTables, InternalCategory, _ids, budget, external_category, law_failures
 from spanforge.report import Report, ReportBuilder
 
 from util import pairs, require
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteCategory:
+    """An explicit category on ids, whose keys name them in messages.
+
+    ``tables`` is the category: object x has the key ``objects[x]`` and arrow
+    f the key ``arrows[f]``.  Construction refuses malformed tables, then checks the
+    laws by the pass that checks internal categories and raises the first
+    failure, naming keys.
+    """
+
+    objects: tuple
+    arrows: tuple
+    tables: CategoryTables
+
+    def __post_init__(self) -> None:
+        objects, arrows, cat = self.objects, self.arrows, self.tables
+        n, m = len(objects), len(arrows)
+        if len(cat.ident) != n or not len(cat.s) == len(cat.t) == len(cat.rows) == m:
+            raise MalformedTables("tables must hold one identity per object and one row per arrow")
+        if not (_ids(cat.s, n) and _ids(cat.t, n) and _ids(cat.ident, m)):
+            raise MalformedTables("endpoints must be object ids and identities arrow ids")
+        if (cat.out, cat.pos) != group_by_value(cat.s, n):
+            raise MalformedTables("out and pos must list the arrows leaving each object in id order")
+        for f, row in enumerate(cat.rows):
+            if len(row) != len(cat.out[cat.t[f]]) or not _ids(row, m):
+                raise MalformedTables(f"row of {arrows[f]!r} must hold an arrow id per arrow leaving its end")
+        failure = next(law_failures(cat), None)
+        if failure is None:
+            return
+        law, ids, _ = failure
+        if law.startswith("identity"):
+            raise MalformedTables(f"object {objects[ids[0]]!r} lacks an identity arrow")
+        names = ", ".join(repr(arrows[f]) for f in ids)
+        if law.startswith("composition"):
+            raise MalformedTables(f"composite of ({names}) has wrong endpoints")
+        if law != "associativity":
+            raise MalformedTables(f"{law.removesuffix('-unit')} identity law fails at {names}")
+        raise MalformedTables(f"associativity fails at ({names})")
+
+    @cached_property
+    def comp(self) -> dict:
+        """(f, g) -> "f then g", one entry per composable pair, row by row."""
+        a, cat = self.arrows, self.tables
+        return {(a[f], a[g]): a[h] for f, row in enumerate(cat.rows) for g, h in zip(cat.out[cat.t[f]], row)}
+
+
+def external_by_keys(ic: InternalCategory, c_obj) -> FiniteCategory:
+    """``external_category``'s tables keyed by the map tables, listed as ``all_maps`` lists them, so that
+    the law pass the library skips runs on them."""
+    tables = external_category(ic, c_obj)  # budgeted before any map is listed
+    objects = tuple(f.table for f in all_maps(c_obj, ic.o))
+    arrows = tuple(a.table for a in all_maps(c_obj, ic.m))
+    return FiniteCategory(objects, arrows, tables)
 
 
 def category_from_keys(

@@ -14,7 +14,6 @@ from spanforge import (
     conv_unit,
     coreflect,
     extend,
-    external_category,
     full_subslice,
     hom_functor_data,
     identity,
@@ -29,7 +28,7 @@ from spanforge.catalog import CATALOG, loops_and_bridges, one_object_category
 from spanforge.feistel import end_square_holds
 from spanforge.internal import InternalCategory
 
-from keyed import KeyedViews
+from keyed import KeyedViews, external_by_keys
 
 
 def point_base(ic: InternalCategory, x_size: int) -> SliceObject:
@@ -135,7 +134,7 @@ def conv_external_agreement(entries, max_a: int = 2) -> int:
         ic = entry.category
         for a_size in range(max_a + 1):
             carrier = FinSet(a_size)
-            fc = external_category(ic, carrier)
+            fc = external_by_keys(ic, carrier)
             views = KeyedViews(fc)
             for f_key in fc.objects:
                 fa = SliceObject(carrier, FinMap(carrier, ic.o, f_key))

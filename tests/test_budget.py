@@ -307,8 +307,8 @@ class TestTheJoinIsBudgeted:
         # pair2 with |C| = 5: 1024^2 pairs of arrows, but 8^5 = 32768 composable ones, each composed once
         monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
         ext = external_category(pair_groupoid(2).cat, FinSet(5))
-        assert (len(ext.objects), len(ext.arrows)) == (32, 1024)
-        assert sum(map(len, ext.tables.rows)) == 8**5
+        assert (len(ext.ident), len(ext.s)) == (32, 1024)
+        assert sum(map(len, ext.rows)) == 8**5
 
     def test_adjunction_over_a_thousand_cells(self, monkeypatch):
         # 2^10 slice cells from |A| = 10 into |B| = 2: 1024 faces and 1024 lookups, not 1024^2 squares

@@ -272,6 +272,26 @@ class TestEndoFibration:
                 assert direct.cell.map == stepwise.cell.map
 
 
+class TestLiftsAreBaseChange:
+    """Each lift of the two presheaves is the base change of its element through the object API."""
+
+    def test_conv_and_endo_lifts(self):
+        lifts = 0
+        for ss in catalog_and_criterion_11_subslices(max_a=2):
+            conv, endo = build_conv_fibration(ss), build_endo_fibration(ss)
+            conv_at = [{key: u for u, key in enumerate(fibre)} for fibre in conv.fibres]
+            endo_at = [{key: u for u, key in enumerate(fibre)} for fibre in endo.fibres]
+            elements = [conv_fibre(obj, ss.ic) for obj in ss.objects]
+            for k, (i, j, cell) in enumerate(zip(ss.base.s, ss.base.t, ss.arrows)):
+                src, sigma = ss.objects[i], cell.map
+                for v, e in enumerate(elements[j]):
+                    assert (e.map.table, extend(e).table) == (conv.fibres[j][v], endo.fibres[j][v])
+                    assert conv.lifts[k][v] == (conv_at[i][conv_base_change(src, sigma, e).map.table],)
+                    assert endo.lifts[k][v] == (endo_at[i][endo_base_change(src, sigma, extend(e)).table],)
+                    lifts += 1
+        assert lifts == 672
+
+
 class TestDiscreteFibrationChecker:
     def test_identity_functor_on_one_object_category_passes(self):
         # the one-element presheaf on the one-arrow category: its total category is the base itself
@@ -747,11 +767,11 @@ def oracle_subslices():
     return [default_subslice(entry.category) for entry in CATALOG.values()] + [full]
 
 
-def catalog_and_criterion_11_subslices():
+def catalog_and_criterion_11_subslices(max_a: int = 3):
     """Every CATALOG default sub-slice, loops_and_bridges' default sub-slice, and the full sub-slices of
-    acceptance criterion 11."""
+    acceptance criterion 11, on every slice object with |A| <= max_a."""
     defaults = [default_subslice(ic) for ic in [*(entry.category for entry in CATALOG.values()), LOOPS]]
-    return defaults + [ss for _, ss in every_slice_object_subslices(3)]
+    return defaults + [ss for _, ss in every_slice_object_subslices(max_a)]
 
 
 def fibre_map_subslices():

@@ -53,12 +53,13 @@ from spanforge.catalog import (
 from spanforge.feistel import module_plan
 from spanforge.fib import default_subslice
 from spanforge.finset import CACHE_SIZE, pair_position
-from spanforge.internal import FiniteCategory
+from spanforge.internal import CategoryTables
 from spanforge.report import Failure, Report
 from spanforge.span import identity_cell
 
 from keyed import (
-    KeyedViews, category_from_keys, category_report_by_index, groupoid_report_by_index, pair_index, then_by_index,
+    FiniteCategory, KeyedViews, category_from_keys, category_report_by_index, external_by_keys,
+    groupoid_report_by_index, pair_index, then_by_index,
 )
 from util import (
     extend_by_cells, iota_mutants, kleisli_compose_by_cells, loops_and_bridges, pairs, single_entry_mutants,
@@ -119,7 +120,7 @@ class TestMonoidCatalog:
 
     def test_category_is_built_once(self):
         m = MonoidTable("z3", 3, tuple((i + j) % 3 for i in range(3) for j in range(3)), 0)
-        assert m.category is m.category
+        assert m.tables is m.tables
         assert m.inverse_table() == (0, 2, 1)
 
 
@@ -192,6 +193,34 @@ class TestMonoidTableAgainstLoops:
         verdicts = [monoid_verdict(3, t, 0) for t in tables]
         assert verdicts == [monoid_by_loops(3, t, 0) for t in tables]
         assert {v[0] for v in verdicts} == {"ok", "associativity"}
+
+    def test_refusals_match_the_keyed_oracle(self):
+        """MonoidTable refuses a table exactly when the keyed one-object category does, with its message."""
+        rng = random.Random(31)
+        laws, accepted = set(), 0
+        for _ in range(9000):
+            n = rng.randrange(1, 4)
+            table, unit = tuple(rng.randrange(n) for _ in range(n * n)), rng.randrange(n)
+            elements = tuple(range(n))
+            rows = tuple(table[i * n : (i + 1) * n] for i in elements)
+            tables = CategoryTables((0,) * n, (0,) * n, (unit,), (elements,), elements, rows)
+            try:
+                FiniteCategory((0,), elements, tables)
+                expected = None
+            except MalformedTables as exc:
+                expected = f"m{n}: {exc}"
+            try:
+                MonoidTable(f"m{n}", n, table, unit)
+                got = None
+            except MalformedTables as exc:
+                got = str(exc)
+            assert got == expected
+            if got is None:
+                accepted += 1
+            else:
+                laws.add(got.split(": ")[1].split(" fails")[0])
+        # every law a monoid can fail is reached, and so is a monoid
+        assert laws == {"left identity law", "right identity law", "associativity"} and accepted > 0
 
     def test_seeded_random_tables(self):
         rng = random.Random(20211206)
@@ -371,9 +400,10 @@ def law_pass_instances():
     ]
 
 
-def external_refuses(ic):
+def keyed_pass_refuses(ic):
+    """The keyed law pass refuses ic's external category at a point."""
     try:
-        external_category(ic, FinSet(1))
+        external_by_keys(ic, FinSet(1))
     except MalformedTables:
         return True
     return False
@@ -393,7 +423,8 @@ class TestLawPassAgainstLoops:
 
     def assert_category_matches(self, ic):
         expected = self.assert_same_checks(check_internal_category, category_report_by_index, ic)
-        assert external_refuses(ic) == (not expected.passed)
+        assert external_category(ic, FinSet(1)) == ic.tables  # the category at a point is ic's own
+        assert keyed_pass_refuses(ic) == (not expected.passed)
         return expected
 
     def test_instances(self):
@@ -568,7 +599,7 @@ class TestGroupoidChecker:
 class TestExternalCategory:
     def test_z2_at_a_point(self):
         ic = one_object_category(MONOIDS["z2"])
-        fc = external_category(ic, FinSet(1))
+        fc = external_by_keys(ic, FinSet(1))
         assert len(fc.objects) == 1
         (obj,) = fc.objects
         assert len(KeyedViews(fc).hom(obj, obj)) == 2
@@ -579,7 +610,7 @@ class TestExternalCategory:
 
     def test_pair_groupoid_at_a_point_is_indiscrete(self):
         ic = pair_groupoid(2).cat
-        fc = external_category(ic, FinSet(1))
+        fc = external_by_keys(ic, FinSet(1))
         assert len(fc.objects) == 2
         views = KeyedViews(fc)
         for x in fc.objects:
@@ -588,19 +619,19 @@ class TestExternalCategory:
 
     def test_identity_arrows_come_from_eta(self):
         ic = pair_groupoid(2).cat
-        fc = external_category(ic, FinSet(1))
+        fc = external_by_keys(ic, FinSet(1))
         views = KeyedViews(fc)
         for obj in fc.objects:
             assert views.ident[obj] == tuple(ic.eta.table[v] for v in obj)
 
     def test_groupoid_input_gives_all_arrows_invertible(self):
         for groupoid in (pair_groupoid(2), one_object_groupoid(MONOIDS["z3"]), action_groupoid_z2()):
-            fc = external_category(groupoid.cat, FinSet(1))
+            fc = external_by_keys(groupoid.cat, FinSet(1))
             for f in range(len(fc.arrows)):
                 assert fc.tables.inverse(f) is not None
 
     def test_non_groupoid_has_non_invertible_arrow(self):
-        fc = external_category(one_object_category(MONOIDS["and2"]), FinSet(1))
+        fc = external_by_keys(one_object_category(MONOIDS["and2"]), FinSet(1))
         assert any(fc.tables.inverse(f) is None for f in range(len(fc.arrows)))
 
     def test_size_cap(self, monkeypatch):
@@ -908,18 +939,18 @@ class TestFiniteCategoryOnIds:
         ],
     )
     def test_malformed_tables_are_refused(self, changes):
-        z2 = MONOIDS["z2"].category
+        z2 = MONOIDS["z2"].tables
         with pytest.raises(MalformedTables):
-            FiniteCategory(z2.objects, z2.arrows, dataclasses.replace(z2.tables, **changes))
+            FiniteCategory((0,), (0, 1), dataclasses.replace(z2, **changes))
 
     def test_law_failures_are_named_by_key(self):
-        tables = dataclasses.replace(MONOIDS["z2"].category.tables, ident=(1,))
+        tables = dataclasses.replace(MONOIDS["z2"].tables, ident=(1,))
         with pytest.raises(MalformedTables, match=r"^left identity law fails at '1'$"):
             FiniteCategory(("x",), ("1", "a"), tables)
 
     def test_keyed_views_round_trip_through_from_keys(self):
-        categories = [monoid.category for monoid in MONOIDS.values()]
-        categories += [external_category(pair_groupoid(2).cat, FinSet(2)), loops_and_bridges_category()]
+        categories = [FiniteCategory((0,), tuple(range(m.size)), m.tables) for m in MONOIDS.values()]
+        categories += [external_by_keys(pair_groupoid(2).cat, FinSet(2)), loops_and_bridges_category()]
         for fc in categories:
             views = KeyedViews(fc)
             again = category_from_keys(fc.objects, fc.arrows, views.src, views.dst, views.ident, fc.comp)

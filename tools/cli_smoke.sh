@@ -71,6 +71,11 @@ expect 2 '' check "$tmp"
 expect 1 $'fail composition-target: pair (0, 0)\n' check fixtures/pair_groupoid_bad_mu.json
 echo '{"kind": "monoid", "size": 3, "table": [0, 1, 2, 1, 2, 2, 2, 1, 1]}' > "$tmp"
 expect 1 $'fail monoid: associativity fails at (1, 1, 1)\n' check "$tmp"
+# a monoid's tables also give its inverses and its unit: a group without inverses, and a table without a unit
+echo '{"kind": "group", "name": "and2", "size": 2, "table": [0, 0, 0, 1]}' > "$tmp"
+expect 1 $'fail and2: element 0 has no two-sided inverse\n' check "$tmp"
+echo '{"kind": "monoid", "size": 2, "table": [0, 0, 0, 0]}' > "$tmp"
+expect 1 $'fail monoid: no two-sided unit\n' check "$tmp"
 echo '{"kind": "internal-category", "o_size": 1, "m_size": 3, "d": [0, 0, 0], "c": [0, 0, 0], "eta": [0], "mu": [0, 1, 2, 1, 2, 2, 2, 1, 1]}' > "$tmp"
 expect 1 $'fail associativity: triple (1, 1, 1)\n' check "$tmp"
 # the same composition in a groupoid file: its category laws come first, so the same first law
