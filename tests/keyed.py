@@ -6,7 +6,9 @@ first failure by key, as the library did before it held every category as
 its tables alone.  ``category_from_keys`` builds one from keyed dicts,
 ``external_by_keys`` keys ``external_category`` by its map tables, and
 ``KeyedViews`` reads one back as keyed ``src``, ``dst``, ``ident`` and
-``hom``.  The library builds categories on ids only.
+``hom``.  The library builds categories on ids only.  ``external_by_loops``
+builds the category of maps out of C by plain loops over the listed maps, as
+the library built it before it carried ``ic`` along the hom functor.
 
 Keyed oracles: the keyed constructions the library used before it held total
 categories and functors on ids, that is fibrations built as tuple-keyed
@@ -113,6 +115,31 @@ def external_by_keys(ic: InternalCategory, c_obj) -> FiniteCategory:
     objects = tuple(f.table for f in all_maps(c_obj, ic.o))
     arrows = tuple(a.table for a in all_maps(c_obj, ic.m))
     return FiniteCategory(objects, arrows, tables)
+
+
+def external_by_loops(ic: InternalCategory, c_obj) -> CategoryTables:
+    """The category of maps out of c_obj on ids, a map's id its place in the ``all_maps`` listing.
+
+    Each arrow's ends, each identity and each composite is computed point by
+    point through ``ic.tables`` and found by its place in those lists.
+    """
+    objects = [f.table for f in all_maps(c_obj, ic.o)]
+    arrows = [a.table for a in all_maps(c_obj, ic.m)]
+    oid = {x: i for i, x in enumerate(objects)}
+    aid = {a: f for f, a in enumerate(arrows)}
+    cat = ic.tables
+    s = tuple(oid[tuple(cat.s[v] for v in a)] for a in arrows)
+    t = tuple(oid[tuple(cat.t[v] for v in a)] for a in arrows)
+    ident = tuple(aid[tuple(cat.ident[v] for v in x)] for x in objects)
+    out = tuple(tuple(g for g in range(len(arrows)) if s[g] == x) for x in range(len(objects)))
+    pos = [0] * len(arrows)
+    for row in out:
+        for i, g in enumerate(row):
+            pos[g] = i
+    rows = tuple(
+        tuple(aid[tuple(map(cat.then, arrows[f], arrows[g]))] for g in out[t[f]]) for f in range(len(arrows))
+    )
+    return CategoryTables(s, t, ident, out, tuple(pos), rows)
 
 
 def category_from_keys(

@@ -94,15 +94,15 @@ SITES = {
     ),
     "external_category objects": (
         lambda: external_category(pair_groupoid(2).cat, FinSet(5)),
-        "2^5 external-category objects",
+        "2^5 hom-functor images",
     ),
     "external_category arrows": (
         lambda: external_category(AND2, FinSet(5)),
-        "2^5 external-category arrows",
+        "2^5 hom-functor images",
     ),
     "external_category composites": (
         lambda: external_category(AND2, FinSet(3)),
-        "4^3 external-category composites",
+        "4^3 hom-functor images",
     ),
     "toffoli": (lambda: toffoli_extend(1, 4, (0, 0)), "2^5 Toffoli states"),
     "conv-table": (lambda: conv_table("--slice", "3", "0,0,0"), "8^2 conv-table products"),
@@ -245,6 +245,41 @@ class TestCountsPastEighteenDigits:
         message = "enumeration of more than 10^18 candidate cells exceeds cap 1000000"
         with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
             verify_adjunction([alpha], [beta])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hom_functor_data(FinSet(10**7), [FinSet(3)], []),
+            lambda: external_category(pair_groupoid(3).cat, FinSet(10**7)),
+        ],
+        ids=["hom_functor_data", "external_category"],
+    )
+    def test_a_hom_functor_power_of_millions_of_digits(self, call, monkeypatch):
+        # 3^10000000 maps out of 10^7 points: the power took seconds to build before it was refused
+        monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        message = "enumeration of 3^10000000 hom-functor images exceeds cap 1000000"
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "cap, refused",
+        [(None, []), ("0", [(1, 3), (0, 0), (5, 0), (2, 1), (2, 0)]), ("1", [(2, 1)])],
+    )
+    def test_a_small_hom_functor_power_is_counted_exactly(self, cap, refused, monkeypatch):
+        # the clamped exponent keeps every count under the cap exact, 0^n and a^0 included
+        if cap is None:
+            monkeypatch.delenv("SPANFORGE_SIZE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("SPANFORGE_SIZE_CAP", cap)
+        for a, n in [(0, 3), (1, 3), (0, 0), (5, 0), (2, 1), (2, 0)]:
+            if (a, n) in refused:
+                message = f"enumeration of {a}^{n} hom-functor images exceeds cap {cap}"
+                with pytest.raises(SizeLimitExceeded, match=f"^{re.escape(message)}$"):
+                    hom_functor_data(FinSet(n), [FinSet(a)], [])
+            else:
+                assert hom_functor_data(FinSet(n), [FinSet(a)], []).obj(FinSet(a)).size == a**n
 
     def test_kleisli_fibre_shares_one_choice_list_per_object(self, monkeypatch):
         # klein4 and a point object of |A| = 400: 1 600 generators, each a choice at every point

@@ -277,7 +277,7 @@ class TestLiftsAreBaseChange:
 
     def test_conv_and_endo_lifts(self):
         lifts = 0
-        for ss in catalog_and_criterion_11_subslices(max_a=2):
+        for ss in catalog_and_criterion_11_subslices(max_a=3):
             conv, endo = build_conv_fibration(ss), build_endo_fibration(ss)
             conv_at = [{key: u for u, key in enumerate(fibre)} for fibre in conv.fibres]
             endo_at = [{key: u for u, key in enumerate(fibre)} for fibre in endo.fibres]
@@ -289,7 +289,7 @@ class TestLiftsAreBaseChange:
                     assert conv.lifts[k][v] == (conv_at[i][conv_base_change(src, sigma, e).map.table],)
                     assert endo.lifts[k][v] == (endo_at[i][endo_base_change(src, sigma, extend(e)).table],)
                     lifts += 1
-        assert lifts == 672
+        assert lifts == 7826  # 672 with |A| <= 2
 
 
 class TestDiscreteFibrationChecker:

@@ -59,7 +59,7 @@ from spanforge.span import identity_cell
 
 from keyed import (
     FiniteCategory, KeyedViews, category_from_keys, category_report_by_index, external_by_keys,
-    groupoid_report_by_index, pair_index, then_by_index,
+    external_by_loops, groupoid_report_by_index, pair_index, then_by_index,
 )
 from util import (
     extend_by_cells, iota_mutants, kleisli_compose_by_cells, loops_and_bridges, pairs, single_entry_mutants,
@@ -650,8 +650,24 @@ class TestExternalCategory:
         # 1 object and 8 arrows fit under the cap; the 4^3 = 64 pointwise composable pairs do not
         ic = one_object_category(MONOIDS["and2"])
         monkeypatch.setenv("SPANFORGE_SIZE_CAP", "16")
-        with pytest.raises(SizeLimitExceeded, match="4\\^3 external-category composites exceeds cap 16"):
+        with pytest.raises(SizeLimitExceeded, match="4\\^3 hom-functor images exceeds cap 16"):
             external_category(ic, FinSet(3))
+
+    def test_tables_match_the_plain_loops(self):
+        # every law-pass instance and every mutant that builds, at |C| in {0, 1, 2}: the hom-functor
+        # transport lists the maps in the order all_maps does and composes them pointwise
+        compared = 0
+        for ic in law_pass_instances():
+            mutants = (build for _, build in single_entry_mutants(ic))
+            for build in [lambda: ic, *mutants]:
+                try:
+                    candidate = build()
+                except MalformedTables:
+                    continue
+                for n in range(3):
+                    assert external_category(candidate, FinSet(n)) == external_by_loops(candidate, FinSet(n))
+                    compared += 1
+        assert compared == 804  # 9 instances and 259 mutants, each at three sizes of C
 
 
 class TestInternalFunctor:
