@@ -67,6 +67,7 @@ from .feistel import (
     coreflect,
     extend,
     feistel_network,
+    feistel_walk,
     is_simply_presented,
     kleisli_compose,
     kleisli_endo,

@@ -25,7 +25,7 @@ from .feistel import (
     conv_fibre,
     conv_mult,
     conv_unit,
-    feistel_network,
+    feistel_walk,
     toffoli_extend,
 )
 from .fib import SubSlice, cartesian_iso, check_discrete_fibration
@@ -55,8 +55,8 @@ Internal = InternalCategory | InternalGroupoid  # what an internal-category or -
 def load_document(path: str, kinds: tuple[str, ...] = KINDS, refusal: str = "") -> dict:
     """The JSON object at path, whose kind is one of kinds; else ParseError, naming the refusal."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))  # not loads(bytes), which takes a BOM and UTF-16
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past 4300 digits
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -256,7 +256,7 @@ def cmd_feistel(args) -> int:
         raise KeyScheduleMismatch(
             f"--rounds {args.rounds} but the key file declares {rounds}"
         )
-    perm, inverse = feistel_network(group, args.rounds, fns)
+    walk = feistel_walk(group, args.rounds, fns)
     try:
         state = int(args.input, 16)
     except ValueError as exc:
@@ -264,9 +264,8 @@ def cmd_feistel(args) -> int:
     states = group.size * group.size
     if not 0 <= state < states:
         raise ParseError(f"--input {args.input} out of range for {states} states")
-    table = perm if args.mode == "encrypt" else inverse
     width = len(format(states - 1, "x"))
-    print(f"0x{table[state]:0{width}x}")
+    print(f"0x{walk(state, args.mode == 'decrypt'):0{width}x}")
     return 0
 
 
@@ -336,17 +335,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first main call, not at import; each subcommand's func looks up
-# its cmd_* by name when called, so rebinding a cmd_* still reaches main
-_parser: argparse.ArgumentParser | None = None
+# the parser and its subcommands' parsers by name, built together on the first main call, not at
+# import; each subcommand's func looks up its cmd_* by name when called, so rebinding a cmd_* still
+# reaches main
+_parser: tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]] | None = None
 
 
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
-        _parser = build_parser()
+        parser = build_parser()
+        _parser = parser, next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parser, commands = _parser
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser.parse_args(argv)
+        # a known command is parsed by its own parser alone; any other argv, or one that
+        # leaves extras, by the full parser, which words every usage message
+        args, extras = None, True
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import MonoidTable
 from .errors import BaseMismatch, KeyScheduleMismatch, MalformedTables
@@ -387,39 +387,48 @@ def toffoli_extend(m_bits: int, n_bits: int, table: Sequence[int]) -> tuple[int,
     return tuple(perm)
 
 
-def feistel_network(
+def feistel_walk(
     group: MonoidTable, rounds: int, round_fns: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A Feistel permutation on pairs over the group, and its inverse.
+) -> Callable[[int, bool], int]:
+    """The walk of one state through a Feistel schedule over the group, once the schedule is checked.
 
     One round maps (l, r) to (f(l) then r, l): the reversible extension of
-    the round function followed by the coordinate swap.  Decryption walks
-    the rounds backwards using pointwise group inverses.  States are
-    encoded l * size + r.
+    the round function followed by the coordinate swap.  walk(s, True)
+    runs the rounds backwards using pointwise group inverses.  States are
+    encoded l * size + r.  The checks run first, in this order: NotAGroup,
+    the round count's type, the schedule's length, the round functions.
     """
     inv = group.inverse_table()  # NotAGroup when inverses are missing
     if type(rounds) is not int:
         raise MalformedTables(f"round count must be an int, got {rounds!r}")
     if len(round_fns) != rounds:
-        raise KeyScheduleMismatch(
-            f"{rounds} rounds requested but {len(round_fns)} round functions supplied"
-        )
-    n = group.size
+        raise KeyScheduleMismatch(f"{rounds} rounds requested but {len(round_fns)} round functions supplied")
+    n, table = group.size, group.table
     for fn in round_fns:
         if len(fn) != n or any(type(v) is not int or not 0 <= v < n for v in fn):
             raise MalformedTables("round function must map the group to itself")
-    states, table = n * n, group.table
-    perm = list(range(states))
-    for fn in round_fns:
-        for s in range(states):
-            l, r = divmod(perm[s], n)
-            perm[s] = table[fn[l] * n + r] * n + l
-    inv_perm = list(range(states))
-    for fn in reversed(round_fns):
-        for s in range(states):
-            a, b = divmod(inv_perm[s], n)
-            inv_perm[s] = b * n + table[inv[fn[b]] * n + a]
-    return tuple(perm), tuple(inv_perm)
+
+    def walk(state: int, decrypt: bool) -> int:
+        l, r = divmod(state, n)
+        if decrypt:
+            for fn in reversed(round_fns):
+                l, r = r, table[inv[fn[r]] * n + l]
+        else:
+            for fn in round_fns:
+                l, r = table[fn[l] * n + r], l
+        return l * n + r
+
+    return walk
+
+
+def feistel_network(
+    group: MonoidTable, rounds: int, round_fns: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A Feistel permutation on pairs over the group, and its inverse: each of the |G|^2 states walked
+    both ways by feistel_walk, after its checks.  A caller that needs one state walks only that one."""
+    walk = feistel_walk(group, rounds, round_fns)
+    states = range(group.size * group.size)
+    return tuple(walk(s, False) for s in states), tuple(walk(s, True) for s in states)
 
 
 def slice_cells(src: SliceObject, dst: SliceObject) -> list[tuple[int, ...]]:

@@ -35,6 +35,10 @@ at call time, so a fault injected there reaches both sides.
 
 The tests compare the id tables and reports against them exactly.
 
+Feistel tables: ``feistel_by_loops`` builds both tables of a Feistel network
+round by round over every state, as the library built them before it walked
+one state at a time.
+
 Functor forms (``*_by_functors``): ``cartesian_iso`` and ``transport_conv``
 as they checked each map of fibrations before they checked only its fibre
 maps, that is as a functor between total categories, with the functor laws,
@@ -52,6 +56,7 @@ from typing import Mapping
 
 import spanforge.feistel as feistel
 import spanforge.fib as fib
+from spanforge.catalog import MonoidTable
 from spanforge.errors import MalformedTables
 from spanforge.feistel import conv_fibre, extend
 from spanforge.fib import SubSlice
@@ -810,3 +815,21 @@ def verify_adjunction_by_instance(conv_objects, end_objects, groupoid=None) -> R
             inverse = feistel.kleisli_inverse(feistel.extend(alpha))
             require(rb, inverse is not None, "automorphism", f"extend of {alpha.table} has no two-sided inverse")
     return rb.report()
+
+
+def feistel_by_loops(group: MonoidTable, round_fns) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Feistel permutation of a checked schedule over the group, and its inverse: each round applied
+    to the whole table of states, forwards, then backwards through the pointwise inverses."""
+    n, table, inv = group.size, group.table, group.inverse_table()
+    states = n * n
+    perm = list(range(states))
+    for fn in round_fns:
+        for s in range(states):
+            l, r = divmod(perm[s], n)
+            perm[s] = table[fn[l] * n + r] * n + l
+    inv_perm = list(range(states))
+    for fn in reversed(round_fns):
+        for s in range(states):
+            a, b = divmod(inv_perm[s], n)
+            inv_perm[s] = b * n + table[inv[fn[b]] * n + a]
+    return tuple(perm), tuple(inv_perm)

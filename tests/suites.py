@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 from spanforge import (
     FinMap,
     FinSet,
@@ -24,7 +27,7 @@ from spanforge import (
     kleisli_unit,
     retrieve,
 )
-from spanforge.catalog import CATALOG, loops_and_bridges, one_object_category
+from spanforge.catalog import CATALOG, GROUPS, loops_and_bridges, monoid_from_rows, one_object_category, xor_group
 from spanforge.feistel import end_square_holds
 from spanforge.internal import InternalCategory
 
@@ -62,6 +65,23 @@ def every_slice_object_subslices(max_a: int):
     cases = [(name, entry.category) for name, entry in CATALOG.items()] + [("loops_and_bridges", loops_and_bridges())]
     for name, ic in cases:
         yield name, full_subslice(ic, [obj for a in range(max_a + 1) for obj in slice_objects(ic, a)])
+
+
+def symmetric_group_3():
+    """The symmetric group on three letters, with its diagrammatic Cayley table: the nonabelian case."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return monoid_from_rows("s3", [[index[tuple(q[v] for v in p)] for q in perms] for p in perms])
+
+
+def feistel_schedules():
+    """(group, round functions) for every catalog group, xor_group(1..4) and S3: six seeded schedules
+    each, of 0 to 5 rounds."""
+    groups = [*GROUPS.values(), *(xor_group(bits) for bits in range(1, 5)), symmetric_group_3()]
+    for group in groups:
+        rng = random.Random(group.name)
+        for rounds in range(6):
+            yield group, [[rng.randrange(group.size) for _ in range(group.size)] for _ in range(rounds)]
 
 
 def composable_base_pairs(ss):

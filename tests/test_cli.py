@@ -22,6 +22,10 @@ from spanforge.catalog import (
 from spanforge.internal import InternalCategory, InternalGroupoid
 from spanforge.cli import main
 
+from keyed import feistel_by_loops
+from suites import feistel_schedules
+from util import main_by_full_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
@@ -375,6 +379,41 @@ class TestFeistel:
         )
         assert code == 2
 
+    def test_every_state_prints_the_round_loops(self, capsys, tmp_path):
+        """Every input of every schedule in feistel_schedules, both ways, prints its entry of the tables
+        that the round loops build."""
+        for k, (group, fns) in enumerate(feistel_schedules()):
+            doc = {"kind": "group", "name": group.name, "size": group.size, "table": list(group.table)}
+            keys = {"kind": "round-config", "rounds": len(fns), "round_functions": fns}
+            argv = ["--group", write_doc(tmp_path, f"g{k}.json", doc), "--rounds", str(len(fns)),
+                    "--keys", write_doc(tmp_path, f"k{k}.json", keys)]
+            states = group.size**2
+            width = len(format(states - 1, "x"))
+            for mode, table in zip(("encrypt", "decrypt"), feistel_by_loops(group, fns)):
+                for s in range(states):
+                    got = run_cli(capsys, "feistel", mode, *argv, "--input", hex(s))
+                    assert got == (0, f"0x{table[s]:0{width}x}\n", ""), (group.name, fns, mode, s)
+
+    @pytest.mark.parametrize(
+        "group, round_functions, message",
+        [
+            (None, [[0, 5]], "round function must map the group to itself"),
+            (None, [[0, 1], [1, 0]], "1 rounds requested but 2 round functions supplied"),
+            ({"kind": "monoid", "name": "and2", "size": 2, "table": [0, 0, 0, 1]}, [[0, 1]],
+             "and2: element 0 has no two-sided inverse"),
+        ],
+        ids=["round function entry", "schedule length", "not a group"],
+    )
+    @pytest.mark.parametrize("hex_input", ["zz", "0x3ab"])
+    def test_the_group_and_schedule_are_checked_before_the_input(
+        self, capsys, tmp_path, group, round_functions, message, hex_input
+    ):
+        group = self.GROUP if group is None else write_doc(tmp_path, "group.json", group)
+        keys = write_doc(tmp_path, "keys.json", {"kind": "round-config", "rounds": 1,
+                                                 "round_functions": round_functions})
+        argv = ("feistel", "decrypt", "--group", group, "--rounds", "1", "--keys", keys, "--input", hex_input)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
 
 class TestFibCheck:
     def test_bundled_pair_groupoid_passes(self, capsys):
@@ -726,6 +765,28 @@ class TestRefusals:
         message = "error: bad --f truth table: invalid literal for int() with base 10: 'x'\n"
         assert run_cli(capsys, "toffoli", "--m", "1", "--n", "1", "--f", "0,x") == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "encode, code, stderr",
+        [
+            (lambda text: b"\xef\xbb\xbf" + text.encode(), 2, "Unexpected UTF-8 BOM"),
+            (lambda text: text.encode("utf-16"), 2, "'utf-8' codec can't decode byte 0xff in position 0"),
+            (lambda text: b"\xff" + text.encode(), 2, "'utf-8' codec can't decode byte 0xff in position 0"),
+            (lambda text: text.replace("\n", "\r\n").encode(), 0, None),
+        ],
+        ids=["UTF-8 BOM", "UTF-16", "leading 0xff", "CRLF"],
+    )
+    def test_a_document_is_read_as_utf8_without_a_bom(self, capsys, tmp_path, encode, code, stderr):
+        """Bytes are decoded as UTF-8 before json parses them, as a text read decoded them: json's own
+        decoding of bytes would take the BOM and UTF-16."""
+        path = tmp_path / "monoid.json"
+        path.write_bytes(encode(json.dumps(MONOID, indent=1)))
+        got_code, out, err = run_cli(capsys, "check", str(path))
+        assert got_code == code
+        if stderr is None:
+            assert (out, err) == ("ok\n", "")
+        else:
+            assert out == "" and err.startswith(f"error: cannot read {path}: {stderr}")
+
     def test_feistel_input_must_be_hex(self, capsys):
         group, keys = str(FIXTURES / "z2_4_group.json"), str(FIXTURES / "feistel_keys.json")
         argv = ("feistel", "encrypt", "--group", group, "--rounds", "4", "--keys", keys, "--input", "zz")
@@ -759,6 +820,62 @@ class TestEntryPoint:
         assert code == 2
         assert out == ""
         assert err == "error: RuntimeError: table kernel broke\n"
+
+
+def fixture(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+KEY_ARGS = ("--group", fixture("z2_4_group.json"), "--rounds", "4", "--keys", fixture("feistel_keys.json"))
+ARGVS = {
+    # every command of the README
+    "check": ("check", fixture("pair_groupoid.json")),
+    "check bad mu": ("check", fixture("pair_groupoid_bad_mu.json")),
+    "conv-table": ("conv-table", fixture("z2_internal.json"), "--slice", "2", "0,0"),
+    "conv-table loops": ("conv-table", fixture("loops_and_bridges.json"), "--slice", "2", "0,1"),
+    "toffoli": ("toffoli", "--m", "2", "--n", "1", "--f", "0,0,0,1"),
+    "encrypt": ("feistel", "encrypt", *KEY_ARGS, "--input", "0xab"),
+    "decrypt": ("feistel", "decrypt", *KEY_ARGS, "--input", "0x68"),
+    "fib-check": ("fib-check", "--internal", fixture("pair_groupoid.json"),
+                  "--subslice", fixture("subslice_pair2.json")),
+    # and every way an argv can fail to parse
+    "empty": (),
+    "help": ("-h",),
+    "long help": ("--help",),
+    "command help": ("check", "-h"),
+    "help after a path": ("check", fixture("z2_internal.json"), "--help"),
+    "unknown command": ("nope",),
+    "unknown command with arguments": ("nope", "check"),
+    "no path": ("check",),
+    "no mode": ("feistel", *KEY_ARGS, "--input", "0xab"),
+    "missing options": ("toffoli", "--m", "1"),
+    "missing subslice": ("fib-check", "--internal", fixture("pair_groupoid.json")),
+    "extra positional": ("check", fixture("z2_internal.json"), "extra"),
+    "unknown option": ("check", fixture("z2_internal.json"), "-x"),
+    "bad kind choice": ("check", fixture("z2_internal.json"), "--kind", "bogus"),
+    "bad mode choice": ("feistel", "x", *KEY_ARGS, "--input", "0xab"),
+    "rounds not an int": ("feistel", "encrypt", "--group", fixture("z2_4_group.json"), "--rounds", "x",
+                          "--keys", fixture("feistel_keys.json"), "--input", "0xab"),
+    "one slice argument": ("conv-table", fixture("z2_internal.json"), "--slice", "2"),
+    "abbreviated option": ("fib-check", "--internal", fixture("pair_groupoid.json"),
+                           "--sub", fixture("subslice_pair2.json")),
+    "option twice": ("toffoli", "--m", "1", "--n", "1", "--f", "0,1", "--m", "2"),
+    "double dash": ("check", "--", fixture("z2_internal.json")),
+}
+
+
+class TestDispatch:
+    """main parses a known command with that command's parser alone, and answers every argv as the full
+    parser did: the same exit, stdout and stderr, usage messages included."""
+
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+    def test_main_answers_as_the_full_parser(self, capsys, argv):
+        expected = (main_by_full_parser(list(argv)), *capsys.readouterr())
+        assert run_cli(capsys, *argv) == expected
+
+    def test_no_argv_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["spanforge", *ARGVS["toffoli"]])
+        assert (main(None), capsys.readouterr().out) == (0, run_cli(capsys, *ARGVS["toffoli"])[1])
 
 
 class TestParserReuse:

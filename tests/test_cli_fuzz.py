@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spanforge.cli import main
 
+from util import main_by_full_parser
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DOCS = {path.name: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))}
 INTERNAL = ("and2_internal.json", "pair_groupoid.json", "pair_groupoid_bad_mu.json",
@@ -129,8 +131,9 @@ def command(draw):
     return argv, docs
 
 
-def run_main(argv, docs, env=None) -> tuple[int, str]:
-    """cli.main on argv, with each {i} replaced by the path of docs[i] written out: (exit code, stderr)."""
+def run_routes(argv, docs, env=None, routes=(main,)) -> list[tuple[int, str, str]]:
+    """Each route (cli.main alone by default) on argv, with each {i} replaced by the path of docs[i]
+    written out: (exit code, stdout, stderr) per route."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, doc in enumerate(docs):
@@ -138,11 +141,20 @@ def run_main(argv, docs, env=None) -> tuple[int, str]:
             path.write_text(json.dumps(doc))
             paths.append(str(path))
         argv = [arg.format(*paths) if arg.startswith("{") else arg for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, env or {}):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-    return code, err.getvalue()
+        answers = []
+        for route in routes:
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, env or {}):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = route(argv)
+            answers.append((code, out.getvalue(), err.getvalue()))
+    return answers
+
+
+def run_main(argv, docs, env=None) -> tuple[int, str]:
+    """cli.main on argv, with each {i} replaced by the path of docs[i] written out: (exit code, stderr)."""
+    [(code, _, err)] = run_routes(argv, docs, env)
+    return code, err
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -153,6 +165,15 @@ def test_main_always_ends_in_a_named_exit(case):
     assert code in (0, 1, 2), (argv, docs, code)
     assert "Traceback" not in err
     assert not UNEXPECTED.search(err), (argv, docs, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command())
+def test_main_answers_as_the_full_parser(case):
+    """A known command parsed by its own parser gives the exit, stdout and stderr of the full parser."""
+    argv, docs = case
+    direct, full = run_routes(argv, docs, {"SPANFORGE_SIZE_CAP": "64"}, routes=(main, main_by_full_parser))
+    assert direct == full, (argv, docs)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -26,6 +26,7 @@ from spanforge import (
     coreflect,
     extend,
     feistel_network,
+    feistel_walk,
     identity,
     is_bijection,
     is_simply_presented,
@@ -56,15 +57,17 @@ from spanforge.finset import CACHE_SIZE
 from spanforge.internal import check_internal_category, eta_cell
 from spanforge.span import compose_cells, identity_cell
 
-from keyed import square_holds
+from keyed import feistel_by_loops, square_holds
 from suites import (
     conv_external_agreement,
     coreflection_suite,
     equal_components_suite,
+    feistel_schedules,
     homomorphism_suite,
     inversion_suite,
     point_base,
     slice_objects,
+    symmetric_group_3,
 )
 from util import (
     all_cells, conv_mult_by_cells, extend_by_cells, kleisli_compose_by_cells, loops_and_bridges, pairs,
@@ -781,17 +784,7 @@ class TestFeistelNetwork:
             assert perm[inverse[s]] == s
 
     def test_nonabelian_group_roundtrip(self):
-        # symmetric group on three letters, diagrammatic Cayley table
-        import itertools as it
-
-        perms = list(it.permutations(range(3)))
-        index = {p: i for i, p in enumerate(perms)}
-        rows = []
-        for p in perms:
-            rows.append([index[tuple(q[v] for v in p)] for q in perms])
-        from spanforge.catalog import monoid_from_rows
-
-        s3 = monoid_from_rows("s3", rows)
+        s3 = symmetric_group_3()
         assert s3.is_group() and not all(
             s3.mult(a, b) == s3.mult(b, a) for a in range(6) for b in range(6)
         )
@@ -825,6 +818,26 @@ class TestFeistelNetwork:
     def test_malformed_round_function(self):
         with pytest.raises(MalformedTables):
             feistel_network(xor_group(1), 1, [[0, 2]])
+
+    def test_network_and_walk_equal_the_round_loops(self):
+        """On every state, both ways, as the two tables were built round by round over all states."""
+        for group, fns in feistel_schedules():
+            expected = feistel_by_loops(group, fns)
+            assert feistel_network(group, len(fns), fns) == expected, (group.name, fns)
+            walk, states = feistel_walk(group, len(fns), fns), range(group.size**2)
+            assert tuple(tuple(walk(s, decrypt) for s in states) for decrypt in (False, True)) == expected
+
+    def test_checks_run_before_any_walk_in_their_order(self):
+        """NotAGroup, the round count's type, the schedule's length, then the round functions."""
+        checks = [
+            ((MONOIDS["and2"], True, [[0, 5]]), NotAGroup, "and2: element 0 has no two-sided inverse"),
+            ((xor_group(1), True, [[0, 5], [0]]), MalformedTables, "round count must be an int, got True"),
+            ((xor_group(1), 1, [[0, 5], [0]]), KeyScheduleMismatch, "1 rounds requested but 2 round functions"),
+            ((xor_group(1), 2, [[0, 5], [0]]), MalformedTables, "round function must map the group to itself"),
+        ]
+        for call, raised, message in checks:
+            with pytest.raises(raised, match=re.escape(message)):
+                feistel_walk(*call)
 
 
 @pytest.mark.parametrize(

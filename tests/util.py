@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from spanforge import FinMap, FinSet, PullbackResult, SliceObject, Span, TwoCell, all_maps
+import sys
+
+from spanforge import FinMap, FinSet, PullbackResult, SliceObject, Span, TwoCell, all_maps, cli
 from spanforge.catalog import loops_and_bridges  # re-exported: the suites import it from here
+from spanforge.errors import ParseError, SpanforgeError
 from spanforge.internal import InternalCategory, InternalGroupoid, mu_cell
 from spanforge.report import ReportBuilder
 from spanforge.span import compose_cells, diagonal, identity_cell, pair_cells, reassociate, tensor_cells
@@ -140,3 +143,23 @@ def kleisli_compose_by_cells(beta, alpha):
     step3 = tensor_cells(identity_cell(base_span), mu_cell(ic))
     cell = compose_cells(step3, compose_cells(rebracket, compose_cells(step1, alpha.cell)))
     return cell.map.table
+
+
+def main_by_full_parser(argv: list[str]) -> int:
+    """cli.main as it answered before a known command was parsed by that command's parser alone:
+    ``build_parser().parse_args`` on the whole argv, then ``args.func`` under main's three handlers."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SpanforgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2

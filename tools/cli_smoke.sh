@@ -111,6 +111,14 @@ expect 0 $'fibre size: 4\n  0: [0, 2]\n  1: [0, 3]\n  2: [1, 2]\n  3: [1, 3]\nun
 keys=(--group fixtures/z2_4_group.json --rounds 4 --keys fixtures/feistel_keys.json)
 expect 0 "$(cat fixtures/feistel_golden.txt)"$'\n' feistel encrypt "${keys[@]}" --input 0xab
 expect 0 $'0xab\n' feistel decrypt "${keys[@]}" --input 0x68
+# feistel walks the one state asked for: the first and last states there and back
+expect 0 $'0xda\n' feistel encrypt "${keys[@]}" --input 0x00
+expect 0 $'0x00\n' feistel decrypt "${keys[@]}" --input 0xda
+expect 0 $'0x49\n' feistel encrypt "${keys[@]}" --input 0xff
+expect 0 $'0xff\n' feistel decrypt "${keys[@]}" --input 0x49
+# an argv the command's own parser leaves extras in, and an unknown command, are usage errors
+expect 2 '' check fixtures/z2_internal.json extra
+expect 2 '' nope
 table=$'fibre size: 4\n  0: [0, 0]\n  1: [0, 1]\n  2: [1, 0]\n  3: [1, 1]\n'
 expect 0 "$table"$'unit: 0\nmultiplication table:\n  0 1 2 3\n  1 0 3 2\n  2 3 0 1\n  3 2 1 0\ngroup: yes\n' \
   conv-table fixtures/z2_internal.json --slice 2 0,0
